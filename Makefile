@@ -27,13 +27,16 @@ test:
 # exposed to concurrency bugs, so they run under the race detector even
 # when the blanket -race sweep is trimmed locally. The pinned-scale line
 # also sweeps the sharded-engine differentials (partition-parallel
-# ingest must stay bit-identical to the serial engine).
+# ingest must stay bit-identical to the serial engine). The lane
+# quiesce/restart differential runs 20 times under the race detector:
+# its ordering bug only showed when lanes drained at different paces.
 verify:
 	$(GO) build ./...
 	$(GO) vet ./...
 	$(GO) test ./...
 	$(GO) test -race -timeout 30m ./...
 	$(GO) test -race -timeout 30m -count 1 ./internal/stream ./internal/serve ./internal/overload ./internal/syslog ./internal/colfmt ./internal/supervise ./internal/predict ./cmd/astrad ./cmd/astraload
+	$(GO) test -race -count 20 -run 'TestShardedQuiesceRestart' ./internal/stream
 	ASTRA_BENCH_NODES=64 $(GO) test -race -timeout 30m -run 'Parallel|Determinism|Sharded' ./...
 	$(GO) test -run '^$$' -fuzz '^FuzzParseLine$$' -fuzztime 5s ./internal/syslog
 	$(GO) test -run '^$$' -fuzz '^FuzzBlockScan$$' -fuzztime 5s ./internal/syslog

@@ -380,11 +380,17 @@ func (d *daemon) snapshotSection(s *siteDaemon, cp syslog.Checkpoint) error {
 // sections captured moments apart is still a correct per-site resume
 // point — and a quarantined site contributes its last-good section.
 func (d *daemon) composeState() []byte {
-	var b bytes.Buffer
-	fmt.Fprintf(&b, "%s\nsites %d\n", stateMagicV4, len(d.sites))
-	for _, s := range d.sites {
-		fmt.Fprintf(&b, "site %s\n", s.id)
-		b.Write(*s.section.Load())
+	secs := make([][]byte, len(d.sites))
+	size := len(stateMagicV4) + len("\nsites \n") + 20
+	for i, s := range d.sites {
+		secs[i] = *s.section.Load()
+		size += len("site \n") + len(s.id) + len(secs[i])
+	}
+	b := bytes.NewBuffer(make([]byte, 0, size))
+	fmt.Fprintf(b, "%s\nsites %d\n", stateMagicV4, len(d.sites))
+	for i, s := range d.sites {
+		fmt.Fprintf(b, "site %s\n", s.id)
+		b.Write(secs[i])
 	}
 	return b.Bytes()
 }
@@ -528,20 +534,9 @@ type siteSnapshot struct {
 // shed count restores the degraded accounting, and the scanner
 // checkpoint resumes the tail at the matching byte.
 func marshalSiteSection(cp syslog.Checkpoint, shed uint64, recs []mce.CERecord) ([]byte, error) {
-	cpb, err := cp.MarshalBinary()
-	if err != nil {
-		return nil, err
-	}
 	var b bytes.Buffer
-	fmt.Fprintf(&b, "checkpoint %d\n", len(cpb))
-	b.Write(cpb)
-	fmt.Fprintf(&b, "shed %d\n", shed)
-	fmt.Fprintf(&b, "records %d\n", len(recs))
-	var line []byte
-	for _, r := range recs {
-		line = syslog.AppendCE(line[:0], r)
-		b.Write(line)
-		b.WriteByte('\n')
+	if err := writeSiteSection(&b, cp, shed, recs, 0); err != nil {
+		return nil, err
 	}
 	return b.Bytes(), nil
 }
@@ -550,13 +545,39 @@ func marshalSiteSection(cp syslog.Checkpoint, shed uint64, recs []mce.CERecord) 
 // the site's first-alarm ledger, so restart preserves when each bank
 // first crossed the alarm threshold (not reconstructible from records).
 func marshalSiteSectionV4(cp syslog.Checkpoint, shed uint64, recs []mce.CERecord, alarms []alarmEntry) ([]byte, error) {
-	sec, err := marshalSiteSection(cp, shed, recs)
-	if err != nil {
+	var b bytes.Buffer
+	if err := writeSiteSection(&b, cp, shed, recs, len(alarms)*alarmLineBytes); err != nil {
 		return nil, err
 	}
-	b := bytes.NewBuffer(sec)
-	appendAlarms(b, alarms)
+	appendAlarms(&b, alarms)
 	return b.Bytes(), nil
+}
+
+// Line-size estimates that pre-size a section buffer, so a state image
+// of hundreds of thousands of records is not grown by doubling (each
+// doubling copies the image so far and leaves the old array to the GC).
+// An estimate that comes up short only costs a regrowth.
+const (
+	recordLineBytes = 160 // a canonical CE line and its newline: 150-160
+	alarmLineBytes  = 48  // "alarm <host> <slot> <rank> <bank> <unix>\n"
+)
+
+// writeSiteSection writes the v3 section body to b, reserving room for
+// it plus spare bytes the caller appends next.
+func writeSiteSection(b *bytes.Buffer, cp syslog.Checkpoint, shed uint64, recs []mce.CERecord, spare int) error {
+	cpb, err := cp.MarshalBinary()
+	if err != nil {
+		return err
+	}
+	b.Grow(len(cpb) + 64 + len(recs)*recordLineBytes + spare)
+	fmt.Fprintf(b, "checkpoint %d\n", len(cpb))
+	b.Write(cpb)
+	fmt.Fprintf(b, "shed %d\n", shed)
+	fmt.Fprintf(b, "records %d\n", len(recs))
+	for _, r := range recs {
+		b.Write(append(syslog.AppendCE(b.AvailableBuffer(), r), '\n'))
+	}
+	return nil
 }
 
 // parseSectionV4 parses one v4 section (checkpoint/shed/records/alarms)

@@ -129,7 +129,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	fs.IntVar(&cfg.workers, "workers", 0, "clustering parallelism inside one partition (0 = GOMAXPROCS)")
 	fs.IntVar(&cfg.partitions, "partitions", 1, "engine partitions per site, hash-sharded by node (answers identical at any setting)")
 
-	fs.IntVar(&cfg.queueDepth, "queue-depth", 65536, "admission queue capacity (records) between each tail and its engine")
+	fs.IntVar(&cfg.queueDepth, "queue-depth", 262144, "admission queue capacity (records) between each tail and its engine")
 	fs.IntVar(&cfg.queueHigh, "queue-high", 0, "high watermark: depth at which admission starts shedding (0 = capacity)")
 	fs.IntVar(&cfg.queueLow, "queue-low", 0, "low watermark: depth at which shedding stops (0 = capacity/2)")
 	shedPolicy := fs.String("shed-policy", overload.PolicyReject.String(), "what a saturated queue sheds: reject (newest) or drop-oldest")

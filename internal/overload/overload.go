@@ -125,7 +125,10 @@ type Queue[T any] struct {
 
 	cfg Config
 
-	buf  []T // ring storage, len(buf) == cfg.Capacity
+	// buf is the ring. It starts small and doubles when full, up to
+	// cfg.Capacity, so its memory follows the deepest backlog seen
+	// rather than the bound.
+	buf  []T
 	head int
 	n    int
 
@@ -154,7 +157,7 @@ func NewQueue[T any](cfg Config) *Queue[T] {
 	if cfg.Low >= cfg.High {
 		panic(fmt.Sprintf("overload: low watermark %d must be below high watermark %d", cfg.Low, cfg.High))
 	}
-	q := &Queue[T]{cfg: cfg, buf: make([]T, cfg.Capacity)}
+	q := &Queue[T]{cfg: cfg, buf: make([]T, min(cfg.Capacity, minRing))}
 	q.avail = sync.NewCond(&q.mu)
 	q.idle = sync.NewCond(&q.mu)
 	return q
@@ -204,12 +207,28 @@ func (q *Queue[T]) Offer(v T) bool {
 	return true
 }
 
+// minRing is the initial ring size.
+const minRing = 64
+
 // push appends under the lock and wakes the drainer.
 func (q *Queue[T]) push(v T) {
+	if q.n == len(q.buf) {
+		q.grow()
+	}
 	q.buf[(q.head+q.n)%len(q.buf)] = v
 	q.n++
 	q.admitted++
 	q.avail.Signal()
+}
+
+// grow doubles the full ring, up to Capacity, and unwraps it so the
+// head is at index 0. Offer admits only below Capacity, so a full ring
+// is always smaller than the bound.
+func (q *Queue[T]) grow() {
+	buf := make([]T, min(2*len(q.buf), q.cfg.Capacity))
+	k := copy(buf, q.buf[q.head:])
+	copy(buf[k:], q.buf[:q.head])
+	q.buf, q.head = buf, 0
 }
 
 func (q *Queue[T]) noteShed(n int) {

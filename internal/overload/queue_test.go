@@ -44,6 +44,46 @@ func TestQueueFIFO(t *testing.T) {
 	checkBooks(t, q.Stats())
 }
 
+// TestQueueRingGrowsOnDemand wraps the ring, then grows it past several
+// doublings: records keep their FIFO order across each unwrap, and the
+// ring stops at Capacity however long the queue runs.
+func TestQueueRingGrowsOnDemand(t *testing.T) {
+	const capacity = 1000
+	q := NewQueue[int](Config{Capacity: capacity, Policy: PolicyDropOldest})
+	next, want := 0, 0
+	offer := func(n int) {
+		for i := 0; i < n; i++ {
+			q.Offer(next)
+			next++
+		}
+	}
+	take := func(n int) {
+		got, _ := q.Take(n)
+		q.Done()
+		for _, v := range got {
+			if v != want {
+				t.Fatalf("Take yielded %d, want %d (order broken)", v, want)
+			}
+			want++
+		}
+	}
+	offer(minRing)
+	take(minRing / 2)
+	offer(minRing / 2) // the ring is now full and wrapped
+	offer(3 * minRing) // grows twice from the wrapped state
+	if got := len(q.buf); got != 4*minRing {
+		t.Fatalf("ring size %d after growing to depth %d, want %d", got, q.Depth(), 4*minRing)
+	}
+	take(0)
+	offer(5 * capacity) // saturates: drop-oldest evicts at the bound
+	if got := len(q.buf); got != capacity {
+		t.Fatalf("ring size %d at saturation, want Capacity %d", got, capacity)
+	}
+	want = next - capacity // the evicted records are gone
+	take(0)
+	checkBooks(t, q.Stats())
+}
+
 func TestQueueTakeMax(t *testing.T) {
 	q := NewQueue[int](Config{Capacity: 16})
 	for i := 0; i < 10; i++ {

@@ -16,7 +16,9 @@
 package stream
 
 import (
+	"cmp"
 	"errors"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -646,49 +648,42 @@ func (s *Sharded) LaneDepth() int {
 }
 
 // Quiesce freezes every lane (drainers idle, offers blocked) and calls
-// fn with a prefix-consistent snapshot: every record ingested so far in
-// global order, the records still queued (in global order, across all
-// lanes), and the lane stats. This is the checkpoint path: ingested +
-// queued + shed == offered exactly at the instant fn runs.
-func (s *Sharded) Quiesce(fn func(ingested, queued []mce.CERecord, stats []overload.QueueStats)) {
+// fn with a prefix-consistent snapshot: every admitted record, ingested
+// or still queued, in global arrival order, and the lane stats. Lanes
+// drain at different paces, so ingested and queued records interleave in
+// global order; they are merged on the global index. This is the
+// checkpoint path: len(prefix) + shed == offered exactly at the instant
+// fn runs.
+func (s *Sharded) Quiesce(fn func(prefix []mce.CERecord, stats []overload.QueueStats)) {
 	if len(s.lanes) == 0 {
-		s.lockAll()
-		recs := s.recordsLocked()
-		s.unlockAll()
-		fn(recs, nil, nil)
+		fn(s.Records(), nil)
 		return
 	}
-	var frozen []laneRec
+	var admitted []laneRec
 	stats := make([]overload.QueueStats, len(s.lanes))
 	var freeze func(i int)
 	freeze = func(i int) {
 		if i == len(s.lanes) {
 			s.lockAll()
-			recs := s.recordsLocked()
-			s.unlockAll()
-			sortLaneRecs(frozen)
-			queued := make([]mce.CERecord, len(frozen))
-			for j := range frozen {
-				queued[j] = frozen[j].r
+			for _, p := range s.parts {
+				for c := range p.records {
+					admitted = append(admitted, laneRec{g: int64(p.gidx[c]), r: p.records[c]})
+				}
 			}
-			fn(recs, queued, stats)
+			s.unlockAll()
+			slices.SortFunc(admitted, func(a, b laneRec) int { return cmp.Compare(a.g, b.g) })
+			prefix := make([]mce.CERecord, len(admitted))
+			for j := range admitted {
+				prefix[j] = admitted[j].r
+			}
+			fn(prefix, stats)
 			return
 		}
 		s.lanes[i].Freeze(func(queued []laneRec, st overload.QueueStats) {
-			frozen = append(frozen, queued...)
+			admitted = append(admitted, queued...)
 			stats[i] = st
 			freeze(i + 1)
 		})
 	}
 	freeze(0)
-}
-
-// sortLaneRecs orders queued records by global index (insertion sort:
-// the input is a small concatenation of already-sorted per-lane runs).
-func sortLaneRecs(rs []laneRec) {
-	for i := 1; i < len(rs); i++ {
-		for j := i; j > 0 && rs[j].g < rs[j-1].g; j-- {
-			rs[j], rs[j-1] = rs[j-1], rs[j]
-		}
-	}
 }

@@ -182,9 +182,10 @@ func TestShardedLanesMatchSerial(t *testing.T) {
 
 // TestShardedQuiesceRestart is the kill/restart differential over the
 // lane path: quiesce mid-stream at arbitrary positions, capture the
-// checkpoint image (ingested + queued, in global order), replay it into
-// a fresh fleet with a DIFFERENT partition count, finish the stream, and
-// require exact agreement with a serial engine that saw everything.
+// checkpoint image (the admitted prefix: ingested and queued records
+// merged in global order), replay it into a fresh fleet with a DIFFERENT
+// partition count, finish the stream, and require exact agreement with
+// a serial engine that saw everything.
 // This is the property astrad's v3 state file restores depend on: the
 // image is partition-count independent.
 func TestShardedQuiesceRestart(t *testing.T) {
@@ -213,8 +214,8 @@ func TestShardedQuiesceRestart(t *testing.T) {
 			first.Offer(r)
 		}
 		var image []mce.CERecord
-		first.Quiesce(func(ingested, queued []mce.CERecord, _ []overload.QueueStats) {
-			image = append(append(image, ingested...), queued...)
+		first.Quiesce(func(prefix []mce.CERecord, _ []overload.QueueStats) {
+			image = prefix
 		})
 		first.CloseLanes()
 		if len(image) != cut {

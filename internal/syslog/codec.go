@@ -10,8 +10,8 @@ package syslog
 // The string APIs (FormatCE/ParseLine) remain the reference semantics; the
 // byte forms are required to agree with them line for line (the codec
 // round-trip tests and FuzzParseLine enforce this), falling back to the
-// string path for inputs outside the canonical grammar so the agreement is
-// by construction, not by reimplementation of every edge case.
+// string path for the one input the byte path does not model (more
+// key=value tokens than its span table holds).
 
 import (
 	"bytes"
@@ -214,10 +214,12 @@ func ParseLineBytes(line []byte) (Parsed, error) {
 
 // ParseLineBytes classifies and parses one syslog line held in a byte
 // slice, writing nothing and allocating nothing on the canonical-grammar
-// path. Inputs outside the canonical grammar (non-second-resolution
-// timestamps, exotic whitespace, absurd field counts) are delegated to the
-// string parser, so the result always agrees with ParseLine(string(line)).
-// The line is not retained; callers may reuse the buffer.
+// path. Fields split on Unicode whitespace as strings.Fields does, and a
+// non-canonical timestamp goes through the same time.Parse call ParseLine
+// makes; only a line with more than maxWireFields key=value tokens is
+// delegated to the string parser. The result always agrees with
+// ParseLine(string(line)). The line is not retained; callers may reuse
+// the buffer.
 func (d *Decoder) ParseLineBytes(line []byte) (Parsed, error) {
 	switch {
 	case bytes.Contains(line, ceMarkerBytes):
@@ -351,47 +353,49 @@ func (d *Decoder) parseNodeBytes(host []byte) (topology.NodeID, error) {
 	return id, nil
 }
 
+// asciiSpace marks the bytes below utf8.RuneSelf that unicode.IsSpace
+// accepts, the table strings.Fields itself uses.
+var asciiSpace = [utf8.RuneSelf]bool{'\t': true, '\n': true, '\v': true, '\f': true, '\r': true, ' ': true}
+
 // nextFieldBytes returns the first whitespace-delimited field of b (nil if
 // none) and the remainder after it, with strings.Fields' definition of
-// whitespace.
+// whitespace. ASCII bytes, all of a canonical line, cost one table
+// lookup; only bytes >= utf8.RuneSelf are decoded as runes.
 func nextFieldBytes(b []byte) (field, rest []byte) {
 	start := 0
 	for start < len(b) {
-		if w := spaceWidth(b[start:]); w > 0 {
-			start += w
-		} else {
+		if c := b[start]; c < utf8.RuneSelf {
+			if !asciiSpace[c] {
+				break
+			}
+			start++
+			continue
+		}
+		r, size := utf8.DecodeRune(b[start:])
+		if !unicode.IsSpace(r) {
 			break
 		}
+		start += size
 	}
 	if start == len(b) {
 		return nil, nil
 	}
 	end := start
 	for end < len(b) {
-		if w := spaceWidth(b[end:]); w > 0 {
+		if c := b[end]; c < utf8.RuneSelf {
+			if asciiSpace[c] {
+				break
+			}
+			end++
+			continue
+		}
+		r, size := utf8.DecodeRune(b[end:])
+		if unicode.IsSpace(r) {
 			break
 		}
-		_, size := utf8.DecodeRune(b[end:])
 		end += size
 	}
 	return b[start:end], b[end:]
-}
-
-// spaceWidth returns the byte width of the whitespace rune at the head of
-// b, or 0 if it is not whitespace.
-func spaceWidth(b []byte) int {
-	c := b[0]
-	if c < utf8.RuneSelf {
-		if c == ' ' || c == '\t' || c == '\n' || c == '\v' || c == '\f' || c == '\r' {
-			return 1
-		}
-		return 0
-	}
-	r, size := utf8.DecodeRune(b)
-	if unicode.IsSpace(r) {
-		return size
-	}
-	return 0
 }
 
 // wireFields is the in-place replacement for kvFields: key and value spans

@@ -1,6 +1,7 @@
 package syslog
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -208,6 +209,51 @@ func assertParsersAgree(t *testing.T, dec *Decoder, line string) {
 	}
 }
 
+// respace rebuilds a canonical record line with sep between the header
+// fields and between the key=value pairs; the marker keeps its own spaces.
+func respace(line, marker, sep string) string {
+	i := strings.Index(line, marker)
+	head := strings.Fields(line[:i])
+	fields := strings.Fields(line[i+len(marker):])
+	return strings.Join(head, sep) + sep + marker + sep + strings.Join(fields, sep)
+}
+
+// TestParseLineBytesNonASCIIWhitespace covers the field splitter's
+// non-ASCII branch: strings.Fields splits on Unicode whitespace, so both
+// parsers must accept a record whose fields are separated by it, and both
+// must reject a non-space rune glued to a field.
+func TestParseLineBytesNonASCIIWhitespace(t *testing.T) {
+	ce, due, h := sampleCE(), sampleDUE(), sampleHET()
+	var dec Decoder
+	for _, sep := range []string{"\u0085", "\u00a0", "\u2003", "\u3000", " \u3000\t"} {
+		for _, tc := range []struct {
+			line string
+			want Parsed
+		}{
+			{respace(FormatCE(ce), ceMarker, sep), Parsed{Kind: KindCE, CE: ce}},
+			{respace(FormatDUE(due), dueMarker, sep), Parsed{Kind: KindDUE, DUE: due}},
+			{respace(FormatHET(h), hetMarker, sep), Parsed{Kind: KindHET, HET: h}},
+		} {
+			p, err := dec.ParseLineBytes([]byte(tc.line))
+			if err != nil || p != tc.want {
+				t.Errorf("ParseLineBytes(%q) = %+v, %v; want %+v", tc.line, p, err, tc.want)
+			}
+			assertParsersAgree(t, &dec, tc.line)
+		}
+	}
+	// U+200B and U+00E9 are not whitespace: they stay inside the field.
+	for _, line := range []string{
+		strings.Replace(FormatCE(ce), "rank=1", "rank=1\u200b", 1),
+		strings.Replace(FormatCE(ce), " astra-", " \u00e9astra-", 1),
+		strings.Replace(FormatDUE(due), "fatal=1", "fatal=1\u00e9", 1),
+	} {
+		if _, err := dec.ParseLineBytes([]byte(line)); !isGarbled(err) {
+			t.Errorf("ParseLineBytes(%q): want garbled, got %v", line, err)
+		}
+		assertParsersAgree(t, &dec, line)
+	}
+}
+
 // TestScanFieldOrderInsensitive pins that the span scanner, like the map
 // it replaced, accepts fields in any order.
 func TestScanFieldOrderInsensitive(t *testing.T) {
@@ -330,6 +376,61 @@ func BenchmarkParseLineBytes(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// tolerantLog renders an in-order log shaped like a live Astra syslog:
+// mostly CE records, a few DUE and HET records from a 256-node fleet,
+// two records per second on average (so the reorder heap holds many
+// equal timestamps), and one line of kernel chatter per 200 records.
+func tolerantLog(lines int) []byte {
+	rng := rand.New(rand.NewSource(29))
+	at := time.Date(2019, 5, 20, 0, 0, 0, 0, time.UTC)
+	var buf []byte
+	for i := 0; i < lines; i++ {
+		if i%200 == 199 {
+			buf = append(buf, "2019-05-20T13:04:55Z astra-r03c11n2 kernel: slurmd[1234]: job step completed\n"...)
+			continue
+		}
+		at = at.Add(time.Duration(rng.Intn(2)) * time.Second)
+		node := topology.NodeID(rng.Intn(256))
+		switch k := rng.Intn(20); {
+		case k == 0:
+			r := randDUE(rng)
+			r.Time, r.Node = at, node
+			buf = AppendDUE(buf, r)
+		case k == 1:
+			r := randHET(rng)
+			r.Time, r.Node = at, node
+			buf = AppendHET(buf, r)
+		default:
+			r := randCE(rng)
+			r.Time, r.Node = at, node
+			buf = AppendCE(buf, r)
+		}
+		buf = append(buf, '\n')
+	}
+	return buf
+}
+
+// BenchmarkScanTolerant is the per-line cost of the scanner as astrad
+// configures it: byte decoding plus the dedup ring and the reorder heap.
+// One op is a full pass over the log with a fresh Scanner.
+func BenchmarkScanTolerant(b *testing.B) {
+	const lines = 20000
+	log := tolerantLog(lines)
+	cfg := ScanConfig{DedupWindow: 64, ReorderWindow: 5 * time.Minute}
+	b.ReportAllocs()
+	b.SetBytes(int64(len(log)))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sc := NewScannerConfig(bytes.NewReader(log), cfg)
+		for sc.Scan() {
+		}
+		if err := sc.Err(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*lines), "ns/line")
 }
 
 func BenchmarkAppendCE(b *testing.B) {

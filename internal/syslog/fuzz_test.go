@@ -38,6 +38,14 @@ func FuzzParseLine(f *testing.F) {
 		"\xff\xfe" + ce,
 		"2019-05-20T13:04:55Z kernel: EDAC tx2_mc: CE", // marker, no host
 		"9999-99-99T99:99:99Z astra-r00c00n0 kernel: EDAC tx2_mc: CE socket=0",
+		// Non-ASCII whitespace between header fields and between pairs,
+		// and a non-space rune glued to a value.
+		respace(ce, ceMarker, "\u0085"),
+		respace(due, dueMarker, "\u00a0"),
+		respace(hetLine, hetMarker, "\u2003"),
+		respace(ce, ceMarker, "\u3000"),
+		strings.Replace(ce, "rank=1", "rank=1\u00a0\u3000", 1),
+		strings.Replace(ce, "rank=1", "rank=1\u200b", 1),
 	}
 	for _, s := range seeds {
 		f.Add(s)

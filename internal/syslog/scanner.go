@@ -3,9 +3,9 @@ package syslog
 import (
 	"bufio"
 	"bytes"
-	"container/heap"
 	"errors"
 	"fmt"
+	"hash/maphash"
 	"io"
 	"time"
 )
@@ -73,7 +73,12 @@ type tolerator struct {
 	stats ScanStats
 
 	// dedup ring over recent record lines; entry buffers are reused.
+	// hashes[i] is the maphash of recent[i] under seed, so a probe runs
+	// bytes.Equal only on a hash match. The hashes are recomputed on
+	// restore, never persisted.
 	recent [][]byte
+	hashes []uint64
+	seed   maphash.Seed
 	rpos   int
 
 	// reorder machinery (cfg.ReorderWindow > 0).
@@ -89,9 +94,12 @@ type tolerator struct {
 }
 
 func newTolerator(cfg ScanConfig) tolerator {
-	t := tolerator{cfg: cfg}
+	// The seed is set even with dedup off: a checkpoint restored under a
+	// different window still brings its ring lines, which restore hashes.
+	t := tolerator{cfg: cfg, seed: maphash.MakeSeed()}
 	if cfg.DedupWindow > 0 {
 		t.recent = make([][]byte, 0, cfg.DedupWindow)
+		t.hashes = make([]uint64, 0, cfg.DedupWindow)
 	}
 	return t
 }
@@ -161,19 +169,19 @@ func (t *tolerator) accept(p Parsed) {
 	if ts.After(t.maxSeen) {
 		t.maxSeen = ts
 	}
-	heap.Push(&t.pending, p)
+	t.pending.push(p)
 	t.drain(false)
 }
 
 // drain moves pending records older than the reorder window (all of them
 // at EOF) into the ready queue, advancing the watermark.
 func (t *tolerator) drain(all bool) {
-	for t.pending.Len() > 0 {
-		oldest := t.pending[0].Time()
+	for len(t.pending) > 0 {
+		oldest := timeOf(&t.pending[0])
 		if !all && t.maxSeen.Sub(oldest) < t.cfg.ReorderWindow {
 			return
 		}
-		p := heap.Pop(&t.pending).(Parsed)
+		p := t.pending.pop()
 		t.watermark = p.Time()
 		t.ready = append(t.ready, p)
 	}
@@ -186,15 +194,18 @@ func (t *tolerator) isDuplicate(line []byte) bool {
 	if t.cfg.DedupWindow <= 0 {
 		return false
 	}
-	for _, prev := range t.recent {
-		if bytes.Equal(prev, line) {
+	h := maphash.Bytes(t.seed, line)
+	for i, prev := range t.hashes {
+		if prev == h && bytes.Equal(t.recent[i], line) {
 			return true
 		}
 	}
 	if len(t.recent) < t.cfg.DedupWindow {
 		t.recent = append(t.recent, append([]byte(nil), line...))
+		t.hashes = append(t.hashes, h)
 	} else {
 		t.recent[t.rpos] = append(t.recent[t.rpos][:0], line...)
+		t.hashes[t.rpos] = h
 		t.rpos = (t.rpos + 1) % t.cfg.DedupWindow
 	}
 	return false
@@ -244,8 +255,10 @@ func (t *tolerator) restore(cp Checkpoint) {
 	t.watermark = cp.watermark
 	if len(cp.recent) > 0 {
 		t.recent = make([][]byte, len(cp.recent))
+		t.hashes = make([]uint64, len(cp.recent))
 		for i, b := range cp.recent {
 			t.recent[i] = append([]byte(nil), b...)
+			t.hashes[i] = maphash.Bytes(t.seed, b)
 		}
 	}
 	// A copy of a heap preserves the heap invariant; no re-push needed.
@@ -263,9 +276,12 @@ func (t *tolerator) restore(cp Checkpoint) {
 // ScanConfig it additionally absorbs relay duplication and bounded
 // arrival reordering.
 //
-// Scanning is allocation-free per line: each line is parsed in place from
-// the bufio buffer through the Decoder's byte codec; no per-line string is
-// ever materialized.
+// Scanning is allocation-free per line, with dedup and reordering on as
+// well as off: each line is parsed in place from the bufio buffer through
+// the Decoder's byte codec (no per-line string is ever materialized), the
+// dedup ring reuses its entry buffers, and the reorder heap holds records
+// unboxed. Only warm-up allocates: first sight of a hostname, and growth
+// of the ring, the heap and the ready queue to their steady sizes.
 type Scanner struct {
 	sc  *bufio.Scanner
 	dec Decoder
@@ -388,17 +404,53 @@ func (s *Scanner) Stats() ScanStats { return s.tol.stats }
 // in Stats.
 func (s *Scanner) Err() error { return s.err }
 
-// recHeap is a min-heap of parsed records by timestamp.
+// recHeap is a min-heap of parsed records by timestamp. push and pop are
+// container/heap's Push and Pop specialised to Parsed, so no record is
+// boxed into an interface: they make the same Less calls and the same
+// swaps, which leaves the same slice layout (what a Checkpoint stores)
+// and pops records with equal timestamps in the same order.
 type recHeap []Parsed
 
-func (h recHeap) Len() int           { return len(h) }
-func (h recHeap) Less(i, j int) bool { return h[i].Time().Before(h[j].Time()) }
-func (h recHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
-func (h *recHeap) Push(x any)        { *h = append(*h, x.(Parsed)) }
-func (h *recHeap) Pop() any {
-	old := *h
-	n := len(old)
-	x := old[n-1]
-	*h = old[:n-1]
-	return x
+func (h recHeap) Less(i, j int) bool { return timeOf(&h[i]).Before(timeOf(&h[j])) }
+
+// push adds p and sifts it up (container/heap's up).
+func (h *recHeap) push(p Parsed) {
+	*h = append(*h, p)
+	s := *h
+	j := len(s) - 1
+	for {
+		i := (j - 1) / 2 // parent
+		if i == j || !s.Less(j, i) {
+			break
+		}
+		s[i], s[j] = s[j], s[i]
+		j = i
+	}
+}
+
+// pop removes and returns the minimum: the last element moves to the
+// root and sifts down (container/heap's down).
+func (h *recHeap) pop() Parsed {
+	s := *h
+	n := len(s) - 1
+	s[0], s[n] = s[n], s[0]
+	i := 0
+	for {
+		j1 := 2*i + 1
+		if j1 >= n || j1 < 0 { // j1 < 0 after int overflow
+			break
+		}
+		j := j1 // left child
+		if j2 := j1 + 1; j2 < n && s.Less(j2, j1) {
+			j = j2 // right child
+		}
+		if !s.Less(j, i) {
+			break
+		}
+		s[i], s[j] = s[j], s[i]
+		i = j
+	}
+	p := s[n]
+	*h = s[:n]
+	return p
 }

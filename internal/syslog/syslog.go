@@ -94,7 +94,11 @@ type Parsed struct {
 }
 
 // Time returns the record's timestamp (zero for KindOther).
-func (p Parsed) Time() time.Time {
+func (p Parsed) Time() time.Time { return timeOf(&p) }
+
+// timeOf is Parsed.Time without the receiver copy, for hot paths that
+// hold a pointer into a slice of records (the reorder heap's sift).
+func timeOf(p *Parsed) time.Time {
 	switch p.Kind {
 	case KindCE:
 		return p.CE.Time
