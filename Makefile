@@ -18,7 +18,9 @@ test:
 # determinism contract (serial vs sharded pipelines must be bit-identical)
 # under the race detector at a pinned scale, and a short fuzz smoke over
 # the hostile-input parsers (syslog lines, the block-parallel scanner's
-# serial-differential, the columnar decoder, dataset manifests).
+# serial-differential, the columnar decoder, dataset manifests, and the
+# astrad state ladder, seeded with sealed v5 images and the oversized
+# header counts that once killed the loader).
 # ASTRA_CRASH_TESTS=1 additionally sweeps the kill/resume differential
 # test over every I/O operation instead of its default 24-point sample.
 # The online subsystem gets an explicit race-enabled pass: the stream

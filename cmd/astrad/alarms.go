@@ -3,8 +3,8 @@
 // state rebuilds from the replayed CE records on every restart (it is a
 // pure function of them), but first-alarm times are not derivable from
 // the records — they say when errors happened, not when the predictor
-// first flagged the bank — so they are durable state, carried per site
-// in the v4 state sections. Preserving them across restarts keeps
+// first flagged the bank — so they are durable state, carried at the end
+// of every site's state section. Preserving them across restarts keeps
 // lead-time accounting honest: a bank that alarmed Monday and failed
 // Friday shows four days of warning even if the daemon restarted
 // Wednesday.
@@ -103,7 +103,7 @@ func lessBankKey(a, b core.BankKey) bool {
 	return a.Bank < b.Bank
 }
 
-// appendAlarms renders the alarms subsection of a v4 site section.
+// appendAlarms renders the alarms part of a site section.
 func appendAlarms(b *bytes.Buffer, alarms []alarmEntry) {
 	fmt.Fprintf(b, "alarms %d\n", len(alarms))
 	for _, a := range alarms {
@@ -112,47 +112,51 @@ func appendAlarms(b *bytes.Buffer, alarms []alarmEntry) {
 	}
 }
 
-// parseAlarms parses the alarms subsection from the front of data and
-// returns the unconsumed remainder, with the same site/offset error
-// diagnosability as parseSection.
-func parseAlarms(data []byte, site string, base int) (alarms []alarmEntry, rest []byte, err error) {
-	rest = data
-	fail := func(format string, args ...any) error {
-		at := base + len(data) - len(rest)
-		return fmt.Errorf("astrad: state file: site %s: %s at byte %d", site, fmt.Sprintf(format, args...), at)
+// alarms parses the alarms part of a site section.
+func (r *stateReader) alarms() ([]alarmEntry, error) {
+	n, err := r.count("alarms")
+	if err != nil {
+		return nil, err
 	}
-	var count int
-	if n, serr := fmt.Sscanf(string(firstLine(rest)), "alarms %d", &count); serr != nil || n != 1 {
-		return nil, nil, fail("bad alarms header")
+	var alarms []alarmEntry
+	for i := 0; i < n; i++ {
+		at := r.off
+		line, ok := r.line()
+		if !ok {
+			return nil, r.fail("truncated at alarm %d of %d", i, n)
+		}
+		a, err := parseAlarm(line)
+		if err != nil {
+			r.off = at
+			return nil, r.fail("alarm %d: %v", i, err)
+		}
+		alarms = append(alarms, a)
 	}
-	if count < 0 {
-		return nil, nil, fail("negative alarm count")
+	return alarms, nil
+}
+
+// parseAlarm parses one "alarm <host> <slot> <rank> <bank> <unix nanos>"
+// line, holding the bank key to the topology's ranges.
+func parseAlarm(line []byte) (alarmEntry, error) {
+	var node string
+	var slot, rank, bank int
+	var at int64
+	if n, err := fmt.Sscanf(string(line), "alarm %s %d %d %d %d", &node, &slot, &rank, &bank, &at); err != nil || n != 5 {
+		return alarmEntry{}, fmt.Errorf("bad line %q", line)
 	}
-	rest = rest[len(firstLine(rest))+1:]
-	alarms = make([]alarmEntry, 0, count)
-	for i := 0; i < count; i++ {
-		line := firstLine(rest)
-		if line == nil {
-			return nil, nil, fail("truncated at alarm %d of %d", i, count)
-		}
-		var node string
-		var slot, rank, bank int
-		var at int64
-		if n, serr := fmt.Sscanf(string(line), "alarm %s %d %d %d %d", &node, &slot, &rank, &bank, &at); serr != nil || n != 5 {
-			return nil, nil, fail("alarm %d: bad line %q", i, line)
-		}
-		id, perr := topology.ParseNodeID(node)
-		if perr != nil {
-			return nil, nil, fail("alarm %d: %v", i, perr)
-		}
-		if !topology.Slot(slot).Valid() {
-			return nil, nil, fail("alarm %d: slot %d out of range", i, slot)
-		}
-		rest = rest[len(line)+1:]
-		alarms = append(alarms, alarmEntry{
-			key: core.BankKey{Node: id, Slot: topology.Slot(slot), Rank: int8(rank), Bank: int8(bank)},
-			at:  at,
-		})
+	id, err := topology.ParseNodeID(node)
+	switch {
+	case err != nil:
+		return alarmEntry{}, err
+	case !topology.Slot(slot).Valid():
+		return alarmEntry{}, fmt.Errorf("slot %d out of range", slot)
+	case rank < 0 || rank >= topology.RanksPerDIMM:
+		return alarmEntry{}, fmt.Errorf("rank %d out of range", rank)
+	case bank < 0 || bank >= topology.BanksPerRank:
+		return alarmEntry{}, fmt.Errorf("bank %d out of range", bank)
 	}
-	return alarms, rest, nil
+	return alarmEntry{
+		key: core.BankKey{Node: id, Slot: topology.Slot(slot), Rank: int8(rank), Bank: int8(bank)},
+		at:  at,
+	}, nil
 }

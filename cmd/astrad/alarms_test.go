@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"fmt"
 	"io"
 	"net/http"
 	"os"
@@ -15,92 +16,58 @@ import (
 	"repro/internal/core"
 	"repro/internal/predict"
 	"repro/internal/stream"
-	"repro/internal/syslog"
+	"repro/internal/topology"
 )
 
-// TestStateV4RoundTrip pins the v4 state file format: per-site alarm
-// ledgers round-trip exactly, marshaling is deterministic, corruption
-// in the alarms subsection is rejected, and v3 files (no ledgers) still
-// load.
+// TestStateV4RoundTrip pins the first-alarm ledgers of the state file,
+// the part the v4 format introduced and the one format keeps: each
+// site's ledger round-trips exactly through its in-memory section (the
+// path a supervised restart takes), an empty ledger stays empty, the
+// section re-marshals byte for byte, and damage to the alarms part is
+// rejected — including rank and bank values that would wrap in an int8
+// and a count larger than the file.
 func TestStateV4RoundTrip(t *testing.T) {
-	in, ces := testLog(t)
-	sc := syslog.NewScannerConfig(bytes.NewReader(in), syslog.ScanConfig{DedupWindow: testDedup, ReorderWindow: testReorder})
-	for i := 0; i < 25; i++ {
-		if !sc.Scan() {
-			t.Fatal("fixture too short")
+	snaps, data := stateFixture(t)
+	for _, sn := range snaps {
+		sec, err := marshalSection(sn)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	cp := sc.Checkpoint()
-	alarms := []alarmEntry{
-		{key: core.RecordBankKey(&ces[0]), at: 1700000000000000001},
-		{key: core.RecordBankKey(&ces[3]), at: 1700000000000000002},
-	}
-	snaps := []siteSnapshot{
-		{id: "east", cp: cp, shed: 3, recs: ces[:10], alarms: alarms},
-		{id: "west", recs: ces[10:14]}, // empty ledger
-	}
-
-	data, err := marshalStateV4(snaps)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := unmarshalStateV4(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 2 || got[0].id != "east" || got[1].id != "west" {
-		t.Fatalf("site ids round trip: %+v", got)
-	}
-	if !reflect.DeepEqual(got[0].alarms, alarms) {
-		t.Fatalf("east alarms round trip: %+v, want %+v", got[0].alarms, alarms)
-	}
-	if len(got[1].alarms) != 0 {
-		t.Fatalf("west grew alarms: %+v", got[1].alarms)
-	}
-	if len(got[0].recs) != 10 || got[0].shed != 3 || got[0].cp.Offset != cp.Offset {
-		t.Fatalf("v3 fields lost in v4: %+v", got[0])
-	}
-	data2, err := marshalStateV4(got)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(data, data2) {
-		t.Fatal("v4 marshal not deterministic through a round trip")
-	}
-
-	// The sealed image decodes through the version router.
-	if snaps2, err := decodeState(sealState(data)); err != nil || len(snaps2) != 2 {
-		t.Fatalf("sealed v4 decode: %d sites, %v", len(snaps2), err)
-	}
-
-	for name, corrupt := range map[string][]byte{
-		"alarms-header": bytes.Replace(data, []byte("\nalarms 2\n"), []byte("\nalarms x\n"), 1),
-		"alarm-line":    bytes.Replace(data, []byte("alarm astra-"), []byte("alarm nonsense-"), 1),
-		"alarm-count":   bytes.Replace(data, []byte("\nalarms 2\n"), []byte("\nalarms 3\n"), 1),
-		"truncated":     data[:len(data)-3],
-	} {
-		if _, err := unmarshalStateV4(corrupt); err == nil {
-			t.Errorf("%s: corrupted v4 state accepted", name)
+		got, err := parseSection(sec, sn.id)
+		if err != nil {
+			t.Fatalf("%s: %v", sn.id, err)
+		}
+		if len(got.alarms) != len(sn.alarms) || len(sn.alarms) > 0 && !reflect.DeepEqual(got.alarms, sn.alarms) {
+			t.Fatalf("%s alarms round trip: %+v, want %+v", sn.id, got.alarms, sn.alarms)
+		}
+		again, err := marshalSection(got)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(again, sec) {
+			t.Fatalf("%s: section marshal not deterministic through a round trip", sn.id)
+		}
+		if _, err := parseSection(sec[:len(sec)-3], sn.id); err == nil {
+			t.Errorf("%s: truncated section accepted", sn.id)
 		}
 	}
 
-	// A v3 file — same snapshots, ledgers not representable — still
-	// loads: a daemon upgraded in place keeps its checkpoint and starts
-	// with empty ledgers.
-	v3, err := marshalStateV3(snaps)
-	if err != nil {
-		t.Fatal(err)
+	first := snaps[0].alarms[0]
+	alarmLine := func(rank, bank int) []byte {
+		return fmt.Appendf(nil, "alarm %s %d %d %d %d\n", first.key.Node, int(first.key.Slot), rank, bank, first.at)
 	}
-	old, err := decodeState(v3)
-	if err != nil {
-		t.Fatalf("v3 state rejected: %v", err)
+	firstLine := alarmLine(int(first.key.Rank), int(first.key.Bank))
+	if !bytes.Contains(data, firstLine) {
+		t.Fatalf("fixture: %q not in the image", firstLine)
 	}
-	if len(old) != 2 || len(old[0].recs) != 10 || old[0].shed != 3 {
-		t.Fatalf("v3 decode: %+v", old)
-	}
-	if len(old[0].alarms) != 0 || len(old[1].alarms) != 0 {
-		t.Fatal("v3 decode invented alarms")
-	}
+	rejectSealed(t, map[string][]byte{
+		"alarms-header":    bytes.Replace(data, []byte("\nalarms 2\n"), []byte("\nalarms x\n"), 1),
+		"alarm-line":       bytes.Replace(data, []byte("alarm astra-"), []byte("alarm nonsense-"), 1),
+		"alarm-count":      bytes.Replace(data, []byte("\nalarms 2\n"), []byte("\nalarms 3\n"), 1),
+		"huge-alarm-count": bytes.Replace(data, []byte("\nalarms 2\n"), []byte("\nalarms 99999999999\n"), 1),
+		"alarm-rank":       bytes.Replace(data, firstLine, alarmLine(300, 0), 1),
+		"alarm-bank":       bytes.Replace(data, firstLine, alarmLine(0, topology.BanksPerRank), 1),
+	})
 }
 
 var alarmedGaugeRE = regexp.MustCompile(`astrad_predict_alarmed_banks ([0-9.e+]+)`)
@@ -135,7 +102,7 @@ func TestDaemonAlarmLedgerSurvivesRestart(t *testing.T) {
 	for {
 		data, err := os.ReadFile(statePath)
 		if err == nil {
-			if snaps, derr := decodeState(data); derr == nil && len(snaps) == 1 && len(snaps[0].alarms) > 0 {
+			if snaps, derr := unmarshal(data); derr == nil && len(snaps) == 1 && len(snaps[0].alarms) > 0 {
 				break
 			}
 		}
@@ -154,10 +121,10 @@ func TestDaemonAlarmLedgerSurvivesRestart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.HasPrefix(state, []byte(stateMagicV4+"\n")) {
-		t.Fatalf("state not v4: %q", state[:min(len(state), 40)])
+	if !bytes.HasPrefix(state, []byte(stateMagic+"\n")) {
+		t.Fatalf("state header: %q", state[:min(len(state), 40)])
 	}
-	snaps, err := decodeState(state)
+	snaps, err := unmarshal(state)
 	if err != nil || len(snaps) != 1 {
 		t.Fatalf("phase 1 state: %d sites, %v", len(snaps), err)
 	}

@@ -15,12 +15,14 @@ import (
 	"time"
 
 	"repro/internal/atomicio"
+	"repro/internal/colfmt"
 	"repro/internal/mce"
 	"repro/internal/overload"
 	"repro/internal/predict"
 	"repro/internal/stream"
 	"repro/internal/supervise"
 	"repro/internal/syslog"
+	"repro/internal/topology"
 )
 
 // siteSpec names one tailed log: a site id for the /v1/sites URL space
@@ -130,7 +132,7 @@ type siteDaemon struct {
 
 	// alarms is the site's first-alarm ledger. It outlives pipeline
 	// incarnations (a supervised restart restores it from the site's
-	// section) and rides in every v4 checkpoint.
+	// section) and rides in every checkpoint.
 	alarms alarmLedger
 }
 
@@ -140,11 +142,11 @@ func (s *siteDaemon) queue() *overload.Queue[mce.CERecord] { return s.q.Load() }
 // siteDaemon is the serve.Source for its site, delegating to the current
 // engine incarnation so a supervised restart swaps cleanly under the
 // HTTP layer.
-func (s *siteDaemon) LiveView() *stream.View   { return s.engine().LiveView() }
-func (s *siteDaemon) Seq() uint64              { return s.engine().Seq() }
-func (s *siteDaemon) Summary() stream.Summary  { return s.engine().Summary() }
-func (s *siteDaemon) Shed() uint64             { return s.engine().Shed() }
-func (s *siteDaemon) DIMMs() int               { return s.engine().DIMMs() }
+func (s *siteDaemon) LiveView() *stream.View  { return s.engine().LiveView() }
+func (s *siteDaemon) Seq() uint64             { return s.engine().Seq() }
+func (s *siteDaemon) Summary() stream.Summary { return s.engine().Summary() }
+func (s *siteDaemon) Shed() uint64            { return s.engine().Shed() }
+func (s *siteDaemon) DIMMs() int              { return s.engine().DIMMs() }
 
 // daemon owns the per-site pipelines and the state shared with the HTTP
 // layer.
@@ -353,19 +355,20 @@ func (d *daemon) drain(q *overload.Queue[mce.CERecord], eng *stream.Sharded) {
 // and the shed count carried alongside keeps the degraded accounting
 // honest across the restart. The alarm ledger is advanced here too —
 // checkpoint cadence is the alarm granularity — so the stamped times
-// are always consistent with the records they ride with. The marshaled
-// section is published for the composer; the disk write happens in the
-// checkpoint writer.
+// are always consistent with the records they ride with. Everything
+// taken inside Freeze is a copy, so the section is encoded after Freeze
+// returns: Freeze stalls admission. The section is published for the
+// composer; the disk write happens in the checkpoint writer.
 func (d *daemon) snapshotSection(s *siteDaemon, cp syslog.Checkpoint) error {
-	var data []byte
-	var err error
+	snap := siteSnapshot{cp: cp}
 	eng := s.engine()
 	s.queue().Freeze(func(queued []mce.CERecord, _ overload.QueueStats) {
-		recs := eng.Records()
-		recs = append(recs, queued...)
+		snap.recs = append(eng.Records(), queued...)
+		snap.shed = eng.Shed()
 		s.alarms.observe(eng.Features(), d.predictor, d.cfg.riskThreshold, time.Now())
-		data, err = marshalSiteSectionV4(cp, eng.Shed(), recs, s.alarms.snapshot())
+		snap.alarms = s.alarms.snapshot()
 	})
+	data, err := marshalSection(snap)
 	if err != nil {
 		return err
 	}
@@ -373,26 +376,18 @@ func (d *daemon) snapshotSection(s *siteDaemon, cp syslog.Checkpoint) error {
 	return nil
 }
 
-// composeState concatenates the latest per-site sections into one v4
-// state file image (a single-site daemon writes a one-section v4 file;
-// older v1-v3 files still load). Sections are each internally
-// consistent; sites tail independent logs, so a file composed from
-// sections captured moments apart is still a correct per-site resume
-// point — and a quarantined site contributes its last-good section.
+// composeState concatenates the latest per-site sections into one state
+// image. Sections are each internally consistent; sites tail independent
+// logs, so a file composed from sections captured moments apart is still
+// a correct per-site resume point — and a quarantined site contributes
+// its last-good section.
 func (d *daemon) composeState() []byte {
+	ids := make([]string, len(d.sites))
 	secs := make([][]byte, len(d.sites))
-	size := len(stateMagicV4) + len("\nsites \n") + 20
 	for i, s := range d.sites {
-		secs[i] = *s.section.Load()
-		size += len("site \n") + len(s.id) + len(secs[i])
+		ids[i], secs[i] = s.id, *s.section.Load()
 	}
-	b := bytes.NewBuffer(make([]byte, 0, size))
-	fmt.Fprintf(b, "%s\nsites %d\n", stateMagicV4, len(d.sites))
-	for i, s := range d.sites {
-		fmt.Fprintf(b, "site %s\n", s.id)
-		b.Write(secs[i])
-	}
-	return b.Bytes()
+	return marshalState(ids, secs)
 }
 
 // offerCheckpoint composes the current sections and hands the image to
@@ -458,361 +453,298 @@ func (d *daemon) checkpointWriter() {
 func (d *daemon) persist(data []byte) error {
 	g := atomicio.Generations{FS: d.fs, Path: d.cfg.statePath, Keep: d.cfg.stateKeep}
 	_, err := g.Write(context.Background(), func(w io.Writer) error {
-		// Stream the body and trailer separately: sealState's copy of a
-		// multi-megabyte state image per checkpoint is pure GC pressure.
+		// Stream the body and trailer separately: copying a multi-megabyte
+		// state image per checkpoint just to append 24 bytes is pure GC
+		// pressure.
 		if _, werr := w.Write(data); werr != nil {
 			return werr
 		}
-		_, werr := fmt.Fprintf(w, "%s%08x\n", checksumPrefix, crc32.ChecksumIEEE(data))
+		_, werr := w.Write(seal(data))
 		return werr
 	})
 	return err
 }
 
-// State file magics; v2 added the shed count, v3 wraps per-site sections
-// for multi-site daemons, v4 appends the first-alarm ledger to every
-// section. All older versions still load: v1/v2 as a single site with
-// an empty ledger, v3 with empty ledgers.
+// stateMagic heads every state file. The format is one header line
+// "sites N", then per site an id line and a section (see marshalSection),
+// then the checksum trailer. Any other image — a torn write, a bit flip,
+// a file from an older release — is a discarded generation.
+const stateMagic = "astrad-state v5"
+
+// checksumPrefix opens the integrity trailer that ends every state file:
+// "checksum crc32 %08x\n" over every byte before it. The trailer is fixed
+// width, so openState finds it by position: the records sections are
+// binary, so no byte value (a newline included) marks where it starts.
 const (
-	stateMagic   = "astrad-state v2"
-	stateMagicV1 = "astrad-state v1"
-	stateMagicV3 = "astrad-state v3"
-	stateMagicV4 = "astrad-state v4"
+	checksumPrefix = "checksum crc32 "
+	sealLen        = len(checksumPrefix) + 8 + 1
 )
 
-// checksumPrefix opens the optional integrity trailer: the last line of
-// a sealed state file is "checksum crc32 %08x" over every byte before
-// it. No record line can start with this prefix (canonical CE lines
-// start with a timestamp), so the trailer is unambiguous.
-const checksumPrefix = "checksum crc32 "
-
-// sealState appends the checksum trailer to a marshaled state image.
-func sealState(data []byte) []byte {
-	out := make([]byte, 0, len(data)+len(checksumPrefix)+9)
-	out = append(out, data...)
-	return append(out, fmt.Sprintf("%s%08x\n", checksumPrefix, crc32.ChecksumIEEE(data))...)
+// seal renders the checksum trailer for body.
+func seal(body []byte) []byte {
+	return fmt.Appendf(make([]byte, 0, sealLen), "%s%08x\n", checksumPrefix, crc32.ChecksumIEEE(body))
 }
 
-// openState verifies and strips the checksum trailer. Files without one
-// (written before sealing existed, or produced by marshalState directly)
-// are accepted as-is — the section parsers still validate them line by
-// line; a present-but-wrong trailer is corruption and errors out.
+// openState verifies and strips the checksum trailer. An image without
+// one is rejected like a corrupt one: every state file is sealed.
 func openState(data []byte) ([]byte, error) {
-	if len(data) == 0 || data[len(data)-1] != '\n' {
-		return data, nil
+	if len(data) < sealLen {
+		return nil, fmt.Errorf("astrad: state file: %d bytes, too short for the checksum trailer", len(data))
 	}
-	i := bytes.LastIndexByte(data[:len(data)-1], '\n')
-	line := data[i+1 : len(data)-1]
-	if !bytes.HasPrefix(line, []byte(checksumPrefix)) {
-		return data, nil
+	body, trailer := data[:len(data)-sealLen], data[len(data)-sealLen:]
+	if !bytes.HasPrefix(trailer, []byte(checksumPrefix)) || trailer[sealLen-1] != '\n' {
+		return nil, fmt.Errorf("astrad: state file: no checksum trailer in the last %d bytes", sealLen)
 	}
-	want, err := strconv.ParseUint(string(line[len(checksumPrefix):]), 16, 32)
-	if err != nil {
-		return nil, fmt.Errorf("astrad: state file: bad checksum trailer %q", line)
-	}
-	body := data[:i+1]
-	if got := crc32.ChecksumIEEE(body); got != uint32(want) {
-		return nil, fmt.Errorf("astrad: state file: checksum mismatch: trailer %08x, content %08x over %d bytes", uint32(want), got, len(body))
+	if want := seal(body); !bytes.Equal(trailer, want) {
+		return nil, fmt.Errorf("astrad: state file: checksum mismatch: trailer %q, content %s over %d bytes",
+			trailer[len(checksumPrefix):sealLen-1], want[len(checksumPrefix):sealLen-1], len(body))
 	}
 	return body, nil
 }
 
-// siteSnapshot is one site's restored durable state.
+// siteSnapshot is one site's restored durable state. section is the
+// slice of the state file it was parsed from (nil for a site the file
+// does not hold), so a restored site publishes those bytes as its first
+// checkpoint section instead of marshaling them again.
 type siteSnapshot struct {
-	id     string
-	cp     syslog.Checkpoint
-	shed   uint64
-	recs   []mce.CERecord
-	alarms []alarmEntry
+	id      string
+	cp      syslog.Checkpoint
+	shed    uint64
+	recs    []mce.CERecord
+	alarms  []alarmEntry
+	section []byte
 }
 
-// marshalSiteSection renders one site's durable state section: the
-// serialized scanner checkpoint (length-prefixed), the overload shed
-// count, and the engine's CE records as canonical syslog lines.
-// Replaying those lines into a fresh engine reproduces the fault state
+// marshalSection renders one site's durable state section:
+//
+//	checkpoint <len>\n<scanner checkpoint>
+//	shed <n>\n
+//	records <len>\n<CE-only colfmt blob>\n
+//	alarms <n>\n
+//	alarm <host> <slot> <rank> <bank> <unix nanos>\n   (n lines)
+//
+// Replaying the records into a fresh engine reproduces the fault state
 // exactly (the engine's replay contract — at any partition count), the
-// shed count restores the degraded accounting, and the scanner
-// checkpoint resumes the tail at the matching byte.
-func marshalSiteSection(cp syslog.Checkpoint, shed uint64, recs []mce.CERecord) ([]byte, error) {
-	var b bytes.Buffer
-	if err := writeSiteSection(&b, cp, shed, recs, 0); err != nil {
-		return nil, err
-	}
-	return b.Bytes(), nil
-}
-
-// marshalSiteSectionV4 renders a v4 site section: the v3 section plus
-// the site's first-alarm ledger, so restart preserves when each bank
-// first crossed the alarm threshold (not reconstructible from records).
-func marshalSiteSectionV4(cp syslog.Checkpoint, shed uint64, recs []mce.CERecord, alarms []alarmEntry) ([]byte, error) {
-	var b bytes.Buffer
-	if err := writeSiteSection(&b, cp, shed, recs, len(alarms)*alarmLineBytes); err != nil {
-		return nil, err
-	}
-	appendAlarms(&b, alarms)
-	return b.Bytes(), nil
-}
-
-// Line-size estimates that pre-size a section buffer, so a state image
-// of hundreds of thousands of records is not grown by doubling (each
-// doubling copies the image so far and leaves the old array to the GC).
-// An estimate that comes up short only costs a regrowth.
-const (
-	recordLineBytes = 160 // a canonical CE line and its newline: 150-160
-	alarmLineBytes  = 48  // "alarm <host> <slot> <rank> <bank> <unix>\n"
-)
-
-// writeSiteSection writes the v3 section body to b, reserving room for
-// it plus spare bytes the caller appends next.
-func writeSiteSection(b *bytes.Buffer, cp syslog.Checkpoint, shed uint64, recs []mce.CERecord, spare int) error {
-	cpb, err := cp.MarshalBinary()
+// shed count restores the degraded accounting, the scanner checkpoint
+// resumes the tail at the matching byte, and the ledger keeps when each
+// bank first alarmed (not reconstructible from records). The records
+// are columnar so a restart decodes them instead of parsing text.
+func marshalSection(snap siteSnapshot) ([]byte, error) {
+	cpb, err := snap.cp.MarshalBinary()
 	if err != nil {
-		return err
+		return nil, err
 	}
-	b.Grow(len(cpb) + 64 + len(recs)*recordLineBytes + spare)
+	var blob bytes.Buffer
+	if err := colfmt.Write(&blob, colfmt.Records{CEs: snap.recs}); err != nil {
+		return nil, err
+	}
+	b := bytes.NewBuffer(make([]byte, 0, len(cpb)+blob.Len()+len(snap.alarms)*alarmLineBytes+64))
 	fmt.Fprintf(b, "checkpoint %d\n", len(cpb))
 	b.Write(cpb)
-	fmt.Fprintf(b, "shed %d\n", shed)
-	fmt.Fprintf(b, "records %d\n", len(recs))
-	for _, r := range recs {
-		b.Write(append(syslog.AppendCE(b.AvailableBuffer(), r), '\n'))
+	fmt.Fprintf(b, "shed %d\nrecords %d\n", snap.shed, blob.Len())
+	b.Write(blob.Bytes())
+	b.WriteByte('\n')
+	appendAlarms(b, snap.alarms)
+	return b.Bytes(), nil
+}
+
+// alarmLineBytes pre-sizes a section's alarm lines
+// ("alarm <host> <slot> <rank> <bank> <unix>\n"); an estimate that comes
+// up short only costs a regrowth.
+const alarmLineBytes = 48
+
+// marshalState assembles one unsealed state image from per-site
+// sections, in site order (the persist layer adds the trailer).
+func marshalState(ids []string, secs [][]byte) []byte {
+	size := len(stateMagic) + 32
+	for i := range secs {
+		size += len("site \n") + len(ids[i]) + len(secs[i])
+	}
+	b := fmt.Appendf(make([]byte, 0, size), "%s\nsites %d\n", stateMagic, len(secs))
+	for i, sec := range secs {
+		b = fmt.Appendf(b, "site %s\n", ids[i])
+		b = append(b, sec...)
+	}
+	return b
+}
+
+// stateReader walks a state image front to back. Every error names the
+// site being parsed, once known, and the byte offset where parsing
+// stopped, so a damaged generation is diagnosable from the log line
+// alone.
+type stateReader struct {
+	data []byte
+	off  int
+	site string
+}
+
+func (r *stateReader) fail(format string, args ...any) error {
+	msg := fmt.Sprintf(format, args...)
+	if r.site != "" {
+		msg = "site " + r.site + ": " + msg
+	}
+	return fmt.Errorf("astrad: state file: %s at byte %d", msg, r.off)
+}
+
+// line consumes one newline-terminated line and returns it without the
+// newline; ok is false, and nothing is consumed, if no newline is left.
+func (r *stateReader) line() (line []byte, ok bool) {
+	i := bytes.IndexByte(r.data[r.off:], '\n')
+	if i < 0 {
+		return nil, false
+	}
+	line = r.data[r.off : r.off+i]
+	r.off += i + 1
+	return line, true
+}
+
+// header consumes a "<name> <decimal>" line.
+func (r *stateReader) header(name string) (uint64, error) {
+	at := r.off
+	line, ok := r.line()
+	v, named := bytes.CutPrefix(line, []byte(name+" "))
+	n, err := strconv.ParseUint(string(v), 10, 64)
+	if !ok || !named || err != nil {
+		r.off = at
+		return 0, r.fail("bad %s header", name)
+	}
+	return n, nil
+}
+
+// count consumes a header whose value counts bytes or lines still to
+// come, so it can never exceed the bytes left: a larger value is
+// corruption, and must not drive an allocation or a loop. A sealed image
+// can still carry one — CRC32 detects accidents, it is not a MAC.
+func (r *stateReader) count(name string) (int, error) {
+	n, err := r.header(name)
+	if err != nil {
+		return 0, err
+	}
+	if left := len(r.data) - r.off; n > uint64(left) {
+		return 0, r.fail("%s %d exceeds the %d bytes left", name, n, left)
+	}
+	return int(n), nil
+}
+
+// section parses one site section (see marshalSection).
+func (r *stateReader) section() (snap siteSnapshot, err error) {
+	n, err := r.count("checkpoint")
+	if err != nil {
+		return snap, err
+	}
+	if err := snap.cp.UnmarshalBinary(r.data[r.off : r.off+n]); err != nil {
+		return snap, r.fail("checkpoint: %v", err)
+	}
+	r.off += n
+	if snap.shed, err = r.header("shed"); err != nil {
+		return snap, err
+	}
+	if n, err = r.count("records"); err != nil {
+		return snap, err
+	}
+	blob := r.data[r.off : r.off+n]
+	if r.off+n >= len(r.data) || r.data[r.off+n] != '\n' {
+		return snap, r.fail("records: %d-byte blob not newline-terminated", n)
+	}
+	recs, err := colfmt.Decode(blob)
+	if err != nil {
+		return snap, r.fail("records: %v", err)
+	}
+	if len(recs.DUEs)+len(recs.HETs) > 0 {
+		return snap, r.fail("records: %d DUE and %d HET records in a CE-only section", len(recs.DUEs), len(recs.HETs))
+	}
+	for i := range recs.CEs {
+		if err := checkRecord(&recs.CEs[i]); err != nil {
+			return snap, r.fail("record %d: %v", i, err)
+		}
+	}
+	r.off += n + 1
+	snap.recs = recs.CEs
+	snap.alarms, err = r.alarms()
+	return snap, err
+}
+
+// checkRecord holds a restored CE to the field ranges the syslog grammar
+// enforces on a CE line. A text section got them from the parser; a
+// colfmt blob carries any value, and the engine indexes by these fields,
+// so a record the scanner could never have emitted is corruption.
+func checkRecord(rec *mce.CERecord) error {
+	switch {
+	case !rec.Node.Valid():
+		return fmt.Errorf("node %d out of range", rec.Node)
+	case !rec.Slot.Valid() || rec.Socket != rec.Slot.Socket():
+		return fmt.Errorf("slot %d on socket %d out of range", rec.Slot, rec.Socket)
+	case rec.Rank < 0 || rec.Rank >= topology.RanksPerDIMM:
+		return fmt.Errorf("rank %d out of range", rec.Rank)
+	case rec.Bank < 0 || rec.Bank >= topology.BanksPerRank:
+		return fmt.Errorf("bank %d out of range", rec.Bank)
+	case rec.RowRaw < 0 || rec.RowRaw >= topology.RowsPerBank:
+		return fmt.Errorf("row %d out of range", rec.RowRaw)
+	case rec.Col < 0 || rec.Col >= topology.ColsPerRow:
+		return fmt.Errorf("col %d out of range", rec.Col)
+	case rec.BitPos < 0 || rec.BitPos > 1<<20:
+		return fmt.Errorf("bitpos %d out of range", rec.BitPos)
+	case !rec.Addr.Valid():
+		return fmt.Errorf("addr %#x out of range", uint64(rec.Addr))
 	}
 	return nil
 }
 
-// parseSectionV4 parses one v4 section (checkpoint/shed/records/alarms)
-// from the front of data.
-func parseSectionV4(data []byte, site string, base int) (cp syslog.Checkpoint, shed uint64, recs []mce.CERecord, alarms []alarmEntry, rest []byte, err error) {
-	cp, shed, recs, rest, err = parseSection(data, true, site, base)
-	if err != nil {
-		return cp, 0, nil, nil, nil, err
-	}
-	alarms, rest, err = parseAlarms(rest, site, base+len(data)-len(rest))
-	if err != nil {
-		return cp, 0, nil, nil, nil, err
-	}
-	return cp, shed, recs, alarms, rest, nil
-}
-
-// marshalState renders the single-site (v2) state file (unsealed; the
-// persist layer adds the checksum trailer).
-func marshalState(cp syslog.Checkpoint, shed uint64, recs []mce.CERecord) ([]byte, error) {
-	sec, err := marshalSiteSection(cp, shed, recs)
+// unmarshal verifies a state image's seal and parses it into per-site
+// snapshots, each holding the slice of data its section was parsed from.
+func unmarshal(data []byte) ([]siteSnapshot, error) {
+	body, err := openState(data)
 	if err != nil {
 		return nil, err
 	}
-	out := make([]byte, 0, len(stateMagic)+1+len(sec))
-	out = append(out, stateMagic...)
-	out = append(out, '\n')
-	return append(out, sec...), nil
-}
-
-// marshalStateV3 renders the multi-site state file: a site count, then
-// one named section per site.
-func marshalStateV3(sites []siteSnapshot) ([]byte, error) {
-	var b bytes.Buffer
-	fmt.Fprintf(&b, "%s\nsites %d\n", stateMagicV3, len(sites))
-	for _, s := range sites {
-		sec, err := marshalSiteSection(s.cp, s.shed, s.recs)
-		if err != nil {
-			return nil, err
-		}
-		fmt.Fprintf(&b, "site %s\n", s.id)
-		b.Write(sec)
+	r := &stateReader{data: body}
+	if magic, ok := r.line(); !ok || string(magic) != stateMagic {
+		r.off = 0
+		return nil, r.fail("header %.40q, want %q", magic, stateMagic)
 	}
-	return b.Bytes(), nil
-}
-
-// marshalStateV4 renders the current state file format: v3's shape with
-// the alarm ledger appended to every site section.
-func marshalStateV4(sites []siteSnapshot) ([]byte, error) {
-	var b bytes.Buffer
-	fmt.Fprintf(&b, "%s\nsites %d\n", stateMagicV4, len(sites))
-	for _, s := range sites {
-		sec, err := marshalSiteSectionV4(s.cp, s.shed, s.recs, s.alarms)
-		if err != nil {
-			return nil, err
-		}
-		fmt.Fprintf(&b, "site %s\n", s.id)
-		b.Write(sec)
-	}
-	return b.Bytes(), nil
-}
-
-// parseSection parses one checkpoint/shed/records section from the front
-// of data and returns the unconsumed remainder. hasShed is false for v1
-// files, which predate the shed line. Errors name the site the section
-// belongs to and the byte offset (base + consumed) where parsing
-// stopped, so a damaged generation is diagnosable from the log line
-// alone.
-func parseSection(data []byte, hasShed bool, site string, base int) (cp syslog.Checkpoint, shed uint64, recs []mce.CERecord, rest []byte, err error) {
-	rest = data
-	fail := func(format string, args ...any) error {
-		at := base + len(data) - len(rest)
-		return fmt.Errorf("astrad: state file: site %s: %s at byte %d", site, fmt.Sprintf(format, args...), at)
-	}
-	var cpLen int
-	n, err := fmt.Sscanf(string(firstLine(rest)), "checkpoint %d", &cpLen)
-	if err != nil || n != 1 {
-		return cp, 0, nil, nil, fail("bad checkpoint header")
-	}
-	rest = rest[len(firstLine(rest))+1:]
-	if cpLen < 0 || cpLen > len(rest) {
-		return cp, 0, nil, nil, fail("truncated checkpoint (%d bytes promised, %d left)", cpLen, len(rest))
-	}
-	if err := cp.UnmarshalBinary(rest[:cpLen]); err != nil {
-		return cp, 0, nil, nil, fail("checkpoint: %v", err)
-	}
-	rest = rest[cpLen:]
-	if hasShed {
-		if n, err := fmt.Sscanf(string(firstLine(rest)), "shed %d", &shed); err != nil || n != 1 {
-			return cp, 0, nil, nil, fail("bad shed header")
-		}
-		rest = rest[len(firstLine(rest))+1:]
-	}
-	var count int
-	if n, err := fmt.Sscanf(string(firstLine(rest)), "records %d", &count); err != nil || n != 1 {
-		return cp, 0, nil, nil, fail("bad records header")
-	}
-	rest = rest[len(firstLine(rest))+1:]
-	var dec syslog.Decoder
-	recs = make([]mce.CERecord, 0, count)
-	for i := 0; i < count; i++ {
-		line := firstLine(rest)
-		if line == nil {
-			return cp, 0, nil, nil, fail("truncated at record %d of %d", i, count)
-		}
-		p, perr := dec.ParseLineBytes(line)
-		if perr != nil || p.Kind != syslog.KindCE {
-			return cp, 0, nil, nil, fail("record %d: bad CE line %q: %v", i, line, perr)
-		}
-		rest = rest[len(line)+1:]
-		recs = append(recs, p.CE)
-	}
-	return cp, shed, recs, rest, nil
-}
-
-// unmarshalState parses a single-site (v1/v2) state file back into its
-// checkpoint, shed count, and records. A checksum trailer, if present,
-// is verified and stripped first.
-func unmarshalState(data []byte) (syslog.Checkpoint, uint64, []mce.CERecord, error) {
-	data, err := openState(data)
-	if err != nil {
-		return syslog.Checkpoint{}, 0, nil, err
-	}
-	hasShed := true
-	magic := stateMagic
-	rest, ok := bytes.CutPrefix(data, []byte(stateMagic+"\n"))
-	if !ok {
-		rest, ok = bytes.CutPrefix(data, []byte(stateMagicV1+"\n"))
-		hasShed = false
-		magic = stateMagicV1
-		if !ok {
-			return syslog.Checkpoint{}, 0, nil, fmt.Errorf("astrad: state file: bad header")
-		}
-	}
-	cp, shed, recs, rest, err := parseSection(rest, hasShed, "default", len(magic)+1)
-	if err != nil {
-		return syslog.Checkpoint{}, 0, nil, err
-	}
-	if len(rest) != 0 {
-		return syslog.Checkpoint{}, 0, nil, fmt.Errorf("astrad: state file: %d trailing bytes at byte %d", len(rest), len(data)-len(rest))
-	}
-	return cp, shed, recs, nil
-}
-
-// unmarshalStateV3 parses a v3 multi-site state file into its per-site
-// snapshots (empty alarm ledgers).
-func unmarshalStateV3(data []byte) ([]siteSnapshot, error) {
-	return unmarshalMulti(data, stateMagicV3, false)
-}
-
-// unmarshalStateV4 parses a v4 multi-site state file, alarm ledgers
-// included.
-func unmarshalStateV4(data []byte) ([]siteSnapshot, error) {
-	return unmarshalMulti(data, stateMagicV4, true)
-}
-
-// unmarshalMulti parses a multi-site state file (v3 or v4 by magic) into
-// its per-site snapshots. A checksum trailer, if present, is verified
-// and stripped first.
-func unmarshalMulti(data []byte, magic string, hasAlarms bool) ([]siteSnapshot, error) {
-	data, err := openState(data)
+	n, err := r.count("sites")
 	if err != nil {
 		return nil, err
 	}
-	rest, ok := bytes.CutPrefix(data, []byte(magic+"\n"))
-	if !ok {
-		return nil, fmt.Errorf("astrad: state file: bad %s header", magic)
-	}
-	var count int
-	if n, err := fmt.Sscanf(string(firstLine(rest)), "sites %d", &count); err != nil || n != 1 {
-		return nil, fmt.Errorf("astrad: state file: bad sites header")
-	}
-	if count < 0 {
-		return nil, fmt.Errorf("astrad: state file: negative site count")
-	}
-	rest = rest[len(firstLine(rest))+1:]
-	snaps := make([]siteSnapshot, 0, count)
-	for i := 0; i < count; i++ {
-		var id string
-		line := firstLine(rest)
-		if n, err := fmt.Sscanf(string(line), "site %s", &id); err != nil || n != 1 {
-			return nil, fmt.Errorf("astrad: state file: bad site header at section %d (byte %d)", i, len(data)-len(rest))
+	var snaps []siteSnapshot
+	for i := 0; i < n; i++ {
+		r.site = ""
+		line, _ := r.line()
+		id, ok := bytes.CutPrefix(line, []byte("site "))
+		if !ok || len(id) == 0 {
+			return nil, r.fail("bad site header at section %d", i)
 		}
-		rest = rest[len(line)+1:]
-		var cp syslog.Checkpoint
-		var shed uint64
-		var recs []mce.CERecord
-		var alarms []alarmEntry
-		var r []byte
-		if hasAlarms {
-			cp, shed, recs, alarms, r, err = parseSectionV4(rest, id, len(data)-len(rest))
-		} else {
-			cp, shed, recs, r, err = parseSection(rest, true, id, len(data)-len(rest))
-		}
-		if err != nil {
-			return nil, err
-		}
-		rest = r
+		r.site = string(id)
 		for _, prev := range snaps {
-			if prev.id == id {
-				return nil, fmt.Errorf("astrad: state file: duplicate site %s", id)
+			if prev.id == r.site {
+				return nil, r.fail("duplicate site")
 			}
 		}
-		snaps = append(snaps, siteSnapshot{id: id, cp: cp, shed: shed, recs: recs, alarms: alarms})
+		start := r.off
+		snap, err := r.section()
+		if err != nil {
+			return nil, err
+		}
+		snap.id, snap.section = r.site, body[start:r.off]
+		snaps = append(snaps, snap)
 	}
-	if len(rest) != 0 {
-		return nil, fmt.Errorf("astrad: state file: %d trailing bytes at byte %d", len(rest), len(data)-len(rest))
+	if r.off != len(body) {
+		r.site = ""
+		return nil, r.fail("%d trailing bytes", len(body)-r.off)
 	}
 	return snaps, nil
 }
 
-// firstLine returns data up to (excluding) the first newline, or nil if
-// data holds no complete line.
-func firstLine(data []byte) []byte {
-	i := bytes.IndexByte(data, '\n')
-	if i < 0 {
-		return nil
+// parseSection decodes a site's in-memory section, which must hold
+// exactly one section.
+func parseSection(sec []byte, site string) (siteSnapshot, error) {
+	r := &stateReader{data: sec, site: site}
+	snap, err := r.section()
+	if err == nil && r.off != len(sec) {
+		err = r.fail("%d trailing bytes", len(sec)-r.off)
 	}
-	return data[:i]
-}
-
-// decodeState routes one state image (any generation) by magic: v4 or
-// v3 multi-site, else v1/v2 loaded as one site named "default".
-// Checksum verification happens inside the unmarshalers.
-func decodeState(data []byte) ([]siteSnapshot, error) {
-	if bytes.HasPrefix(data, []byte(stateMagicV4+"\n")) {
-		return unmarshalStateV4(data)
-	}
-	if bytes.HasPrefix(data, []byte(stateMagicV3+"\n")) {
-		return unmarshalStateV3(data)
-	}
-	cp, shed, recs, err := unmarshalState(data)
-	if err != nil {
-		return nil, err
-	}
-	return []siteSnapshot{{id: "default", cp: cp, shed: shed, recs: recs}}, nil
+	snap.id, snap.section = site, sec
+	return snap, err
 }
 
 // loadState reads one state file into per-site snapshots; a missing file
@@ -829,7 +761,7 @@ func loadState(path string) ([]siteSnapshot, error) {
 	if err != nil {
 		return nil, err
 	}
-	return decodeState(data)
+	return unmarshal(data)
 }
 
 // loadStateLadder walks the checkpoint generation ladder newest-first
@@ -844,7 +776,7 @@ func loadStateLadder(fsys atomicio.FS, path string, keep int) (snaps []siteSnaps
 	}
 	g := atomicio.Generations{FS: fsys, Path: path, Keep: keep}
 	_, gen, discarded, err = g.Load(func(data []byte) error {
-		s, derr := decodeState(data)
+		s, derr := unmarshal(data)
 		if derr != nil {
 			return derr
 		}

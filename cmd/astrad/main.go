@@ -18,7 +18,7 @@
 // Risk serving scores each bank's live feature state under a predictor
 // (the built-in rule ladder, or a trained model via -model). Banks
 // crossing -risk-threshold are stamped into a per-site first-alarm
-// ledger that persists in the v4 state sections, so lead-time
+// ledger that persists in the site's state section, so lead-time
 // accounting survives restarts.
 //
 // With several -site flags the daemon federates independent fleets: each
@@ -28,10 +28,13 @@
 // multicore ingest; answers are bit-identical at every setting.
 //
 // The daemon checkpoints its scanner state and record set atomically to
-// -state; a killed daemon restarted over the same logs resumes exactly,
-// losing and duplicating nothing — including records still buffered in
-// the reorder window at the moment of death, and regardless of the
-// partition count it restarts with. Checkpoints are checksum-sealed and
+// -state, the records as a columnar (colfmt) blob that a restart decodes
+// instead of re-parsing; a killed daemon restarted over the same logs
+// resumes exactly, losing and duplicating nothing — including records
+// still buffered in the reorder window at the moment of death, and
+// regardless of the partition count it restarts with. State files have
+// one format (astrad-state v5); any other file, an older release's
+// included, is a discarded generation. Checkpoints are checksum-sealed and
 // kept as a generation ladder (-state, -state.1, ... up to -state-keep):
 // recovery walks the ladder newest-first, so a torn or bit-flipped file
 // costs one checkpoint interval, and a ladder with nothing valid left
@@ -197,8 +200,8 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 }
 
 // matchSnapshot pairs a configured site with its restored state. Sites
-// match by id; as a migration path, a lone v1/v2 snapshot (always named
-// "default") restores a lone configured site whatever its id.
+// match by id; a lone snapshot restores a lone configured site whatever
+// its id, so a single-site daemon keeps its state across a rename.
 func matchSnapshot(snaps []siteSnapshot, specs []siteSpec, i int) siteSnapshot {
 	for _, sn := range snaps {
 		if sn.id == specs[i].id {
@@ -245,55 +248,8 @@ func serveDaemon(ctx context.Context, cfg daemonConfig, logger *slog.Logger) (in
 			logger.Warn("temp sweep failed", "dir", filepath.Dir(cfg.statePath), "err", err)
 		}
 	}
-	snaps, gen, discarded, err := loadStateLadder(d.fs, cfg.statePath, cfg.stateKeep)
-	for _, disc := range discarded {
-		d.gensDiscarded.Add(1)
-		logger.Warn("state generation discarded", "path", disc.Path, "generation", disc.Gen, "err", disc.Err)
-	}
-	if err != nil {
+	if err := d.restoreSites(); err != nil {
 		return 1, err
-	}
-	switch {
-	case gen > 0:
-		logger.Warn("recovered from older state generation", "generation", gen, "discarded", len(discarded))
-	case gen < 0 && len(discarded) > 0:
-		logger.Warn("no state generation recoverable; cold-starting from the logs", "discarded", len(discarded))
-	}
-	specs := cfg.sites
-	if len(specs) == 0 {
-		specs = []siteSpec{{id: "default", path: cfg.logPath}}
-	}
-	for _, sn := range snaps {
-		found := false
-		for _, sp := range specs {
-			if sp.id == sn.id {
-				found = true
-			}
-		}
-		if !found && len(specs) > 1 {
-			logger.Warn("state section for unconfigured site dropped", "site", sn.id, "records", len(sn.recs))
-		}
-	}
-
-	for i, spec := range specs {
-		snap := matchSnapshot(snaps, specs, i)
-		site := &siteDaemon{id: spec.id, logPath: spec.path}
-		eng, q := d.buildPipeline(snap)
-		site.eng.Store(eng)
-		site.q.Store(q)
-		site.resumeCP = snap.cp
-		site.primed.Store(true)
-		site.alarms.replace(snap.alarms)
-		sec, err := marshalSiteSectionV4(snap.cp, snap.shed, snap.recs, snap.alarms)
-		if err != nil {
-			return 1, err
-		}
-		site.section.Store(&sec)
-		if len(snap.recs) > 0 {
-			logger.Info("restored", "site", spec.id, "records", len(snap.recs), "shed", snap.shed,
-				"alarms", len(snap.alarms), "offset", snap.cp.Offset, "pendingReorder", snap.cp.Buffered())
-		}
-		d.sites = append(d.sites, site)
 	}
 
 	srvSites := make([]serve.Site, len(d.sites))
@@ -425,4 +381,67 @@ func serveDaemon(ctx context.Context, cfg daemonConfig, logger *slog.Logger) (in
 		"shed", shed, "checkpoints", d.checkpoints.Load(),
 		"restarts", sup.Restarts(), "quarantined", sup.Quarantined())
 	return 0, nil
+}
+
+// restoreSites walks the checkpoint generation ladder and builds every
+// configured site's first pipeline incarnation from its restored
+// snapshot. A restored site publishes, as its first checkpoint section,
+// the very bytes its snapshot was parsed from: marshaling the snapshot
+// again would only reproduce them.
+func (d *daemon) restoreSites() error {
+	start := time.Now()
+	snaps, gen, discarded, err := loadStateLadder(d.fs, d.cfg.statePath, d.cfg.stateKeep)
+	elapsed := time.Since(start)
+	for _, disc := range discarded {
+		d.gensDiscarded.Add(1)
+		d.log.Warn("state generation discarded", "path", disc.Path, "generation", disc.Gen, "err", disc.Err)
+	}
+	if err != nil {
+		return err
+	}
+	switch {
+	case gen > 0:
+		d.log.Warn("recovered from older state generation", "generation", gen, "discarded", len(discarded))
+	case gen < 0 && len(discarded) > 0:
+		d.log.Warn("no state generation recoverable; cold-starting from the logs", "discarded", len(discarded))
+	}
+	specs := d.cfg.sites
+	if len(specs) == 0 {
+		specs = []siteSpec{{id: "default", path: d.cfg.logPath}}
+	}
+	for _, sn := range snaps {
+		found := false
+		for _, sp := range specs {
+			if sp.id == sn.id {
+				found = true
+			}
+		}
+		if !found && len(specs) > 1 {
+			d.log.Warn("state section for unconfigured site dropped", "site", sn.id, "records", len(sn.recs))
+		}
+	}
+
+	for i, spec := range specs {
+		snap := matchSnapshot(snaps, specs, i)
+		site := &siteDaemon{id: spec.id, logPath: spec.path}
+		eng, q := d.buildPipeline(snap)
+		site.eng.Store(eng)
+		site.q.Store(q)
+		site.resumeCP = snap.cp
+		site.primed.Store(true)
+		site.alarms.replace(snap.alarms)
+		sec := snap.section
+		if sec == nil {
+			if sec, err = marshalSection(snap); err != nil {
+				return err
+			}
+		}
+		site.section.Store(&sec)
+		if len(snap.recs) > 0 {
+			d.log.Info("restored", "site", spec.id, "records", len(snap.recs), "bytes", len(sec), "elapsed", elapsed,
+				"shed", snap.shed, "alarms", len(snap.alarms), "offset", snap.cp.Offset, "pendingReorder", snap.cp.Buffered())
+		}
+		d.sites = append(d.sites, site)
+	}
+	return nil
 }

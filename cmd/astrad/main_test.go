@@ -10,13 +10,16 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"reflect"
 	"regexp"
+	"strconv"
 	"strings"
 	"sync"
 	"syscall"
 	"testing"
 	"time"
 
+	"repro/internal/colfmt"
 	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/het"
@@ -41,7 +44,7 @@ var (
 // testLog renders a small dataset's syslog once, with a far-future HET
 // sentinel appended so the reorder window releases every CE before it —
 // the expected engine contents are then exactly the batch scan's CEs.
-func testLog(t *testing.T) ([]byte, []mce.CERecord) {
+func testLog(t testing.TB) ([]byte, []mce.CERecord) {
 	t.Helper()
 	logOnce.Do(func() {
 		cfg := dataset.DefaultConfig(61)
@@ -99,7 +102,10 @@ func (s *syncBuf) String() string {
 	return s.b.String()
 }
 
-var addrRE = regexp.MustCompile(`msg=listening addr=([0-9.]+:[0-9]+)`)
+var (
+	addrRE     = regexp.MustCompile(`msg=listening addr=([0-9.]+:[0-9]+)`)
+	restoredRE = regexp.MustCompile(`msg=restored site=default records=[1-9][0-9]* bytes=[1-9][0-9]* elapsed=[0-9.]+[µnm]?s `)
+)
 
 // startDaemon launches run() in-process and waits for its listen address.
 func startDaemon(t *testing.T, logPath, statePath string) (addr string, cancel context.CancelFunc, done chan int, errs *syncBuf) {
@@ -241,6 +247,10 @@ func TestDaemonKillRestartDifferential(t *testing.T) {
 	if sum.ErrorsByMode != wantBreak.ErrorsByMode {
 		t.Fatalf("ErrorsByMode = %v, want %v", sum.ErrorsByMode, wantBreak.ErrorsByMode)
 	}
+	// The restore cost is readable from the log alone.
+	if !restoredRE.MatchString(errs.String()) {
+		t.Fatalf("restored line lacks bytes/elapsed; stderr:\n%s", errs.String())
+	}
 	var faults struct {
 		Count int `json:"count"`
 	}
@@ -316,71 +326,221 @@ func TestDaemonSustainedIngest(t *testing.T) {
 	}
 }
 
-// TestStateRoundTrip pins the daemon state file format.
-func TestStateRoundTrip(t *testing.T) {
-	in, ces := testLog(t)
+// midScanCheckpoint returns a scanner checkpoint taken 25 lines into the
+// test log, reorder buffer and dedup ring populated.
+func midScanCheckpoint(t testing.TB) syslog.Checkpoint {
+	t.Helper()
+	in, _ := testLog(t)
 	sc := syslog.NewScannerConfig(bytes.NewReader(in), syslog.ScanConfig{DedupWindow: testDedup, ReorderWindow: testReorder})
 	for i := 0; i < 25; i++ {
 		if !sc.Scan() {
 			t.Fatal("fixture too short")
 		}
 	}
-	cp := sc.Checkpoint()
-	recs := ces[:10]
+	return sc.Checkpoint()
+}
 
-	data, err := marshalState(cp, 7, recs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cp2, shed2, recs2, err := unmarshalState(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cp2.Offset != cp.Offset || cp2.Buffered() != cp.Buffered() {
-		t.Fatalf("checkpoint round trip: offset %d/%d buffered %d/%d",
-			cp2.Offset, cp.Offset, cp2.Buffered(), cp.Buffered())
-	}
-	if shed2 != 7 {
-		t.Fatalf("shed round trip: %d, want 7", shed2)
-	}
-	if len(recs2) != len(recs) {
-		t.Fatalf("records round trip: %d, want %d", len(recs2), len(recs))
-	}
-	for i := range recs {
-		if recs2[i] != recs[i] {
-			t.Fatalf("record %d diverges after round trip", i)
+// marshalSnapshots renders snapshots as one unsealed state image, the way
+// composeState assembles the sections its sites publish.
+func marshalSnapshots(t testing.TB, snaps []siteSnapshot) []byte {
+	t.Helper()
+	ids := make([]string, len(snaps))
+	secs := make([][]byte, len(snaps))
+	for i, sn := range snaps {
+		sec, err := marshalSection(sn)
+		if err != nil {
+			t.Fatal(err)
 		}
+		ids[i], secs[i] = sn.id, sec
 	}
-	data2, err := marshalState(cp2, shed2, recs2)
+	return marshalState(ids, secs)
+}
+
+// sealState appends the checksum trailer persist writes.
+func sealState(body []byte) []byte {
+	return append(bytes.Clone(body), seal(body)...)
+}
+
+// blobSpan locates the records blob of the n-th site section in an
+// unsealed image: the offset of its "records" header line and the blob's
+// [start, end) bytes.
+func blobSpan(t *testing.T, data []byte, n int) (header, start, end int) {
+	t.Helper()
+	for i := 0; i <= n; i++ {
+		j := bytes.Index(data[header:], []byte("\nrecords "))
+		if j < 0 {
+			t.Fatalf("no section %d", n)
+		}
+		header += j + 1
+	}
+	start = header + bytes.IndexByte(data[header:], '\n') + 1
+	size, err := strconv.Atoi(string(data[header+len("records ") : start-1]))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(data, data2) {
-		t.Fatal("state marshal not deterministic through a round trip")
-	}
+	return header, start, start + size
+}
 
-	for name, corrupt := range map[string][]byte{
-		"empty":     nil,
-		"truncated": data[:len(data)-3],
-		"header":    []byte("nope\n"),
-		"shed":      bytes.Replace(data, []byte("\nshed 7\n"), []byte("\nshed x\n"), 1),
-	} {
-		if _, _, _, err := unmarshalState(corrupt); err == nil {
+// spliceBlob replaces the n-th site's records blob with a colfmt encoding
+// of recs, fixing up the length header.
+func spliceBlob(t *testing.T, data []byte, n int, recs colfmt.Records) []byte {
+	t.Helper()
+	header, _, end := blobSpan(t, data, n)
+	var blob bytes.Buffer
+	if err := colfmt.Write(&blob, recs); err != nil {
+		t.Fatal(err)
+	}
+	out := append([]byte(nil), data[:header]...)
+	out = fmt.Appendf(out, "records %d\n", blob.Len())
+	out = append(out, blob.Bytes()...)
+	return append(out, data[end:]...)
+}
+
+// stateFixture is the two-site state the state-format tests share: east
+// carries a mid-scan checkpoint, a shed count, records and a two-entry
+// first-alarm ledger; west carries only records. data is its unsealed
+// image.
+func stateFixture(t *testing.T) (snaps []siteSnapshot, data []byte) {
+	t.Helper()
+	_, ces := testLog(t)
+	snaps = []siteSnapshot{
+		{id: "east", cp: midScanCheckpoint(t), shed: 3, recs: ces[:10], alarms: []alarmEntry{
+			{key: core.RecordBankKey(&ces[0]), at: 1700000000000000001},
+			{key: core.RecordBankKey(&ces[3]), at: 1700000000000000002},
+		}},
+		{id: "west", recs: ces[10:14]}, // empty ledger
+	}
+	return snaps, marshalSnapshots(t, snaps)
+}
+
+// rejectSealed checks that every corrupt body fails to load. Each is
+// sealed first, so only the parser can catch it.
+func rejectSealed(t *testing.T, corrupt map[string][]byte) {
+	t.Helper()
+	for name, body := range corrupt {
+		if _, err := unmarshal(sealState(body)); err == nil {
 			t.Errorf("%s: corrupted state accepted", name)
 		}
 	}
+}
 
-	// A v1 state file (no shed line) must still load, with shed = 0: a
-	// daemon upgraded in place keeps its checkpoint.
-	v1 := bytes.Replace(data, []byte(stateMagic), []byte(stateMagicV1), 1)
-	v1 = bytes.Replace(v1, []byte("\nshed 7\n"), []byte("\n"), 1)
-	cpV1, shedV1, recsV1, err := unmarshalState(v1)
+// TestStateRoundTrip pins the daemon state file format: an image
+// carrying scanner checkpoints, shed counts, columnar records and
+// first-alarm ledgers round-trips exactly and re-marshals byte for byte,
+// and damage to its header, its framing or a binary records blob is
+// rejected even under a valid seal. TestStateV3RoundTrip covers the site
+// list and TestStateV4RoundTrip the alarm ledgers.
+func TestStateRoundTrip(t *testing.T) {
+	_, ces := testLog(t)
+	snaps, data := stateFixture(t)
+	got, err := unmarshal(sealState(data))
 	if err != nil {
-		t.Fatalf("v1 state rejected: %v", err)
+		t.Fatal(err)
 	}
-	if shedV1 != 0 || cpV1.Offset != cp.Offset || len(recsV1) != len(recs) {
-		t.Fatalf("v1 state round trip: shed=%d offset=%d records=%d", shedV1, cpV1.Offset, len(recsV1))
+	if len(got) != 2 || got[0].id != "east" || got[1].id != "west" {
+		t.Fatalf("site ids round trip: %+v", got)
 	}
+	cp := snaps[0].cp
+	if got[0].cp.Offset != cp.Offset || got[0].cp.Buffered() != cp.Buffered() {
+		t.Fatalf("checkpoint round trip: offset %d/%d buffered %d/%d",
+			got[0].cp.Offset, cp.Offset, got[0].cp.Buffered(), cp.Buffered())
+	}
+	if got[0].shed != 3 || got[1].shed != 0 {
+		t.Fatalf("shed round trip: %d/%d", got[0].shed, got[1].shed)
+	}
+	for i, sn := range snaps {
+		if !reflect.DeepEqual(got[i].recs, sn.recs) {
+			t.Fatalf("%s records diverge after round trip", sn.id)
+		}
+	}
+	if !reflect.DeepEqual(got[0].alarms, snaps[0].alarms) || len(got[1].alarms) != 0 {
+		t.Fatalf("alarms round trip: %+v / %+v, want %+v / none", got[0].alarms, got[1].alarms, snaps[0].alarms)
+	}
+	for i, sn := range snaps {
+		sec, err := marshalSection(sn)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got[i].section, sec) {
+			t.Fatalf("%s: loaded section is not the bytes its snapshot marshals to", sn.id)
+		}
+	}
+	if data2 := marshalSnapshots(t, got); !bytes.Equal(data, data2) {
+		t.Fatal("state marshal not deterministic through a round trip")
+	}
+
+	header, start, end := blobSpan(t, data, 0)
+	flipped := bytes.Clone(data)
+	flipped[(start+end)/2] ^= 0x40
+	unterminated := bytes.Clone(data)
+	unterminated[end] = 'x'
+	pastEnd := append(append(bytes.Clone(data[:header]), fmt.Sprintf("records %d\n", len(data))...), data[start:]...)
+	due := colfmt.Records{CEs: ces[:10], DUEs: []mce.DUERecord{{Time: ces[0].Time, Node: ces[0].Node}}}
+	badBank := append([]mce.CERecord(nil), ces[:10]...)
+	badBank[4].Bank = topology.BanksPerRank
+	rejectSealed(t, map[string][]byte{
+		"empty":                nil,
+		"header":               []byte("nope\n"),
+		"parent-magic":         bytes.Replace(data, []byte(stateMagic), []byte("astrad-state v4"), 1),
+		"truncated":            data[:len(data)-3],
+		"trailing":             append(bytes.Clone(data), "junk\n"...),
+		"records-past-end":     pastEnd,
+		"records-unterminated": unterminated,
+		"records-flipped-byte": flipped,
+		"records-due":          spliceBlob(t, data, 0, due),
+		"records-bad-bank":     spliceBlob(t, data, 0, colfmt.Records{CEs: badBank}),
+	})
+	// The splice itself is sound: the same blob, re-encoded, still loads.
+	if _, err := unmarshal(sealState(spliceBlob(t, data, 0, colfmt.Records{CEs: ces[:10]}))); err != nil {
+		t.Fatalf("re-spliced blob rejected: %v", err)
+	}
+}
+
+// BenchmarkStateRestore measures a warm restart's state path over a
+// ~100k-record section: the marshal a checkpoint pays, the unseal and
+// decode a restore pays, and the engine replay the decoded records feed.
+func BenchmarkStateRestore(b *testing.B) {
+	_, ces := testLog(b)
+	// Tile the fixture, shifted in time, up to ~100k records.
+	span := ces[len(ces)-1].Time.Sub(ces[0].Time) + time.Hour
+	var recs []mce.CERecord
+	for shift := time.Duration(0); len(recs) < 100_000; shift += span {
+		for _, r := range ces {
+			r.Time = r.Time.Add(shift)
+			recs = append(recs, r)
+		}
+	}
+	snap := siteSnapshot{id: "default", recs: recs}
+	image := sealState(marshalSnapshots(b, []siteSnapshot{snap}))
+	d := &daemon{cfg: daemonConfig{partitions: 1, queueDepth: 1024, window: stream.DefaultWindow, dimms: 48 * topology.SlotsPerNode}}
+	perRecord := func(b *testing.B) {
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(recs)), "ns/record")
+	}
+	b.Run("marshal", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := marshalSection(snap); err != nil {
+				b.Fatal(err)
+			}
+		}
+		perRecord(b)
+	})
+	b.Run("decode", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := unmarshal(image); err != nil {
+				b.Fatal(err)
+			}
+		}
+		perRecord(b)
+	})
+	b.Run("ingest", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			d.buildPipeline(snap)
+		}
+		perRecord(b)
+	})
 }
 
 // TestDaemonSIGTERMBinary is the end-to-end shutdown test against the

@@ -110,7 +110,7 @@ func TestDaemonSIGTERMUnderOverload(t *testing.T) {
 	if code := <-done; code != 0 {
 		t.Fatalf("overloaded shutdown exit = %d; stderr:\n%s", code, errs.String())
 	}
-	snaps, err := decodeState(mustReadFile(t, statePath))
+	snaps, err := unmarshal(mustReadFile(t, statePath))
 	if err != nil || len(snaps) != 1 {
 		t.Fatalf("state after overloaded shutdown: %d sites, %v", len(snaps), err)
 	}

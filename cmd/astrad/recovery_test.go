@@ -5,6 +5,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"log/slog"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -15,21 +16,20 @@ import (
 	"repro/internal/atomicio"
 	"repro/internal/core"
 	"repro/internal/iofault"
+	"repro/internal/stream"
 	"repro/internal/syslog"
 	"repro/internal/topology"
 )
 
 // TestSealOpenState pins the checksum trailer: seal/open round-trips,
-// unsealed (legacy) images pass through untouched, and any single
+// an image without the trailer is rejected whatever its last bytes, the
+// trailer is found by position even after a binary body, and any single
 // bit flip — in the body or the trailer — is detected.
 func TestSealOpenState(t *testing.T) {
 	_, ces := testLog(t)
-	data, err := marshalState(syslog.Checkpoint{}, 3, ces[:8])
-	if err != nil {
-		t.Fatal(err)
-	}
+	data := marshalSnapshots(t, []siteSnapshot{{id: "default", shed: 3, recs: ces[:8]}})
 	sealed := sealState(data)
-	if !bytes.HasPrefix(sealed, data) {
+	if !bytes.HasPrefix(sealed, data) || len(sealed) != len(data)+sealLen {
 		t.Fatal("sealing rewrote the body")
 	}
 	body, err := openState(sealed)
@@ -39,22 +39,33 @@ func TestSealOpenState(t *testing.T) {
 	if !bytes.Equal(body, data) {
 		t.Fatal("open did not strip the trailer exactly")
 	}
-	// Legacy (no trailer) passes through.
-	if body, err := openState(data); err != nil || !bytes.Equal(body, data) {
-		t.Fatalf("legacy image rejected: %v", err)
+	for name, unsealed := range map[string][]byte{
+		"body":         data,
+		"short":        []byte("checksum crc32 0\n"),
+		"prefix-only":  append(bytes.Clone(data), checksumPrefix+"\n"...),
+		"no-newline":   sealed[:len(sealed)-1],
+		"other-prefix": append(bytes.Clone(data), "checksum crc64 01234567\n"...),
+	} {
+		if _, err := openState(unsealed); err == nil {
+			t.Errorf("%s: image without a trailer accepted", name)
+		}
+	}
+	bin := []byte{0, '\n', 0xff, 'c'}
+	if body, err := openState(sealState(bin)); err != nil || !bytes.Equal(body, bin) {
+		t.Fatalf("sealed binary body: %q, %v", body, err)
 	}
 	// Any bit flip in a sealed image must be caught: the body flips fail
 	// the checksum, trailer flips garble or mismatch the trailer itself.
 	for _, off := range []int{0, len(data) / 2, len(data) - 1, len(sealed) - 3} {
 		corrupt := append([]byte(nil), sealed...)
 		corrupt[off] ^= 0x10
-		if _, _, _, err := unmarshalState(corrupt); err == nil {
+		if _, err := unmarshal(corrupt); err == nil {
 			t.Fatalf("bit flip at %d of %d undetected", off, len(sealed))
 		}
 	}
 	// The full decode path accepts the sealed image.
-	if _, _, recs, err := unmarshalState(sealed); err != nil || len(recs) != 8 {
-		t.Fatalf("unmarshal sealed = %d recs, %v", len(recs), err)
+	if snaps, err := unmarshal(sealed); err != nil || len(snaps) != 1 || len(snaps[0].recs) != 8 {
+		t.Fatalf("unmarshal sealed = %+v, %v", snaps, err)
 	}
 }
 
@@ -63,12 +74,9 @@ func TestSealOpenState(t *testing.T) {
 // offset where parsing stopped.
 func TestParseSectionErrorsNameSiteAndOffset(t *testing.T) {
 	_, ces := testLog(t)
-	data, err := marshalState(syslog.Checkpoint{}, 7, ces[:4])
-	if err != nil {
-		t.Fatal(err)
-	}
+	data := marshalSnapshots(t, []siteSnapshot{{id: "default", shed: 7, recs: ces[:4]}})
 	corrupt := bytes.Replace(data, []byte("\nshed 7\n"), []byte("\nsped 7\n"), 1)
-	_, _, _, err = unmarshalState(corrupt)
+	_, err := unmarshal(sealState(corrupt))
 	if err == nil {
 		t.Fatal("corrupted shed header accepted")
 	}
@@ -76,27 +84,121 @@ func TestParseSectionErrorsNameSiteAndOffset(t *testing.T) {
 		t.Fatalf("error does not name site and offset: %v", err)
 	}
 
-	v3, err := marshalStateV3([]siteSnapshot{
+	multi := marshalSnapshots(t, []siteSnapshot{
 		{id: "east", recs: ces[:2]},
 		{id: "west", recs: ces[2:5]},
 	})
+	// Damage west's records header only.
+	header, start, end := blobSpan(t, multi, 1)
+	corrupt = bytes.Clone(multi)
+	corrupt[header] = 'R'
+	_, err = unmarshal(sealState(corrupt))
+	if err == nil {
+		t.Fatal("corrupted records header accepted")
+	}
+	if want := fmt.Sprintf("site west: bad records header at byte %d", header); !strings.Contains(err.Error(), want) {
+		t.Fatalf("error %q does not contain %q", err, want)
+	}
+	// Damage west's records blob: one flipped byte inside the colfmt data
+	// fails its block checksum, reported at the blob's first byte.
+	corrupt = bytes.Clone(multi)
+	corrupt[(start+end)/2] ^= 0x40
+	_, err = unmarshal(sealState(corrupt))
+	if err == nil {
+		t.Fatal("corrupted records blob accepted")
+	}
+	if !strings.Contains(err.Error(), "site west: records:") || !strings.Contains(err.Error(), fmt.Sprintf("at byte %d", start)) {
+		t.Fatalf("blob error does not name site west and byte %d: %v", start, err)
+	}
+}
+
+// TestParentFormatStateDiscarded is the upgrade contract: a state file
+// the previous release wrote (astrad-state v4, records as syslog text)
+// is a discarded generation that names its header, never a load error,
+// and the daemon cold-starts from the log to the exact batch answer.
+func TestParentFormatStateDiscarded(t *testing.T) {
+	full, ces := testLog(t)
+	cpb, err := syslog.Checkpoint{}.MarshalBinary()
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Damage west's records header only.
-	i := bytes.Index(v3, []byte("site west\n"))
-	if i < 0 {
-		t.Fatal("no west section")
+	v4 := fmt.Sprintf("astrad-state v4\nsites 1\nsite default\ncheckpoint %d\n%sshed 0\nrecords 1\n%s\nalarms 0\n",
+		len(cpb), cpb, syslog.FormatCE(ces[0]))
+	dir := t.TempDir()
+	logPath := filepath.Join(dir, "syslog.log")
+	statePath := filepath.Join(dir, "astrad.state")
+	if err := os.WriteFile(logPath, full, 0o644); err != nil {
+		t.Fatal(err)
 	}
-	j := i + bytes.Index(v3[i:], []byte("\nrecords "))
-	corrupt = append([]byte(nil), v3...)
-	corrupt[j+1] = 'R'
-	_, err = unmarshalStateV3(corrupt)
-	if err == nil {
-		t.Fatal("corrupted v3 records header accepted")
+	if err := os.WriteFile(statePath, sealState([]byte(v4)), 0o644); err != nil {
+		t.Fatal(err)
 	}
-	if !strings.Contains(err.Error(), "site west") || !strings.Contains(err.Error(), "at byte") {
-		t.Fatalf("v3 error does not name site and offset: %v", err)
+	snaps, gen, discarded, err := loadStateLadder(atomicio.OS, statePath, 3)
+	if err != nil || gen != -1 || snaps != nil || len(discarded) != 1 {
+		t.Fatalf("ladder over a v4 file: gen=%d snaps=%d discarded=%d err=%v", gen, len(snaps), len(discarded), err)
+	}
+	if !strings.Contains(discarded[0].Err.Error(), `"astrad-state v4"`) {
+		t.Fatalf("discard reason does not name the header: %v", discarded[0].Err)
+	}
+
+	addr, cancel, done, errs := startDaemon(t, logPath, statePath)
+	defer func() {
+		cancel()
+		<-done
+	}()
+	if sum := waitForRecords(t, addr, len(ces)); sum.Records != len(ces) {
+		t.Fatalf("records = %d, want %d: the v4 file's record was restored", sum.Records, len(ces))
+	}
+	if n := countMetric(t, addr, "astrad_state_generations_discarded_total"); n != 1 {
+		t.Fatalf("astrad_state_generations_discarded_total = %g, want 1", n)
+	}
+	if !strings.Contains(errs.String(), "no state generation recoverable") {
+		t.Fatalf("cold start not reported; stderr:\n%s", errs.String())
+	}
+}
+
+// TestRestoredSectionIsExact: a restored site publishes the section
+// bytes it was loaded from as its first checkpoint section instead of
+// marshaling again. Those bytes must be exactly what marshaling the
+// site's restored live state gives — engine records in arrival order,
+// shed count, resume checkpoint and ledger — at a partition count other
+// than one, so the first checkpoint after a warm start is unchanged.
+func TestRestoredSectionIsExact(t *testing.T) {
+	_, ces := testLog(t)
+	var ledger alarmLedger
+	ledger.replace([]alarmEntry{
+		{key: core.RecordBankKey(&ces[7]), at: 1700000000000000007},
+		{key: core.RecordBankKey(&ces[1]), at: 1700000000000000001},
+	})
+	statePath := filepath.Join(t.TempDir(), "astrad.state")
+	image := marshalSnapshots(t, []siteSnapshot{
+		{id: "east", cp: midScanCheckpoint(t), shed: 5, recs: ces[:len(ces)/2], alarms: ledger.snapshot()},
+		{id: "west", recs: ces[len(ces)/2:]},
+	})
+	if err := os.WriteFile(statePath, sealState(image), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	d := &daemon{
+		cfg: daemonConfig{
+			sites:     []siteSpec{{id: "east", path: "east.log"}, {id: "west", path: "west.log"}},
+			statePath: statePath, stateKeep: 3,
+			partitions: 3, queueDepth: 64, window: stream.DefaultWindow, dimms: 48 * topology.SlotsPerNode,
+		},
+		log: slog.New(slog.NewTextHandler(io.Discard, nil)),
+		fs:  atomicio.OS,
+	}
+	if err := d.restoreSites(); err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range d.sites {
+		eng := s.engine()
+		live, err := marshalSection(siteSnapshot{cp: s.resumeCP, shed: eng.Shed(), recs: eng.Records(), alarms: s.alarms.snapshot()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(*s.section.Load(), live) {
+			t.Fatalf("site %s: restored section differs from a marshal of its restored state", s.id)
+		}
 	}
 }
 
@@ -609,18 +711,33 @@ func TestSweepTempsOnStartup(t *testing.T) {
 // ladder loader must never error — it either accepts them (if they
 // decode) or falls back to the valid older generation.
 func FuzzLoadStateLadder(f *testing.F) {
-	valid, err := marshalState(syslog.Checkpoint{}, 0, nil)
-	if err != nil {
-		f.Fatal(err)
-	}
+	_, ces := testLog(f)
+	valid := marshalSnapshots(f, []siteSnapshot{{id: "default"}})
 	sealed := sealState(valid)
 	f.Add([]byte(""))
 	f.Add(sealed)
 	f.Add(valid)
-	f.Add([]byte("astrad-state v2\n"))
-	flipped := append([]byte(nil), sealed...)
+	f.Add(sealState([]byte(stateMagic + "\n")))
+	flipped := bytes.Clone(sealed)
 	flipped[len(flipped)/2] ^= 4
 	f.Add(flipped)
+	rich := marshalSnapshots(f, []siteSnapshot{
+		{id: "east", shed: 2, recs: ces[:20], alarms: []alarmEntry{{key: core.RecordBankKey(&ces[0]), at: 1}}},
+		{id: "west", recs: ces[20:30]},
+	})
+	f.Add(sealState(rich))
+	// Header counts a sealed image can carry; once, each sized an
+	// allocation before anything bounded it, and killed the loader.
+	cpb, err := syslog.Checkpoint{}.MarshalBinary()
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, magic := range []string{"astrad-state v4", stateMagic} {
+		f.Add(sealState([]byte(magic + "\nsites 99999999999\n")))
+		f.Add(sealState(fmt.Appendf(nil, "%s\nsites 1\nsite default\ncheckpoint %d\n%sshed 0\nrecords 0\nalarms 99999999999\n",
+			magic, len(cpb), cpb)))
+	}
+	f.Add(sealState(bytes.Replace(rich, []byte("\nalarms 1\n"), []byte("\nalarms 99999999999\n"), 1)))
 	f.Fuzz(func(t *testing.T, gen0 []byte) {
 		dir := t.TempDir()
 		statePath := filepath.Join(dir, "astrad.state")

@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -153,7 +154,7 @@ func TestDaemonPartitionedKillRestartDifferential(t *testing.T) {
 // TestDaemonMultiSiteFederationRestart drives a two-site daemon: each
 // site tails its own log into its own partitioned engine, /v1/sites and
 // the site-scoped endpoints see per-site state, the legacy endpoints
-// roll both up, and a shutdown/restart over the v3 state file restores
+// roll both up, and a shutdown/restart over the state file restores
 // each site exactly — with a different partition count.
 func TestDaemonMultiSiteFederationRestart(t *testing.T) {
 	logA, cesA := testLog(t)
@@ -245,11 +246,11 @@ func TestDaemonMultiSiteFederationRestart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.HasPrefix(state, []byte(stateMagicV4+"\n")) {
-		t.Fatalf("multi-site state not v4: %q", state[:min(len(state), 40)])
+	if !bytes.HasPrefix(state, []byte(stateMagic+"\nsites 2\n")) {
+		t.Fatalf("multi-site state header: %q", state[:min(len(state), 40)])
 	}
 
-	// Restart over the v4 state with a different partition count: every
+	// Restart over that state with a different partition count: every
 	// site restores exactly, and the fault populations match the batch
 	// answers per site.
 	addr, cancel, done, errs = startDaemonCustom(t, args(1)...)
@@ -277,102 +278,54 @@ func TestDaemonMultiSiteFederationRestart(t *testing.T) {
 	}
 }
 
-// TestStateV3RoundTrip pins the multi-site state file format, its
-// corruption rejection, and loadState's version fallback.
+// TestStateV3RoundTrip pins the site list of the state file, the layer
+// the multi-site v3 format introduced and the one format keeps: a sealed
+// image on disk loads through loadState as its sites in file order, each
+// with its own checkpoint, shed count and records; the loaded sections
+// are slices of the file that tile it under their site headers; a
+// missing file is a fresh start; and a damaged site list is rejected.
 func TestStateV3RoundTrip(t *testing.T) {
-	in, ces := testLog(t)
-	sc := syslog.NewScannerConfig(bytes.NewReader(in), syslog.ScanConfig{DedupWindow: testDedup, ReorderWindow: testReorder})
-	for i := 0; i < 25; i++ {
-		if !sc.Scan() {
-			t.Fatal("fixture too short")
-		}
-	}
-	cp := sc.Checkpoint()
-	snaps := []siteSnapshot{
-		{id: "east", cp: cp, shed: 3, recs: ces[:10]},
-		{id: "west", cp: syslog.Checkpoint{}, shed: 0, recs: ces[10:14]},
-	}
-
-	data, err := marshalStateV3(snaps)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := unmarshalStateV3(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 2 || got[0].id != "east" || got[1].id != "west" {
-		t.Fatalf("site ids round trip: %+v", got)
-	}
-	if got[0].cp.Offset != cp.Offset || got[0].cp.Buffered() != cp.Buffered() {
-		t.Fatalf("checkpoint round trip: offset %d/%d", got[0].cp.Offset, cp.Offset)
-	}
-	if got[0].shed != 3 || got[1].shed != 0 {
-		t.Fatalf("shed round trip: %d/%d", got[0].shed, got[1].shed)
-	}
-	if len(got[0].recs) != 10 || len(got[1].recs) != 4 {
-		t.Fatalf("record counts round trip: %d/%d", len(got[0].recs), len(got[1].recs))
-	}
-	for i, r := range snaps[0].recs {
-		if got[0].recs[i] != r {
-			t.Fatalf("east record %d diverges after round trip", i)
-		}
-	}
-	data2, err := marshalStateV3(got)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(data, data2) {
-		t.Fatal("v3 marshal not deterministic through a round trip")
-	}
-
-	for name, corrupt := range map[string][]byte{
-		"empty":      nil,
-		"header":     []byte("nope\n"),
-		"sitecount":  bytes.Replace(data, []byte("sites 2"), []byte("sites x"), 1),
-		"truncated":  data[:len(data)-3],
-		"trailing":   append(append([]byte{}, data...), "junk\n"...),
-		"dup-site":   bytes.Replace(data, []byte("site west"), []byte("site east"), 1),
-		"shed":       bytes.Replace(data, []byte("\nshed 3\n"), []byte("\nshed x\n"), 1),
-		"undercount": bytes.Replace(data, []byte("sites 2"), []byte("sites 1"), 1),
-	} {
-		if _, err := unmarshalStateV3(corrupt); err == nil {
-			t.Errorf("%s: corrupted v3 state accepted", name)
-		}
-	}
-
-	// loadState routes by magic: a v2 file loads as one site named
-	// "default", a v3 file as its site list.
+	snaps, data := stateFixture(t)
 	dir := t.TempDir()
-	v2Path := filepath.Join(dir, "v2.state")
-	v2, err := marshalState(cp, 7, ces[:5])
+	path := filepath.Join(dir, "astrad.state")
+	if err := os.WriteFile(path, sealState(data), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	got, err := loadState(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(v2Path, v2, 0o644); err != nil {
-		t.Fatal(err)
+	if len(got) != len(snaps) {
+		t.Fatalf("loadState: %d sites, want %d", len(got), len(snaps))
 	}
-	loaded, err := loadState(v2Path)
-	if err != nil {
-		t.Fatal(err)
+	ids := make([]string, len(got))
+	secs := make([][]byte, len(got))
+	for i, sn := range snaps {
+		g := got[i]
+		if g.id != sn.id || g.shed != sn.shed || g.cp.Offset != sn.cp.Offset ||
+			g.cp.Buffered() != sn.cp.Buffered() || !reflect.DeepEqual(g.recs, sn.recs) {
+			t.Fatalf("site %d: loaded %s (shed %d, offset %d, %d records), want %s (shed %d, offset %d, %d records)",
+				i, g.id, g.shed, g.cp.Offset, len(g.recs), sn.id, sn.shed, sn.cp.Offset, len(sn.recs))
+		}
+		ids[i], secs[i] = g.id, g.section
 	}
-	if len(loaded) != 1 || loaded[0].id != "default" || loaded[0].shed != 7 || len(loaded[0].recs) != 5 {
-		t.Fatalf("v2 loadState = %+v", loaded)
+	if !bytes.Equal(marshalState(ids, secs), data) {
+		t.Fatal("loaded sections do not reassemble the image")
 	}
-	v3Path := filepath.Join(dir, "v3.state")
-	if err := os.WriteFile(v3Path, data, 0o644); err != nil {
-		t.Fatal(err)
+	if snaps, err := loadState(filepath.Join(dir, "missing.state")); err != nil || snaps != nil {
+		t.Fatalf("missing state file not a fresh start: %d sites, %v", len(snaps), err)
 	}
-	loaded, err = loadState(v3Path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(loaded) != 2 || loaded[0].id != "east" {
-		t.Fatalf("v3 loadState = %+v", loaded)
-	}
-	if _, err := loadState(filepath.Join(dir, "missing.state")); err != nil {
-		t.Fatalf("missing state file not a fresh start: %v", err)
-	}
+
+	rejectSealed(t, map[string][]byte{
+		"sitecount":      bytes.Replace(data, []byte("sites 2"), []byte("sites x"), 1),
+		"undercount":     bytes.Replace(data, []byte("sites 2"), []byte("sites 1"), 1),
+		"overcount":      bytes.Replace(data, []byte("sites 2"), []byte("sites 3"), 1),
+		"huge-sitecount": bytes.Replace(data, []byte("sites 2"), []byte("sites 99999999999"), 1),
+		"site-header":    bytes.Replace(data, []byte("site west\n"), []byte("place west\n"), 1),
+		"empty-site-id":  bytes.Replace(data, []byte("site west\n"), []byte("site \n"), 1),
+		"dup-site":       bytes.Replace(data, []byte("site west"), []byte("site east"), 1),
+		"shed":           bytes.Replace(data, []byte("\nshed 3\n"), []byte("\nshed x\n"), 1),
+	})
 }
 
 // TestSiteFlagValidation pins the -site flag's error cases.

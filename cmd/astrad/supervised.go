@@ -93,21 +93,17 @@ func (d *daemon) rebuild(s *siteDaemon, snap siteSnapshot) (*stream.Sharded, *ov
 func (d *daemon) runSite(ctx context.Context, s *siteDaemon) error {
 	eng, q, cp := s.engine(), s.queue(), s.resumeCP
 	if !s.primed.CompareAndSwap(true, false) {
-		sec := *s.section.Load()
-		pcp, shed, recs, alarms, rest, err := parseSectionV4(sec, s.id, 0)
-		if err == nil && len(rest) != 0 {
-			err = fmt.Errorf("astrad: site %s: %d trailing bytes in section", s.id, len(rest))
-		}
+		snap, err := parseSection(*s.section.Load(), s.id)
 		if err != nil {
 			// The section was authored by this process, so this is a bug,
 			// not an I/O fault — but a cold restart beats no restart.
 			d.log.Warn("site section unreadable; rebuilding from scratch", "site", s.id, "err", err)
-			pcp, shed, recs, alarms = syslog.Checkpoint{}, 0, nil, nil
+			snap = siteSnapshot{id: s.id}
 		}
-		s.alarms.replace(alarms)
-		eng, q = d.rebuild(s, siteSnapshot{id: s.id, cp: pcp, shed: shed, recs: recs})
-		cp = pcp
-		d.log.Info("site pipeline rebuilt", "site", s.id, "records", len(recs), "offset", cp.Offset)
+		s.alarms.replace(snap.alarms)
+		eng, q = d.rebuild(s, snap)
+		cp = snap.cp
+		d.log.Info("site pipeline rebuilt", "site", s.id, "records", len(snap.recs), "offset", cp.Offset)
 	}
 
 	f, err := os.Open(s.logPath)
@@ -129,7 +125,7 @@ func (d *daemon) runSite(ctx context.Context, s *siteDaemon) error {
 		s.alarms.replace(nil)
 		eng, q = d.rebuild(s, siteSnapshot{id: s.id})
 		cp = syslog.Checkpoint{}
-		if sec, err := marshalSiteSectionV4(cp, 0, nil, nil); err == nil {
+		if sec, err := marshalSection(siteSnapshot{}); err == nil {
 			s.section.Store(&sec)
 		}
 	}
