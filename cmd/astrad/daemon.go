@@ -22,7 +22,6 @@ import (
 	"repro/internal/stream"
 	"repro/internal/supervise"
 	"repro/internal/syslog"
-	"repro/internal/topology"
 )
 
 // siteSpec names one tailed log: a site id for the /v1/sites URL space
@@ -654,7 +653,7 @@ func (r *stateReader) section() (snap siteSnapshot, err error) {
 		return snap, r.fail("records: %d DUE and %d HET records in a CE-only section", len(recs.DUEs), len(recs.HETs))
 	}
 	for i := range recs.CEs {
-		if err := checkRecord(&recs.CEs[i]); err != nil {
+		if err := recs.CEs[i].CheckRanges(); err != nil {
 			return snap, r.fail("record %d: %v", i, err)
 		}
 	}
@@ -662,32 +661,6 @@ func (r *stateReader) section() (snap siteSnapshot, err error) {
 	snap.recs = recs.CEs
 	snap.alarms, err = r.alarms()
 	return snap, err
-}
-
-// checkRecord holds a restored CE to the field ranges the syslog grammar
-// enforces on a CE line. A text section got them from the parser; a
-// colfmt blob carries any value, and the engine indexes by these fields,
-// so a record the scanner could never have emitted is corruption.
-func checkRecord(rec *mce.CERecord) error {
-	switch {
-	case !rec.Node.Valid():
-		return fmt.Errorf("node %d out of range", rec.Node)
-	case !rec.Slot.Valid() || rec.Socket != rec.Slot.Socket():
-		return fmt.Errorf("slot %d on socket %d out of range", rec.Slot, rec.Socket)
-	case rec.Rank < 0 || rec.Rank >= topology.RanksPerDIMM:
-		return fmt.Errorf("rank %d out of range", rec.Rank)
-	case rec.Bank < 0 || rec.Bank >= topology.BanksPerRank:
-		return fmt.Errorf("bank %d out of range", rec.Bank)
-	case rec.RowRaw < 0 || rec.RowRaw >= topology.RowsPerBank:
-		return fmt.Errorf("row %d out of range", rec.RowRaw)
-	case rec.Col < 0 || rec.Col >= topology.ColsPerRow:
-		return fmt.Errorf("col %d out of range", rec.Col)
-	case rec.BitPos < 0 || rec.BitPos > 1<<20:
-		return fmt.Errorf("bitpos %d out of range", rec.BitPos)
-	case !rec.Addr.Valid():
-		return fmt.Errorf("addr %#x out of range", uint64(rec.Addr))
-	}
-	return nil
 }
 
 // unmarshal verifies a state image's seal and parses it into per-site

@@ -478,6 +478,8 @@ func TestStateRoundTrip(t *testing.T) {
 	due := colfmt.Records{CEs: ces[:10], DUEs: []mce.DUERecord{{Time: ces[0].Time, Node: ces[0].Node}}}
 	badBank := append([]mce.CERecord(nil), ces[:10]...)
 	badBank[4].Bank = topology.BanksPerRank
+	badLineBit := append([]mce.CERecord(nil), ces[:10]...)
+	badLineBit[6].BitPos = 0x3ff
 	rejectSealed(t, map[string][]byte{
 		"empty":                nil,
 		"header":               []byte("nope\n"),
@@ -489,6 +491,7 @@ func TestStateRoundTrip(t *testing.T) {
 		"records-flipped-byte": flipped,
 		"records-due":          spliceBlob(t, data, 0, due),
 		"records-bad-bank":     spliceBlob(t, data, 0, colfmt.Records{CEs: badBank}),
+		"records-bad-linebit":  spliceBlob(t, data, 0, colfmt.Records{CEs: badLineBit}),
 	})
 	// The splice itself is sound: the same blob, re-encoded, still loads.
 	if _, err := unmarshal(sealState(spliceBlob(t, data, 0, colfmt.Records{CEs: ces[:10]}))); err != nil {

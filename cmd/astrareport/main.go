@@ -8,9 +8,13 @@
 //	astrareport -nodes 432 -figures table1,fig4a
 //	astrareport -from-syslog astra-data/astra-syslog.log -seed 1
 //
-// When analyzing an existing syslog, the environmental and inventory
-// sections are reconstructed from -seed (they are deterministic), so the
-// report is identical to the generate-and-analyze path for matching flags.
+// When analyzing an existing syslog, the study context the log does not
+// carry — the environmental model, the inventory and the EDAC loss
+// accounting — is rebuilt from -seed and -nodes (it is deterministic)
+// without generating a synthetic record stream, so the report is
+// identical to the generate-and-analyze path for matching flags. The
+// last line's EDAC loss is the rebuilt fleet's; its fault and CE counts
+// are the log's.
 package main
 
 import (
@@ -99,7 +103,7 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	study, err := buildStudy(ctx, *seed, *nodes, *workers, *fromSyslog, dataset.IngestPolicy{
+	study, err := buildStudy(ctx, os.Stdout, *seed, *nodes, *workers, *fromSyslog, dataset.IngestPolicy{
 		DedupWindow:      *dedupWindow,
 		ReorderWindow:    *reorderWin,
 		MaxMalformedFrac: -1,
@@ -144,7 +148,13 @@ func main() {
 			fail(err)
 		}
 	}
-	fmt.Printf("faults: %d; CE records: %d; EDAC loss: %.2f%%\n",
+	fmt.Print(footer(study))
+}
+
+// footer is the report's last line: the study's fault and CE record
+// counts and its fleet's EDAC loss.
+func footer(study *astra.Study) string {
+	return fmt.Sprintf("faults: %d; CE records: %d; EDAC loss: %.2f%%\n",
 		len(study.Faults), len(study.Dataset.CERecords), 100*study.Dataset.EdacStats.LossFraction())
 }
 
@@ -193,20 +203,29 @@ func writeSVGs(ctx context.Context, dir string, study *astra.Study, r *astra.Res
 	return nil
 }
 
-// buildStudy either runs the synthetic pipeline or replaces its CE/DUE/HET
-// streams with records read from an existing file — merged syslog text or
-// a columnar records.col replay, sniffed automatically. External logs are
-// never trusted: text passes through the tolerant ingest policy (columnar
-// files are checksummed instead), any records still out of order afterwards
-// are repaired by core.SanitizeRecords, and an ingest-health section is
-// printed so the reader can judge how dirty the input was.
-func buildStudy(ctx context.Context, seed uint64, nodes, workers int, fromSyslog string, pol dataset.IngestPolicy) (*astra.Study, error) {
-	study, err := astra.Run(ctx, astra.Options{Seed: seed, Nodes: nodes, Parallelism: workers})
+// buildStudy either runs the synthetic pipeline or analyzes records read
+// from an existing file — merged syslog text or a columnar records.col
+// replay, sniffed automatically. For a file, dataset.BuildFleet rebuilds
+// from seed and nodes only the context the file cannot carry: the
+// telemetry model, the inventory, the ground-truth population the
+// -experiments table checks DUEs against, and the EDAC loss accounting
+// the last line reports; no synthetic record stream is generated or
+// clustered. External logs are never trusted: text passes through the
+// tolerant ingest policy (columnar files are checksummed instead), any
+// records still out of order afterwards are repaired by
+// core.SanitizeRecords, and an ingest-health section is written to w so
+// the reader can judge how dirty the input was.
+func buildStudy(ctx context.Context, w io.Writer, seed uint64, nodes, workers int, fromSyslog string, pol dataset.IngestPolicy) (*astra.Study, error) {
+	opts := astra.Options{Seed: seed, Nodes: nodes, Parallelism: workers}
+	if fromSyslog == "" {
+		return astra.Run(ctx, opts)
+	}
+	cfg := dataset.DefaultConfig(seed)
+	cfg.Nodes = nodes
+	cfg.Parallelism = workers
+	ds, err := dataset.BuildFleet(ctx, cfg)
 	if err != nil {
 		return nil, err
-	}
-	if fromSyslog == "" {
-		return study, nil
 	}
 	f, err := os.Open(fromSyslog)
 	if err != nil {
@@ -227,15 +246,12 @@ func buildStudy(ctx context.Context, seed uint64, nodes, workers int, fromSyslog
 	} else {
 		san = core.SanitizeReport{In: san.In, Out: san.In}
 	}
-	fmt.Printf("parsed %d lines (%d malformed) from %s\n", rep.Lines, rep.Malformed, fromSyslog)
-	fmt.Println(report.IngestHealth(rep, san))
-	study.Dataset.CERecords = ces
-	study.Dataset.DUERecords = dues
-	study.Dataset.HETRecords = hets
+	fmt.Fprintf(w, "parsed %d lines (%d malformed) from %s\n", rep.Lines, rep.Malformed, fromSyslog)
+	fmt.Fprintln(w, report.IngestHealth(rep, san))
+	ds.CERecords, ds.DUERecords, ds.HETRecords = ces, dues, hets
 	faults, err := core.Cluster(ctx, ces, core.DefaultClusterConfig())
 	if err != nil {
 		return nil, err
 	}
-	study.Faults = faults
-	return study, nil
+	return &astra.Study{Options: opts, Dataset: ds, Faults: faults}, nil
 }

@@ -90,6 +90,43 @@ type Dataset struct {
 // as a *parallel.PanicError instead of crashing the process.
 func Build(ctx context.Context, cfg Config) (ds *Dataset, err error) {
 	defer parallel.Recover(&err)
+	if ds, err = newFleet(ctx, cfg); err != nil {
+		return nil, err
+	}
+	if err := ds.runEdac(ctx); err != nil {
+		return nil, err
+	}
+	if err := ds.encodeDUEs(ctx); err != nil {
+		return nil, err
+	}
+	if err := ds.buildHET(ctx); err != nil {
+		return nil, err
+	}
+	return ds, nil
+}
+
+// BuildFleet builds the study context Build does — the normalised Config,
+// the ground-truth population, the telemetry model, the inventory and
+// the EDAC loss accounting, all equal to Build's for the same cfg — and
+// no record streams: CERecords, DUERecords and HETRecords stay nil. It
+// serves analyses whose records come from elsewhere, such as a logged
+// syslog, and skips the record encoding that would be thrown away.
+// Errors and panics surface as in Build.
+func BuildFleet(ctx context.Context, cfg Config) (ds *Dataset, err error) {
+	defer parallel.Recover(&err)
+	if ds, err = newFleet(ctx, cfg); err != nil {
+		return nil, err
+	}
+	if err := ds.countEdacLoss(ctx); err != nil {
+		return nil, err
+	}
+	return ds, nil
+}
+
+// newFleet is what Build and BuildFleet share: it normalises cfg, then
+// generates the fault population, the telemetry model and (if enabled)
+// the inventory.
+func newFleet(ctx context.Context, cfg Config) (*Dataset, error) {
 	if cfg.Nodes <= 0 {
 		return nil, fmt.Errorf("dataset: Nodes = %d", cfg.Nodes)
 	}
@@ -114,16 +151,7 @@ func Build(ctx context.Context, cfg Config) (ds *Dataset, err error) {
 	if err != nil {
 		return nil, err
 	}
-	ds = &Dataset{Config: cfg, Pop: pop, Env: envmodel.New(cfg.Seed, cfg.Env)}
-	if err := ds.runEdac(ctx); err != nil {
-		return nil, err
-	}
-	if err := ds.encodeDUEs(ctx); err != nil {
-		return nil, err
-	}
-	if err := ds.buildHET(ctx); err != nil {
-		return nil, err
-	}
+	ds := &Dataset{Config: cfg, Pop: pop, Env: envmodel.New(cfg.Seed, cfg.Env)}
 	if cfg.Inventory {
 		if err := ctx.Err(); err != nil {
 			return nil, err
@@ -135,6 +163,32 @@ func Build(ctx context.Context, cfg Config) (ds *Dataset, err error) {
 		ds.Inventory = hist
 	}
 	return ds, nil
+}
+
+// countEdacLoss fills EdacStats without encoding a record: each node's
+// event minutes go through the same per-node pollers runEdac uses, with
+// an empty payload and a flush that keeps nothing. A poller's counts
+// depend only on its node's minute sequence, so the totals equal runEdac's.
+func (ds *Dataset) countEdacLoss(ctx context.Context) error {
+	pollers := make([]*edac.Poller[struct{}], ds.Config.Nodes)
+	discard := func([]struct{}) {}
+	for i, ev := range ds.Pop.CEs {
+		if err := parallel.Poll(ctx, i); err != nil {
+			return err
+		}
+		p := pollers[ev.Node]
+		if p == nil {
+			p = edac.NewPoller[struct{}](ds.Config.EdacCapacity, ds.Config.PollMinutes, discard)
+			pollers[ev.Node] = p
+		}
+		p.Offer(int64(ev.Minute), struct{}{})
+	}
+	for _, p := range pollers {
+		if p != nil {
+			ds.EdacStats.Add(p.Close())
+		}
+	}
+	return nil
 }
 
 // runEdac pushes the generated CE stream through per-node pollers,

@@ -2,6 +2,8 @@ package dataset
 
 import (
 	"bytes"
+	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -283,6 +285,62 @@ func TestBuildParallelMatchesSerial(t *testing.T) {
 	for i := range serial.HETRecords {
 		if serial.HETRecords[i] != par.HETRecords[i] {
 			t.Fatalf("HET record %d differs", i)
+		}
+	}
+}
+
+// BuildFleet is Build without the record streams: everything else it
+// returns must equal Build's at every parallelism, for a 1-node fleet,
+// for fleets that lose CEs to the EDAC log, and with a log small enough
+// that most bursts overflow it.
+func TestBuildFleetMatchesBuild(t *testing.T) {
+	cases := []struct {
+		seed     uint64
+		nodes    int
+		capacity int
+		lossy    bool
+	}{
+		{seed: 5, nodes: 48, lossy: true},
+		{seed: 9, nodes: 64, lossy: true},
+		{seed: 3, nodes: 1},
+		{seed: 3, nodes: 16, capacity: 4, lossy: true},
+	}
+	for _, tc := range cases {
+		for _, par := range []int{1, 2, 4} {
+			cfg := DefaultConfig(tc.seed)
+			cfg.Nodes = tc.nodes
+			cfg.EdacCapacity = tc.capacity
+			cfg.Parallelism = par
+			name := fmt.Sprintf("seed %d nodes %d capacity %d parallelism %d", tc.seed, tc.nodes, tc.capacity, par)
+			full, err := Build(testCtx, cfg)
+			if err != nil {
+				t.Fatalf("%s: Build: %v", name, err)
+			}
+			fleet, err := BuildFleet(testCtx, cfg)
+			if err != nil {
+				t.Fatalf("%s: BuildFleet: %v", name, err)
+			}
+			if fleet.EdacStats != full.EdacStats {
+				t.Errorf("%s: EDAC stats %+v, Build's %+v", name, fleet.EdacStats, full.EdacStats)
+			}
+			if tc.lossy && full.EdacStats.Dropped == 0 {
+				t.Errorf("%s: no EDAC loss to reproduce", name)
+			}
+			if !reflect.DeepEqual(fleet.Config, full.Config) {
+				t.Errorf("%s: Config %+v, Build's %+v", name, fleet.Config, full.Config)
+			}
+			if !reflect.DeepEqual(fleet.Pop, full.Pop) {
+				t.Errorf("%s: population differs from Build's", name)
+			}
+			if !reflect.DeepEqual(fleet.Inventory, full.Inventory) {
+				t.Errorf("%s: inventory differs from Build's", name)
+			}
+			if !reflect.DeepEqual(fleet.Env, full.Env) {
+				t.Errorf("%s: env model differs from Build's", name)
+			}
+			if fleet.CERecords != nil || fleet.DUERecords != nil || fleet.HETRecords != nil {
+				t.Errorf("%s: BuildFleet encoded records", name)
+			}
 		}
 	}
 }

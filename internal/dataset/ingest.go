@@ -95,8 +95,9 @@ func ReadSyslogPolicy(r io.Reader, pol IngestPolicy) (ces []mce.CERecord, dues [
 // from either a columnar replay file (colfmt) or a merged syslog text
 // stream. The colfmt path bypasses text parsing entirely: the report's
 // Lines/Malformed counters stay zero (the format is checksummed, not
-// tolerated — any corruption is a hard error) and the ingest policy's
-// tolerance knobs do not apply. Text input goes through
+// tolerated — any corruption, or a CE record outside the ranges
+// mce.CERecord.CheckRanges enforces, is a hard error) and the ingest
+// policy's tolerance knobs do not apply. Text input goes through
 // ReadSyslogPolicy unchanged.
 func ReadRecords(r io.Reader, pol IngestPolicy) (ces []mce.CERecord, dues []mce.DUERecord, hets []het.Record, rep IngestReport, err error) {
 	br := bufio.NewReaderSize(r, 64*1024)
@@ -107,6 +108,11 @@ func ReadRecords(r io.Reader, pol IngestPolicy) (ces []mce.CERecord, dues []mce.
 	recs, err := colfmt.Read(br)
 	if err != nil {
 		return nil, nil, nil, rep, fmt.Errorf("dataset: columnar read: %w", err)
+	}
+	for i := range recs.CEs {
+		if err := recs.CEs[i].CheckRanges(); err != nil {
+			return nil, nil, nil, rep, fmt.Errorf("dataset: columnar read: CE record %d: %w", i, err)
+		}
 	}
 	rep.CEs = len(recs.CEs)
 	rep.DUEs = len(recs.DUEs)

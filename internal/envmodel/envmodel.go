@@ -93,7 +93,7 @@ func DefaultParams() Params {
 // and the static bias at most ±UtilBiasSpan, so around utilBase = 0.52
 // utilization stays strictly inside (0, 1) without clamping — keeping the
 // closed-form window means exact.
-var utilComponents = []struct {
+var utilComponents = [...]struct {
 	amp    float64
 	period float64 // minutes
 }{
@@ -112,34 +112,54 @@ const (
 type Model struct {
 	seed   uint64
 	params Params
+	// nodes holds every node's static terms, indexed by NodeID, so an
+	// evaluation reads them instead of hashing them; the Fig 9 analysis
+	// makes four window-mean evaluations per CE record.
+	nodes []nodeTerms
 }
 
-// New builds a model from a seed and parameters.
+// nodeTerms are one node's utilization-independent model terms.
+type nodeTerms struct {
+	// utilBias is the static utilization offset in
+	// [-UtilBiasSpan, +UtilBiasSpan].
+	utilBias float64
+	// phase is the phase of each utilization component, in [0, 2π).
+	phase [len(utilComponents)]float64
+	// temp is each temperature sensor's static part and utilization
+	// gain, indexed by Sensor.
+	temp [topology.SensorDIMMJLNP + 1]struct{ static, gain float64 }
+}
+
+// New builds a model from a seed and parameters. It computes every node's
+// static terms up front (~330 KB for the whole machine), with the same
+// expressions, and so the same bits, as evaluating them on demand.
 func New(seed uint64, params Params) *Model {
-	return &Model{seed: simrand.Hash64(seed, simrand.HashString("envmodel")), params: params}
+	m := &Model{seed: simrand.Hash64(seed, simrand.HashString("envmodel")), params: params}
+	m.nodes = make([]nodeTerms, topology.Nodes)
+	for i := range m.nodes {
+		node, nt := topology.NodeID(i), &m.nodes[i]
+		nt.utilBias = (2*simrand.HashUnit(m.seed, 0x01, uint64(node)) - 1) * params.UtilBiasSpan
+		for c := range nt.phase {
+			nt.phase[c] = 2 * math.Pi * simrand.HashUnit(m.seed, 0x02, uint64(node), uint64(c))
+		}
+		for _, s := range topology.TemperatureSensors() {
+			nt.temp[s].static, nt.temp[s].gain = m.tempTerms(node, s)
+		}
+	}
+	return m
 }
 
 // Params returns the model's calibration.
 func (m *Model) Params() Params { return m.params }
 
-// utilBias is the static per-node utilization offset in
-// [-UtilBiasSpan, +UtilBiasSpan].
-func (m *Model) utilBias(node topology.NodeID) float64 {
-	return (2*simrand.HashUnit(m.seed, 0x01, uint64(node)) - 1) * m.params.UtilBiasSpan
-}
-
-// phase returns the node's phase for utilization component c, in [0, 2π).
-func (m *Model) phase(node topology.NodeID, c int) float64 {
-	return 2 * math.Pi * simrand.HashUnit(m.seed, 0x02, uint64(node), uint64(c))
-}
-
 // Utilization returns the node's instantaneous utilization in (0, 1) at
 // the given minute.
 func (m *Model) Utilization(node topology.NodeID, t simtime.Minute) float64 {
-	u := utilBase + m.utilBias(node)
+	nt := &m.nodes[node]
+	u := utilBase + nt.utilBias
 	for c, comp := range utilComponents {
 		w := 2 * math.Pi / comp.period
-		u += comp.amp * math.Sin(w*float64(t)+m.phase(node, c))
+		u += comp.amp * math.Sin(w*float64(t)+nt.phase[c])
 	}
 	u += utilNoiseAmp * simrand.HashNorm(m.seed, 0x03, uint64(node), uint64(t))
 	return u
@@ -154,12 +174,13 @@ func (m *Model) utilizationWindowMean(node topology.NodeID, start simtime.Minute
 	if n <= 0 {
 		panic("envmodel: window length must be positive")
 	}
-	u := utilBase + m.utilBias(node)
+	nt := &m.nodes[node]
+	u := utilBase + nt.utilBias
 	a := float64(start)
 	b := float64(start + simtime.Minute(n))
 	for c, comp := range utilComponents {
 		w := 2 * math.Pi / comp.period
-		phi := m.phase(node, c)
+		phi := nt.phase[c]
 		u += comp.amp * (math.Cos(w*a+phi) - math.Cos(w*b+phi)) / (w * (b - a))
 	}
 	u += utilNoiseAmp / math.Sqrt(float64(n)) *
@@ -168,18 +189,25 @@ func (m *Model) utilizationWindowMean(node topology.NodeID, start simtime.Minute
 }
 
 // tempStatic returns the utilization-independent part of a temperature
-// sensor's reading: base + airflow-depth offset + node offset + rack
-// offset.
+// sensor's reading and its utilization gain, from the node's terms.
 func (m *Model) tempStatic(node topology.NodeID, s topology.Sensor) (static, gain float64) {
+	if !s.IsTemperature() {
+		panic("envmodel: tempStatic on non-temperature sensor")
+	}
+	t := &m.nodes[node].temp[s]
+	return t.static, t.gain
+}
+
+// tempTerms computes what tempStatic returns: base + airflow-depth offset
+// + node offset + rack offset (+ region gradient), and the sensor kind's
+// gain.
+func (m *Model) tempTerms(node topology.NodeID, s topology.Sensor) (static, gain float64) {
 	p := m.params
 	var base, depthSpan, nodeSigma float64
-	switch {
-	case s == topology.SensorCPU1 || s == topology.SensorCPU2:
-		base, gain, depthSpan, nodeSigma = p.CPUBase, p.CPUGain, p.CPUDepthSpan, p.CPUNodeSigma
-	case s.IsDIMM():
+	if s.IsDIMM() {
 		base, gain, depthSpan, nodeSigma = p.DIMMBase, p.DIMMGain, p.DIMMDepthSpan, p.DIMMNodeSigma
-	default:
-		panic("envmodel: tempStatic on non-temperature sensor")
+	} else {
+		base, gain, depthSpan, nodeSigma = p.CPUBase, p.CPUGain, p.CPUDepthSpan, p.CPUNodeSigma
 	}
 	static = base + depthSpan*topology.AirflowDepth(s)
 	static += nodeSigma * simrand.HashNorm(m.seed, 0x05, uint64(node), uint64(s))

@@ -1,6 +1,8 @@
 package envmodel
 
 import (
+	"encoding/binary"
+	"hash/fnv"
 	"math"
 	"testing"
 
@@ -264,6 +266,15 @@ func TestWindowMeanPanicsOnBadWindow(t *testing.T) {
 	testModel().WindowMean(0, topology.SensorCPU1, 0, 0)
 }
 
+func TestTrueValuePanicsOnUnknownSensor(t *testing.T) {
+	defer func() {
+		if r := recover(); r != "envmodel: tempStatic on non-temperature sensor" {
+			t.Fatalf("recovered %v, want the non-temperature sensor panic", r)
+		}
+	}()
+	testModel().TrueValue(0, topology.NumSensors, 0)
+}
+
 func BenchmarkTrueValue(b *testing.B) {
 	m := testModel()
 	start := simtime.MinuteOf(simtime.EnvStart)
@@ -277,5 +288,65 @@ func BenchmarkWindowMeanMonth(b *testing.B) {
 	start := simtime.MinuteOf(simtime.EnvStart)
 	for i := 0; i < b.N; i++ {
 		m.WindowMean(topology.NodeID(i%topology.Nodes), topology.SensorDIMMACEG, start, simtime.MinutesPerMonth)
+	}
+}
+
+// TestModelDigest pins every exported evaluation bit for bit: a digest of
+// math.Float64bits over Utilization, TrueValue, Sample, WindowMean,
+// MonthlyMean and MeanBefore at each Fig 9 window, for nodes at both ends
+// and the middle of the machine, every sensor, and a spread of minutes
+// across the environmental window. The tolerance tests above would pass
+// a model that drifted by an ulp; this one fails on any change to a
+// single output bit, under the default calibration and one with a
+// region gradient.
+func TestModelDigest(t *testing.T) {
+	grad := DefaultParams()
+	grad.RegionGradientC = 0.7
+	models := []*Model{New(42, DefaultParams()), New(7, grad)}
+	windows := []int64{simtime.MinutesPerHour, simtime.MinutesPerDay, simtime.MinutesPerWeek, simtime.MinutesPerMonth}
+	start := simtime.MinuteOf(simtime.EnvStart)
+	firstMonth, lastMonth := simtime.MonthKey(simtime.EnvStart), simtime.MonthKey(simtime.EnvEnd)
+
+	h := fnv.New64a()
+	var buf [8]byte
+	put := func(v float64) {
+		binary.LittleEndian.PutUint64(buf[:], math.Float64bits(v))
+		h.Write(buf[:])
+	}
+	invalid := 0
+	for _, m := range models {
+		for _, node := range []topology.NodeID{0, 1, 1295, topology.Nodes - 1} {
+			for i := 0; i < 2000; i++ {
+				put(m.Utilization(node, start+simtime.Minute(97*i)))
+			}
+			for s := topology.Sensor(0); s < topology.NumSensors; s++ {
+				for i := 0; i < 2000; i++ {
+					at := start + simtime.Minute(97*i)
+					put(m.TrueValue(node, s, at))
+					v, valid := m.Sample(node, s, at)
+					put(v)
+					if !valid {
+						invalid++
+						put(-1)
+					}
+					if i%10 == 0 {
+						for _, n := range windows {
+							put(m.WindowMean(node, s, at, n))
+							put(m.MeanBefore(node, s, at, n))
+						}
+					}
+				}
+				for month := firstMonth; month <= lastMonth; month++ {
+					put(m.MonthlyMean(node, s, month))
+				}
+			}
+		}
+	}
+	if invalid == 0 {
+		t.Error("no invalid sample drawn: the digest does not cover Sample's garbage modes")
+	}
+	const want uint64 = 0xe05c7337158dee14
+	if got := h.Sum64(); got != want {
+		t.Errorf("model digest = %#x, want %#x", got, want)
 	}
 }

@@ -68,6 +68,35 @@ type CERecord struct {
 // vendor-encoded BitPos field.
 func (r CERecord) LineBit() int { return r.BitPos & 0x3ff }
 
+// CheckRanges holds a CE record from outside the program to the field
+// ranges the syslog grammar parses into, and its line-bit position to at
+// most topology.MaxLineBitPosition. The analyses index by these fields,
+// so every record source (syslog text, colfmt files, astrad state)
+// rejects a record that fails this check rather than analyze it.
+func (r CERecord) CheckRanges() error {
+	switch {
+	case !r.Node.Valid():
+		return fmt.Errorf("mce: node %d out of range", r.Node)
+	case !r.Slot.Valid() || r.Socket != r.Slot.Socket():
+		return fmt.Errorf("mce: slot %d on socket %d out of range", r.Slot, r.Socket)
+	case r.Rank < 0 || r.Rank >= topology.RanksPerDIMM:
+		return fmt.Errorf("mce: rank %d out of range", r.Rank)
+	case r.Bank < 0 || r.Bank >= topology.BanksPerRank:
+		return fmt.Errorf("mce: bank %d out of range", r.Bank)
+	case r.RowRaw < 0 || r.RowRaw >= topology.RowsPerBank:
+		return fmt.Errorf("mce: row %d out of range", r.RowRaw)
+	case r.Col < 0 || r.Col >= topology.ColsPerRow:
+		return fmt.Errorf("mce: col %d out of range", r.Col)
+	case r.BitPos < 0 || r.BitPos > 1<<20:
+		return fmt.Errorf("mce: bitpos %d out of range", r.BitPos)
+	case r.LineBit() > topology.MaxLineBitPosition:
+		return fmt.Errorf("mce: bitpos %#x: line bit %d beyond %d", r.BitPos, r.LineBit(), topology.MaxLineBitPosition)
+	case !r.Addr.Valid():
+		return fmt.Errorf("mce: addr %#x out of range", uint64(r.Addr))
+	}
+	return nil
+}
+
 // DUERecord is a detected-uncorrectable-error record from the machine-check
 // path.
 type DUERecord struct {

@@ -543,11 +543,15 @@ func (d *Decoder) parseCEBytes(line []byte) (mce.CERecord, error) {
 	if err != nil {
 		return mce.CERecord{}, err
 	}
-	return mce.CERecord{
+	rec := mce.CERecord{
 		Time: ts, Node: node, Socket: int(socket), Slot: slot,
 		Rank: int(rank), Bank: int(bank), RowRaw: int(row), Col: int(col),
 		BitPos: int(bitpos), Addr: topology.PhysAddr(addr), Syndrome: uint8(syndrome),
-	}, nil
+	}
+	if err := rec.CheckRanges(); err != nil {
+		return mce.CERecord{}, err
+	}
+	return rec, nil
 }
 
 // parseSlotBytes parses a slot letter in place, deferring to ParseSlot for

@@ -35,7 +35,7 @@ func randCE(rng *rand.Rand) mce.CERecord {
 		Bank:     rng.Intn(topology.BanksPerRank),
 		RowRaw:   rng.Intn(topology.RowsPerBank),
 		Col:      rng.Intn(topology.ColsPerRow),
-		BitPos:   rng.Intn(1 << 20),
+		BitPos:   rng.Intn(1<<10)<<10 | rng.Intn(topology.MaxLineBitPosition+1),
 		Addr:     topology.PhysAddr(rng.Int63n(topology.NodeMemBytes)),
 		Syndrome: uint8(rng.Intn(256)),
 	}

@@ -2,19 +2,24 @@ package syslog
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"reflect"
 	"strings"
 	"testing"
 	"time"
 	"unicode/utf8"
+
+	"repro/internal/core"
+	"repro/internal/mce"
 )
 
 // FuzzParseLine asserts the parser's contract on arbitrary bytes: it never
-// panics, and every error it returns is classified as exactly one of the
-// two corruption categories. The seed corpus covers the realistic dirty
-// inputs the corrupt package produces: truncations at every interesting
-// boundary, garbled fields, binary noise, and torn/merged lines.
+// panics, every error it returns is classified as exactly one of the
+// two corruption categories, and every CE it accepts clusters without
+// panicking. The seed corpus covers the realistic dirty inputs the
+// corrupt package produces: truncations at every interesting boundary,
+// garbled fields, binary noise, and torn/merged lines.
 func FuzzParseLine(f *testing.F) {
 	ce := FormatCE(sampleCE())
 	due := FormatDUE(sampleDUE())
@@ -29,6 +34,9 @@ func FuzzParseLine(f *testing.F) {
 		// Garbling: bad values, duplicate fields, swapped bytes.
 		strings.Replace(ce, "rank=1", "rank=zz", 1),
 		strings.Replace(ce, "socket=1", "socket=9", 1),
+		// In the grammar's bitpos range, but line bit 0x3ff is past the
+		// last codeword bit (topology.MaxLineBitPosition).
+		strings.Replace(ce, "bitpos=0x1e21", "bitpos=0x03ff", 1),
 		ce + " rank=1",
 		strings.Replace(due, "fatal=1", "fatal=yes", 1),
 		strings.Replace(hetLine, "severity=", "sev eritY=", 1),
@@ -81,6 +89,11 @@ func FuzzParseLine(f *testing.F) {
 		}
 		if p.Kind == KindOther {
 			return
+		}
+		if p.Kind == KindCE {
+			if _, err := core.Cluster(context.Background(), []mce.CERecord{p.CE}, core.DefaultClusterConfig()); err != nil {
+				t.Errorf("accepted CE does not cluster: %v\n line: %q", err, line)
+			}
 		}
 		// A successfully parsed record must format back to a valid line
 		// that parses to the same record (canonicalization is allowed to

@@ -278,11 +278,15 @@ func parseCE(line string) (mce.CERecord, error) {
 	if err != nil {
 		return mce.CERecord{}, err
 	}
-	return mce.CERecord{
+	rec := mce.CERecord{
 		Time: ts, Node: node, Socket: int(socket), Slot: slot,
 		Rank: int(rank), Bank: int(bank), RowRaw: int(row), Col: int(col),
 		BitPos: int(bitpos), Addr: topology.PhysAddr(addr), Syndrome: uint8(syndrome),
-	}, nil
+	}
+	if err := rec.CheckRanges(); err != nil {
+		return mce.CERecord{}, err
+	}
+	return rec, nil
 }
 
 func parseDUE(line string) (mce.DUERecord, error) {

@@ -110,7 +110,7 @@ func TestCERoundTripProperty(t *testing.T) {
 			Bank:     cell.Bank,
 			RowRaw:   cell.Row,
 			Col:      cell.Col,
-			BitPos:   int(bit16) % (1 << 16),
+			BitPos:   int(bit16)&^0x3ff | int(bit16)%(topology.MaxLineBitPosition+1),
 			Addr:     topology.EncodePhysAddr(cell, 0),
 			Syndrome: syn,
 		}
