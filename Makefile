@@ -20,7 +20,9 @@ test:
 # the hostile-input parsers (syslog lines, the block-parallel scanner's
 # serial-differential, the columnar decoder, dataset manifests, and the
 # astrad state ladder, seeded with sealed v5 images and the oversized
-# header counts that once killed the loader).
+# header counts that once killed the loader) and over the incremental
+# bank classification (random Add/Merge/AppendFaults interleavings must
+# equal a fresh classification, Errors included).
 # ASTRA_CRASH_TESTS=1 additionally sweeps the kill/resume differential
 # test over every I/O operation instead of its default 24-point sample.
 # The online subsystem gets an explicit race-enabled pass: the stream
@@ -46,6 +48,7 @@ verify:
 	$(GO) test -run '^$$' -fuzz '^FuzzManifest$$' -fuzztime 5s ./internal/atomicio
 	$(GO) test -run '^$$' -fuzz '^FuzzLoadStateLadder$$' -fuzztime 5s ./cmd/astrad
 	$(GO) test -run '^$$' -fuzz '^FuzzRiskEndpoint$$' -fuzztime 5s ./internal/serve
+	$(GO) test -run '^$$' -fuzz '^FuzzBankStateIncremental$$' -fuzztime 5s ./internal/core
 	@if [ -n "$$ASTRA_CRASH_TESTS" ]; then ASTRA_CRASH_TESTS=1 $(GO) test -run 'TestExportCrashResumeDifferential' ./internal/dataset; fi
 	@if [ -n "$$ASTRA_BENCH_GUARD" ]; then $(MAKE) bench-guard; fi
 

@@ -85,7 +85,8 @@ func TestDaemonAlarmLedgerSurvivesRestart(t *testing.T) {
 	statePath := filepath.Join(dir, "astrad.state")
 
 	cut := bytes.LastIndexByte(full[:len(full)/2], '\n') + 1
-	if err := os.WriteFile(logPath, full[:cut], 0o644); err != nil {
+	quarter := bytes.LastIndexByte(full[:cut/2], '\n') + 1
+	if err := os.WriteFile(logPath, full[:quarter], 0o644); err != nil {
 		t.Fatal(err)
 	}
 
@@ -93,7 +94,32 @@ func TestDaemonAlarmLedgerSurvivesRestart(t *testing.T) {
 	// alarms, so the fixture's first half is guaranteed to populate the
 	// ledger.
 	extra := []string{"-risk-threshold", "0.1", "-checkpoint-every", "50ms"}
-	_, cancel, done, errs := startDaemonArgs(t, logPath, statePath, extra...)
+	addr, cancel, done, errs := startDaemonArgs(t, logPath, statePath, extra...)
+
+	// Checkpoints fire only between scanned records, so however fast the
+	// scan, let the first quarter settle into the engine and the interval
+	// pass before the second quarter arrives: its first record captures a
+	// checkpoint whose ledger covers the first quarter's banks.
+	settled, prev := 0, -1
+	for deadline := time.Now().Add(10 * time.Second); settled < 3; {
+		var h struct {
+			Records int `json:"records"`
+		}
+		if code := httpGetJSON(t, "http://"+addr+"/healthz", &h); code != http.StatusOK {
+			t.Fatalf("healthz = %d", code)
+		}
+		if h.Records > 0 && h.Records == prev {
+			settled++
+		} else {
+			settled = 0
+		}
+		prev = h.Records
+		if time.Now().After(deadline) {
+			t.Fatalf("first quarter never settled (%d records)", h.Records)
+		}
+		time.Sleep(30 * time.Millisecond)
+	}
+	appendLog(t, logPath, full[quarter:cut])
 
 	// Wait until a checkpoint carrying alarms lands on disk. The state
 	// file is written atomically, but the generation ladder can leave a
@@ -137,16 +163,9 @@ func TestDaemonAlarmLedgerSurvivesRestart(t *testing.T) {
 	}
 
 	// Phase 2: the rest of the log, restart over the same state.
-	f, err := os.OpenFile(logPath, os.O_APPEND|os.O_WRONLY, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.Write(full[cut:]); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
+	appendLog(t, logPath, full[cut:])
 
-	addr, cancel, done, errs := startDaemonArgs(t, logPath, statePath, extra...)
+	addr, cancel, done, errs = startDaemonArgs(t, logPath, statePath, extra...)
 	waitForRecords(t, addr, len(ces))
 
 	// Feature state rebuilt exactly: the served ranking agrees with a
@@ -216,5 +235,20 @@ func TestDaemonAlarmLedgerSurvivesRestart(t *testing.T) {
 		if got != at {
 			t.Fatalf("alarm for %v re-stamped: %d -> %d", k, at, got)
 		}
+	}
+}
+
+// appendLog appends data to the log at path, as a writer would.
+func appendLog(t *testing.T, path string, data []byte) {
+	t.Helper()
+	f, err := os.OpenFile(path, os.O_APPEND|os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Write(data); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
 	}
 }

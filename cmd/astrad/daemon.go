@@ -254,12 +254,21 @@ func (d *daemon) overloadStatus() overload.Status {
 	return overload.Status{Queue: q, Breaker: d.breaker.Stats()}
 }
 
+// admitBatch caps how many CEs the scan loop holds before handing them to
+// the admission queue.
+const admitBatch = 1024
+
 // ingest is one site's scan loop: tail the log through the hardened
 // scanner and offer every CE to the site's admission queue. The drainer —
 // not this goroutine — feeds the engine, so a slow clustering step backs
 // up into the queue (visible, bounded, shed by policy) instead of into
-// the tail. The follower is rotation-tolerant: after a rotation the
-// scanner's checkpoint offsets live in stream coordinates, so every
+// the tail. CEs reach the queue in batches, one lock and one drainer wake
+// each: a batch is flushed whenever the tail is about to wait for the log
+// to grow (so a caught-up daemon holds nothing back), before every
+// checkpoint capture (whose Freeze must see every record the captured
+// offset covers), at admitBatch records, and when the scan ends. The
+// follower is rotation-tolerant: after a rotation the scanner's
+// checkpoint offsets live in stream coordinates, so every
 // capture is translated into current-file coordinates first — an offset
 // that still points into a rotated-away segment skips the capture (and
 // is counted) rather than recording an unusable resume point. It returns
@@ -267,27 +276,40 @@ func (d *daemon) overloadStatus() overload.Status {
 // held, so the shutdown path can persist the exact resume point once the
 // queue has drained.
 func (d *daemon) ingest(ctx context.Context, s *siteDaemon, q *overload.Queue[mce.CERecord], f *os.File, cp syslog.Checkpoint) (syslog.Checkpoint, bool, error) {
-	follower := syslog.NewFollower(ctx, f, syslog.TailConfig{Poll: d.cfg.poll, Path: s.logPath})
-	sc := syslog.NewScannerConfig(follower, d.scanConfig())
-	if err := sc.Restore(cp); err != nil {
-		return cp, false, err
-	}
-	last := time.Now()
-	// Tail stats only move at rotation events, so republishing them per
-	// record would add a lock acquisition to the hot path for nothing.
-	lastTail := follower.Stats()
-	s.publishTail(lastTail)
-	for sc.Scan() {
-		if rec := sc.Record(); rec.Kind == syslog.KindCE {
-			q.Offer(rec.CE)
-		}
+	var (
+		follower *syslog.Follower
+		sc       *syslog.Scanner
+		batch    = make([]mce.CERecord, 0, admitBatch)
+		lastTail syslog.TailStats
+	)
+	// flush admits the batch and publishes the scan and tail accounting
+	// it covers (tail stats only move at rotations, so they are compared
+	// before taking the lock).
+	flush := func() {
+		q.OfferBatch(batch)
+		batch = batch[:0]
 		s.publishStats(sc.Stats())
 		if st := follower.Stats(); st != lastTail {
 			lastTail = st
 			s.publishTail(st)
 		}
 		s.offset.Store(sc.Offset())
+	}
+	follower = syslog.NewFollower(ctx, f, syslog.TailConfig{Poll: d.cfg.poll, Path: s.logPath, OnWait: flush})
+	sc = syslog.NewScannerConfig(follower, d.scanConfig())
+	if err := sc.Restore(cp); err != nil {
+		return cp, false, err
+	}
+	last := time.Now()
+	s.publishTail(lastTail)
+	for sc.Scan() {
+		if rec := sc.Record(); rec.Kind == syslog.KindCE {
+			if batch = append(batch, rec.CE); len(batch) == admitBatch {
+				flush()
+			}
+		}
 		if d.cfg.statePath != "" && time.Since(last) >= d.cfg.checkpointSec {
+			flush()
 			if fcp, ok := d.translate(s, follower, sc.Checkpoint()); ok {
 				if err := d.snapshotSection(s, fcp); err != nil {
 					d.log.Warn("checkpoint snapshot failed", "site", s.id, "err", err)
@@ -298,9 +320,7 @@ func (d *daemon) ingest(ctx context.Context, s *siteDaemon, q *overload.Queue[mc
 			last = time.Now()
 		}
 	}
-	s.publishStats(sc.Stats())
-	s.publishTail(follower.Stats())
-	s.offset.Store(sc.Offset())
+	flush()
 
 	err := sc.Err()
 	if errors.Is(err, syslog.ErrTailStopped) {

@@ -49,6 +49,14 @@
 // Log rotation (rename-and-recreate or copytruncate) is absorbed by the
 // tail without losing records or checkpoint continuity.
 //
+// Answers follow the log within milliseconds. The tail is woken by
+// writes to the log (inotify on Linux) rather than polling it, so -poll
+// is only the longest wait on an idle log (and the polling interval
+// where no watch can be set up). Each site's scan loop admits CEs to its
+// queue in batches, flushed whenever the tail waits for more input, and
+// each engine bank re-derives its faults only from what changed since
+// the last answer.
+//
 // Usage:
 //
 //	astrad -log astra-data/astra-syslog.log -state astrad.state -listen 127.0.0.1:9137
@@ -125,7 +133,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	fs.StringVar(&cfg.listen, "listen", "127.0.0.1:9137", "HTTP listen address")
 	fs.IntVar(&cfg.dedupWindow, "dedup-window", 64, "suppress record lines identical to one of the last N (0 disables)")
 	fs.DurationVar(&cfg.reorderWindow, "reorder-window", 5*time.Minute, "resequence records arriving up to this much late (0 disables)")
-	fs.DurationVar(&cfg.poll, "poll", syslog.DefaultTailPoll, "log growth poll interval")
+	fs.DurationVar(&cfg.poll, "poll", syslog.DefaultTailPoll, "longest wait between growth checks on an idle log; writes wake the tail at once")
 	fs.DurationVar(&cfg.checkpointSec, "checkpoint-every", 30*time.Second, "minimum interval between periodic checkpoints")
 	fs.IntVar(&cfg.dimms, "dimms", topology.DIMMs, "DIMM population per site for FIT denominators")
 	fs.DurationVar(&cfg.window, "window", stream.DefaultWindow, "rolling event-time window for rates and FIT")

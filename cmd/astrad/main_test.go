@@ -116,7 +116,7 @@ func startDaemon(t *testing.T, logPath, statePath string) (addr string, cancel c
 	args := []string{
 		"-log", logPath, "-state", statePath, "-listen", "127.0.0.1:0",
 		"-dedup-window", fmt.Sprint(testDedup), "-reorder-window", testReorder.String(),
-		"-poll", "1ms", "-checkpoint-every", "100ms",
+		"-checkpoint-every", "100ms",
 		"-dimms", fmt.Sprint(48 * topology.SlotsPerNode),
 	}
 	go func() { done <- run(ctx, args, io.Discard, errs) }()
@@ -568,7 +568,7 @@ func TestDaemonSIGTERMBinary(t *testing.T) {
 
 	cmd := exec.Command(bin,
 		"-log", logPath, "-state", statePath, "-listen", "127.0.0.1:0",
-		"-poll", "1ms", "-checkpoint-every", "100ms")
+		"-checkpoint-every", "100ms")
 	errs := &syncBuf{}
 	cmd.Stderr = errs
 	if err := cmd.Start(); err != nil {

@@ -26,7 +26,7 @@ func startDaemonArgs(t *testing.T, logPath, statePath string, extra ...string) (
 	args := append([]string{
 		"-log", logPath, "-state", statePath, "-listen", "127.0.0.1:0",
 		"-dedup-window", fmt.Sprint(testDedup), "-reorder-window", testReorder.String(),
-		"-poll", "1ms", "-checkpoint-every", "100ms",
+		"-checkpoint-every", "100ms",
 		"-dimms", fmt.Sprint(48 * topology.SlotsPerNode),
 	}, extra...)
 	go func() { done <- run(ctx, args, io.Discard, errs) }()
@@ -192,7 +192,7 @@ func TestDaemonKillUnderBacklogDifferential(t *testing.T) {
 	cmd := exec.Command(bin,
 		"-log", logPath, "-state", statePath, "-listen", "127.0.0.1:0",
 		"-dedup-window", fmt.Sprint(testDedup), "-reorder-window", testReorder.String(),
-		"-poll", "1ms", "-checkpoint-every", "20ms",
+		"-checkpoint-every", "20ms",
 		"-drain-batch", "16", "-drain-interval", "2ms")
 	errs := &syncBuf{}
 	cmd.Stderr = errs

@@ -485,7 +485,7 @@ func TestDaemonSiteFaultIsolation(t *testing.T) {
 		"-site", "east=" + pathA, "-site", "west=" + pathB,
 		"-state", statePath, "-listen", "127.0.0.1:0",
 		"-dedup-window", fmt.Sprint(testDedup), "-reorder-window", testReorder.String(),
-		"-poll", "1ms", "-checkpoint-every", "50ms", "-state-keep", "3",
+		"-checkpoint-every", "50ms", "-state-keep", "3",
 		"-dimms", fmt.Sprint(48 * topology.SlotsPerNode),
 		"-restart-backoff", "1ms", "-restart-backoff-max", "5ms", "-restart-budget", "2",
 	}

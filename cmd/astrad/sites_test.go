@@ -178,7 +178,7 @@ func TestDaemonMultiSiteFederationRestart(t *testing.T) {
 			"-site", "east=" + pathA, "-site", "west=" + pathB,
 			"-state", statePath, "-listen", "127.0.0.1:0",
 			"-dedup-window", fmt.Sprint(testDedup), "-reorder-window", testReorder.String(),
-			"-poll", "1ms", "-checkpoint-every", "50ms",
+			"-checkpoint-every", "50ms",
 			"-dimms", fmt.Sprint(48 * topology.SlotsPerNode),
 			"-partitions", fmt.Sprint(partitions),
 		}

@@ -13,9 +13,10 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"math/bits"
-	"sort"
+	"slices"
 	"time"
 
 	"repro/internal/faultmodel"
@@ -84,7 +85,10 @@ type Fault struct {
 	NErrors int
 	// First and Last bound the fault's observed activity.
 	First, Last time.Time
-	// Errors are indices into the input record slice, in input order.
+	// Errors are indices into the input record slice: each word's errors
+	// in input order, words in address order. Callers must not mutate
+	// Errors: a one-word fault's list aliases its BankState's, which the
+	// stream engine keeps appending to.
 	Errors []int
 }
 
@@ -145,12 +149,15 @@ type lineBits struct {
 	n     int
 }
 
-func (b *lineBits) set(i int) {
+// set adds bit i and reports whether it was new.
+func (b *lineBits) set(i int) bool {
 	w, m := i>>6, uint64(1)<<(i&63)
-	if b.words[w]&m == 0 {
-		b.words[w] |= m
-		b.n++
+	if b.words[w]&m != 0 {
+		return false
 	}
+	b.words[w] |= m
+	b.n++
+	return true
 }
 
 // union folds another bitset in, keeping the distinct-bit count exact.
@@ -172,6 +179,9 @@ type wordGroup struct {
 	firstBit    int
 	errors      []int
 	first, last time.Time
+	// shape indexes the cached fault (BankState.shapes) the word belongs
+	// to while the bank's classification is valid.
+	shape int32
 }
 
 // BankState accumulates the word groups of one bank, one CE record at a
@@ -181,8 +191,102 @@ type wordGroup struct {
 // AppendFaults. Classification is a pure function of the accumulated
 // state, so the order queries interleave with Add calls never changes the
 // resulting faults.
+//
+// Re-deriving costs only what changed. Classification reads the set of
+// words, each word's anchor fields (fixed when the word first appears)
+// and whether it holds exactly one distinct bit, so the last result is
+// kept and rerun only when a word appears, a word's distinct-bit count
+// leaves 1, or a Merge happens. Between those, Add keeps each cached
+// fault's NErrors, First and Last current, and AppendFaults rebuilds the
+// Errors of just the faults whose words gained errors.
 type BankState struct {
 	words map[topology.PhysAddr]*wordGroup
+
+	// The cached classification: valid until an input of it changes,
+	// for the key and thresholds it was derived under. sorted holds the
+	// classified words by address, added the words not yet merged into
+	// it; shapes' member slices point into sorted.
+	valid  bool
+	key    BankKey
+	cfg    ClusterConfig
+	sorted []*wordGroup
+	added  []*wordGroup
+	shapes []faultShape
+}
+
+// faultShape is one classified fault and the word groups it covers.
+// NErrors, First and Last are tallied when the shape is classified and
+// kept current by Add; fill rebuilds Errors once the words gained errors
+// (stale), and tallies afresh when Add could not decide (retally).
+type faultShape struct {
+	f              Fault
+	groups         []*wordGroup
+	stale, retally bool
+}
+
+// tally sets the fault's NErrors, First and Last from its words.
+func (s *faultShape) tally() {
+	f := &s.f
+	f.NErrors = 0
+	f.First, f.Last = s.groups[0].first, s.groups[0].last
+	for _, g := range s.groups {
+		f.NErrors += len(g.errors)
+		if g.first.Before(f.First) {
+			f.First = g.first
+		}
+		if g.last.After(f.Last) {
+			f.Last = g.last
+		}
+	}
+	s.stale, s.retally = true, false
+}
+
+// note folds one more error of a member word, at time t, into the
+// tallied fields: a new extreme is the fault's, whichever word holds it.
+// Only a tie with a differently represented equal instant (another
+// location; == compares representations) makes tally's answer depend on
+// word order, so that case is left to a fresh tally.
+func (s *faultShape) note(t time.Time) {
+	f := &s.f
+	f.NErrors++
+	switch {
+	case t.Before(f.First):
+		f.First = t
+	case t.Equal(f.First) && t != f.First:
+		s.retally = true
+	}
+	switch {
+	case t.After(f.Last):
+		f.Last = t
+	case t.Equal(f.Last) && t != f.Last:
+		s.retally = true
+	}
+	s.stale = true
+}
+
+// fill returns the fault with Errors current. A one-word fault's Errors
+// is a capped alias of the word's append-only list, so later appends
+// land past its length and a fault returned earlier keeps its contents;
+// a multi-word fault concatenates its words in address order.
+func (s *faultShape) fill() Fault {
+	if s.retally {
+		s.tally()
+	}
+	if !s.stale {
+		return s.f
+	}
+	s.stale = false
+	f := &s.f
+	if len(s.groups) == 1 {
+		errs := s.groups[0].errors
+		f.Errors = errs[:len(errs):len(errs)]
+	} else {
+		f.Errors = make([]int, 0, f.NErrors)
+		for _, g := range s.groups {
+			f.Errors = append(f.Errors, g.errors...)
+		}
+	}
+	return *f
 }
 
 // NewBankState returns an empty accumulator.
@@ -207,14 +311,22 @@ func (b *BankState) Add(i int, r *mce.CERecord) {
 			last:     r.Time,
 		}
 		b.words[r.Addr] = g
+		b.added = append(b.added, g)
+		b.valid = false
 	}
-	g.bits.set(r.LineBit())
+	if g.bits.set(r.LineBit()) && g.bits.n == 2 {
+		// The word stopped being single-bit.
+		b.valid = false
+	}
 	g.errors = append(g.errors, i)
 	if r.Time.Before(g.first) {
 		g.first = r.Time
 	}
 	if r.Time.After(g.last) {
 		g.last = r.Time
+	}
+	if b.valid {
+		b.shapes[g.shape].note(r.Time)
 	}
 }
 
@@ -235,10 +347,12 @@ func (b *BankState) Errors() int {
 // order), so b's first-seen anchor fields win and o's errors append after
 // b's — exactly the serial Add order.
 func (b *BankState) Merge(o *BankState) {
+	b.valid = false
 	for addr, og := range o.words {
 		g, ok := b.words[addr]
 		if !ok {
 			b.words[addr] = og
+			b.added = append(b.added, og)
 			continue
 		}
 		g.bits.union(&og.bits)
@@ -260,13 +374,24 @@ func (b *BankState) Merge(o *BankState) {
 // masquerade as a bank fault). The accumulator is not consumed: the same
 // state can be classified again after further Add calls.
 func (b *BankState) AppendFaults(faults []Fault, key BankKey, cfg ClusterConfig) []Fault {
-	// Deterministic order: by address.
-	groups := make([]*wordGroup, 0, len(b.words))
-	for _, g := range b.words {
-		groups = append(groups, g)
+	cfg.Parallelism = 0 // not a classification input
+	if !b.valid || key != b.key || cfg != b.cfg {
+		// Deterministic order: by address.
+		b.sorted = insertWordGroups(b.sorted, b.added)
+		b.added = b.added[:0]
+		b.shapes = classifyGroups(b.shapes[:0], key, b.sorted, cfg)
+		for i := range b.shapes {
+			b.shapes[i].tally()
+			for _, g := range b.shapes[i].groups {
+				g.shape = int32(i)
+			}
+		}
+		b.valid, b.key, b.cfg = true, key, cfg
 	}
-	sortWordGroups(groups)
-	return classifyGroups(faults, key, groups, cfg)
+	for i := range b.shapes {
+		faults = append(faults, b.shapes[i].fill())
+	}
+	return faults
 }
 
 // Cluster groups CE records into faults and classifies each fault's mode.
@@ -414,9 +539,14 @@ func (bg *bankGroups) merge(o bankGroups) {
 // out as its own fault when the bank also has stragglers.
 const dominanceFrac = 0.8
 
-func classifyGroups(faults []Fault, key BankKey, groups []*wordGroup, cfg ClusterConfig) []Fault {
+// classifyGroups appends the faults of address-sorted word groups as
+// shapes; every member slice it stores is a subslice of groups or freshly
+// built, so it stays valid while groups is.
+func classifyGroups(shapes []faultShape, key BankKey, groups []*wordGroup, cfg ClusterConfig) []faultShape {
 	base := Fault{Node: key.Node, Slot: key.Slot, Rank: int(key.Rank), Bank: int(key.Bank), Col: -1, Bit: -1}
-	wordFault := func(g *wordGroup) Fault {
+	// wordFault classifies the one word groups[i].
+	wordFault := func(groups []*wordGroup, i int) faultShape {
+		g := groups[i]
 		f := base
 		f.Addr = g.addr
 		if g.bits.n == 1 {
@@ -425,15 +555,14 @@ func classifyGroups(faults []Fault, key BankKey, groups []*wordGroup, cfg Cluste
 		} else {
 			f.Mode = ModeSingleWord
 		}
-		mergeGroups(&f, []*wordGroup{g})
-		return f
+		return faultShape{f: f, groups: groups[i : i+1]}
 	}
 
 	switch len(groups) {
 	case 0:
-		return faults
+		return shapes
 	case 1:
-		return append(faults, wordFault(groups[0]))
+		return append(shapes, wordFault(groups, 0))
 	}
 
 	// Column structure of the bank.
@@ -449,8 +578,7 @@ func classifyGroups(faults []Fault, key BankKey, groups []*wordGroup, cfg Cluste
 		f := base
 		f.Mode = ModeSingleColumn
 		f.Col = groups[0].col
-		mergeGroups(&f, groups)
-		return append(faults, f)
+		return append(shapes, faultShape{f: f, groups: groups})
 	}
 
 	// Row structure (ablation only: the platform's row bits are opaque).
@@ -462,14 +590,13 @@ func classifyGroups(faults []Fault, key BankKey, groups []*wordGroup, cfg Cluste
 		if len(byRow) == 1 && len(groups) >= cfg.RowMinWords {
 			f := base
 			f.Mode = ModeSingleRow
-			mergeGroups(&f, groups)
-			return append(faults, f)
+			return append(shapes, faultShape{f: f, groups: groups})
 		}
 	}
 
 	// Two scattered words: two independent word-level faults.
 	if len(groups) == 2 {
-		return append(faults, wordFault(groups[0]), wordFault(groups[1]))
+		return append(shapes, wordFault(groups, 0), wordFault(groups, 1))
 	}
 
 	// A dominant column with a few stragglers: carve out the column
@@ -478,50 +605,48 @@ func classifyGroups(faults []Fault, key BankKey, groups []*wordGroup, cfg Cluste
 		f := base
 		f.Mode = ModeSingleColumn
 		f.Col = domCol
-		mergeGroups(&f, byCol[domCol])
-		faults = append(faults, f)
+		shapes = append(shapes, faultShape{f: f, groups: byCol[domCol]})
 		var rest []*wordGroup
 		for _, g := range groups {
 			if g.col != domCol {
 				rest = append(rest, g)
 			}
 		}
-		return classifyGroups(faults, key, rest, cfg)
+		return classifyGroups(shapes, key, rest, cfg)
 	}
 
 	// Many scattered words: one bank fault.
 	if len(groups) >= cfg.BankMinWords {
 		f := base
 		f.Mode = ModeSingleBank
-		mergeGroups(&f, groups)
-		return append(faults, f)
+		return append(shapes, faultShape{f: f, groups: groups})
 	}
-	for _, g := range groups {
-		faults = append(faults, wordFault(g))
+	for i := range groups {
+		shapes = append(shapes, wordFault(groups, i))
 	}
-	return faults
+	return shapes
 }
 
-// mergeGroups folds word groups into a fault.
-func mergeGroups(f *Fault, groups []*wordGroup) {
-	for i, g := range groups {
-		if i == 0 {
-			f.First, f.Last = g.first, g.last
+// insertWordGroups merges added into the address-sorted sorted (in
+// place when capacity allows) and returns the result. Addresses are
+// distinct, so the order is total.
+func insertWordGroups(sorted, added []*wordGroup) []*wordGroup {
+	if len(added) == 0 {
+		return sorted
+	}
+	slices.SortFunc(added, func(a, b *wordGroup) int { return cmp.Compare(a.addr, b.addr) })
+	i, j := len(sorted)-1, len(added)-1
+	sorted = append(sorted, added...)
+	for k := len(sorted) - 1; j >= 0; k-- {
+		if i >= 0 && sorted[i].addr > added[j].addr {
+			sorted[k] = sorted[i]
+			i--
 		} else {
-			if g.first.Before(f.First) {
-				f.First = g.first
-			}
-			if g.last.After(f.Last) {
-				f.Last = g.last
-			}
+			sorted[k] = added[j]
+			j--
 		}
-		f.NErrors += len(g.errors)
-		f.Errors = append(f.Errors, g.errors...)
 	}
-}
-
-func sortWordGroups(groups []*wordGroup) {
-	sort.Slice(groups, func(a, b int) bool { return groups[a].addr < groups[b].addr })
+	return sorted
 }
 
 // TrueModeObservable maps a ground-truth fault mode to the mode a perfect

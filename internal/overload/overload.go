@@ -17,10 +17,10 @@
 //     checkpoint cadence instead of wedging ingest).
 //
 // The queue sits between the syslog follower and the stream engine. The
-// scanner goroutine Offers records; a drainer goroutine Takes batches
-// and feeds the engine; the checkpoint path uses Freeze to observe a
-// consistent (engine records + queued records) snapshot without ever
-// blocking Offer behind a disk write.
+// scanner goroutine Offers records, singly or in batches; a drainer
+// goroutine Takes batches and feeds the engine; the checkpoint path uses
+// Freeze to observe a consistent (engine records + queued records)
+// snapshot without ever blocking Offer behind a disk write.
 package overload
 
 import (
@@ -170,12 +170,46 @@ func NewQueue[T any](cfg Config) *Queue[T] {
 // reported to Config.OnShed.
 func (q *Queue[T]) Offer(v T) bool {
 	q.mu.Lock()
+	admitted, shed := q.offerLocked(v)
+	if admitted {
+		q.avail.Signal()
+	}
+	q.mu.Unlock()
+	q.noteShed(shed)
+	return admitted
+}
+
+// OfferBatch presents vs for admission in order and returns how many were
+// admitted. Every admission, shed and hysteresis decision is the one
+// len(vs) Offer calls would make, but the batch takes the lock once,
+// wakes the drainer once and reports its sheds to Config.OnShed in one
+// call.
+func (q *Queue[T]) OfferBatch(vs []T) int {
+	admitted, shed := 0, 0
+	q.mu.Lock()
+	for _, v := range vs {
+		a, s := q.offerLocked(v)
+		if a {
+			admitted++
+		}
+		shed += s
+	}
+	if admitted > 0 {
+		q.avail.Signal()
+	}
+	q.mu.Unlock()
+	q.noteShed(shed)
+	return admitted
+}
+
+// offerLocked decides one record's admission under the lock: whether it
+// was admitted, and how many records that decision shed (the record
+// itself, or the oldest one it evicted).
+func (q *Queue[T]) offerLocked(v T) (admitted bool, shed int) {
 	q.offered++
 	if q.closed {
 		q.rejected++
-		q.mu.Unlock()
-		q.noteShed(1)
-		return false
+		return false, 1
 	}
 	// Hysteresis: enter shedding at High, leave at Low.
 	if !q.saturated && q.n >= q.cfg.High {
@@ -187,9 +221,7 @@ func (q *Queue[T]) Offer(v T) bool {
 	if q.saturated || q.n >= q.cfg.Capacity {
 		if q.cfg.Policy == PolicyReject || q.n == 0 {
 			q.rejected++
-			q.mu.Unlock()
-			q.noteShed(1)
-			return false
+			return false, 1
 		}
 		// PolicyDropOldest: evict the head, admit the newcomer.
 		var zero T
@@ -198,19 +230,16 @@ func (q *Queue[T]) Offer(v T) bool {
 		q.n--
 		q.evicted++
 		q.push(v)
-		q.mu.Unlock()
-		q.noteShed(1)
-		return true
+		return true, 1
 	}
 	q.push(v)
-	q.mu.Unlock()
-	return true
+	return true, 0
 }
 
 // minRing is the initial ring size.
 const minRing = 64
 
-// push appends under the lock and wakes the drainer.
+// push appends under the lock; the caller wakes the drainer.
 func (q *Queue[T]) push(v T) {
 	if q.n == len(q.buf) {
 		q.grow()
@@ -218,7 +247,6 @@ func (q *Queue[T]) push(v T) {
 	q.buf[(q.head+q.n)%len(q.buf)] = v
 	q.n++
 	q.admitted++
-	q.avail.Signal()
 }
 
 // grow doubles the full ring, up to Capacity, and unwraps it so the

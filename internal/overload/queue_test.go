@@ -172,6 +172,76 @@ func TestQueueDropOldestPolicy(t *testing.T) {
 	checkBooks(t, st)
 }
 
+// TestQueueOfferBatchMatchesOffer: OfferBatch makes exactly the
+// admission, shed and hysteresis decisions of one Offer per record —
+// same queue contents, same books, same shed total — under both policies
+// and across watermark crossings and Close, while reporting each batch's
+// sheds to OnShed in one call.
+func TestQueueOfferBatchMatchesOffer(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for _, policy := range []Policy{PolicyReject, PolicyDropOldest} {
+		var oneShed, batchShed, batchCalls int
+		one := NewQueue[int](Config{Capacity: 16, High: 12, Low: 5, Policy: policy,
+			OnShed: func(n int) { oneShed += n }})
+		batch := NewQueue[int](Config{Capacity: 16, High: 12, Low: 5, Policy: policy,
+			OnShed: func(n int) { batchShed += n; batchCalls++ }})
+		next := 0
+		for step := 0; step < 400; step++ {
+			if step == 350 {
+				one.Close()
+				batch.Close()
+			}
+			if rng.Intn(3) == 0 && (one.Depth() > 0 || step >= 350) {
+				k := rng.Intn(9)
+				a, _ := one.Take(k)
+				b, _ := batch.Take(k)
+				one.Done()
+				batch.Done()
+				if !equalInts(a, b) {
+					t.Fatalf("%v step %d: Take %v vs %v", policy, step, a, b)
+				}
+				continue
+			}
+			vs := make([]int, rng.Intn(20))
+			admitted := 0
+			for i := range vs {
+				vs[i] = next
+				next++
+				if one.Offer(vs[i]) {
+					admitted++
+				}
+			}
+			calls := batchCalls
+			if got := batch.OfferBatch(vs); got != admitted {
+				t.Fatalf("%v step %d: OfferBatch admitted %d, Offer %d", policy, step, got, admitted)
+			}
+			if batchCalls > calls+1 {
+				t.Fatalf("%v step %d: one batch made %d OnShed calls", policy, step, batchCalls-calls)
+			}
+			if so, sb := one.Stats(), batch.Stats(); so != sb {
+				t.Fatalf("%v step %d: stats\n Offer      %+v\n OfferBatch %+v", policy, step, so, sb)
+			}
+		}
+		st := batch.Stats()
+		checkBooks(t, st)
+		if st.Shed == 0 || st.Saturations == 0 || oneShed != batchShed || uint64(batchShed) != st.Shed {
+			t.Fatalf("%v: shed %d (Offer saw %d, OfferBatch %d), saturations %d", policy, st.Shed, oneShed, batchShed, st.Saturations)
+		}
+	}
+}
+
+func equalInts(a, b []int) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			return false
+		}
+	}
+	return true
+}
+
 func TestQueueCloseDrainsThenStops(t *testing.T) {
 	q := NewQueue[int](Config{Capacity: 8})
 	q.Offer(1)

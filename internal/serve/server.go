@@ -414,13 +414,17 @@ func (s *Server) cached(siteScoped bool, render renderFunc) http.HandlerFunc {
 }
 
 // etagMatch implements If-None-Match: a literal *, or any entity-tag in
-// the comma-separated list equal to the current tag.
+// the comma-separated list that matches the current tag under the weak
+// comparison RFC 9110 §13.1.2 prescribes for If-None-Match — opaque tags
+// compared with any W/ prefix ignored, so a tag a compressing proxy
+// weakened still revalidates.
 func etagMatch(header, etag string) bool {
 	if strings.TrimSpace(header) == "*" {
 		return true
 	}
+	etag = strings.TrimPrefix(etag, "W/")
 	for _, part := range strings.Split(header, ",") {
-		if strings.TrimSpace(part) == etag {
+		if strings.TrimPrefix(strings.TrimSpace(part), "W/") == etag {
 			return true
 		}
 	}

@@ -158,12 +158,19 @@ func (w *RateWindow) Count(now time.Time) int {
 
 // Rate returns events per second over the window ending at now.
 func (w *RateWindow) Rate(now time.Time) float64 {
+	_, r := w.CountRate(now)
+	return r
+}
+
+// CountRate returns Count(now) and Rate(now) from one pass over the
+// ring, for callers that report both.
+func (w *RateWindow) CountRate(now time.Time) (int, float64) {
 	c := w.Count(now)
 	secs := w.Window().Seconds()
 	if secs <= 0 {
-		return 0
+		return c, 0
 	}
-	return float64(c) / secs
+	return c, float64(c) / secs
 }
 
 // Late returns the number of events dropped for preceding the retained

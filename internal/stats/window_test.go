@@ -24,6 +24,9 @@ func TestRateWindowBasic(t *testing.T) {
 	if r := w.Rate(at(61 * time.Second)); r != 4.0/60.0 {
 		t.Fatalf("Rate = %v, want %v", r, 4.0/60.0)
 	}
+	if c, r := w.CountRate(at(61 * time.Second)); c != 4 || r != 4.0/60.0 {
+		t.Fatalf("CountRate = %d, %v, want 4, %v", c, r, 4.0/60.0)
+	}
 }
 
 func TestRateWindowOutOfOrderWithinWindow(t *testing.T) {

@@ -539,14 +539,9 @@ func (s *Sharded) buildView() *View {
 	for _, p := range s.parts {
 		for i := range p.nodeStates {
 			ns := &p.nodeStates[i]
-			v.nodes[ns.node] = NodeStatus{
-				Node:        ns.node,
-				CEs:         ns.ces,
-				First:       ns.first,
-				Last:        ns.last,
-				WindowCount: ns.rw.Count(last),
-				WindowRate:  ns.rw.Rate(last),
-			}
+			st := NodeStatus{Node: ns.node, CEs: ns.ces, First: ns.first, Last: ns.last}
+			st.WindowCount, st.WindowRate = ns.rw.CountRate(last)
+			v.nodes[ns.node] = st
 		}
 	}
 	s.view.Store(v)

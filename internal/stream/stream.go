@@ -732,6 +732,7 @@ func (e *Engine) Summary() Summary {
 func (e *Engine) summaryLocked() Summary {
 	e.reclassify()
 	shed := int(e.shed.Load())
+	windowCount, windowRate := e.rate.CountRate(e.last)
 	return Summary{
 		Records:      len(e.records),
 		First:        e.first,
@@ -744,8 +745,8 @@ func (e *Engine) summaryLocked() Summary {
 		ErrorsByMode: e.errorsByMode,
 		Escalations:  e.escalations,
 		Window:       e.cfg.Window,
-		WindowCount:  e.rate.Count(e.last),
-		WindowRate:   e.rate.Rate(e.last),
+		WindowCount:  windowCount,
+		WindowRate:   windowRate,
 		Shed:         shed,
 		Offered:      len(e.records) + shed,
 		Degraded:     shed > 0,
@@ -879,14 +880,8 @@ func (e *Engine) nodeStatusLocked(id topology.NodeID, end time.Time) (NodeStatus
 	}
 	e.reclassify()
 	ns := &e.nodeStates[nsIdx]
-	st := NodeStatus{
-		Node:        id,
-		CEs:         ns.ces,
-		First:       ns.first,
-		Last:        ns.last,
-		WindowCount: ns.rw.Count(end),
-		WindowRate:  ns.rw.Rate(end),
-	}
+	st := NodeStatus{Node: id, CEs: ns.ces, First: ns.first, Last: ns.last}
+	st.WindowCount, st.WindowRate = ns.rw.CountRate(end)
 	if e.bankOverflow == nil {
 		// ns.banks indexes this node's entries in first-appearance order, a
 		// subsequence of the global entry order.

@@ -220,14 +220,9 @@ func (e *Engine) buildViewLocked() *View {
 	}
 	for i := range e.nodeStates {
 		ns := &e.nodeStates[i]
-		v.nodes[ns.node] = NodeStatus{
-			Node:        ns.node,
-			CEs:         ns.ces,
-			First:       ns.first,
-			Last:        ns.last,
-			WindowCount: ns.rw.Count(e.last),
-			WindowRate:  ns.rw.Rate(e.last),
-		}
+		st := NodeStatus{Node: ns.node, CEs: ns.ces, First: ns.first, Last: ns.last}
+		st.WindowCount, st.WindowRate = ns.rw.CountRate(e.last)
+		v.nodes[ns.node] = st
 	}
 	e.view.Store(v)
 	return v

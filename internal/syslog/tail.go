@@ -41,23 +41,36 @@ var ErrTailLineTooLong = errors.New("syslog: tail: unterminated line exceeds buf
 // line could not be parsed anyway.
 const maxTailLine = 1 << 20
 
-// DefaultTailPoll is the growth-poll interval used when TailConfig leaves
-// Poll zero.
+// DefaultTailPoll is the idle ceiling used when TailConfig leaves Poll
+// zero.
 const DefaultTailPoll = 200 * time.Millisecond
 
 // TailConfig tunes a Follower.
 type TailConfig struct {
-	// Poll is how long to wait before re-reading after the file stops
-	// yielding data (0 means DefaultTailPoll).
+	// Poll is the longest wait between growth checks on an idle log (0
+	// means DefaultTailPoll). A follower that watches Path wakes as soon
+	// as the log is written and waits the full Poll only when nothing
+	// happens; one without a watch sleeps Poll between checks.
 	Poll time.Duration
-	// Path enables rotation tolerance. When set and the reader is an
-	// *os.File, the follower stats Path at each idle poll: an inode
-	// change (classic rename-and-recreate rotation) drops the torn
-	// partial line, reopens Path from offset 0 and keeps streaming; a
-	// same-inode shrink (copytruncate) seeks back to 0. Stream offsets
-	// stay monotonic across the switch — FileOffset translates them back
-	// into current-file coordinates for checkpointing.
+	// Path enables rotation tolerance and the write-woken tail. When set
+	// and the reader is an *os.File, the follower watches Path (inotify
+	// on Linux) and blocks until the log is written instead of sleeping;
+	// where no watch can be set up it sleeps Poll. It stats Path for
+	// rotation when the watch reports a move, delete, attribute change or
+	// a new file at Path, when a write wake finds nothing new to read,
+	// and at every Poll ceiling: an inode change (classic
+	// rename-and-recreate rotation) drops the torn partial line, reopens
+	// Path from offset 0 and keeps streaming; a same-inode shrink
+	// (copytruncate) seeks back to 0. Stream offsets stay monotonic
+	// across the switch — FileOffset translates them back into
+	// current-file coordinates for checkpointing.
 	Path string
+	// OnWait, when set, runs on the reading goroutine each time the
+	// follower has released every complete line and is about to wait for
+	// the log to change: the point where a consumer batching downstream
+	// work should flush it, since nothing more arrives until the wait
+	// ends.
+	OnWait func()
 }
 
 // TailStats counts the rotation events a Follower has absorbed.
@@ -78,15 +91,26 @@ type TailStats struct {
 // whole lines: bytes after the last newline are held back until their
 // terminator arrives, so every byte a downstream Scanner consumes — and
 // therefore every offset a Checkpoint records — is a line boundary in the
-// file. At end of data it polls for growth instead of reporting EOF;
+// file. At end of data it waits for growth instead of reporting EOF;
 // cancelling the context ends the stream with ErrTailStopped once the
-// buffered complete lines are drained.
+// buffered complete lines are drained, and releases the watch.
 //
 // Follower is not concurrency-safe; it is read from one scanner loop.
 type Follower struct {
-	ctx  context.Context
-	r    io.Reader
-	poll time.Duration
+	ctx    context.Context
+	r      io.Reader
+	poll   time.Duration
+	onWait func()
+
+	// watch wakes the follower when the log changes (nil: sleep poll).
+	// statDue asks for a rotation check at the next idle point: set by a
+	// rotation-class event and at every poll ceiling. quietWake marks a
+	// write wake; still set at the idle point, it means the write left
+	// nothing to read — a truncation, or bytes an earlier read already
+	// took — and asks for the same check.
+	watch     *tailWatch
+	statDue   bool
+	quietWake bool
 
 	buf   []byte // raw bytes read from r, not yet handed out
 	pos   int    // next byte of buf to hand out
@@ -121,7 +145,7 @@ func NewFollower(ctx context.Context, r io.Reader, cfg TailConfig) *Follower {
 	if poll <= 0 {
 		poll = DefaultTailPoll
 	}
-	f := &Follower{ctx: ctx, r: r, poll: poll, chunk: make([]byte, 64*1024)}
+	f := &Follower{ctx: ctx, r: r, poll: poll, onWait: cfg.OnWait, chunk: make([]byte, 64*1024), statDue: true}
 	if cfg.Path != "" {
 		if osf, ok := r.(*os.File); ok {
 			if pos, err := osf.Seek(0, io.SeekCurrent); err == nil {
@@ -131,6 +155,7 @@ func NewFollower(ctx context.Context, r io.Reader, cfg TailConfig) *Follower {
 				f.released = pos
 				f.segStartStream = pos
 				f.segFileBase = pos
+				f.watch = newTailWatch(ctx, cfg.Path)
 			}
 		}
 	}
@@ -166,8 +191,8 @@ func (f *Follower) dropPartial() {
 	f.pos, f.ready = 0, 0
 }
 
-// checkRotate inspects the path at an idle poll and switches segments on
-// rotation or truncation. It reports whether reading should resume
+// checkRotate inspects the path at an idle point and switches segments
+// on rotation or truncation. It reports whether reading should resume
 // immediately (new bytes may be waiting at the new position).
 func (f *Follower) checkRotate() bool {
 	if f.file == nil {
@@ -199,8 +224,9 @@ func (f *Follower) checkRotate() bool {
 		return false
 	}
 	// Inode changed: the log was rotated and recreated. The old handle
-	// was already drained to EOF (we only get here at an idle poll), so
-	// switch to the successor from its beginning.
+	// was already drained to EOF (we only get here at an idle point), so
+	// switch to the successor from its beginning, watching it before the
+	// first read so no write to it goes unnoticed.
 	next, err := os.Open(f.path)
 	if err != nil {
 		return false
@@ -213,7 +239,50 @@ func (f *Follower) checkRotate() bool {
 	f.segFileBase = 0
 	f.filePos = 0
 	f.stats.Rotations++
+	if f.watch != nil && !f.watch.rewatch() {
+		f.dropWatch()
+	}
 	return true
+}
+
+// wake says why a wait for the log ended.
+type wake int
+
+const (
+	// wakeWrite: the log was written.
+	wakeWrite wake = iota
+	// wakeCheck: a rotation check is due — the path moved, was deleted,
+	// recreated or changed attributes, or the poll ceiling passed.
+	wakeCheck
+	// wakeStopped: the context was cancelled.
+	wakeStopped
+)
+
+// wait blocks until the log may have changed. Without a watch (or once
+// the watch fails) it sleeps the poll ceiling.
+func (f *Follower) wait() wake {
+	if f.watch != nil {
+		if w, ok := f.watch.wait(f.poll); ok {
+			return w
+		}
+		f.dropWatch()
+	}
+	t := time.NewTimer(f.poll)
+	defer t.Stop()
+	select {
+	case <-f.ctx.Done():
+		return wakeStopped
+	case <-t.C:
+		return wakeCheck
+	}
+}
+
+// dropWatch releases the watch; the follower sleeps from then on.
+func (f *Follower) dropWatch() {
+	if f.watch != nil {
+		f.watch.close()
+		f.watch = nil
+	}
 }
 
 // Read implements io.Reader over the complete-line stream.
@@ -233,6 +302,7 @@ func (f *Follower) Read(p []byte) (int, error) {
 		}
 		n, err := f.r.Read(f.chunk)
 		if n > 0 {
+			f.quietWake = false
 			f.filePos += int64(n)
 			f.buf = append(f.buf, f.chunk[:n]...)
 			if i := bytes.LastIndexByte(f.buf, '\n'); i >= 0 {
@@ -250,20 +320,29 @@ func (f *Follower) Read(p []byte) (int, error) {
 		if err != nil && err != io.EOF {
 			return 0, err
 		}
-		// No complete line available: stop if asked, check for rotation,
-		// else wait for growth.
-		select {
-		case <-f.ctx.Done():
+		// No complete line available: stop if asked, check for rotation
+		// when due, else wait for the log to change.
+		if f.ctx.Err() != nil {
+			f.dropWatch()
 			return 0, ErrTailStopped
-		default:
 		}
-		if f.checkRotate() {
-			continue
+		if f.statDue || f.quietWake {
+			f.statDue, f.quietWake = false, false
+			if f.checkRotate() {
+				continue
+			}
 		}
-		select {
-		case <-f.ctx.Done():
+		if f.onWait != nil {
+			f.onWait()
+		}
+		switch f.wait() {
+		case wakeWrite:
+			f.quietWake = true
+		case wakeCheck:
+			f.statDue = true
+		case wakeStopped:
+			f.dropWatch()
 			return 0, ErrTailStopped
-		case <-time.After(f.poll):
 		}
 	}
 }

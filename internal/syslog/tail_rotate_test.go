@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -32,11 +33,22 @@ func rotLines(from, to int) string {
 	return b.String()
 }
 
+// tailCeilings are the idle ceilings the rotation tests run under: a
+// 1 ms ceiling, where every idle wait ends in a rotation check, and — on
+// platforms where the follower watches its log — an hour, so the watch
+// alone must notice each rotation.
+func tailCeilings() []time.Duration {
+	if runtime.GOOS == "linux" {
+		return []time.Duration{time.Millisecond, time.Hour}
+	}
+	return []time.Duration{time.Millisecond}
+}
+
 // rotTail starts a rotation-aware follower+scanner over path and returns
 // the follower, a record channel, and a stop function that cancels the
 // tail and returns the scanner's terminal error after the goroutine has
 // exited (making Follower.Stats safe to read).
-func rotTail(t *testing.T, path string) (*Follower, <-chan Parsed, func() error) {
+func rotTail(t *testing.T, path string, poll time.Duration) (*Follower, <-chan Parsed, func() error) {
 	t.Helper()
 	ctx, cancel := context.WithCancel(context.Background())
 	f, err := os.Open(path)
@@ -44,7 +56,7 @@ func rotTail(t *testing.T, path string) (*Follower, <-chan Parsed, func() error)
 		cancel()
 		t.Fatal(err)
 	}
-	fo := NewFollower(ctx, f, TailConfig{Poll: time.Millisecond, Path: path})
+	fo := NewFollower(ctx, f, TailConfig{Poll: poll, Path: path})
 	sc := NewScannerConfig(fo, ScanConfig{})
 	recCh := make(chan Parsed, 256)
 	done := make(chan error, 1)
@@ -83,33 +95,37 @@ func recvRecords(t *testing.T, ch <-chan Parsed, n int, what string) []Parsed {
 // and keeps delivering records from the successor file with no loss and
 // no duplication.
 func TestFollowerRotationReopen(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "syslog")
-	if err := os.WriteFile(path, []byte(rotLines(0, 5)), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	fo, recCh, stop := rotTail(t, path)
-	got := recvRecords(t, recCh, 5, "pre-rotation")
+	for _, poll := range tailCeilings() {
+		t.Run(poll.String(), func(t *testing.T) {
+			dir := t.TempDir()
+			path := filepath.Join(dir, "syslog")
+			if err := os.WriteFile(path, []byte(rotLines(0, 5)), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			fo, recCh, stop := rotTail(t, path, poll)
+			got := recvRecords(t, recCh, 5, "pre-rotation")
 
-	// Rotate: rename the live log away, create a fresh one.
-	if err := os.Rename(path, path+".1"); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(path, []byte(rotLines(5, 10)), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	got = append(got, recvRecords(t, recCh, 5, "post-rotation")...)
+			// Rotate: rename the live log away, create a fresh one.
+			if err := os.Rename(path, path+".1"); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(path, []byte(rotLines(5, 10)), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			got = append(got, recvRecords(t, recCh, 5, "post-rotation")...)
 
-	if err := stop(); !errors.Is(err, ErrTailStopped) {
-		t.Fatalf("scanner error = %v, want ErrTailStopped", err)
-	}
-	want := collect(t, NewScannerConfig(strings.NewReader(rotLines(0, 10)), ScanConfig{}))
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("rotated tail diverges: got %d records, want %d", len(got), len(want))
-	}
-	st := fo.Stats()
-	if st.Rotations != 1 || st.Truncations != 0 || st.DroppedPartials != 0 {
-		t.Fatalf("stats = %+v, want exactly one rotation", st)
+			if err := stop(); !errors.Is(err, ErrTailStopped) {
+				t.Fatalf("scanner error = %v, want ErrTailStopped", err)
+			}
+			want := collect(t, NewScannerConfig(strings.NewReader(rotLines(0, 10)), ScanConfig{}))
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("rotated tail diverges: got %d records, want %d", len(got), len(want))
+			}
+			st := fo.Stats()
+			if st.Rotations != 1 || st.Truncations != 0 || st.DroppedPartials != 0 {
+				t.Fatalf("stats = %+v, want exactly one rotation", st)
+			}
+		})
 	}
 }
 
@@ -117,34 +133,38 @@ func TestFollowerRotationReopen(t *testing.T) {
 // line stranded at the end of the rotated-away file is dropped and
 // counted, never glued to the first bytes of the successor.
 func TestFollowerRotationDropsPartial(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "syslog")
-	torn := rotCE(2)
-	torn = torn[:len(torn)/2] // unterminated tail
-	if err := os.WriteFile(path, []byte(rotLines(0, 2)+torn), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	fo, recCh, stop := rotTail(t, path)
-	got := recvRecords(t, recCh, 2, "pre-rotation")
+	for _, poll := range tailCeilings() {
+		t.Run(poll.String(), func(t *testing.T) {
+			dir := t.TempDir()
+			path := filepath.Join(dir, "syslog")
+			torn := rotCE(2)
+			torn = torn[:len(torn)/2] // unterminated tail
+			if err := os.WriteFile(path, []byte(rotLines(0, 2)+torn), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			fo, recCh, stop := rotTail(t, path, poll)
+			got := recvRecords(t, recCh, 2, "pre-rotation")
 
-	if err := os.Rename(path, path+".1"); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(path, []byte(rotLines(3, 5)), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	got = append(got, recvRecords(t, recCh, 2, "post-rotation")...)
-	if err := stop(); !errors.Is(err, ErrTailStopped) {
-		t.Fatalf("scanner error = %v, want ErrTailStopped", err)
-	}
+			if err := os.Rename(path, path+".1"); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(path, []byte(rotLines(3, 5)), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			got = append(got, recvRecords(t, recCh, 2, "post-rotation")...)
+			if err := stop(); !errors.Is(err, ErrTailStopped) {
+				t.Fatalf("scanner error = %v, want ErrTailStopped", err)
+			}
 
-	want := collect(t, NewScannerConfig(strings.NewReader(rotLines(0, 2)+rotLines(3, 5)), ScanConfig{}))
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("records diverge after torn rotation: got %d, want %d", len(got), len(want))
-	}
-	st := fo.Stats()
-	if st.Rotations != 1 || st.DroppedPartials != 1 || st.DroppedBytes != int64(len(torn)) {
-		t.Fatalf("stats = %+v, want 1 rotation, 1 dropped partial of %d bytes", st, len(torn))
+			want := collect(t, NewScannerConfig(strings.NewReader(rotLines(0, 2)+rotLines(3, 5)), ScanConfig{}))
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("records diverge after torn rotation: got %d, want %d", len(got), len(want))
+			}
+			st := fo.Stats()
+			if st.Rotations != 1 || st.DroppedPartials != 1 || st.DroppedBytes != int64(len(torn)) {
+				t.Fatalf("stats = %+v, want 1 rotation, 1 dropped partial of %d bytes", st, len(torn))
+			}
+		})
 	}
 }
 
@@ -152,32 +172,36 @@ func TestFollowerRotationDropsPartial(t *testing.T) {
 // inode shrinking below the read position rewinds the follower to the
 // top of the file.
 func TestFollowerTruncateInPlace(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "syslog")
-	if err := os.WriteFile(path, []byte(rotLines(0, 3)), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	fo, recCh, stop := rotTail(t, path)
-	got := recvRecords(t, recCh, 3, "pre-truncate")
+	for _, poll := range tailCeilings() {
+		t.Run(poll.String(), func(t *testing.T) {
+			dir := t.TempDir()
+			path := filepath.Join(dir, "syslog")
+			if err := os.WriteFile(path, []byte(rotLines(0, 3)), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			fo, recCh, stop := rotTail(t, path, poll)
+			got := recvRecords(t, recCh, 3, "pre-truncate")
 
-	if err := os.Truncate(path, 0); err != nil {
-		t.Fatal(err)
-	}
-	// Give the idle poll a chance to observe the shrink before refilling,
-	// as logrotate's copytruncate does (copy, truncate, writer continues).
-	time.Sleep(20 * time.Millisecond)
-	appendFile(t, path, rotLines(3, 6))
-	got = append(got, recvRecords(t, recCh, 3, "post-truncate")...)
-	if err := stop(); !errors.Is(err, ErrTailStopped) {
-		t.Fatalf("scanner error = %v, want ErrTailStopped", err)
-	}
+			if err := os.Truncate(path, 0); err != nil {
+				t.Fatal(err)
+			}
+			// Give the follower a chance to observe the shrink before refilling,
+			// as logrotate's copytruncate does (copy, truncate, writer continues).
+			time.Sleep(20 * time.Millisecond)
+			appendFile(t, path, rotLines(3, 6))
+			got = append(got, recvRecords(t, recCh, 3, "post-truncate")...)
+			if err := stop(); !errors.Is(err, ErrTailStopped) {
+				t.Fatalf("scanner error = %v, want ErrTailStopped", err)
+			}
 
-	want := collect(t, NewScannerConfig(strings.NewReader(rotLines(0, 6)), ScanConfig{}))
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("records diverge after truncation: got %d, want %d", len(got), len(want))
-	}
-	if st := fo.Stats(); st.Truncations != 1 || st.Rotations != 0 {
-		t.Fatalf("stats = %+v, want exactly one truncation", st)
+			want := collect(t, NewScannerConfig(strings.NewReader(rotLines(0, 6)), ScanConfig{}))
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("records diverge after truncation: got %d, want %d", len(got), len(want))
+			}
+			if st := fo.Stats(); st.Truncations != 1 || st.Rotations != 0 {
+				t.Fatalf("stats = %+v, want exactly one truncation", st)
+			}
+		})
 	}
 }
 

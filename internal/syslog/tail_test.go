@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -237,5 +238,93 @@ func TestFollowerLineTooLong(t *testing.T) {
 	}
 	if sc.Err() == nil {
 		t.Fatal("no error from an unterminated megabyte line")
+	}
+}
+
+// TestFollowerWakesOnWrite: a line appended to an idle followed log is
+// delivered at once, not at the next growth check — with an hour-long
+// idle ceiling, only the watch can wake the tail.
+func TestFollowerWakesOnWrite(t *testing.T) {
+	if runtime.GOOS != "linux" {
+		t.Skip("the follower watches its log only on Linux")
+	}
+	path := filepath.Join(t.TempDir(), "syslog")
+	if err := os.WriteFile(path, []byte(rotCE(0)), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, recCh, stop := rotTail(t, path, time.Hour)
+	defer stop()
+	recvRecords(t, recCh, 1, "initial line")
+	for i := 1; i <= 3; i++ {
+		time.Sleep(10 * time.Millisecond) // let the log go idle
+		appendFile(t, path, rotCE(i))
+		start := time.Now()
+		select {
+		case <-recCh:
+		case <-time.After(100 * time.Millisecond):
+			t.Fatalf("line %d not delivered within 100ms of its write", i)
+		}
+		t.Logf("line %d delivered %v after its write", i, time.Since(start))
+	}
+}
+
+// TestFollowerStopReleasesWatch: cancelling a follower blocked on an
+// idle log ends its Read with ErrTailStopped at once and releases the
+// watch. Supervised restarts build one follower per incarnation, so a
+// leaked descriptor per lifetime would grow without bound.
+func TestFollowerStopReleasesWatch(t *testing.T) {
+	if _, err := os.Stat("/proc/self/fd"); err != nil {
+		t.Skip("no /proc/self/fd")
+	}
+	path := filepath.Join(t.TempDir(), "syslog")
+	if err := os.WriteFile(path, []byte(rotCE(0)), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	lifetime := func() {
+		f, err := os.Open(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer f.Close()
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		sc := NewScannerConfig(NewFollower(ctx, f, TailConfig{Poll: time.Hour, Path: path}), ScanConfig{})
+		done := make(chan error, 1)
+		go func() {
+			for sc.Scan() {
+			}
+			done <- sc.Err()
+		}()
+		time.Sleep(time.Millisecond) // usually reach the idle wait first
+		cancel()
+		select {
+		case err := <-done:
+			if !errors.Is(err, ErrTailStopped) {
+				t.Fatalf("scanner error = %v, want ErrTailStopped", err)
+			}
+		case <-time.After(time.Second):
+			t.Fatal("cancelled follower still blocked after 1s")
+		}
+	}
+	// watches counts the process's open inotify instances.
+	watches := func() int {
+		ents, err := os.ReadDir("/proc/self/fd")
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := 0
+		for _, e := range ents {
+			if dst, err := os.Readlink("/proc/self/fd/" + e.Name()); err == nil && dst == "anon_inode:inotify" {
+				n++
+			}
+		}
+		return n
+	}
+	before := watches()
+	for i := 0; i < 50; i++ {
+		lifetime()
+	}
+	if after := watches(); after != before {
+		t.Fatalf("open inotify descriptors %d -> %d across 50 follower lifetimes", before, after)
 	}
 }
