@@ -15,14 +15,15 @@ test:
 # verify is the robustness gate: static checks, the full suite including
 # the differential dirty-telemetry harness (robustness_test.go), the race
 # detector over the concurrent ingest/poller paths, the parallel
-# determinism contract (serial vs sharded pipelines must be bit-identical)
-# under the race detector at a pinned scale, and a short fuzz smoke over
-# the hostile-input parsers (syslog lines, the block-parallel scanner's
-# serial-differential, the columnar decoder, dataset manifests, and the
-# astrad state ladder, seeded with sealed v5 images and the oversized
-# header counts that once killed the loader) and over the incremental
-# bank classification (random Add/Merge/AppendFaults interleavings must
-# equal a fresh classification, Errors included).
+# determinism contract (serial vs parallel batch pipelines must be
+# bit-identical) under the race detector at a pinned scale, and a short
+# fuzz smoke over the hostile-input parsers (syslog lines, the
+# block-parallel scanner's serial-differential, the columnar decoder,
+# dataset manifests, and the astrad state ladder, seeded with sealed v5
+# images and the oversized header counts that once killed the loader)
+# and over the incremental bank classification (random
+# Add/Merge/AppendFaults interleavings must equal a fresh
+# classification, Errors included).
 # ASTRA_CRASH_TESTS=1 additionally sweeps the kill/resume differential
 # test over every I/O operation instead of its default 24-point sample.
 # The online subsystem gets an explicit race-enabled pass: the stream
@@ -30,18 +31,16 @@ test:
 # differentials, and the astrad kill/restart test are the contracts most
 # exposed to concurrency bugs, so they run under the race detector even
 # when the blanket -race sweep is trimmed locally. The pinned-scale line
-# also sweeps the sharded-engine differentials (partition-parallel
-# ingest must stay bit-identical to the serial engine). The lane
-# quiesce/restart differential runs 20 times under the race detector:
-# its ordering bug only showed when lanes drained at different paces.
+# also runs the stream engine's feature differential (per-bank
+# prediction features over random micro-batches must equal a batch
+# replay).
 verify:
 	$(GO) build ./...
 	$(GO) vet ./...
 	$(GO) test ./...
 	$(GO) test -race -timeout 30m ./...
 	$(GO) test -race -timeout 30m -count 1 ./internal/stream ./internal/serve ./internal/overload ./internal/syslog ./internal/colfmt ./internal/supervise ./internal/predict ./cmd/astrad ./cmd/astraload
-	$(GO) test -race -count 20 -run 'TestShardedQuiesceRestart' ./internal/stream
-	ASTRA_BENCH_NODES=64 $(GO) test -race -timeout 30m -run 'Parallel|Determinism|Sharded' ./...
+	ASTRA_BENCH_NODES=64 $(GO) test -race -timeout 30m -run 'Parallel|Determinism' ./...
 	$(GO) test -run '^$$' -fuzz '^FuzzParseLine$$' -fuzztime 5s ./internal/syslog
 	$(GO) test -run '^$$' -fuzz '^FuzzBlockScan$$' -fuzztime 5s ./internal/syslog
 	$(GO) test -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime 5s ./internal/colfmt
@@ -54,9 +53,9 @@ verify:
 
 # bench runs the analysis micro-benchmarks (bench_test.go), the
 # pipeline-stage benchmarks (bench_pipeline_test.go), and writes the
-# BENCH_pipeline.json regression baseline via cmd/astrabench. The
-# worker sweep covers the sharded stream-ingest and fanin-merge stages
-# at 1, 4, and 8 partitions alongside the existing parallel stages.
+# BENCH_pipeline.json regression baseline via cmd/astrabench, sweeping
+# every stage at 1, 4 and 8 workers (stages without a parallel path,
+# such as stream-ingest, ignore the setting).
 bench:
 	ASTRA_BENCH_NODES=$(ASTRA_BENCH_NODES) $(GO) test -run '^$$' -bench . -benchmem .
 	ASTRA_BENCH_NODES=$(ASTRA_BENCH_NODES) $(GO) run ./cmd/astrabench -workers 1,4,8 -out BENCH_pipeline.json
@@ -65,25 +64,25 @@ bench:
 # pinned small scale and writes BENCH_serve.json: the serving-path
 # baseline (API p50/p99 on the rendered and ETag/304 paths, per-site
 # ingest/shed rows, recovery time) under sustained ingest + bursts +
-# slow clients + a stalling checkpoint disk. Two federated sites with
-# partitioned engines exercise the fan-in rollup under load. The
+# slow clients + a stalling checkpoint disk. Two federated sites
+# exercise the cross-site rollup under load. The
 # scenario is deliberately drain-throttled so the shed rate is overload
 # arithmetic, not machine speed. The -recovery phase then runs the
 # kill + corrupt-newest-generation + rotate-mid-tail chaos sequence and
 # pins crash-recovery convergence (and its time) in the same baseline.
 bench-serve:
-	$(GO) run ./cmd/astraload -seed 1 -nodes 64 -sites 2 -partitions 4 \
+	$(GO) run ./cmd/astraload -seed 1 -nodes 64 -sites 2 \
 		-duration 3 -ingest-rate 100000 \
 		-burst-factor 3 -burst-at 1 -burst-for 0.5 \
 		-api-clients 4 -api-qps 400 -slow-clients 2 \
 		-queue-depth 32768 -drain-batch 128 -drain-interval 5 \
 		-disk-stall 0.5 -disk-stall-for 100 -checkpoint-every 100 -checkpoint-timeout 50 \
-		-recovery -recovery-nodes 48 -recovery-partitions 2 -recovery-keep 3 -recovery-bound 30000 \
+		-recovery -recovery-nodes 48 -recovery-keep 3 -recovery-bound 30000 \
 		-out BENCH_serve.json
 
 # bench-guard fails when the budgeted stages (dataset-build, parse,
-# parse-parallel, colfmt-replay, stream-ingest serial and sharded, and
-# predict-features at its zero-alloc floor)
+# parse-parallel, colfmt-replay, stream-ingest, and predict-features at
+# its zero-alloc floor)
 # regress more than 10% allocs/op or 15% records/s against the
 # checked-in BENCH_pipeline.json, or when the serving path regresses
 # against BENCH_serve.json (p99 latency beyond 10% + slack, a shed rate

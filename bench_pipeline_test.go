@@ -82,14 +82,11 @@ func BenchmarkStageParse(b *testing.B)        { benchStage(b, "parse") }
 func BenchmarkStageCluster(b *testing.B)      { benchStage(b, "cluster") }
 func BenchmarkStageReport(b *testing.B)       { benchStage(b, "report") }
 
-// The sharded online path: stream-ingest sweeps the partition ladder
-// (workers = partitions; 1 is the serial engine), and fanin-merge tracks
-// the fleet-view aggregation cost against the same ladder.
+// The online path: one engine ingests the whole record stream. One
+// engine serves a site, so the stage has no worker setting.
 func BenchmarkStageStreamIngest(b *testing.B) {
-	benchStageSweep(b, "stream-ingest", []int{1, 4, 8})
-}
-func BenchmarkStageFaninMerge(b *testing.B) {
-	benchStageSweep(b, "fanin-merge", []int{1, 4, 8})
+	stage := findStage(b, "stream-ingest")
+	b.Run("serial", func(b *testing.B) { runStage(b, stage, 1) })
 }
 func BenchmarkStageAdmission(b *testing.B) { benchStage(b, "admission") }
 

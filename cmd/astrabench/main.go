@@ -14,8 +14,8 @@
 //
 // -guard re-measures the budgeted (stage, workers) rows — the
 // allocation-sensitive stages (dataset-build, parse, parse-parallel,
-// colfmt-replay) at workers=1 plus stream-ingest at workers=1 and the
-// sharded workers=8 setting — and exits non-zero
+// colfmt-replay), stream-ingest and predict-features, all at
+// workers=1 — and exits non-zero
 // if allocs/op regressed more than -tolerance or records/s fell more
 // than -tput-tolerance against the checked-in baseline, instead of
 // writing a new one. The node count defaults to ASTRA_BENCH_NODES (then
@@ -76,15 +76,14 @@ type guardStage struct {
 
 // guardStages are the budgeted rows `-guard` re-measures: the layers the
 // zero-allocation codec and ingest-throughput work target, plus the
-// online path at its serial floor and its sharded 8-partition setting
-// (the stream-engine scale-out's records/s floor and allocs/op ceiling).
+// online path (the stream engine's records/s floor and allocs/op
+// ceiling) and feature extraction at its zero-alloc floor.
 var guardStages = []guardStage{
 	{"dataset-build", 1},
 	{"parse", 1},
 	{"parse-parallel", 1},
 	{"colfmt-replay", 1},
 	{"stream-ingest", 1},
-	{"stream-ingest", 8},
 	{"predict-features", 1},
 }
 

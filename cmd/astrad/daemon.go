@@ -43,10 +43,8 @@ type daemonConfig struct {
 	poll          time.Duration
 	checkpointSec time.Duration
 
-	dimms      int
-	window     time.Duration
-	workers    int
-	partitions int
+	dimms  int
+	window time.Duration
 
 	// Admission queue between each scanner and its engine.
 	queueDepth    int
@@ -87,7 +85,7 @@ type daemonConfig struct {
 }
 
 // siteDaemon is one site's ingest pipeline: scanner -> admission queue ->
-// drainer -> partitioned engine. The pipeline is supervised: a panic or
+// drainer -> engine. The pipeline is supervised: a panic or
 // ingest error tears the incarnation down and a restart rebuilds the
 // engine and queue from the site's last checkpoint section, so eng and q
 // are swapped atomically and readers always hold a coherent pair from
@@ -96,7 +94,7 @@ type siteDaemon struct {
 	id      string
 	logPath string
 
-	eng atomic.Pointer[stream.Sharded]
+	eng atomic.Pointer[stream.Engine]
 	q   atomic.Pointer[overload.Queue[mce.CERecord]]
 
 	// primed marks the startup-built incarnation (restored from the
@@ -135,7 +133,7 @@ type siteDaemon struct {
 	alarms alarmLedger
 }
 
-func (s *siteDaemon) engine() *stream.Sharded              { return s.eng.Load() }
+func (s *siteDaemon) engine() *stream.Engine               { return s.eng.Load() }
 func (s *siteDaemon) queue() *overload.Queue[mce.CERecord] { return s.q.Load() }
 
 // siteDaemon is the serve.Source for its site, delegating to the current
@@ -351,7 +349,7 @@ func (d *daemon) translate(s *siteDaemon, fo *syslog.Follower, cp syslog.Checkpo
 // Done, so checkpoints never wait out the pause. It takes the queue and
 // engine of one incarnation explicitly so a supervised restart never
 // crosses incarnations mid-batch.
-func (d *daemon) drain(q *overload.Queue[mce.CERecord], eng *stream.Sharded) {
+func (d *daemon) drain(q *overload.Queue[mce.CERecord], eng *stream.Engine) {
 	for {
 		batch, ok := q.Take(d.cfg.drainBatch)
 		if len(batch) > 0 {
@@ -543,7 +541,7 @@ type siteSnapshot struct {
 //	alarm <host> <slot> <rank> <bank> <unix nanos>\n   (n lines)
 //
 // Replaying the records into a fresh engine reproduces the fault state
-// exactly (the engine's replay contract — at any partition count), the
+// exactly (the engine's replay contract), the
 // shed count restores the degraded accounting, the scanner checkpoint
 // resumes the tail at the matching byte, and the ledger keeps when each
 // bank first alarmed (not reconstructible from records). The records

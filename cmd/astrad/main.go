@@ -1,8 +1,7 @@
 // Command astrad is the online face of the pipeline: a long-running
 // daemon that tails one or more syslogs, clusters correctable errors
 // incrementally (identically to the batch clusterer — the stream
-// engine's differential guarantee, preserved at any partition count),
-// and serves live analyses over HTTP:
+// engine's differential guarantee), and serves live analyses over HTTP:
 //
 //	GET /v1/faults               fault list (?mode=single-bit filters)
 //	GET /v1/breakdown            rolling summary: counts, modes, CE rates
@@ -22,18 +21,17 @@
 // accounting survives restarts.
 //
 // With several -site flags the daemon federates independent fleets: each
-// site tails its own log into its own partitioned engine, and the legacy
-// /v1 endpoints become the cross-site rollup. -partitions shards each
-// site's engine across goroutine-owned partitions (hash by node) for
-// multicore ingest; answers are bit-identical at every setting.
+// site tails its own log into its own engine, and the legacy /v1
+// endpoints become the cross-site rollup. One engine per site is enough:
+// every DRAM bank belongs to one node of one site, and a site's scan
+// goroutine, not its engine, bounds its ingest rate.
 //
 // The daemon checkpoints its scanner state and record set atomically to
 // -state, the records as a columnar (colfmt) blob that a restart decodes
 // instead of re-parsing; a killed daemon restarted over the same logs
 // resumes exactly, losing and duplicating nothing — including records
-// still buffered in the reorder window at the moment of death, and
-// regardless of the partition count it restarts with. State files have
-// one format (astrad-state v5); any other file, an older release's
+// still buffered in the reorder window at the moment of death. State
+// files have one format (astrad-state v5); any other file, an older release's
 // included, is a discarded generation. Checkpoints are checksum-sealed and
 // kept as a generation ladder (-state, -state.1, ... up to -state-keep):
 // recovery walks the ladder newest-first, so a torn or bit-flipped file
@@ -60,7 +58,7 @@
 // Usage:
 //
 //	astrad -log astra-data/astra-syslog.log -state astrad.state -listen 127.0.0.1:9137
-//	astrad -site east=east.log -site west=west.log -partitions 4 -state astrad.state
+//	astrad -site east=east.log -site west=west.log -state astrad.state
 package main
 
 import (
@@ -137,8 +135,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	fs.DurationVar(&cfg.checkpointSec, "checkpoint-every", 30*time.Second, "minimum interval between periodic checkpoints")
 	fs.IntVar(&cfg.dimms, "dimms", topology.DIMMs, "DIMM population per site for FIT denominators")
 	fs.DurationVar(&cfg.window, "window", stream.DefaultWindow, "rolling event-time window for rates and FIT")
-	fs.IntVar(&cfg.workers, "workers", 0, "clustering parallelism inside one partition (0 = GOMAXPROCS)")
-	fs.IntVar(&cfg.partitions, "partitions", 1, "engine partitions per site, hash-sharded by node (answers identical at any setting)")
 
 	fs.IntVar(&cfg.queueDepth, "queue-depth", 262144, "admission queue capacity (records) between each tail and its engine")
 	fs.IntVar(&cfg.queueHigh, "queue-high", 0, "high watermark: depth at which admission starts shedding (0 = capacity)")
@@ -308,7 +304,7 @@ func serveDaemon(ctx context.Context, cfg daemonConfig, logger *slog.Logger) (in
 	if err != nil {
 		return 1, err
 	}
-	logger.Info("listening", "addr", ln.Addr().String(), "sites", len(d.sites), "partitions", cfg.partitions)
+	logger.Info("listening", "addr", ln.Addr().String(), "sites", len(d.sites))
 	httpSrv := &http.Server{
 		Handler:           srv.Handler(),
 		ReadTimeout:       cfg.readTimeout,

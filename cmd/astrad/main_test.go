@@ -515,7 +515,7 @@ func BenchmarkStateRestore(b *testing.B) {
 	}
 	snap := siteSnapshot{id: "default", recs: recs}
 	image := sealState(marshalSnapshots(b, []siteSnapshot{snap}))
-	d := &daemon{cfg: daemonConfig{partitions: 1, queueDepth: 1024, window: stream.DefaultWindow, dimms: 48 * topology.SlotsPerNode}}
+	d := &daemon{cfg: daemonConfig{queueDepth: 1024, window: stream.DefaultWindow, dimms: 48 * topology.SlotsPerNode}}
 	perRecord := func(b *testing.B) {
 		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(recs)), "ns/record")
 	}

@@ -161,8 +161,8 @@ func TestParentFormatStateDiscarded(t *testing.T) {
 // bytes it was loaded from as its first checkpoint section instead of
 // marshaling again. Those bytes must be exactly what marshaling the
 // site's restored live state gives — engine records in arrival order,
-// shed count, resume checkpoint and ledger — at a partition count other
-// than one, so the first checkpoint after a warm start is unchanged.
+// shed count, resume checkpoint and ledger — so the first checkpoint
+// after a warm start is unchanged.
 func TestRestoredSectionIsExact(t *testing.T) {
 	_, ces := testLog(t)
 	var ledger alarmLedger
@@ -182,7 +182,7 @@ func TestRestoredSectionIsExact(t *testing.T) {
 		cfg: daemonConfig{
 			sites:     []siteSpec{{id: "east", path: "east.log"}, {id: "west", path: "west.log"}},
 			statePath: statePath, stateKeep: 3,
-			partitions: 3, queueDepth: 64, window: stream.DefaultWindow, dimms: 48 * topology.SlotsPerNode,
+			queueDepth: 64, window: stream.DefaultWindow, dimms: 48 * topology.SlotsPerNode,
 		},
 		log: slog.New(slog.NewTextHandler(io.Discard, nil)),
 		fs:  atomicio.OS,

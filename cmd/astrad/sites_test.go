@@ -13,7 +13,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/het"
 	"repro/internal/mce"
@@ -83,79 +82,11 @@ func buildSiteLog(t *testing.T, seed uint64, nodes int) ([]byte, []mce.CERecord)
 	return buf.Bytes(), ces
 }
 
-// TestDaemonPartitionedKillRestartDifferential is the sharded flavor of
-// the acceptance test: a daemon running 4 engine partitions is killed
-// mid-stream, more log is appended, and it restarts over the same state
-// file with a DIFFERENT partition count — the final fault population
-// must still be exactly the batch answer. The state file stores records
-// in global arrival order, so restore is partition-count independent.
-func TestDaemonPartitionedKillRestartDifferential(t *testing.T) {
-	full, ces := testLog(t)
-	wantFaults := mustCluster(t, ces)
-	wantBreak := core.BreakdownByMode(ces, wantFaults)
-
-	dir := t.TempDir()
-	logPath := filepath.Join(dir, "syslog.log")
-	statePath := filepath.Join(dir, "astrad.state")
-
-	cut := bytes.LastIndexByte(full[:len(full)/2], '\n') + 1
-	if err := os.WriteFile(logPath, full[:cut], 0o644); err != nil {
-		t.Fatal(err)
-	}
-	addr, cancel, done, errs := startDaemonArgs(t, logPath, statePath, "-partitions", "4")
-	var h struct {
-		Records int `json:"records"`
-	}
-	deadline := time.Now().Add(10 * time.Second)
-	for h.Records == 0 {
-		if code := httpGetJSON(t, "http://"+addr+"/healthz", &h); code != http.StatusOK {
-			t.Fatalf("healthz = %d", code)
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("no records ingested in phase 1")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	cancel()
-	if code := <-done; code != 0 {
-		t.Fatalf("phase 1 exit = %d; stderr:\n%s", code, errs.String())
-	}
-
-	f, err := os.OpenFile(logPath, os.O_APPEND|os.O_WRONLY, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.Write(full[cut:]); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
-
-	addr, cancel, done, errs = startDaemonArgs(t, logPath, statePath, "-partitions", "2")
-	defer func() {
-		cancel()
-		<-done
-	}()
-	sum := waitForRecords(t, addr, len(ces))
-	if sum.Records != len(ces) {
-		t.Fatalf("records = %d, want %d (lost or duplicated input)", sum.Records, len(ces))
-	}
-	if sum.Faults != len(wantFaults) {
-		t.Fatalf("faults = %d, want %d", sum.Faults, len(wantFaults))
-	}
-	if sum.FaultsByMode != wantBreak.FaultsByMode {
-		t.Fatalf("FaultsByMode = %v, want %v", sum.FaultsByMode, wantBreak.FaultsByMode)
-	}
-	if sum.ErrorsByMode != wantBreak.ErrorsByMode {
-		t.Fatalf("ErrorsByMode = %v, want %v", sum.ErrorsByMode, wantBreak.ErrorsByMode)
-	}
-	_ = errs
-}
-
 // TestDaemonMultiSiteFederationRestart drives a two-site daemon: each
-// site tails its own log into its own partitioned engine, /v1/sites and
-// the site-scoped endpoints see per-site state, the legacy endpoints
-// roll both up, and a shutdown/restart over the state file restores
-// each site exactly — with a different partition count.
+// site tails its own log into its own engine, /v1/sites and the
+// site-scoped endpoints see per-site state, the legacy endpoints roll
+// both up, and a shutdown/restart over the state file restores each
+// site exactly.
 func TestDaemonMultiSiteFederationRestart(t *testing.T) {
 	logA, cesA := testLog(t)
 	logB, cesB := buildSiteLog(t, 71, 24)
@@ -173,17 +104,14 @@ func TestDaemonMultiSiteFederationRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	args := func(partitions int) []string {
-		return []string{
-			"-site", "east=" + pathA, "-site", "west=" + pathB,
-			"-state", statePath, "-listen", "127.0.0.1:0",
-			"-dedup-window", fmt.Sprint(testDedup), "-reorder-window", testReorder.String(),
-			"-checkpoint-every", "50ms",
-			"-dimms", fmt.Sprint(48 * topology.SlotsPerNode),
-			"-partitions", fmt.Sprint(partitions),
-		}
+	args := []string{
+		"-site", "east=" + pathA, "-site", "west=" + pathB,
+		"-state", statePath, "-listen", "127.0.0.1:0",
+		"-dedup-window", fmt.Sprint(testDedup), "-reorder-window", testReorder.String(),
+		"-checkpoint-every", "50ms",
+		"-dimms", fmt.Sprint(48 * topology.SlotsPerNode),
 	}
-	addr, cancel, done, errs := startDaemonCustom(t, args(3)...)
+	addr, cancel, done, errs := startDaemonCustom(t, args...)
 	sum := waitForRecords(t, addr, len(cesA)+len(cesB))
 	if sum.Records != len(cesA)+len(cesB) {
 		t.Fatalf("rollup records = %d, want %d", sum.Records, len(cesA)+len(cesB))
@@ -250,10 +178,9 @@ func TestDaemonMultiSiteFederationRestart(t *testing.T) {
 		t.Fatalf("multi-site state header: %q", state[:min(len(state), 40)])
 	}
 
-	// Restart over that state with a different partition count: every
-	// site restores exactly, and the fault populations match the batch
-	// answers per site.
-	addr, cancel, done, errs = startDaemonCustom(t, args(1)...)
+	// Restart over that state: every site restores exactly, and the
+	// fault populations match the batch answers per site.
+	addr, cancel, done, errs = startDaemonCustom(t, args...)
 	defer func() {
 		cancel()
 		if code := <-done; code != 0 {

@@ -15,7 +15,6 @@ import (
 	"io"
 	"os"
 
-	"repro/internal/core"
 	"repro/internal/mce"
 	"repro/internal/overload"
 	"repro/internal/parallel"
@@ -48,16 +47,8 @@ func (s *siteDaemon) health() serve.SiteHealth {
 // restored snapshot. Every shed record is charged to the engine's
 // degraded accounting: offered == ingested + shed, and every analysis
 // that undercounts says so.
-func (d *daemon) buildPipeline(snap siteSnapshot) (*stream.Sharded, *overload.Queue[mce.CERecord]) {
-	eng := stream.NewSharded(stream.ShardedConfig{
-		Partitions: d.cfg.partitions,
-		Engine: stream.Config{
-			Cluster:     core.ClusterConfig{Parallelism: d.cfg.workers},
-			Window:      d.cfg.window,
-			DIMMs:       d.cfg.dimms,
-			Parallelism: d.cfg.workers,
-		},
-	})
+func (d *daemon) buildPipeline(snap siteSnapshot) (*stream.Engine, *overload.Queue[mce.CERecord]) {
+	eng := stream.New(stream.Config{Window: d.cfg.window, DIMMs: d.cfg.dimms})
 	q := overload.NewQueue[mce.CERecord](overload.Config{
 		Capacity: d.cfg.queueDepth,
 		High:     d.cfg.queueHigh,
@@ -75,7 +66,7 @@ func (d *daemon) buildPipeline(snap siteSnapshot) (*stream.Sharded, *overload.Qu
 // rebuild replaces the site's pipeline with a fresh incarnation restored
 // from snap, publishing the engine and queue atomically for the HTTP
 // readers.
-func (d *daemon) rebuild(s *siteDaemon, snap siteSnapshot) (*stream.Sharded, *overload.Queue[mce.CERecord]) {
+func (d *daemon) rebuild(s *siteDaemon, snap siteSnapshot) (*stream.Engine, *overload.Queue[mce.CERecord]) {
 	eng, q := d.buildPipeline(snap)
 	s.eng.Store(eng)
 	s.q.Store(q)
@@ -170,7 +161,7 @@ func (d *daemon) runSite(ctx context.Context, s *siteDaemon) error {
 
 // drainCaptured runs the drain loop with panic capture, so an engine
 // bug surfaces as a supervised unit failure.
-func (d *daemon) drainCaptured(q *overload.Queue[mce.CERecord], eng *stream.Sharded) (err error) {
+func (d *daemon) drainCaptured(q *overload.Queue[mce.CERecord], eng *stream.Engine) (err error) {
 	defer parallel.Recover(&err)
 	d.drain(q, eng)
 	return nil

@@ -33,10 +33,8 @@ type Scenario struct {
 	Nodes int    `json:"nodes"`
 	// Sites is the number of federated sites served from one stack (1 =
 	// the classic single-fleet arrangement). Site i's dataset uses seed
-	// Seed+i, so the fleets are distinct populations. Partitions shards
-	// each site's engine by node hash.
-	Sites      int `json:"sites"`
-	Partitions int `json:"partitions"`
+	// Seed+i, so the fleets are distinct populations.
+	Sites int `json:"sites"`
 	// DurationSec is the load phase length; IngestRate is the sustained
 	// offer rate in records/s across all sites, multiplied by BurstFactor
 	// inside the burst window [BurstAtSec, BurstAtSec+BurstForSec).
@@ -171,10 +169,10 @@ type Result struct {
 }
 
 // siteStack is one site's serving stack inside the harness: dataset
-// pool, partitioned engine, admission queue, and producer cursor.
+// pool, engine, admission queue, and producer cursor.
 type siteStack struct {
 	id     string
-	engine *stream.Sharded
+	engine *stream.Engine
 	queue  *overload.Queue[mce.CERecord]
 
 	pool      []mce.CERecord
@@ -222,12 +220,9 @@ func (sc Scenario) Run(ctx context.Context, logger *slog.Logger) (Result, error)
 			return res, fmt.Errorf("astraload: site %d dataset produced no CE records", i)
 		}
 		st := &siteStack{
-			id: fmt.Sprintf("site-%d", i),
-			engine: stream.NewSharded(stream.ShardedConfig{
-				Partitions: sc.Partitions,
-				Engine:     stream.Config{DIMMs: sc.Nodes * topology.SlotsPerNode},
-			}),
-			pool: ds.CERecords,
+			id:     fmt.Sprintf("site-%d", i),
+			engine: stream.New(stream.Config{DIMMs: sc.Nodes * topology.SlotsPerNode}),
+			pool:   ds.CERecords,
 		}
 		st.queue = overload.NewQueue[mce.CERecord](overload.Config{
 			Capacity: sc.QueueDepth,

@@ -12,9 +12,9 @@
 //     checkpoint-breaker behavior under disk stalls
 //
 // With -sites N the harness builds N federated sites (per-site seeds
-// seed+i) behind one server, exercising the fan-in rollup and
-// site-scoped endpoints under load; -partitions shards each site's
-// engine by node hash. Per-site ingest/shed rows land in the result.
+// seed+i) behind one server, exercising the cross-site rollup and
+// site-scoped endpoints under load. Per-site ingest/shed rows land in
+// the result.
 //
 // The result document is BENCH_serve.json, the serving-path baseline
 // `make bench-serve` writes and `make bench-guard` defends:
@@ -54,7 +54,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.Uint64Var(&sc.Seed, "seed", 1, "dataset seed")
 	fs.IntVar(&sc.Nodes, "nodes", 64, "dataset system size, per site")
 	fs.IntVar(&sc.Sites, "sites", 1, "federated sites served from one stack (site i seeds with seed+i)")
-	fs.IntVar(&sc.Partitions, "partitions", 1, "stream engine partitions per site")
 	fs.Float64Var(&sc.DurationSec, "duration", 3, "load phase seconds")
 	fs.IntVar(&sc.IngestRate, "ingest-rate", 100000, "sustained offer rate, records/s")
 	fs.Float64Var(&sc.BurstFactor, "burst-factor", 3, "rate multiplier inside the burst window")
@@ -75,7 +74,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.Float64Var(&sc.CheckpointTimeoutMS, "checkpoint-timeout", 50, "writes slower than this count as breaker failures, ms")
 	recovery := fs.Bool("recovery", false, "run the kill+corrupt+rotate recovery scenario after the load phase")
 	recNodes := fs.Int("recovery-nodes", 48, "recovery scenario dataset size, nodes")
-	recPartitions := fs.Int("recovery-partitions", 2, "recovery scenario engine partitions")
 	recKeep := fs.Int("recovery-keep", 3, "recovery scenario checkpoint ladder depth")
 	recBound := fs.Float64("recovery-bound", 30000, "hard cap on recovery convergence, ms")
 	out := fs.String("out", "BENCH_serve.json", "result/baseline path")
@@ -90,11 +88,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	if *recovery {
 		sc.Recovery = &RecoverySpec{
-			Seed:       sc.Seed,
-			Nodes:      *recNodes,
-			Partitions: *recPartitions,
-			Keep:       *recKeep,
-			BoundMS:    *recBound,
+			Seed:    sc.Seed,
+			Nodes:   *recNodes,
+			Keep:    *recKeep,
+			BoundMS: *recBound,
 		}
 	}
 

@@ -16,7 +16,7 @@ import (
 // slow clients probe the server timeouts.
 func tinyScenario() Scenario {
 	return Scenario{
-		Seed: 5, Nodes: 24, Sites: 1, Partitions: 1,
+		Seed: 5, Nodes: 24, Sites: 1,
 		DurationSec: 0.4, IngestRate: 30000,
 		BurstFactor: 2, BurstAtSec: 0.1, BurstForSec: 0.1,
 		APIClients: 2, APIQPS: 100, SlowClients: 1,
@@ -93,12 +93,11 @@ func TestHarnessCalmRun(t *testing.T) {
 }
 
 // TestHarnessMultiSiteFederation runs the federated topology: two sites
-// with distinct seeds, partitioned engines, per-site accounting rows,
-// and the conditional-GET fast path measured.
+// with distinct seeds, per-site accounting rows, and the conditional-GET
+// fast path measured.
 func TestHarnessMultiSiteFederation(t *testing.T) {
 	sc := tinyScenario()
 	sc.Sites = 2
-	sc.Partitions = 2
 	sc.IngestRate = 5000
 	sc.DrainBatch = 1024
 	sc.DrainIntervalMS = 0

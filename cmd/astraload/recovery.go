@@ -48,9 +48,8 @@ const (
 // load Scenario, every field is echoed into the baseline so -guard
 // re-runs it exactly.
 type RecoverySpec struct {
-	Seed       uint64 `json:"seed"`
-	Nodes      int    `json:"nodes"`
-	Partitions int    `json:"partitions"`
+	Seed  uint64 `json:"seed"`
+	Nodes int    `json:"nodes"`
 	// Keep is the checkpoint ladder depth (atomicio.Generations).
 	Keep int `json:"keep"`
 	// BoundMS is the hard cap on recovery: the restarted pipeline must
@@ -167,7 +166,7 @@ type recoveryCounters struct {
 // abruptly as a crash, which is the point. stopAt > 0 ends the run
 // cleanly once the engine holds that many records (the restarted
 // incarnation's convergence condition).
-func runRecoveryTail(ctx context.Context, logPath string, gens atomicio.Generations, eng *stream.Sharded,
+func runRecoveryTail(ctx context.Context, logPath string, gens atomicio.Generations, eng *stream.Engine,
 	cp syslog.Checkpoint, base int, cpEvery int, stopAt int, ctr *recoveryCounters) error {
 	f, err := os.Open(logPath)
 	if err != nil {
@@ -308,11 +307,8 @@ func (rs RecoverySpec) run(ctx context.Context, logger *slog.Logger) (RecoveryRe
 		return rr, err
 	}
 	gens := atomicio.Generations{Path: statePath, Keep: rs.Keep}
-	mkEngine := func() *stream.Sharded {
-		return stream.NewSharded(stream.ShardedConfig{
-			Partitions: rs.Partitions,
-			Engine:     stream.Config{DIMMs: rs.Nodes * topology.SlotsPerNode},
-		})
+	mkEngine := func() *stream.Engine {
+		return stream.New(stream.Config{DIMMs: rs.Nodes * topology.SlotsPerNode})
 	}
 	bound := time.Duration(rs.BoundMS * float64(time.Millisecond))
 	deadline := time.Now().Add(bound)

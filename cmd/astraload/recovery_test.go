@@ -49,7 +49,7 @@ func TestRecoveryStateSeal(t *testing.T) {
 // resumed from a post-rotation offset, and converged to the exact batch
 // answer within the bound.
 func TestRecoveryScenarioConverges(t *testing.T) {
-	rs := RecoverySpec{Seed: 7, Nodes: 32, Partitions: 2, Keep: 3, BoundMS: 60000}
+	rs := RecoverySpec{Seed: 7, Nodes: 32, Keep: 3, BoundMS: 60000}
 	logger := slog.New(slog.NewTextHandler(io.Discard, nil))
 	rr, err := rs.run(context.Background(), logger)
 	if err != nil {

@@ -99,7 +99,7 @@ func main() {
 func atRisk(ds *dataset.Dataset) {
 	eng := stream.New(stream.Config{})
 	eng.IngestBatch(ds.CERecords)
-	srv := serve.New(serve.Config{Engine: eng})
+	srv := serve.New(serve.Config{Source: eng})
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		log.Fatal(err)

@@ -13,7 +13,6 @@ import (
 	"io"
 	"os"
 	"strconv"
-	"sync"
 
 	astra "repro"
 	"repro/internal/colfmt"
@@ -111,27 +110,6 @@ func New(ctx context.Context, seed uint64, nodes int) (*Set, error) {
 		return nil, fmt.Errorf("benchstage: render colfmt: %w", err)
 	}
 	colBytes := colBuf.Bytes()
-
-	// fanin-merge measures the merge alone, so the warm ingested fleets
-	// are built once per partition count and shared across ops (a view
-	// rebuild does not mutate partition state).
-	var faninMu sync.Mutex
-	faninFleets := map[int]*stream.Sharded{}
-	faninFleet := func(parts int) *stream.Sharded {
-		faninMu.Lock()
-		defer faninMu.Unlock()
-		s, ok := faninFleets[parts]
-		if !ok {
-			s = stream.NewSharded(stream.ShardedConfig{
-				Partitions: parts,
-				Engine:     stream.Config{DIMMs: nodes * topology.SlotsPerNode},
-			})
-			s.IngestBatch(ds.CERecords)
-			s.Summary()
-			faninFleets[parts] = s
-		}
-		return s
-	}
 
 	// predict-features measures the per-record feature-extraction cost the
 	// prediction layer adds to the stream engine's ingest hot path. The
@@ -245,49 +223,12 @@ func New(ctx context.Context, seed uint64, nodes int) (*Set, error) {
 			Op: func(workers int) {
 				// The online path: a fresh engine ingests the full record
 				// stream and is forced through classification by Summary,
-				// mirroring what astrad does between scrapes. At workers>1
-				// the engine is the sharded fleet (workers = partitions),
-				// the configuration astrad -partitions runs — results are
-				// bit-identical to serial, so the stage measures pure
-				// partition-parallel speedup.
-				var sum stream.Summary
-				if workers > 1 {
-					s := stream.NewSharded(stream.ShardedConfig{
-						Partitions: workers,
-						Engine:     stream.Config{DIMMs: nodes * topology.SlotsPerNode},
-					})
-					s.IngestBatch(ds.CERecords)
-					sum = s.Summary()
-				} else {
-					e := stream.New(stream.Config{
-						Cluster: core.ClusterConfig{Parallelism: workers},
-						DIMMs:   nodes * topology.SlotsPerNode,
-					})
-					e.IngestBatch(ds.CERecords)
-					sum = e.Summary()
-				}
-				if sum.Records != len(ds.CERecords) {
+				// mirroring what astrad does on restore. One engine serves
+				// a site, so workers is ignored.
+				e := stream.New(stream.Config{DIMMs: nodes * topology.SlotsPerNode})
+				e.IngestBatch(ds.CERecords)
+				if sum := e.Summary(); sum.Records != len(ds.CERecords) {
 					panic(fmt.Sprintf("benchstage: stream ingested %d records, want %d", sum.Records, len(ds.CERecords)))
-				}
-			},
-		},
-		{
-			Name:    "fanin-merge",
-			Records: len(ds.CERecords),
-			Op: func(workers int) {
-				// The aggregation tier alone: rebuild the fleet view (lock
-				// every partition, merge summaries and rolling windows,
-				// k-way merge fault lists, rebuild the node map) over a
-				// warm fleet of `workers` partitions. Tracked so fan-in
-				// never silently becomes the new serial choke point as
-				// partition counts grow.
-				parts := workers
-				if parts < 1 {
-					parts = 1
-				}
-				s := faninFleet(parts)
-				if v := s.BuildView(); v.Summary.Records != len(ds.CERecords) {
-					panic(fmt.Sprintf("benchstage: fanin view has %d records, want %d", v.Summary.Records, len(ds.CERecords)))
 				}
 			},
 		},
@@ -311,11 +252,7 @@ func New(ctx context.Context, seed uint64, nodes int) (*Set, error) {
 				// the admission queue (producer + drainer handoff) into the
 				// engine, queue deep enough that nothing sheds — measuring
 				// the queue's overhead over raw stream-ingest.
-				e := stream.New(stream.Config{
-					Cluster:     core.ClusterConfig{Parallelism: workers},
-					DIMMs:       nodes * topology.SlotsPerNode,
-					Parallelism: workers,
-				})
+				e := stream.New(stream.Config{DIMMs: nodes * topology.SlotsPerNode})
 				q := overload.NewQueue[mce.CERecord](overload.Config{
 					Capacity: len(ds.CERecords) + 1,
 					OnShed:   func(n int) { e.NoteShed(n) },

@@ -15,8 +15,8 @@
 //
 // Determinism contract: FeatureState is a pure function of the
 // sequence of Observe calls. The stream engine applies feature updates
-// strictly in arrival order on every path (serial ingest, parallel
-// batches, sharded partitions), so stream-computed features are
+// strictly in arrival order on every path (record-at-a-time ingest or
+// micro-batches), so stream-computed features are
 // bit-identical to a batch recomputation — the same stream==batch
 // property the fault pipeline has, extended to floating-point
 // accumulators by never merging them.
@@ -233,7 +233,7 @@ func (s *FeatureState) Snapshot(sp core.BankSpatial, at time.Time) Features {
 // BankFeatures pairs a bank's identity with its feature snapshot; the
 // stream engine's views and the batch tracker both produce these, in
 // first-arrival order (FirstIdx is the arrival index of the bank's
-// first record — the stable sort key the sharded merge uses).
+// first record — the risk ranking's tie-break).
 type BankFeatures struct {
 	Key      core.BankKey
 	FirstIdx int

@@ -3,7 +3,7 @@ package serve
 import "sync"
 
 // respCache is the snapshot-keyed response cache: a rendered 200 body is
-// valid exactly as long as the view epoch (fan-in seq) it was rendered
+// valid exactly as long as the view epoch (the view's Seq) it was rendered
 // at, so a herd of dashboard clients costs one render per epoch, not one
 // per request. Entries remember their epoch; a lookup at any other epoch
 // misses and the stale entry is overwritten by the re-render. The map is

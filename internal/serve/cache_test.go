@@ -39,7 +39,7 @@ func TestETagRoundTrip(t *testing.T) {
 	ds := fixture(t)
 	e := stream.New(stream.Config{DIMMs: 32 * topology.SlotsPerNode})
 	e.IngestBatch(ds.CERecords[:len(ds.CERecords)/2])
-	s := serve.New(serve.Config{Engine: e})
+	s := serve.New(serve.Config{Source: e})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
@@ -92,7 +92,7 @@ func TestETagWildcardAndList(t *testing.T) {
 	ds := fixture(t)
 	e := stream.New(stream.Config{DIMMs: 32 * topology.SlotsPerNode})
 	e.IngestBatch(ds.CERecords)
-	s := serve.New(serve.Config{Engine: e})
+	s := serve.New(serve.Config{Source: e})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
@@ -120,7 +120,7 @@ func TestCacheMetrics(t *testing.T) {
 	ds := fixture(t)
 	e := stream.New(stream.Config{DIMMs: 32 * topology.SlotsPerNode})
 	e.IngestBatch(ds.CERecords)
-	s := serve.New(serve.Config{Engine: e})
+	s := serve.New(serve.Config{Source: e})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
@@ -159,7 +159,7 @@ func contains(haystack, needle string) bool {
 func TestMultiSiteFederation(t *testing.T) {
 	ds := fixture(t)
 	half := len(ds.CERecords) / 2
-	a := stream.NewSharded(stream.ShardedConfig{Partitions: 2, Engine: stream.Config{DIMMs: 32 * topology.SlotsPerNode}})
+	a := stream.New(stream.Config{DIMMs: 32 * topology.SlotsPerNode})
 	b := stream.New(stream.Config{DIMMs: 32 * topology.SlotsPerNode})
 	a.IngestBatch(ds.CERecords[:half])
 	b.IngestBatch(ds.CERecords[half:])
@@ -274,7 +274,7 @@ func TestRespCacheReset(t *testing.T) {
 	ds := fixture(t)
 	e := stream.New(stream.Config{DIMMs: 32 * topology.SlotsPerNode})
 	e.IngestBatch(ds.CERecords)
-	s := serve.New(serve.Config{Engine: e})
+	s := serve.New(serve.Config{Source: e})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 

@@ -22,7 +22,7 @@ func newOverloadServer(t *testing.T, st *overload.Status) *httptest.Server {
 	e := stream.New(stream.Config{DIMMs: 32 * topology.SlotsPerNode})
 	e.IngestBatch(ds.CERecords)
 	s := serve.New(serve.Config{
-		Engine:   e,
+		Source:   e,
 		Overload: func() overload.Status { return *st },
 	})
 	ts := httptest.NewServer(s.Handler())
@@ -87,7 +87,7 @@ func TestHealthzShedDegraded(t *testing.T) {
 	e := stream.New(stream.Config{})
 	e.IngestBatch(ds.CERecords)
 	e.NoteShed(5)
-	s := serve.New(serve.Config{Engine: e})
+	s := serve.New(serve.Config{Source: e})
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(ts.Close)
 
@@ -153,7 +153,7 @@ func FuzzNodePath(f *testing.F) {
 	ds := fixture(f)
 	e := stream.New(stream.Config{})
 	e.IngestBatch(ds.CERecords)
-	s := serve.New(serve.Config{Engine: e})
+	s := serve.New(serve.Config{Source: e})
 	ts := httptest.NewServer(s.Handler())
 	f.Cleanup(ts.Close)
 

@@ -32,7 +32,7 @@ func TestAtRiskEndpoint(t *testing.T) {
 	ds := fixture(t)
 	e := stream.New(stream.Config{})
 	e.IngestBatch(ds.CERecords)
-	s := serve.New(serve.Config{Engine: e})
+	s := serve.New(serve.Config{Source: e})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
@@ -149,7 +149,7 @@ func TestAtRiskCustomPredictor(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := serve.New(serve.Config{Engine: e, Predictor: m})
+	s := serve.New(serve.Config{Source: e, Predictor: m})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
@@ -174,7 +174,7 @@ func FuzzRiskEndpoint(f *testing.F) {
 	ds := fixture(f)
 	e := stream.New(stream.Config{})
 	e.IngestBatch(ds.CERecords)
-	s := serve.New(serve.Config{Engine: e})
+	s := serve.New(serve.Config{Source: e})
 	ts := httptest.NewServer(s.Handler())
 	f.Cleanup(ts.Close)
 

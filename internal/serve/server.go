@@ -19,9 +19,9 @@ import (
 	"repro/internal/topology"
 )
 
-// Source is the engine surface the server reads: the serial
-// stream.Engine and the partitioned stream.Sharded both satisfy it, so
-// one daemon serves either without caring which it holds.
+// Source is the engine surface the server reads. A *stream.Engine
+// satisfies it; a daemon wraps one to swap engines under the server
+// (astrad's supervised restarts), and tests substitute doubles.
 type Source interface {
 	// LiveView returns a current or recent immutable view (never blocks
 	// behind ingest; see stream.Engine.LiveView).
@@ -71,11 +71,9 @@ type Site struct {
 
 // Config assembles a Server.
 type Config struct {
-	// Engine is the live clustering engine to serve. Exactly one of
-	// Engine, Source, or Sites must be set; Engine and Source are the
-	// single-site arrangement (equivalent: Engine is a Source).
-	Engine *stream.Engine
-	// Source generalizes Engine (a sharded fleet, a test double).
+	// Source is the single-site arrangement: the one engine to serve
+	// (a *stream.Engine, or anything else satisfying Source). Exactly
+	// one of Source or Sites must be set.
 	Source Source
 	// Sites serves several federated fleets from one daemon: each gets
 	// site-scoped endpoints under /v1/sites/{id}/, and the legacy /v1
@@ -166,7 +164,7 @@ func (st *siteState) currentHealth() SiteHealth {
 	return st.health()
 }
 
-// New builds a server around an engine, a source, or a site set.
+// New builds a server around one source or a site set.
 func New(cfg Config) *Server {
 	log := cfg.Logger
 	if log == nil {
@@ -198,10 +196,8 @@ func New(cfg Config) *Server {
 		for _, site := range cfg.Sites {
 			s.sites = append(s.sites, &siteState{id: site.ID, src: site.Source, health: site.Health})
 		}
-	case cfg.Source != nil:
-		s.sites = []*siteState{{id: "default", src: cfg.Source}}
 	default:
-		s.sites = []*siteState{{id: "default", src: cfg.Engine}}
+		s.sites = []*siteState{{id: "default", src: cfg.Source}}
 	}
 	if s.maxConcurrent == 0 {
 		s.maxConcurrent = DefaultMaxConcurrent

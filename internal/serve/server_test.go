@@ -6,9 +6,11 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/dataset"
@@ -44,7 +46,7 @@ func newTestServer(t *testing.T) (*stream.Engine, *httptest.Server) {
 	e := stream.New(stream.Config{DIMMs: 32 * topology.SlotsPerNode})
 	e.IngestBatch(ds.CERecords)
 	s := serve.New(serve.Config{
-		Engine: e,
+		Source: e,
 		ScanStats: func() syslog.ScanStats {
 			return syslog.ScanStats{Lines: 12345, CEs: len(ds.CERecords), Malformed: 7}
 		},
@@ -263,4 +265,55 @@ func TestServerMetrics(t *testing.T) {
 func itoa(n int) string {
 	b, _ := json.Marshal(n)
 	return string(b)
+}
+
+// laggingSource serves a fixed view that trails its Seq by lag records,
+// as an engine's cached view does while an ingest batch holds the engine.
+type laggingSource struct {
+	view *stream.View
+	lag  uint64
+}
+
+func (s laggingSource) LiveView() *stream.View  { return s.view }
+func (s laggingSource) Seq() uint64             { return s.view.Seq + s.lag }
+func (s laggingSource) Summary() stream.Summary { return s.view.Summary }
+func (s laggingSource) Shed() uint64            { return 0 }
+func (s laggingSource) DIMMs() int              { return 32 * topology.SlotsPerNode }
+
+// TestStalenessHeaders pins how a stale view is served: as-is, with its
+// age in X-Astra-Staleness and the records it trails by in
+// X-Astra-Staleness-Records, on the rollup and the site-scoped paths
+// alike. A current view carries neither header.
+func TestStalenessHeaders(t *testing.T) {
+	const age = 3 * time.Second
+	view := &stream.View{
+		Seq:     40,
+		BuiltAt: time.Now().Add(-age),
+		Summary: stream.Summary{Records: 40, Offered: 40},
+	}
+	for _, lag := range []uint64{7, 0} {
+		s := serve.New(serve.Config{Source: laggingSource{view: view, lag: lag}})
+		ts := httptest.NewServer(s.Handler())
+		for _, path := range []string{"/v1/breakdown", "/v1/sites/default/breakdown"} {
+			resp := getFull(t, ts.URL+path, "")
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("lag %d: GET %s = %d", lag, path, resp.StatusCode)
+			}
+			staleness := resp.Header.Get("X-Astra-Staleness")
+			records := resp.Header.Get("X-Astra-Staleness-Records")
+			if lag == 0 {
+				if staleness != "" || records != "" {
+					t.Fatalf("GET %s: current view carries staleness headers %q / %q", path, staleness, records)
+				}
+				continue
+			}
+			if records != strconv.FormatUint(lag, 10) {
+				t.Fatalf("GET %s: X-Astra-Staleness-Records = %q, want %d", path, records, lag)
+			}
+			if d, err := time.ParseDuration(staleness); err != nil || d < age {
+				t.Fatalf("GET %s: X-Astra-Staleness = %q, want a duration of at least %v", path, staleness, age)
+			}
+		}
+		ts.Close()
+	}
 }

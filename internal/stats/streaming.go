@@ -8,7 +8,7 @@ import "math"
 // touching the ingest hot path's zero-allocation contract. Both are
 // also strictly deterministic functions of their input *sequence*: the
 // prediction subsystem relies on updates being applied in arrival
-// order on every path (serial, batched, sharded), so the structs
+// order on every path (record at a time or batched), so the structs
 // deliberately provide no merge operation.
 
 // Welford accumulates running mean and variance using Welford's

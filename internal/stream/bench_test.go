@@ -31,62 +31,16 @@ func BenchmarkStreamIngest(b *testing.B) {
 }
 
 // BenchmarkStreamIngestBatch measures micro-batched ingest (the daemon's
-// catch-up mode) at the serial and auto worker settings.
+// catch-up mode and its restore): the whole fixture in one batch.
 func BenchmarkStreamIngestBatch(b *testing.B) {
-	ds := fixture(b)
-	recs := ds.CERecords
-	for _, bench := range []struct {
-		name    string
-		workers int
-	}{{"serial", 1}, {"auto", 0}} {
-		b.Run(bench.name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				e := stream.New(stream.Config{Parallelism: bench.workers})
-				e.IngestBatch(recs)
-				e.Summary()
-			}
-			b.ReportMetric(float64(len(recs))*float64(b.N)/b.Elapsed().Seconds(), "records/s")
-		})
+	recs := fixture(b).CERecords
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		e := stream.New(stream.Config{})
+		e.IngestBatch(recs)
+		e.Summary()
 	}
-}
-
-// BenchmarkShardedIngestBatch measures partition-parallel micro-batched
-// ingest at several partition counts (1 = the fan-out overhead floor).
-func BenchmarkShardedIngestBatch(b *testing.B) {
-	ds := fixture(b)
-	recs := ds.CERecords
-	for _, parts := range []int{1, 4, 8} {
-		b.Run("parts"+string(rune('0'+parts)), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				s := stream.NewSharded(stream.ShardedConfig{Partitions: parts})
-				s.IngestBatch(recs)
-				s.Summary()
-			}
-			b.ReportMetric(float64(len(recs))*float64(b.N)/b.Elapsed().Seconds(), "records/s")
-		})
-	}
-}
-
-// BenchmarkShardedFanin measures the fleet-view merge (the aggregation
-// tier's full cost: lock all partitions, merge summaries, k-way merge
-// fault lists, rebuild node map) against warm fleets of varying width.
-func BenchmarkShardedFanin(b *testing.B) {
-	ds := fixture(b)
-	for _, parts := range []int{1, 4, 8} {
-		s := stream.NewSharded(stream.ShardedConfig{Partitions: parts, Engine: stream.Config{DIMMs: 48 * topology.SlotsPerNode}})
-		s.IngestBatch(ds.CERecords)
-		s.Summary()
-		b.Run("parts"+string(rune('0'+parts)), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if v := s.BuildView(); len(v.Faults) == 0 {
-					b.Fatal("empty fleet view")
-				}
-			}
-		})
-	}
+	b.ReportMetric(float64(len(recs))*float64(b.N)/b.Elapsed().Seconds(), "records/s")
 }
 
 // BenchmarkStreamSnapshot measures the full-fault-list query against a

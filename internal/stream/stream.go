@@ -5,12 +5,12 @@
 // available at any instant instead of after a nightly batch run.
 //
 // The engine carries a differential guarantee: replaying any record
-// sequence through Ingest/IngestBatch — at any micro-batch size and any
-// Parallelism — then calling Snapshot yields exactly the faults (order,
-// modes, error index lists) that core.Cluster produces over the same
-// records. This is not an accident of testing but of construction: both
-// paths accumulate core.BankState per bank and classify through
-// BankState.AppendFaults, and the property tests in this package pin it.
+// sequence through Ingest/IngestBatch — at any micro-batch size — then
+// calling Snapshot yields exactly the faults (order, modes, error index
+// lists) that core.Cluster produces over the same records. This is not
+// an accident of testing but of construction: both paths accumulate
+// core.BankState per bank and classify through BankState.AppendFaults,
+// and the property tests in this package pin it.
 //
 // Mode escalation is the natural history of a DRAM fault under this
 // methodology: a bank that has shown one stuck bit (single-bit) may grow
@@ -24,7 +24,8 @@
 // lists instead of hashed maps (a packed integer key with a map fallback
 // keeps exotic slot/node values exact), the dirty set is a flag on the
 // bank entry plus an index list, and the rolling rate windows advance in
-// O(1). Sharded (sharded.go) stacks partition parallelism on top.
+// O(1). One engine serves a whole site: every DRAM bank belongs to one
+// node, so clustering never needs more than one engine per fleet.
 package stream
 
 import (
@@ -34,7 +35,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/mce"
-	"repro/internal/parallel"
 	"repro/internal/predict"
 	"repro/internal/stats"
 	"repro/internal/topology"
@@ -62,10 +62,6 @@ type Config struct {
 	// DIMMs is the monitored device population, the denominator of FIT
 	// estimates (nodes × topology.SlotsPerNode on the full system).
 	DIMMs int
-	// Parallelism bounds the workers IngestBatch shards large batches
-	// across; 0 uses GOMAXPROCS, 1 keeps ingest serial. Results are
-	// identical at every setting.
-	Parallelism int
 }
 
 // bankRef is a per-node reference to one bank entry: the packed
@@ -76,13 +72,12 @@ type bankRef struct {
 }
 
 // bankEntry is one bank's live state: accumulated errors, the cached
-// classification, the global index of the bank's first record (the
-// fan-in merge key — partition snapshots interleave by it), and the
-// incremental failure-prediction features. The feature state updates
-// strictly in arrival order on every ingest path — predict.FeatureState
-// deliberately has no merge operation — so stream features are
-// bit-identical to a batch predict.Tracker over the same records at any
-// partition count.
+// classification, the arrival index of the bank's first record (the
+// risk ranking's tie-break), and the incremental failure-prediction
+// features. The feature state updates strictly in arrival order —
+// predict.FeatureState deliberately has no merge operation — so stream
+// features are bit-identical to a batch predict.Tracker over the same
+// records at any micro-batch size.
 type bankEntry struct {
 	key      core.BankKey
 	state    *core.BankState
@@ -129,19 +124,13 @@ type Engine struct {
 
 	// records is every ingested CE in arrival order; fault Errors index
 	// into it. It grows for the lifetime of the engine, like the input
-	// slice of a batch run. When the engine is a shard of a Sharded
-	// fleet (indexed), gidx carries each record's global arrival index
-	// (drawn from the fleet's globalIdx counter) and fault Errors use
-	// those instead.
-	records   []mce.CERecord
-	gidx      []int
-	indexed   bool
-	globalIdx *atomic.Int64
+	// slice of a batch run.
+	records []mce.CERecord
 
 	// entries holds every bank in first-appearance order (what the batch
-	// clusterer's output order is defined by); bankPacked maps packed
-	// (node, slot, rank, bank) keys to entry indices for the merge path,
-	// and bankOverflow catches keys whose fields do not pack.
+	// clusterer's output order is defined by); each node's bank refs find
+	// its entries by packed (slot, rank, bank) key, and bankOverflow
+	// catches keys whose fields do not pack.
 	entries      []bankEntry
 	bankOverflow map[core.BankKey]int32
 	dirtyIdx     []int32
@@ -204,42 +193,6 @@ func New(cfg Config) *Engine {
 	return e
 }
 
-// newShard returns a partition engine of a Sharded fleet: records carry
-// global arrival indices drawn from counter, so fault Errors and the
-// fan-in merge order are identical to a serial engine over the merged
-// stream.
-func newShard(cfg Config, counter *atomic.Int64) *Engine {
-	e := New(cfg)
-	e.indexed = true
-	e.globalIdx = counter
-	return e
-}
-
-// nextGlobal reserves n consecutive global arrival indices and returns
-// the first.
-func (e *Engine) nextGlobal(n int) int {
-	return int(e.globalIdx.Add(int64(n))) - n
-}
-
-// ingestIndexed folds a micro-batch into an indexed shard with
-// caller-assigned global indices (gs[i] is rs[i]'s fleet arrival index;
-// both ascend). The Sharded fan-out uses this so every record keeps the
-// index a serial engine would have given it.
-func (e *Engine) ingestIndexed(gs []int, rs []mce.CERecord) {
-	if len(rs) == 0 {
-		return
-	}
-	e.mu.Lock()
-	base := len(e.records)
-	e.records = append(e.records, rs...)
-	e.gidx = append(e.gidx, gs...)
-	for i := range rs {
-		e.ingestRecord(gs[i], &e.records[base+i])
-	}
-	e.seq.Add(uint64(len(rs)))
-	e.mu.Unlock()
-}
-
 // packBank packs (slot, rank, bank) into the per-node bank key; ok is
 // false when slot falls outside the packable range (exotic inputs take
 // the exact bankOverflow path instead).
@@ -300,7 +253,7 @@ func (e *Engine) newNodeState(id topology.NodeID) int32 {
 
 // ensureBank returns the entry index for the bank the record belongs to,
 // creating the entry (and its DIMM accounting) on first sight. g is the
-// record's global arrival index, the entry's firstIdx when new.
+// record's arrival index, the entry's firstIdx when new.
 func (e *Engine) ensureBank(rec *mce.CERecord, nsIdx int32, g int) int32 {
 	pk, ok := packBank(rec.Slot, rec.Rank, rec.Bank)
 	if !ok {
@@ -379,26 +332,15 @@ func (e *Engine) noteDIMM(node topology.NodeID, slot int64, ns *nodeState) {
 // warmed fault population is allocation-free, amortized).
 func (e *Engine) Ingest(r mce.CERecord) {
 	e.mu.Lock()
-	e.ingestLocked(r)
+	g := len(e.records)
+	e.records = append(e.records, r)
+	e.ingestRecord(g, &e.records[g])
 	e.seq.Add(1)
 	e.mu.Unlock()
 }
 
-func (e *Engine) ingestLocked(r mce.CERecord) {
-	i := len(e.records)
-	e.records = append(e.records, r)
-	g := i
-	if e.indexed {
-		// Non-sharded entry points on an indexed shard keep gidx dense.
-		g = e.nextGlobal(1)
-		e.gidx = append(e.gidx, g)
-	}
-	e.ingestRecord(g, &e.records[i])
-}
-
-// ingestRecord is the per-record hot path. g is the record's global
-// arrival index (equal to its position in e.records unless the engine is
-// an indexed shard).
+// ingestRecord is the per-record hot path. g is the record's arrival
+// index, its position in e.records.
 func (e *Engine) ingestRecord(g int, rec *mce.CERecord) {
 	nsIdx := e.ensureNode(rec.Node)
 	entIdx := e.ensureBank(rec, nsIdx, g)
@@ -446,138 +388,21 @@ func (e *Engine) noteScalars(nsIdx int32, rec *mce.CERecord) {
 	}
 }
 
-// minBatchShard keeps micro-batch grouping serial below this size; the
-// per-shard map setup would cost more than the scan.
-const minBatchShard = 1 << 12
-
-// IngestBatch folds a micro-batch of records into the engine, sharding
-// the bank-grouping scan across Config.Parallelism workers when the batch
-// is large. The result is identical to ingesting the records one by one
-// in order, at every batch size and worker count: shards cover contiguous
-// ranges and merge in shard order, reproducing the serial first-appearance
-// order exactly (the same argument as the batch clusterer's sharded scan).
+// IngestBatch folds a micro-batch of records into the engine under one
+// lock hold. The result is identical to ingesting the records one by one
+// in order, at every batch size.
 func (e *Engine) IngestBatch(rs []mce.CERecord) {
 	if len(rs) == 0 {
 		return
 	}
 	e.mu.Lock()
-	defer e.mu.Unlock()
-	defer e.seq.Add(uint64(len(rs)))
 	base := len(e.records)
 	e.records = append(e.records, rs...)
-	gbase := base
-	if e.indexed {
-		gbase = e.nextGlobal(len(rs))
-		for i := range rs {
-			e.gidx = append(e.gidx, gbase+i)
-		}
+	for g := base; g < len(e.records); g++ {
+		e.ingestRecord(g, &e.records[g])
 	}
-	workers := parallel.Workers(e.cfg.Parallelism)
-	if workers <= 1 || len(rs) < 2*minBatchShard {
-		for i := range rs {
-			e.ingestRecord(gbase+i, &e.records[base+i])
-		}
-		return
-	}
-
-	type part struct {
-		banks    map[core.BankKey]*core.BankState
-		order    []core.BankKey
-		firstIdx []int
-	}
-	shards := parallel.NumChunks(workers, len(rs))
-	parts := make([]part, shards)
-	parallel.ForEachChunk(workers, len(rs), func(shard, lo, hi int) {
-		p := part{banks: make(map[core.BankKey]*core.BankState, 8)}
-		for i := lo; i < hi; i++ {
-			rec := &e.records[base+i]
-			key := core.RecordBankKey(rec)
-			bank, ok := p.banks[key]
-			if !ok {
-				bank = core.NewBankState()
-				p.banks[key] = bank
-				p.order = append(p.order, key)
-				p.firstIdx = append(p.firstIdx, gbase+i)
-			}
-			bank.Add(gbase+i, rec)
-		}
-		parts[shard] = p
-	})
-	for _, p := range parts {
-		for j, key := range p.order {
-			nsIdx := e.ensureNode(key.Node)
-			entIdx, ok := e.findBank(key, nsIdx)
-			if !ok {
-				entIdx = e.insertBank(key, nsIdx, p.firstIdx[j])
-				e.entries[entIdx].state = p.banks[key]
-			} else {
-				ent := &e.entries[entIdx]
-				ent.state.Merge(p.banks[key])
-				if !ent.dirty {
-					ent.dirty = true
-					e.dirtyIdx = append(e.dirtyIdx, entIdx)
-				}
-			}
-		}
-	}
-	// The per-shard scan merged bank *states* out of order; the feature
-	// states have no merge operation by design, so this serial pass
-	// applies them in arrival order — the same sequence the record-at-a-
-	// time path produces (every bank was created above, so findBank hits).
-	for i := base; i < len(e.records); i++ {
-		rec := &e.records[i]
-		nsIdx := e.ensureNode(rec.Node)
-		if entIdx, ok := e.findBank(core.RecordBankKey(rec), nsIdx); ok {
-			e.entries[entIdx].fs.Observe(rec.Time.UnixNano())
-		}
-		e.noteScalars(nsIdx, rec)
-	}
-}
-
-// findBank looks a bank up without creating it.
-func (e *Engine) findBank(key core.BankKey, nsIdx int32) (int32, bool) {
-	pk, ok := packBank(key.Slot, int(key.Rank), int(key.Bank))
-	if !ok {
-		idx, ok := e.bankOverflow[key]
-		return idx, ok
-	}
-	ns := &e.nodeStates[nsIdx]
-	if ns.bankMap != nil {
-		idx, ok := ns.bankMap[pk]
-		return idx, ok
-	}
-	for i := range ns.banks {
-		if ns.banks[i].pk == pk {
-			return ns.banks[i].idx, true
-		}
-	}
-	return 0, false
-}
-
-// insertBank creates a bank entry for key (which findBank just missed),
-// with an empty state the caller replaces or merges into.
-func (e *Engine) insertBank(key core.BankKey, nsIdx int32, firstIdx int) int32 {
-	idx := e.addEntry(key, firstIdx)
-	pk, ok := packBank(key.Slot, int(key.Rank), int(key.Bank))
-	if !ok {
-		if e.bankOverflow == nil {
-			e.bankOverflow = map[core.BankKey]int32{}
-		}
-		e.bankOverflow[key] = idx
-	} else {
-		ns := &e.nodeStates[nsIdx]
-		ns.banks = append(ns.banks, bankRef{pk: pk, idx: idx})
-		if ns.bankMap != nil {
-			ns.bankMap[pk] = idx
-		} else if len(ns.banks) > linearBankScan {
-			ns.bankMap = make(map[uint64]int32, 2*len(ns.banks))
-			for _, ref := range ns.banks {
-				ns.bankMap[ref.pk] = ref.idx
-			}
-		}
-	}
-	e.noteDIMM(key.Node, int64(key.Slot), &e.nodeStates[nsIdx])
-	return idx
+	e.seq.Add(uint64(len(rs)))
+	e.mu.Unlock()
 }
 
 // reclassify re-derives the fault lists of dirty banks and updates the
@@ -651,14 +476,13 @@ func (e *Engine) snapshotLocked() []core.Fault {
 func (e *Engine) Features() []predict.BankFeatures {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	return e.featuresLocked(e.last)
+	return e.featuresLocked()
 }
 
-// featuresLocked evaluates every bank's features with an explicit
-// window end (the fleet's newest event time when the engine is a
-// shard, so partition outputs merge into the serial answer). Caller
-// holds e.mu; the snapshot advances each bank's rolling window to at.
-func (e *Engine) featuresLocked(at time.Time) []predict.BankFeatures {
+// featuresLocked evaluates every bank's features at the newest event
+// time. Caller holds e.mu; the snapshot advances each bank's rolling
+// window to it.
+func (e *Engine) featuresLocked() []predict.BankFeatures {
 	if len(e.entries) == 0 {
 		return nil
 	}
@@ -668,7 +492,7 @@ func (e *Engine) featuresLocked(at time.Time) []predict.BankFeatures {
 		out = append(out, predict.BankFeatures{
 			Key:      ent.key,
 			FirstIdx: ent.firstIdx,
-			F:        ent.fs.Snapshot(ent.state.Spatial(), at),
+			F:        ent.fs.Snapshot(ent.state.Spatial(), e.last),
 		})
 	}
 	return out
@@ -812,24 +636,21 @@ type WindowedFIT struct {
 func (e *Engine) WindowedFIT() WindowedFIT {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	return e.windowedFITLocked(e.last, e.cfg.DIMMs)
+	return e.windowedFITLocked()
 }
 
-// windowedFITLocked computes the estimate with an explicit window end and
-// DIMM population: the fan-in tier evaluates every partition at the
-// fleet-wide newest event time so partition sums equal the serial answer.
-func (e *Engine) windowedFITLocked(end time.Time, dimms int) WindowedFIT {
+func (e *Engine) windowedFITLocked() WindowedFIT {
 	e.reclassify()
-	w := WindowedFIT{Window: e.cfg.Window, End: end}
+	w := WindowedFIT{Window: e.cfg.Window, End: e.last}
 	if e.shed.Load() > 0 {
 		// Shed records mean the fault population undercounts.
 		w.Degraded = true
 	}
-	if end.IsZero() || dimms <= 0 {
+	if e.last.IsZero() || e.cfg.DIMMs <= 0 {
 		w.Degraded = true
 		return w
 	}
-	cut := end.Add(-e.cfg.Window)
+	cut := e.last.Add(-e.cfg.Window)
 	for i := range e.entries {
 		for j := range e.entries[i].faults {
 			f := &e.entries[i].faults[j]
@@ -843,7 +664,7 @@ func (e *Engine) windowedFITLocked(end time.Time, dimms int) WindowedFIT {
 	}
 	hours := e.cfg.Window.Hours()
 	if hours > 0 {
-		w.FITPerDIMM = float64(w.NewFaults) / (float64(dimms) * hours) * 1e9
+		w.FITPerDIMM = float64(w.NewFaults) / (float64(e.cfg.DIMMs) * hours) * 1e9
 	}
 	return w
 }
@@ -868,12 +689,6 @@ type NodeStatus struct {
 func (e *Engine) NodeStatus(id topology.NodeID) (NodeStatus, bool) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	return e.nodeStatusLocked(id, e.last)
-}
-
-// nodeStatusLocked is NodeStatus with an explicit window end (the fleet's
-// newest event time when the engine is a shard).
-func (e *Engine) nodeStatusLocked(id topology.NodeID, end time.Time) (NodeStatus, bool) {
 	nsIdx, ok := e.lookupNode(id)
 	if !ok {
 		return NodeStatus{}, false
@@ -881,7 +696,7 @@ func (e *Engine) nodeStatusLocked(id topology.NodeID, end time.Time) (NodeStatus
 	e.reclassify()
 	ns := &e.nodeStates[nsIdx]
 	st := NodeStatus{Node: id, CEs: ns.ces, First: ns.first, Last: ns.last}
-	st.WindowCount, st.WindowRate = ns.rw.CountRate(end)
+	st.WindowCount, st.WindowRate = ns.rw.CountRate(e.last)
 	if e.bankOverflow == nil {
 		// ns.banks indexes this node's entries in first-appearance order, a
 		// subsequence of the global entry order.
@@ -911,6 +726,3 @@ func (e *Engine) lookupNode(id topology.NodeID) (int32, bool) {
 	idx, ok := e.nodeOver[id]
 	return idx, ok
 }
-
-// Config returns the engine's effective configuration (defaults applied).
-func (e *Engine) Config() Config { return e.cfg }

@@ -3,6 +3,7 @@ package stream_test
 import (
 	"bytes"
 	"context"
+	"math/rand"
 	"reflect"
 	"sync"
 	"testing"
@@ -45,82 +46,129 @@ func mustCluster(t testing.TB, records []mce.CERecord, cfg core.ClusterConfig) [
 	return faults
 }
 
-// TestStreamMatchesBatch is the differential guarantee: replaying the
-// dataset through the engine at every micro-batch size and worker count —
-// with live queries interleaved between batches — yields exactly the
-// faults of the batch clusterer, and the engine's incremental aggregates
-// match the batch analyses (mode fractions, FIT).
+// dirtyRecords replays the fixture through syslog + corruption + the
+// hardened scanner at the given corruption rate, yielding the exact
+// record stream a damaged production log would produce.
+func dirtyRecords(t *testing.T, rate float64) []mce.CERecord {
+	t.Helper()
+	var raw bytes.Buffer
+	if err := fixture(t).WriteSyslog(&raw, 100); err != nil {
+		t.Fatal(err)
+	}
+	var dirty bytes.Buffer
+	if _, err := corrupt.New(corrupt.Uniform(99, rate)).Process(bytes.NewReader(raw.Bytes()), &dirty); err != nil {
+		t.Fatal(err)
+	}
+	ces, _, _, _, err := dataset.ReadSyslogPolicy(bytes.NewReader(dirty.Bytes()), dataset.IngestPolicy{
+		DedupWindow:      64,
+		ReorderWindow:    5 * time.Minute,
+		MaxMalformedFrac: -1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ces
+}
+
+// TestStreamMatchesBatch is the differential guarantee: replaying a
+// record stream through the engine at every micro-batch size — fixed,
+// or seeded random between 1 and 513 — with live queries interleaved
+// between batches yields exactly the faults of the batch clusterer, and
+// the engine's incremental aggregates match the batch analyses (mode
+// fractions, FIT). The clean fixture runs against the batch clusterer
+// at 1 and 4 workers; its 1% and 100% corrupted twins, fed through the
+// hardened scanner, run the same schedules.
 func TestStreamMatchesBatch(t *testing.T) {
-	ds := fixture(t)
-	records := ds.CERecords
+	records := fixture(t).CERecords
 	if len(records) < 1000 {
 		t.Fatalf("weak fixture: only %d records", len(records))
 	}
-	dimms := 48 * topology.SlotsPerNode
-
 	for _, clusterWorkers := range []int{1, 4} {
-		cc := core.DefaultClusterConfig()
-		cc.Parallelism = clusterWorkers
-		want := mustCluster(t, records, cc)
-		wantBreakdown := core.BreakdownByMode(records, want)
-		wantRates := core.AnalyzeFaultRates(want, dimms, core.StudyWindow())
+		checkStreamMatchesBatch(t, records, clusterWorkers)
+	}
+	for _, in := range []struct {
+		name string
+		rate float64
+	}{
+		{"corrupt1pct", 0.01},
+		{"corrupt100pct", 1.0},
+	} {
+		t.Run(in.name, func(t *testing.T) {
+			checkStreamMatchesBatch(t, dirtyRecords(t, in.rate), 1)
+		})
+	}
+}
 
-		for _, tc := range []struct {
-			name      string
-			batch     int
-			enginePar int
-		}{
-			{"one-at-a-time", 1, 1},
-			{"batch3", 3, 1},
-			{"batch64", 64, 1},
-			{"batch997-parallel", 997, 4},
-			{"all-serial", len(records), 1},
-			{"all-parallel", len(records), 0},
-		} {
-			t.Run(tc.name, func(t *testing.T) {
-				e := stream.New(stream.Config{
-					Cluster:     core.ClusterConfig{Parallelism: clusterWorkers},
-					DIMMs:       dimms,
-					Parallelism: tc.enginePar,
-				})
-				for lo := 0; lo < len(records); lo += tc.batch {
-					hi := lo + tc.batch
-					if hi > len(records) {
-						hi = len(records)
-					}
-					if tc.batch == 1 {
-						e.Ingest(records[lo])
-					} else {
-						e.IngestBatch(records[lo:hi])
-					}
-					// Interleaved queries must not perturb later results.
-					if lo/tc.batch%7 == 0 {
-						_ = e.Summary()
-						_ = e.WindowedFIT()
-					}
-				}
-				got := e.Snapshot()
-				if !reflect.DeepEqual(got, want) {
-					t.Fatalf("stream faults diverge from batch: got %d faults, want %d", len(got), len(want))
-				}
-				sum := e.Summary()
-				if sum.Records != len(records) {
-					t.Fatalf("Summary.Records = %d, want %d", sum.Records, len(records))
-				}
-				if sum.FaultsByMode != wantBreakdown.FaultsByMode {
-					t.Fatalf("FaultsByMode = %v, want %v", sum.FaultsByMode, wantBreakdown.FaultsByMode)
-				}
-				if sum.ErrorsByMode != wantBreakdown.ErrorsByMode {
-					t.Fatalf("ErrorsByMode = %v, want %v", sum.ErrorsByMode, wantBreakdown.ErrorsByMode)
-				}
-				if sum.Faults != len(want) {
-					t.Fatalf("Summary.Faults = %d, want %d", sum.Faults, len(want))
-				}
-				if got := e.FaultRates(core.StudyWindow()); got != wantRates {
-					t.Fatalf("FaultRates = %+v, want %+v", got, wantRates)
-				}
+// checkStreamMatchesBatch runs every replay schedule over records as a
+// subtest of t, against core.Cluster at clusterWorkers workers.
+func checkStreamMatchesBatch(t *testing.T, records []mce.CERecord, clusterWorkers int) {
+	t.Helper()
+	dimms := 48 * topology.SlotsPerNode
+	cc := core.DefaultClusterConfig()
+	cc.Parallelism = clusterWorkers
+	want := mustCluster(t, records, cc)
+	wantBreakdown := core.BreakdownByMode(records, want)
+	wantRates := core.AnalyzeFaultRates(want, dimms, core.StudyWindow())
+
+	for _, tc := range []struct {
+		name  string
+		batch int // records per IngestBatch; 1 = Ingest; 0 = random 1–513
+	}{
+		{"one-at-a-time", 1},
+		{"batch3", 3},
+		{"batch64", 64},
+		{"batch997", 997},
+		{"all-serial", len(records)},
+		{"random", 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(int64(len(records))))
+			e := stream.New(stream.Config{
+				Cluster: core.ClusterConfig{Parallelism: clusterWorkers},
+				DIMMs:   dimms,
 			})
-		}
+			for lo, n := 0, 0; lo < len(records); n++ {
+				size := tc.batch
+				if size == 0 {
+					size = 1 + rng.Intn(513)
+				}
+				hi := min(lo+size, len(records))
+				if size == 1 {
+					e.Ingest(records[lo])
+				} else {
+					e.IngestBatch(records[lo:hi])
+				}
+				lo = hi
+				// Interleaved queries must not perturb later results, and a
+				// view built between batches answers as the engine does.
+				if n%7 == 0 {
+					sum, fit := e.Summary(), e.WindowedFIT()
+					if v := e.LiveView(); v.Summary != sum || v.FIT != fit || v.Summary.Records != lo {
+						t.Fatalf("view after %d records diverges from the engine:\n got %+v\nwant %+v", lo, v.Summary, sum)
+					}
+				}
+			}
+			got := e.Snapshot()
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("stream faults diverge from batch: got %d faults, want %d", len(got), len(want))
+			}
+			sum := e.Summary()
+			if sum.Records != len(records) {
+				t.Fatalf("Summary.Records = %d, want %d", sum.Records, len(records))
+			}
+			if sum.FaultsByMode != wantBreakdown.FaultsByMode {
+				t.Fatalf("FaultsByMode = %v, want %v", sum.FaultsByMode, wantBreakdown.FaultsByMode)
+			}
+			if sum.ErrorsByMode != wantBreakdown.ErrorsByMode {
+				t.Fatalf("ErrorsByMode = %v, want %v", sum.ErrorsByMode, wantBreakdown.ErrorsByMode)
+			}
+			if sum.Faults != len(want) {
+				t.Fatalf("Summary.Faults = %d, want %d", sum.Faults, len(want))
+			}
+			if got := e.FaultRates(core.StudyWindow()); got != wantRates {
+				t.Fatalf("FaultRates = %+v, want %+v", got, wantRates)
+			}
+		})
 	}
 }
 

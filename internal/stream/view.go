@@ -44,9 +44,9 @@ type View struct {
 // view rebuild. Extraction is lazy and memoized: the first call
 // evaluates against the live engine (at or ahead of Seq — risk readers
 // get the freshest features available; on a quiescent engine this is
-// exactly the Seq snapshot, which is what the stream==batch and
-// sharded==serial differentials compare), and every later call returns
-// the same slice. Callers must not modify it.
+// exactly the Seq snapshot, which is what the stream==batch
+// differentials compare), and every later call returns the same slice.
+// Callers must not modify it.
 func (v *View) Banks() []predict.BankFeatures {
 	v.banksOnce.Do(func() {
 		if v.banksFn != nil {
@@ -85,10 +85,9 @@ func (v *View) FaultRates(dimms int, window time.Duration) core.FaultRates {
 // time bounds are min/max, and the FIT estimate is rescaled to the
 // combined DIMM population. Seq is the sum of the input seqs, so the
 // rollup epoch advances whenever any site's does. A single input is
-// returned as-is. Unlike the sharded fan-in (one fleet, one arrival
-// order, bit-exact), a rollup is a composition of independently-evolving
-// sites: each input is that site's consistent cut, and node entries
-// colliding across sites (reused IDs) are summed.
+// returned as-is. A rollup is a composition of independently-evolving
+// sites, not one arrival order: each input is that site's consistent
+// cut, and node entries colliding across sites (reused IDs) are summed.
 func MergeViews(dimms int, vs ...*View) *View {
 	if len(vs) == 1 {
 		return vs[0]
@@ -210,13 +209,13 @@ func (e *Engine) buildViewLocked() *View {
 		BuiltAt: time.Now(),
 		Summary: e.summaryLocked(),
 		Faults:  e.snapshotLocked(),
-		FIT:     e.windowedFITLocked(e.last, e.cfg.DIMMs),
+		FIT:     e.windowedFITLocked(),
 		nodes:   make(map[topology.NodeID]NodeStatus, len(e.nodeStates)),
 	}
 	v.banksFn = func() []predict.BankFeatures {
 		e.mu.Lock()
 		defer e.mu.Unlock()
-		return e.featuresLocked(e.last)
+		return e.featuresLocked()
 	}
 	for i := range e.nodeStates {
 		ns := &e.nodeStates[i]

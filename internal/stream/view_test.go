@@ -2,6 +2,7 @@ package stream_test
 
 import (
 	"context"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -106,9 +107,11 @@ func TestViewCachingAndInvalidation(t *testing.T) {
 	}
 }
 
-// TestViewConcurrentWithIngest races readers against ingest batches and
-// checks every served view is internally consistent (run under -race in
-// make verify).
+// TestViewConcurrentWithIngest races view readers and node queries
+// against ingest batches (run under -race in make verify) and checks
+// every served view is internally consistent — the fault list, summary
+// and books are one cut — and that each reader's view Seq never goes
+// backwards.
 func TestViewConcurrentWithIngest(t *testing.T) {
 	ds := viewFixture(t)
 	e := stream.New(stream.Config{DIMMs: 32 * topology.SlotsPerNode})
@@ -117,8 +120,9 @@ func TestViewConcurrentWithIngest(t *testing.T) {
 	stop := make(chan struct{})
 	for r := 0; r < 4; r++ {
 		wg.Add(1)
-		go func() {
+		go func(node topology.NodeID) {
 			defer wg.Done()
+			var lastSeq uint64
 			for {
 				select {
 				case <-stop:
@@ -126,6 +130,11 @@ func TestViewConcurrentWithIngest(t *testing.T) {
 				default:
 				}
 				v := e.LiveView()
+				if v.Seq < lastSeq {
+					t.Errorf("view seq went backwards: %d then %d", lastSeq, v.Seq)
+					return
+				}
+				lastSeq = v.Seq
 				if v.Summary.Offered != v.Summary.Records+v.Summary.Shed {
 					t.Error("view books do not balance")
 					return
@@ -135,8 +144,9 @@ func TestViewConcurrentWithIngest(t *testing.T) {
 						v.Summary.Faults, len(v.Faults))
 					return
 				}
+				_, _ = e.NodeStatus(node)
 			}
-		}()
+		}(ds.CERecords[r*len(ds.CERecords)/4].Node)
 	}
 	const step = 512
 	for off := 0; off < len(ds.CERecords); off += step {
@@ -155,7 +165,7 @@ func TestViewConcurrentWithIngest(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(v.Faults) != len(want) {
-		t.Fatalf("final view faults = %d, want batch %d", len(v.Faults), len(want))
+	if !reflect.DeepEqual(v.Faults, want) {
+		t.Fatalf("final view faults diverge from batch (%d vs %d faults)", len(v.Faults), len(want))
 	}
 }
