@@ -20,10 +20,13 @@ test:
 # fuzz smoke over the hostile-input parsers (syslog lines, the
 # block-parallel scanner's serial-differential, the columnar decoder,
 # dataset manifests, and the astrad state ladder, seeded with sealed v5
-# images and the oversized header counts that once killed the loader)
-# and over the incremental bank classification (random
+# images and the oversized header counts that once killed the loader),
+# over the incremental bank classification (random
 # Add/Merge/AppendFaults interleavings must equal a fresh
-# classification, Errors included).
+# classification, Errors included), and over the stream engine's packed
+# record log (random field values appended through the log must come
+# back exactly from Records() and a checkpoint handle, and the handle's
+# colfmt encoding must decode back to them).
 # ASTRA_CRASH_TESTS=1 additionally sweeps the kill/resume differential
 # test over every I/O operation instead of its default 24-point sample.
 # The online subsystem gets an explicit race-enabled pass: the stream
@@ -48,6 +51,7 @@ verify:
 	$(GO) test -run '^$$' -fuzz '^FuzzLoadStateLadder$$' -fuzztime 5s ./cmd/astrad
 	$(GO) test -run '^$$' -fuzz '^FuzzRiskEndpoint$$' -fuzztime 5s ./internal/serve
 	$(GO) test -run '^$$' -fuzz '^FuzzBankStateIncremental$$' -fuzztime 5s ./internal/core
+	$(GO) test -run '^$$' -fuzz '^FuzzRecordLog$$' -fuzztime 5s ./internal/stream
 	@if [ -n "$$ASTRA_CRASH_TESTS" ]; then ASTRA_CRASH_TESTS=1 $(GO) test -run 'TestExportCrashResumeDifferential' ./internal/dataset; fi
 	@if [ -n "$$ASTRA_BENCH_GUARD" ]; then $(MAKE) bench-guard; fi
 

@@ -116,8 +116,8 @@ type siteDaemon struct {
 	offset atomic.Int64
 	// section holds the site's latest marshaled checkpoint section,
 	// captured by the ingest goroutine at a consistent instant (scanner
-	// checkpoint + Freeze from the same goroutine). The global writer
-	// composes whatever sections are current into one state file. A
+	// checkpoint + Freeze from the same goroutine). The checkpoint writer
+	// writes whatever sections are current into one state file. A
 	// quarantined site keeps its last-good section, so its state
 	// survives the other sites' checkpoints.
 	section atomic.Pointer[[]byte]
@@ -158,10 +158,10 @@ type daemon struct {
 	predictor predict.Predictor
 
 	breaker *overload.Breaker
-	// cpCh carries pre-composed state snapshots to the checkpoint
-	// writer; capacity 1 so a stalled disk backs up into skipped
-	// checkpoints, never into the ingest loops.
-	cpCh chan []byte
+	// cpCh carries the sections of one state snapshot, in site order,
+	// to the checkpoint writer; capacity 1 so a stalled disk backs up
+	// into skipped checkpoints, never into the ingest loops.
+	cpCh chan [][]byte
 	// fs is the filesystem for state writes; tests and the load harness
 	// substitute a fault injector.
 	fs atomicio.FS
@@ -372,15 +372,17 @@ func (d *daemon) drain(q *overload.Queue[mce.CERecord], eng *stream.Engine) {
 // and the shed count carried alongside keeps the degraded accounting
 // honest across the restart. The alarm ledger is advanced here too —
 // checkpoint cadence is the alarm granularity — so the stamped times
-// are always consistent with the records they ride with. Everything
-// taken inside Freeze is a copy, so the section is encoded after Freeze
-// returns: Freeze stalls admission. The section is published for the
-// composer; the disk write happens in the checkpoint writer.
+// are always consistent with the records they ride with. Freeze stalls
+// admission, so nothing inside it copies records: the records are an
+// O(1) handle on the engine's log followed by Freeze's own copy of the
+// queued records, and the section is encoded from them, lock-free,
+// after Freeze returns. The section is published for the checkpoint
+// writer, which writes every site's latest section.
 func (d *daemon) snapshotSection(s *siteDaemon, cp syslog.Checkpoint) error {
 	snap := siteSnapshot{cp: cp}
 	eng := s.engine()
 	s.queue().Freeze(func(queued []mce.CERecord, _ overload.QueueStats) {
-		snap.recs = append(eng.Records(), queued...)
+		snap.log = eng.RecordLog(queued)
 		snap.shed = eng.Shed()
 		s.alarms.observe(eng.Features(), d.predictor, d.cfg.riskThreshold, time.Now())
 		snap.alarms = s.alarms.snapshot()
@@ -393,28 +395,26 @@ func (d *daemon) snapshotSection(s *siteDaemon, cp syslog.Checkpoint) error {
 	return nil
 }
 
-// composeState concatenates the latest per-site sections into one state
-// image. Sections are each internally consistent; sites tail independent
-// logs, so a file composed from sections captured moments apart is still
-// a correct per-site resume point — and a quarantined site contributes
-// its last-good section.
-func (d *daemon) composeState() []byte {
-	ids := make([]string, len(d.sites))
+// sections returns every site's latest published section, in site
+// order. Sections are each internally consistent; sites tail independent
+// logs, so a state file of sections captured moments apart is still a
+// correct per-site resume point — and a quarantined site contributes
+// its last-good section. A published section is never modified, so the
+// writer can hold these slices while the sites publish new ones.
+func (d *daemon) sections() [][]byte {
 	secs := make([][]byte, len(d.sites))
 	for i, s := range d.sites {
-		ids[i], secs[i] = s.id, *s.section.Load()
+		secs[i] = *s.section.Load()
 	}
-	return marshalState(ids, secs)
+	return secs
 }
 
-// offerCheckpoint composes the current sections and hands the image to
-// the async writer; if the writer is still busy with the previous
-// snapshot (stalled disk), the checkpoint is skipped — cadence degrades,
-// ingest does not.
+// offerCheckpoint hands the current sections to the async writer; if
+// the writer is still busy with the previous snapshot (stalled disk),
+// the checkpoint is skipped — cadence degrades, ingest does not.
 func (d *daemon) offerCheckpoint() {
-	data := d.composeState()
 	select {
-	case d.cpCh <- data:
+	case d.cpCh <- d.sections():
 	default:
 		d.cpSkipped.Add(1)
 		d.log.Warn("checkpoint skipped", "reason", "writer busy")
@@ -435,13 +435,13 @@ func (d *daemon) offsetBytes() int64 {
 // and an open breaker fast-fails checkpoints for the cooldown instead of
 // queueing more I/O behind a sick disk.
 func (d *daemon) checkpointWriter() {
-	for data := range d.cpCh {
+	for secs := range d.cpCh {
 		if !d.breaker.Allow() {
 			d.cpSkipped.Add(1)
 			continue
 		}
 		start := time.Now()
-		err := d.persist(data)
+		size, err := d.persist(secs)
 		elapsed := time.Since(start)
 		switch {
 		case err != nil:
@@ -456,30 +456,57 @@ func (d *daemon) checkpointWriter() {
 		default:
 			d.breaker.Success()
 			d.checkpoints.Add(1)
-			d.log.Info("checkpoint", "bytes", len(data), "offset", d.offsetBytes())
+			d.log.Info("checkpoint", "bytes", size, "offset", d.offsetBytes())
 		}
 	}
 }
 
-// persist seals one marshaled state snapshot with a checksum trailer and
-// writes it atomically at the head of the generation ladder: the
-// previous state file slides to .1, .1 to .2, and so on up to
+// persist writes one state file of the sites' sections (in site order)
+// atomically at the head of the generation ladder, and returns its size:
+// the previous state file slides to .1, .1 to .2, and so on up to
 // -state-keep generations. Recovery walks the ladder newest-first, so a
 // torn or bit-flipped newest file costs one checkpoint interval, not the
 // whole state.
-func (d *daemon) persist(data []byte) error {
+func (d *daemon) persist(secs [][]byte) (size int64, err error) {
 	g := atomicio.Generations{FS: d.fs, Path: d.cfg.statePath, Keep: d.cfg.stateKeep}
-	_, err := g.Write(context.Background(), func(w io.Writer) error {
-		// Stream the body and trailer separately: copying a multi-megabyte
-		// state image per checkpoint just to append 24 bytes is pure GC
-		// pressure.
-		if _, werr := w.Write(data); werr != nil {
-			return werr
+	_, err = g.Write(context.Background(), func(w io.Writer) error {
+		sw := &stateWriter{w: w}
+		sw.printf("%s\nsites %d\n", stateMagic, len(secs))
+		for i, sec := range secs {
+			sw.printf("site %s\n", d.sites[i].id)
+			sw.write(sec)
 		}
-		_, werr := w.Write(seal(data))
-		return werr
+		sw.write(sealCRC(sw.crc))
+		size = sw.n
+		return sw.err
 	})
-	return err
+	return size, err
+}
+
+// stateWriter streams a state file in place: the header lines, each
+// section slice as it is already resident, and the seal over the running
+// CRC — no composed copy of the image.
+type stateWriter struct {
+	w   io.Writer
+	crc uint32
+	n   int64
+	buf []byte
+	err error
+}
+
+func (sw *stateWriter) write(b []byte) {
+	if sw.err != nil {
+		return
+	}
+	sw.crc = crc32.Update(sw.crc, crc32.IEEETable, b)
+	var m int
+	m, sw.err = sw.w.Write(b)
+	sw.n += int64(m)
+}
+
+func (sw *stateWriter) printf(format string, args ...any) {
+	sw.buf = fmt.Appendf(sw.buf[:0], format, args...)
+	sw.write(sw.buf)
 }
 
 // stateMagic heads every state file. The format is one header line
@@ -498,8 +525,11 @@ const (
 )
 
 // seal renders the checksum trailer for body.
-func seal(body []byte) []byte {
-	return fmt.Appendf(make([]byte, 0, sealLen), "%s%08x\n", checksumPrefix, crc32.ChecksumIEEE(body))
+func seal(body []byte) []byte { return sealCRC(crc32.ChecksumIEEE(body)) }
+
+// sealCRC renders the checksum trailer for a body whose CRC32 is crc.
+func sealCRC(crc uint32) []byte {
+	return fmt.Appendf(make([]byte, 0, sealLen), "%s%08x\n", checksumPrefix, crc)
 }
 
 // openState verifies and strips the checksum trailer. An image without
@@ -519,15 +549,18 @@ func openState(data []byte) ([]byte, error) {
 	return body, nil
 }
 
-// siteSnapshot is one site's restored durable state. section is the
-// slice of the state file it was parsed from (nil for a site the file
-// does not hold), so a restored site publishes those bytes as its first
-// checkpoint section instead of marshaling them again.
+// siteSnapshot is one site's durable state, restored or captured.
+// section is the slice of the state file it was parsed from (nil for a
+// site the file does not hold), so a restored site publishes those bytes
+// as its first checkpoint section instead of marshaling them again.
 type siteSnapshot struct {
-	id      string
-	cp      syslog.Checkpoint
-	shed    uint64
-	recs    []mce.CERecord
+	id   string
+	cp   syslog.Checkpoint
+	shed uint64
+	recs []mce.CERecord
+	// log, when set, holds a live capture's records (the engine's log,
+	// then the queued records) and is marshaled in place of recs.
+	log     colfmt.CEColumns
 	alarms  []alarmEntry
 	section []byte
 }
@@ -551,8 +584,12 @@ func marshalSection(snap siteSnapshot) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
+	src := snap.log
+	if src == nil {
+		src = colfmt.CESlice(snap.recs)
+	}
 	var blob bytes.Buffer
-	if err := colfmt.Write(&blob, colfmt.Records{CEs: snap.recs}); err != nil {
+	if err := colfmt.WriteCE(&blob, src); err != nil {
 		return nil, err
 	}
 	b := bytes.NewBuffer(make([]byte, 0, len(cpb)+blob.Len()+len(snap.alarms)*alarmLineBytes+64))
@@ -569,21 +606,6 @@ func marshalSection(snap siteSnapshot) ([]byte, error) {
 // ("alarm <host> <slot> <rank> <bank> <unix>\n"); an estimate that comes
 // up short only costs a regrowth.
 const alarmLineBytes = 48
-
-// marshalState assembles one unsealed state image from per-site
-// sections, in site order (the persist layer adds the trailer).
-func marshalState(ids []string, secs [][]byte) []byte {
-	size := len(stateMagic) + 32
-	for i := range secs {
-		size += len("site \n") + len(ids[i]) + len(secs[i])
-	}
-	b := fmt.Appendf(make([]byte, 0, size), "%s\nsites %d\n", stateMagic, len(secs))
-	for i, sec := range secs {
-		b = fmt.Appendf(b, "site %s\n", ids[i])
-		b = append(b, sec...)
-	}
-	return b
-}
 
 // stateReader walks a state image front to back. Every error names the
 // site being parsed, once known, and the byte offset where parsing

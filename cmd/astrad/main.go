@@ -232,7 +232,7 @@ func serveDaemon(ctx context.Context, cfg daemonConfig, logger *slog.Logger) (in
 			Failures: cfg.cpFailures,
 			Cooldown: cfg.cpCooldown,
 		}),
-		cpCh: make(chan []byte, 1),
+		cpCh: make(chan [][]byte, 1),
 		fs:   atomicio.OS,
 	}
 	if cfg.modelPath != "" {
@@ -342,12 +342,12 @@ func serveDaemon(ctx context.Context, cfg daemonConfig, logger *slog.Logger) (in
 	// Every unit has stopped: each running site captured its final
 	// section (queue drained, resume offset translated) on the way out,
 	// and quarantined sites kept their last-good sections. Persist the
-	// composed state synchronously — bypassing the breaker, because this
+	// sections synchronously — bypassing the breaker, because this
 	// is the last chance to save the shed accounting and resume points.
 	exitErr := httpFail
 	if cfg.statePath != "" {
-		data := d.composeState()
-		if err := d.persist(data); err != nil {
+		size, err := d.persist(d.sections())
+		if err != nil {
 			if exitErr == nil {
 				exitErr = fmt.Errorf("final checkpoint: %w", err)
 			} else {
@@ -359,7 +359,7 @@ func serveDaemon(ctx context.Context, cfg daemonConfig, logger *slog.Logger) (in
 			for _, s := range d.sites {
 				shed += s.engine().Shed()
 			}
-			d.log.Info("checkpoint", "final", true, "bytes", len(data), "shed", shed)
+			d.log.Info("checkpoint", "final", true, "bytes", size, "shed", shed)
 		}
 	}
 

@@ -19,11 +19,13 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/atomicio"
 	"repro/internal/colfmt"
 	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/het"
 	"repro/internal/mce"
+	"repro/internal/predict"
 	"repro/internal/stream"
 	"repro/internal/syslog"
 	"repro/internal/topology"
@@ -340,8 +342,20 @@ func midScanCheckpoint(t testing.TB) syslog.Checkpoint {
 	return sc.Checkpoint()
 }
 
+// marshalState assembles one unsealed state image from per-site sections
+// in memory, in site order: the reference the streamed persist must
+// reproduce byte for byte (before its seal).
+func marshalState(ids []string, secs [][]byte) []byte {
+	b := fmt.Appendf(nil, "%s\nsites %d\n", stateMagic, len(secs))
+	for i, sec := range secs {
+		b = fmt.Appendf(b, "site %s\n", ids[i])
+		b = append(b, sec...)
+	}
+	return b
+}
+
 // marshalSnapshots renders snapshots as one unsealed state image, the way
-// composeState assembles the sections its sites publish.
+// persist writes the sections its sites publish.
 func marshalSnapshots(t testing.TB, snaps []siteSnapshot) []byte {
 	t.Helper()
 	ids := make([]string, len(snaps))
@@ -499,9 +513,49 @@ func TestStateRoundTrip(t *testing.T) {
 	}
 }
 
+// TestPersistWritesComposedImage pins the streamed state write: the file
+// persist writes from resident sections — header, sections and a seal
+// over the running CRC — is byte for byte the sealed in-memory
+// composition, and persist reports its size.
+func TestPersistWritesComposedImage(t *testing.T) {
+	snaps, _ := stateFixture(t)
+	dir := t.TempDir()
+	d := &daemon{cfg: daemonConfig{statePath: filepath.Join(dir, "astrad.state"), stateKeep: 2}, fs: atomicio.OS}
+	ids := make([]string, len(snaps))
+	secs := make([][]byte, len(snaps))
+	for i, sn := range snaps {
+		sec, err := marshalSection(sn)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids[i], secs[i] = sn.id, sec
+		d.sites = append(d.sites, &siteDaemon{id: sn.id})
+	}
+	for _, secs := range [][][]byte{secs, secs[:0]} {
+		d.sites = d.sites[:len(secs)]
+		size, err := d.persist(secs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := os.ReadFile(d.cfg.statePath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := sealState(marshalState(ids[:len(secs)], secs)); !bytes.Equal(got, want) {
+			t.Fatalf("%d sites: persisted %d bytes differ from the sealed composition (%d bytes)", len(secs), len(got), len(want))
+		}
+		if size != int64(len(got)) {
+			t.Fatalf("%d sites: persist reported %d bytes, wrote %d", len(secs), size, len(got))
+		}
+	}
+}
+
 // BenchmarkStateRestore measures a warm restart's state path over a
 // ~100k-record section: the marshal a checkpoint pays, the unseal and
-// decode a restore pays, and the engine replay the decoded records feed.
+// decode a restore pays, and the engine replay the decoded records feed
+// — and a live checkpoint's capture: snapshotSection over an engine
+// holding the records, the Freeze, ledger update and section encode a
+// running astrad pays per checkpoint.
 func BenchmarkStateRestore(b *testing.B) {
 	_, ces := testLog(b)
 	// Tile the fixture, shifted in time, up to ~100k records.
@@ -515,7 +569,10 @@ func BenchmarkStateRestore(b *testing.B) {
 	}
 	snap := siteSnapshot{id: "default", recs: recs}
 	image := sealState(marshalSnapshots(b, []siteSnapshot{snap}))
-	d := &daemon{cfg: daemonConfig{queueDepth: 1024, window: stream.DefaultWindow, dimms: 48 * topology.SlotsPerNode}}
+	d := &daemon{
+		cfg:       daemonConfig{queueDepth: 1024, window: stream.DefaultWindow, dimms: 48 * topology.SlotsPerNode},
+		predictor: predict.DefaultRuleLadder(),
+	}
 	perRecord := func(b *testing.B) {
 		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(recs)), "ns/record")
 	}
@@ -541,6 +598,18 @@ func BenchmarkStateRestore(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			d.buildPipeline(snap)
+		}
+		perRecord(b)
+	})
+	b.Run("capture", func(b *testing.B) {
+		s := &siteDaemon{id: "default"}
+		d.rebuild(s, snap)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if err := d.snapshotSection(s, syslog.Checkpoint{}); err != nil {
+				b.Fatal(err)
+			}
 		}
 		perRecord(b)
 	})

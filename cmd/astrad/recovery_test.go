@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"repro/internal/atomicio"
+	"repro/internal/colfmt"
 	"repro/internal/core"
 	"repro/internal/iofault"
 	"repro/internal/stream"
@@ -707,6 +708,11 @@ func TestSweepTempsOnStartup(t *testing.T) {
 	}
 }
 
+// wrappedCounts is a colfmt blob whose three header counts wrap to 1
+// when summed.
+var wrappedCounts = colfmt.Magic + "\x80\x80\x80\x80\x80\x80\x80\x80\x80\x01" +
+	"\x80\x80\x80\x80\x80\x80\x80\x80\x80\x01" + "\x01" + "\x00"
+
 // FuzzLoadStateLadder: whatever bytes sit in the newest generation, the
 // ladder loader must never error — it either accepts them (if they
 // decode) or falls back to the valid older generation.
@@ -738,6 +744,11 @@ func FuzzLoadStateLadder(f *testing.F) {
 			magic, len(cpb), cpb)))
 	}
 	f.Add(sealState(bytes.Replace(rich, []byte("\nalarms 1\n"), []byte("\nalarms 99999999999\n"), 1)))
+	// A records blob whose colfmt header counts sum past 2^64 (2^63,
+	// 2^63, 1) to one record: it once sized a slice that panicked the
+	// decoder, which startup restore does not recover from.
+	f.Add(sealState(fmt.Appendf(nil, "%s\nsites 1\nsite default\ncheckpoint %d\n%sshed 0\nrecords %d\n%s\nalarms 0\n",
+		stateMagic, len(cpb), cpb, len(wrappedCounts), wrappedCounts)))
 	f.Fuzz(func(t *testing.T, gen0 []byte) {
 		dir := t.TempDir()
 		statePath := filepath.Join(dir, "astrad.state")

@@ -117,23 +117,128 @@ type Records struct {
 	HETs []het.Record
 }
 
+// CEField names one field of a CE record, as the format's CE columns
+// store it. Time is split into its Unix seconds and its nanoseconds.
+type CEField byte
+
+// The CE fields; each is the id of the column that stores it.
+const (
+	CETimeSec  CEField = colTimeSec
+	CETimeNsec CEField = colTimeNsec
+	CENode     CEField = colNode
+	CESlot     CEField = colCESlot
+	CESocket   CEField = colCESocket
+	CERank     CEField = colCERank
+	CEBank     CEField = colCEBank
+	CERowRaw   CEField = colCERowRaw
+	CECol      CEField = colCECol
+	CEBitPos   CEField = colCEBitPos
+	CEAddr     CEField = colCEAddr
+	CESyndrome CEField = colCESyndrome
+)
+
+// CEColumns is column-wise read access to a sequence of CE records, the
+// one source the CE encoder reads. A holder of records in another layout
+// than []mce.CERecord (the stream engine's packed log) implements it to
+// encode them without materializing records.
+type CEColumns interface {
+	// Len is the number of records.
+	Len() int
+	// Column fills dst with field f of records [first, first+len(dst)).
+	// Addr is stored as its uint64 bit pattern.
+	Column(f CEField, first int, dst []int64)
+}
+
+// CESlice is a CE record slice as a CEColumns source.
+type CESlice []mce.CERecord
+
+// Len implements CEColumns.
+func (s CESlice) Len() int { return len(s) }
+
+// Column implements CEColumns.
+func (s CESlice) Column(f CEField, first int, dst []int64) {
+	rs := s[first : first+len(dst)]
+	switch f {
+	case CETimeSec:
+		for i := range rs {
+			dst[i] = rs[i].Time.Unix()
+		}
+	case CETimeNsec:
+		for i := range rs {
+			dst[i] = int64(rs[i].Time.Nanosecond())
+		}
+	case CENode:
+		for i := range rs {
+			dst[i] = int64(rs[i].Node)
+		}
+	case CESlot:
+		for i := range rs {
+			dst[i] = int64(rs[i].Slot)
+		}
+	case CESocket:
+		for i := range rs {
+			dst[i] = int64(rs[i].Socket)
+		}
+	case CERank:
+		for i := range rs {
+			dst[i] = int64(rs[i].Rank)
+		}
+	case CEBank:
+		for i := range rs {
+			dst[i] = int64(rs[i].Bank)
+		}
+	case CERowRaw:
+		for i := range rs {
+			dst[i] = int64(rs[i].RowRaw)
+		}
+	case CECol:
+		for i := range rs {
+			dst[i] = int64(rs[i].Col)
+		}
+	case CEBitPos:
+		for i := range rs {
+			dst[i] = int64(rs[i].BitPos)
+		}
+	case CEAddr:
+		for i := range rs {
+			dst[i] = int64(rs[i].Addr)
+		}
+	case CESyndrome:
+		for i := range rs {
+			dst[i] = int64(rs[i].Syndrome)
+		}
+	default:
+		panic(fmt.Sprintf("colfmt: unknown CE field %d", f))
+	}
+}
+
 // Write encodes recs to w. The output is deterministic for given input.
 func Write(w io.Writer, recs Records) error {
+	return write(w, CESlice(recs.CEs), recs.DUEs, recs.HETs)
+}
+
+// WriteCE encodes the CE records src holds as a CE-only file: the bytes
+// Write produces for Records{CEs: the same records}.
+func WriteCE(w io.Writer, src CEColumns) error {
+	return write(w, src, nil, nil)
+}
+
+func write(w io.Writer, ces CEColumns, dues []mce.DUERecord, hets []het.Record) error {
 	bw := bufio.NewWriterSize(w, 1<<16)
 	if _, err := bw.WriteString(Magic); err != nil {
 		return err
 	}
 	var hdr [3 * binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(hdr[:], uint64(len(recs.CEs)))
-	n += binary.PutUvarint(hdr[n:], uint64(len(recs.DUEs)))
-	n += binary.PutUvarint(hdr[n:], uint64(len(recs.HETs)))
+	n := binary.PutUvarint(hdr[:], uint64(ces.Len()))
+	n += binary.PutUvarint(hdr[n:], uint64(len(dues)))
+	n += binary.PutUvarint(hdr[n:], uint64(len(hets)))
 	if _, err := bw.Write(hdr[:n]); err != nil {
 		return err
 	}
 	enc := &encoder{w: bw}
-	enc.writeCE(recs.CEs)
-	enc.writeDUE(recs.DUEs)
-	enc.writeHET(recs.HETs)
+	enc.writeCE(ces)
+	enc.writeDUE(dues)
+	enc.writeHET(hets)
 	if enc.err == nil {
 		enc.err = bw.WriteByte(kindEnd)
 	}
@@ -225,42 +330,104 @@ func (e *encoder) timeColumns(kind byte, n int, at func(i int) time.Time) {
 	})
 }
 
-func (e *encoder) writeCE(ces []mce.CERecord) {
-	n := len(ces)
+// ceEncoder streams CE columns out of a CEColumns source one block of
+// field values at a time.
+type ceEncoder struct {
+	*encoder
+	src  CEColumns
+	vals []int64
+}
+
+// each fills vals with field f one block at a time and hands fn the
+// block's first record index and values.
+func (c *ceEncoder) each(f CEField, fn func(first int, vs []int64)) {
+	for first, n := 0, c.src.Len(); first < n; first += blockRecords {
+		vs := c.vals[:min(blockRecords, n-first)]
+		c.src.Column(f, first, vs)
+		fn(first, vs)
+	}
+}
+
+// column emits field f as column blocks, put appending one block's
+// values to its payload.
+func (c *ceEncoder) column(f CEField, put func(p []byte, vs []int64) []byte) {
+	c.each(f, func(first int, vs []int64) {
+		p := put(c.scratch[:0], vs)
+		c.block(kindCE, byte(f), first, len(vs), p)
+		c.scratch = p
+	})
+}
+
+// dict emits field f's first-appearance dictionary block under col and
+// returns the value -> index map its index column encodes with.
+func (c *ceEncoder) dict(f CEField, col byte) map[int64]uint64 {
+	idx := make(map[int64]uint64)
+	p := c.scratch[:0]
+	c.each(f, func(_ int, vs []int64) {
+		for _, v := range vs {
+			if _, ok := idx[v]; !ok {
+				idx[v] = uint64(len(idx))
+				p = binary.AppendVarint(p, v)
+			}
+		}
+	})
+	c.block(kindCE, col, 0, len(idx), p)
+	c.scratch = p
+	return idx
+}
+
+func (e *encoder) writeCE(src CEColumns) {
+	n := src.Len()
 	if n == 0 {
 		return
 	}
-	nodeIdx := e.dict(kindCE, colNodeDict, func(i int) int { return int(ces[i].Node) }, n)
-	slotIdx := e.dict(kindCE, colSlotDict, func(i int) int { return int(ces[i].Slot) }, n)
-	e.timeColumns(kindCE, n, func(i int) time.Time { return ces[i].Time })
-	e.column(kindCE, colNode, n, func(dst []byte, i int) []byte {
-		return binary.AppendUvarint(dst, nodeIdx[int(ces[i].Node)])
+	c := &ceEncoder{encoder: e, src: src, vals: make([]int64, min(n, blockRecords))}
+	nodeIdx := c.dict(CENode, colNodeDict)
+	slotIdx := c.dict(CESlot, colSlotDict)
+	c.column(CETimeSec, func(p []byte, vs []int64) []byte {
+		// Deltas restart at every block, so each block decodes alone.
+		prev := int64(0)
+		for _, v := range vs {
+			p = binary.AppendVarint(p, v-prev)
+			prev = v
+		}
+		return p
 	})
-	e.column(kindCE, colCESlot, n, func(dst []byte, i int) []byte {
-		return binary.AppendUvarint(dst, slotIdx[int(ces[i].Slot)])
-	})
-	for _, c := range []struct {
-		col byte
-		get func(i int) int64
-	}{
-		{colCESocket, func(i int) int64 { return int64(ces[i].Socket) }},
-		{colCERank, func(i int) int64 { return int64(ces[i].Rank) }},
-		{colCEBank, func(i int) int64 { return int64(ces[i].Bank) }},
-		{colCERowRaw, func(i int) int64 { return int64(ces[i].RowRaw) }},
-		{colCECol, func(i int) int64 { return int64(ces[i].Col) }},
-		{colCEBitPos, func(i int) int64 { return int64(ces[i].BitPos) }},
-	} {
-		get := c.get
-		e.column(kindCE, c.col, n, func(dst []byte, i int) []byte {
-			return binary.AppendVarint(dst, get(i))
+	c.column(CETimeNsec, appendUvarints)
+	for _, d := range []struct {
+		f   CEField
+		idx map[int64]uint64
+	}{{CENode, nodeIdx}, {CESlot, slotIdx}} {
+		c.column(d.f, func(p []byte, vs []int64) []byte {
+			for _, v := range vs {
+				p = binary.AppendUvarint(p, d.idx[v])
+			}
+			return p
 		})
 	}
-	e.column(kindCE, colCEAddr, n, func(dst []byte, i int) []byte {
-		return binary.AppendUvarint(dst, uint64(ces[i].Addr))
+	for _, f := range []CEField{CESocket, CERank, CEBank, CERowRaw, CECol, CEBitPos} {
+		c.column(f, func(p []byte, vs []int64) []byte {
+			for _, v := range vs {
+				p = binary.AppendVarint(p, v)
+			}
+			return p
+		})
+	}
+	c.column(CEAddr, appendUvarints)
+	c.column(CESyndrome, func(p []byte, vs []int64) []byte {
+		for _, v := range vs {
+			p = append(p, byte(v))
+		}
+		return p
 	})
-	e.column(kindCE, colCESyndrome, n, func(dst []byte, i int) []byte {
-		return append(dst, ces[i].Syndrome)
-	})
+}
+
+// appendUvarints appends each value's uint64 bit pattern as a uvarint.
+func appendUvarints(p []byte, vs []int64) []byte {
+	for _, v := range vs {
+		p = binary.AppendUvarint(p, uint64(v))
+	}
+	return p
 }
 
 func (e *encoder) writeDUE(dues []mce.DUERecord) {
@@ -358,11 +525,16 @@ func (d *decoder) run() (Records, error) {
 		}
 		counts[i] = v
 	}
-	// Every record costs at least one payload byte in several columns; a
-	// count beyond the file size is corruption, not a huge file, and must
-	// not drive allocation.
-	if counts[0]+counts[1]+counts[2] > uint64(len(d.data)) {
-		return Records{}, fmt.Errorf("colfmt: header: %d records in a %d-byte file", counts[0]+counts[1]+counts[2], len(d.data))
+	// Every record costs at least one payload byte in each of its kind's
+	// columns, so the counts are bounded by the bytes left: a larger
+	// count is corruption, not a huge file, and must not size an
+	// allocation. The bound subtracts as it goes, so no sum overflows.
+	left := uint64(len(d.data) - d.off)
+	for i, cols := range [3]uint64{numCECols, numDUECols, numHETCols} {
+		if counts[i] > left/cols {
+			return Records{}, fmt.Errorf("colfmt: header: %d records of kind %d need more than the %d bytes left", counts[i], i+kindCE, left)
+		}
+		left -= counts[i] * cols
 	}
 	recs := Records{
 		CEs:  make([]mce.CERecord, counts[0]),
@@ -458,6 +630,10 @@ func (d *decoder) block(kind byte, recs *Records, ks *kindState) error {
 		if first != 0 {
 			return fmt.Errorf("colfmt: dictionary block with first=%d", first)
 		}
+		// Each entry is a varint of at least one byte.
+		if count > uint64(len(payload)) {
+			return fmt.Errorf("colfmt: kind %d dictionary %d: %d entries in a %d-byte payload", kind, col, count, len(payload))
+		}
 		table := make([]int64, 0, count)
 		off := 0
 		for i := uint64(0); i < count; i++ {
@@ -481,11 +657,12 @@ func (d *decoder) block(kind byte, recs *Records, ks *kindState) error {
 	if int(col) >= st.nCols {
 		return fmt.Errorf("colfmt: kind %d: unknown column %d", kind, col)
 	}
-	if int(first) != st.progress[col] {
+	if first != uint64(st.progress[col]) {
 		return fmt.Errorf("colfmt: kind %d column %d: block starts at %d, expected %d", kind, col, first, st.progress[col])
 	}
-	if first+count > uint64(st.n) {
-		return fmt.Errorf("colfmt: kind %d column %d: block [%d,%d) exceeds %d records", kind, col, first, first+count, st.n)
+	// first is at most n here, so n-first cannot wrap; first+count can.
+	if count > uint64(st.n)-first {
+		return fmt.Errorf("colfmt: kind %d column %d: block of %d records at %d exceeds %d records", kind, col, count, first, st.n)
 	}
 	if err := d.decodeColumn(kind, col, int(first), int(count), payload, recs, st); err != nil {
 		return err

@@ -1,7 +1,9 @@
 package colfmt
 
 import (
+	"bufio"
 	"bytes"
+	"encoding/binary"
 	"reflect"
 	"strings"
 	"testing"
@@ -177,6 +179,59 @@ func TestGarbageInput(t *testing.T) {
 	}
 }
 
+// forged assembles a file from a header and raw blocks, each carrying a
+// valid CRC: damage only the decoder's own bounds can catch. A count of
+// -1 writes 2^64-1.
+func forged(header string, blocks ...func(e *encoder)) []byte {
+	var buf bytes.Buffer
+	bw := bufio.NewWriter(&buf)
+	bw.WriteString(Magic + header)
+	e := &encoder{w: bw}
+	for _, b := range blocks {
+		b(e)
+	}
+	bw.WriteByte(kindEnd)
+	bw.Flush()
+	return buf.Bytes()
+}
+
+// hostileCounts returns checksum-valid inputs whose counts once sized an
+// allocation or a slice unchecked, and panicked the decoder.
+func hostileCounts() map[string][]byte {
+	uv := func(vs ...uint64) string {
+		var b []byte
+		for _, v := range vs {
+			b = binary.AppendUvarint(b, v)
+		}
+		return string(b)
+	}
+	return map[string][]byte{
+		// 2^63 + 2^63 + 1 wraps to 1: "makeslice: len out of range".
+		"header-counts-wrap": []byte(Magic + uv(1<<63, 1<<63, 1) + "\x00"),
+		// A 2^50-entry dictionary in a one-byte payload: "makeslice: cap
+		// out of range".
+		"dict-count-huge": forged(uv(1, 0, 0), func(e *encoder) {
+			e.block(kindCE, colNodeDict, 0, 1<<50, []byte{2})
+		}),
+		// A second block whose first+count wraps past 2^64 to within the
+		// record count: "slice bounds out of range".
+		"block-first-count-wrap": forged(uv(2, 0, 0), func(e *encoder) {
+			e.block(kindCE, colTimeSec, 0, 1, []byte{2})
+			e.block(kindCE, colTimeSec, 1, -1, []byte{2})
+		}),
+	}
+}
+
+// TestHostileCountsRejected: counts a checksum cannot vouch for are
+// bounded by the bytes they need before they size anything.
+func TestHostileCountsRejected(t *testing.T) {
+	for name, in := range hostileCounts() {
+		if _, err := Decode(in); err == nil {
+			t.Errorf("%s: decoded without error", name)
+		}
+	}
+}
+
 // TestReadWriter covers the io.Reader path used by the sniffing readers.
 func TestReadWriter(t *testing.T) {
 	recs := fixtureRecords(200)
@@ -200,6 +255,9 @@ func FuzzDecode(f *testing.F) {
 	f.Add(seed.Bytes())
 	f.Add([]byte(Magic + "\x00\x00\x00\x00"))
 	f.Add([]byte{})
+	for _, in := range hostileCounts() {
+		f.Add(in)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		recs, err := Decode(data)
 		if err != nil {

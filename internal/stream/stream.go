@@ -26,6 +26,12 @@
 // bank entry plus an index list, and the rolling rate windows advance in
 // O(1). One engine serves a whole site: every DRAM bank belongs to one
 // node, so clustering never needs more than one engine per fleet.
+//
+// The engine keeps every record it ingests (fault Errors index them) in
+// a record log of packed, pointer-free 32-byte rows in fixed-size
+// chunks: it grows without copying, the GC never scans it, and a
+// checkpoint reads it through an O(1) RecordLog handle instead of a
+// copy.
 package stream
 
 import (
@@ -122,10 +128,10 @@ type Engine struct {
 	mu  sync.Mutex
 	cfg Config
 
-	// records is every ingested CE in arrival order; fault Errors index
-	// into it. It grows for the lifetime of the engine, like the input
-	// slice of a batch run.
-	records []mce.CERecord
+	// log is every ingested CE in arrival order; fault Errors index into
+	// it. It grows for the lifetime of the engine, like the input slice
+	// of a batch run.
+	log recordLog
 
 	// entries holds every bank in first-appearance order (what the batch
 	// clusterer's output order is defined by); each node's bank refs find
@@ -332,16 +338,16 @@ func (e *Engine) noteDIMM(node topology.NodeID, slot int64, ns *nodeState) {
 // warmed fault population is allocation-free, amortized).
 func (e *Engine) Ingest(r mce.CERecord) {
 	e.mu.Lock()
-	g := len(e.records)
-	e.records = append(e.records, r)
-	e.ingestRecord(g, &e.records[g])
+	e.ingestRecord(&r)
 	e.seq.Add(1)
 	e.mu.Unlock()
 }
 
-// ingestRecord is the per-record hot path. g is the record's arrival
-// index, its position in e.records.
-func (e *Engine) ingestRecord(g int, rec *mce.CERecord) {
+// ingestRecord is the per-record hot path: it appends rec to the log
+// and folds it in under its arrival index. The bank state reads the
+// caller's record, never the log's row.
+func (e *Engine) ingestRecord(rec *mce.CERecord) {
+	g := e.log.append(rec)
 	nsIdx := e.ensureNode(rec.Node)
 	entIdx := e.ensureBank(rec, nsIdx, g)
 	ent := &e.entries[entIdx]
@@ -396,10 +402,8 @@ func (e *Engine) IngestBatch(rs []mce.CERecord) {
 		return
 	}
 	e.mu.Lock()
-	base := len(e.records)
-	e.records = append(e.records, rs...)
-	for g := base; g < len(e.records); g++ {
-		e.ingestRecord(g, &e.records[g])
+	for i := range rs {
+		e.ingestRecord(&rs[i])
 	}
 	e.seq.Add(uint64(len(rs)))
 	e.mu.Unlock()
@@ -502,12 +506,11 @@ func (e *Engine) featuresLocked() []predict.BankFeatures {
 // the engine's replayable state (IngestBatch of this slice into a fresh
 // engine reproduces the engine exactly).
 func (e *Engine) Records() []mce.CERecord {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if len(e.records) == 0 {
+	h := e.RecordLog(nil)
+	if h.Len() == 0 {
 		return nil
 	}
-	return append([]mce.CERecord(nil), e.records...)
+	return h.Records()
 }
 
 // Summary is the live top-level view.
@@ -558,7 +561,7 @@ func (e *Engine) summaryLocked() Summary {
 	shed := int(e.shed.Load())
 	windowCount, windowRate := e.rate.CountRate(e.last)
 	return Summary{
-		Records:      len(e.records),
+		Records:      e.log.n,
 		First:        e.first,
 		Last:         e.last,
 		Banks:        len(e.entries),
@@ -572,7 +575,7 @@ func (e *Engine) summaryLocked() Summary {
 		WindowCount:  windowCount,
 		WindowRate:   windowRate,
 		Shed:         shed,
-		Offered:      len(e.records) + shed,
+		Offered:      e.log.n + shed,
 		Degraded:     shed > 0,
 	}
 }
