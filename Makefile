@@ -12,7 +12,8 @@ build:
 test:
 	$(GO) test ./...
 
-# verify is the robustness gate: static checks, the full suite including
+# verify is the robustness gate: static checks (every Go file gofmt-clean,
+# then go vet), the full suite including
 # the differential dirty-telemetry harness (robustness_test.go), the race
 # detector over the concurrent ingest/poller paths, the parallel
 # determinism contract (serial vs parallel batch pipelines must be
@@ -39,6 +40,7 @@ test:
 # replay).
 verify:
 	$(GO) build ./...
+	test -z "$$(gofmt -l .)"
 	$(GO) vet ./...
 	$(GO) test ./...
 	$(GO) test -race -timeout 30m ./...

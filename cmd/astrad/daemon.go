@@ -301,8 +301,8 @@ func (d *daemon) ingest(ctx context.Context, s *siteDaemon, q *overload.Queue[mc
 	last := time.Now()
 	s.publishTail(lastTail)
 	for sc.Scan() {
-		if rec := sc.Record(); rec.Kind == syslog.KindCE {
-			if batch = append(batch, rec.CE); len(batch) == admitBatch {
+		if ce := sc.CE(); ce != nil {
+			if batch = append(batch, *ce); len(batch) == admitBatch {
 				flush()
 			}
 		}

@@ -189,6 +189,11 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		fs.Usage()
 		return 2
 	}
+	if err := (overload.Config{Capacity: cfg.queueDepth, High: cfg.queueHigh, Low: cfg.queueLow}).Validate(); err != nil {
+		fmt.Fprintf(stderr, "astrad: -queue-depth/-queue-high/-queue-low: %v\n", err)
+		fs.Usage()
+		return 2
+	}
 	if cfg.riskThreshold <= 0 || cfg.riskThreshold > 1 {
 		fmt.Fprintln(stderr, "astrad: -risk-threshold must be in (0, 1]")
 		fs.Usage()

@@ -240,3 +240,33 @@ func TestDaemonKillUnderBacklogDifferential(t *testing.T) {
 		t.Fatalf("healthz after convergence = %q, want ok", h.Status)
 	}
 }
+
+// TestAdmissionFlagValidation pins that admission-queue settings no queue
+// can hold are usage errors — exit 2 with the reason — and not a panic
+// when the site pipeline is built.
+func TestAdmissionFlagValidation(t *testing.T) {
+	logPath := filepath.Join(t.TempDir(), "astra-syslog.log")
+	if err := os.WriteFile(logPath, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	for _, tc := range []struct {
+		args []string
+		msg  string
+	}{
+		{[]string{"-queue-depth", "0"}, "capacity must be positive"},
+		{[]string{"-queue-depth", "-8"}, "capacity must be positive"},
+		{[]string{"-queue-depth", "100", "-queue-low", "100"}, "low watermark 100 must be below high watermark 100"},
+		{[]string{"-queue-depth", "100", "-queue-high", "40", "-queue-low", "60"}, "low watermark 60 must be below high watermark 40"},
+	} {
+		var errs syncBuf
+		args := append([]string{"-log", logPath, "-listen", "127.0.0.1:0"}, tc.args...)
+		if code := run(ctx, args, io.Discard, &errs); code != 2 {
+			t.Errorf("args %v: exit %d, want 2; stderr:\n%s", tc.args, code, errs.String())
+		}
+		if !strings.Contains(errs.String(), tc.msg) {
+			t.Errorf("args %v: stderr lacks %q:\n%s", tc.args, tc.msg, errs.String())
+		}
+	}
+}

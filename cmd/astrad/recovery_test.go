@@ -17,6 +17,7 @@ import (
 	"repro/internal/colfmt"
 	"repro/internal/core"
 	"repro/internal/iofault"
+	"repro/internal/mce"
 	"repro/internal/stream"
 	"repro/internal/syslog"
 	"repro/internal/topology"
@@ -715,9 +716,15 @@ var wrappedCounts = colfmt.Magic + "\x80\x80\x80\x80\x80\x80\x80\x80\x80\x01" +
 
 // FuzzLoadStateLadder: whatever bytes sit in the newest generation, the
 // ladder loader must never error — it either accepts them (if they
-// decode) or falls back to the valid older generation.
+// decode) or falls back to the valid older generation — and a generation
+// it accepts must resume: every site's checkpoint restores into astrad's
+// scanner, which then scans a stretch of fresh record lines.
 func FuzzLoadStateLadder(f *testing.F) {
 	_, ces := testLog(f)
+	var tail []byte
+	for _, ce := range ces[:80] {
+		tail = append(syslog.AppendCE(tail, ce), '\n')
+	}
 	valid := marshalSnapshots(f, []siteSnapshot{{id: "default"}})
 	sealed := sealState(valid)
 	f.Add([]byte(""))
@@ -749,6 +756,10 @@ func FuzzLoadStateLadder(f *testing.F) {
 	// decoder, which startup restore does not recover from.
 	f.Add(sealState(fmt.Appendf(nil, "%s\nsites 1\nsite default\ncheckpoint %d\n%sshed 0\nrecords %d\n%s\nalarms 0\n",
 		stateMagic, len(cpb), cpb, len(wrappedCounts), wrappedCounts)))
+	// A checkpoint whose full 4-line dedup ring has its next-overwrite
+	// position spliced to 99: it once loaded, and the record line that
+	// reached that position panicked the scan.
+	f.Add(sealState(ringPositionImage(f, ces, 99)))
 	f.Fuzz(func(t *testing.T, gen0 []byte) {
 		dir := t.TempDir()
 		statePath := filepath.Join(dir, "astrad.state")
@@ -772,5 +783,40 @@ func FuzzLoadStateLadder(f *testing.F) {
 		default:
 			t.Fatalf("gen = %d with a valid generation 1 present", gen)
 		}
+		for _, sn := range snaps {
+			// astrad's default -dedup-window and -reorder-window.
+			sc := syslog.NewScannerConfig(bytes.NewReader(tail), syslog.ScanConfig{DedupWindow: 64, ReorderWindow: 5 * time.Minute})
+			if err := sc.Restore(sn.cp); err != nil {
+				t.Fatalf("site %s: restore: %v", sn.id, err)
+			}
+			for sc.Scan() {
+			}
+		}
 	})
+}
+
+// ringPositionImage is an unsealed state image whose scanner checkpoint
+// holds a full 4-line dedup ring with its next-overwrite position set to
+// rpos.
+func ringPositionImage(t testing.TB, ces []mce.CERecord, rpos int) []byte {
+	t.Helper()
+	var log []byte
+	for _, ce := range ces[:6] {
+		log = append(syslog.AppendCE(log, ce), '\n')
+	}
+	sc := syslog.NewScannerConfig(bytes.NewReader(log), syslog.ScanConfig{DedupWindow: 4})
+	for sc.Scan() {
+	}
+	cp := sc.Checkpoint()
+	cpb, err := cp.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	img := marshalSnapshots(t, []siteSnapshot{{id: "default", cp: cp}})
+	spliced := bytes.Replace(cpb, []byte("\nrpos 2\n"), fmt.Appendf(nil, "\nrpos %d\n", rpos), 1)
+	old := fmt.Appendf(nil, "checkpoint %d\n%s", len(cpb), cpb)
+	if bytes.Equal(spliced, cpb) || !bytes.Contains(img, old) {
+		t.Fatalf("fixture checkpoint moved:\n%s", img)
+	}
+	return bytes.Replace(img, old, fmt.Appendf(nil, "checkpoint %d\n%s", len(spliced), spliced), 1)
 }

@@ -74,7 +74,7 @@ func (osFS) Remove(name string) error             { return os.Remove(name) }
 
 func (osFS) Open(name string) (io.ReadCloser, error) { return os.Open(name) }
 
-func (osFS) ReadFile(name string) ([]byte, error)      { return os.ReadFile(name) }
+func (osFS) ReadFile(name string) ([]byte, error)       { return os.ReadFile(name) }
 func (osFS) ReadDir(name string) ([]fs.DirEntry, error) { return os.ReadDir(name) }
 
 func (osFS) SyncDir(dir string) error {

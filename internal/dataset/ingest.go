@@ -5,6 +5,7 @@ import (
 	"encoding/csv"
 	"fmt"
 	"io"
+	"slices"
 	"time"
 
 	"repro/internal/colfmt"
@@ -50,6 +51,9 @@ type IngestReport struct {
 	BudgetExceeded bool
 }
 
+// maxCEChunk caps the CE chunks ReadSyslogPolicy gathers (1.7 MB each).
+const maxCEChunk = 1 << 14
+
 // ReadSyslogPolicy parses a merged syslog into typed record streams under
 // an ingest policy. On a budget violation the salvaged records and full
 // report are returned alongside the error so callers can still inspect
@@ -65,16 +69,32 @@ func ReadSyslogPolicy(r io.Reader, pol IngestPolicy) (ces []mce.CERecord, dues [
 		BlockSize: pol.BlockSize,
 	})
 	defer sc.Close()
+	// CEs, nearly all of a log's records, gather in chunks that are never
+	// regrown and are copied once into a slice of exactly their number:
+	// append's regrowth allocates about five times the result over a
+	// long log.
+	var chunks [][]mce.CERecord
+	var cur []mce.CERecord
 	for sc.Scan() {
 		p := sc.Record()
 		switch p.Kind {
 		case syslog.KindCE:
-			ces = append(ces, p.CE)
+			if len(cur) == cap(cur) {
+				if cur != nil {
+					chunks = append(chunks, cur)
+				}
+				cur = make([]mce.CERecord, 0, min(max(2*cap(cur), 1024), maxCEChunk))
+			}
+			cur = append(cur, p.CE)
 		case syslog.KindDUE:
 			dues = append(dues, p.DUE)
 		case syslog.KindHET:
 			hets = append(hets, p.HET)
 		}
+	}
+	ces = cur
+	if len(chunks) > 0 {
+		ces = slices.Concat(append(chunks, cur)...)
 	}
 	rep.ScanStats = sc.Stats()
 	if recordLines := rep.Lines - rep.Other; recordLines > 0 {

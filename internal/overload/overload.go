@@ -24,6 +24,7 @@
 package overload
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 )
@@ -141,21 +142,39 @@ type Queue[T any] struct {
 	saturations                uint64
 }
 
-// NewQueue builds a queue; it panics on a non-positive capacity or
-// inverted watermarks (a misconfigured admission layer is a programming
-// error, not a runtime condition).
+// effective fills in the watermark defaults and reports a configuration
+// no queue can hold: a non-positive capacity, or a low watermark not
+// below the high one.
+func (c Config) effective() (Config, error) {
+	if c.Capacity <= 0 {
+		return c, errors.New("overload: queue capacity must be positive")
+	}
+	if c.High <= 0 || c.High > c.Capacity {
+		c.High = c.Capacity
+	}
+	if c.Low <= 0 {
+		c.Low = c.Capacity / 2
+	}
+	if c.Low >= c.High {
+		return c, fmt.Errorf("overload: low watermark %d must be below high watermark %d", c.Low, c.High)
+	}
+	return c, nil
+}
+
+// Validate reports the configuration errors NewQueue panics on, so a
+// caller taking the settings from an operator can refuse them first.
+func (c Config) Validate() error {
+	_, err := c.effective()
+	return err
+}
+
+// NewQueue builds a queue; it panics on a configuration Validate rejects
+// (a misconfigured admission layer is a programming error, not a runtime
+// condition).
 func NewQueue[T any](cfg Config) *Queue[T] {
-	if cfg.Capacity <= 0 {
-		panic("overload: queue capacity must be positive")
-	}
-	if cfg.High <= 0 || cfg.High > cfg.Capacity {
-		cfg.High = cfg.Capacity
-	}
-	if cfg.Low <= 0 {
-		cfg.Low = cfg.Capacity / 2
-	}
-	if cfg.Low >= cfg.High {
-		panic(fmt.Sprintf("overload: low watermark %d must be below high watermark %d", cfg.Low, cfg.High))
+	cfg, err := cfg.effective()
+	if err != nil {
+		panic(err.Error())
 	}
 	q := &Queue[T]{cfg: cfg, buf: make([]T, min(cfg.Capacity, minRing))}
 	q.avail = sync.NewCond(&q.mu)

@@ -57,7 +57,6 @@ type BlockScanner struct {
 	bsize   int
 
 	tol      tolerator
-	cur      Parsed
 	err      error
 	eof      bool
 	consumed int64
@@ -126,15 +125,10 @@ func NewBlockScanner(r io.Reader, cfg BlockScanConfig) *BlockScanner {
 // to the serial Scanner over the same input and ScanConfig.
 func (s *BlockScanner) Scan() bool {
 	if s.ser != nil {
-		ok := s.ser.Scan()
-		if ok {
-			s.cur = s.ser.Record()
-		}
-		return ok
+		return s.ser.Scan()
 	}
 	for {
-		if p, ok := s.tol.pop(); ok {
-			s.cur = p
+		if s.tol.pop() {
 			return true
 		}
 		if s.err != nil || s.eof {
@@ -161,7 +155,9 @@ func (s *BlockScanner) Scan() bool {
 			ln := &blk.lines[s.curLine]
 			s.curLine++
 			s.consumed += int64(ln.adv)
-			if err := s.tol.feed(blk.buf[ln.off:ln.end], ln.p, ln.err); err != nil {
+			slot := s.tol.alloc()
+			s.tol.slab[slot] = ln.p
+			if err := s.tol.feed(blk.buf[ln.off:ln.end], slot, ln.err); err != nil {
 				s.err = err
 				s.shutdown()
 				return false
@@ -179,7 +175,12 @@ func (s *BlockScanner) Scan() bool {
 }
 
 // Record returns the record produced by the last successful Scan.
-func (s *BlockScanner) Record() Parsed { return s.cur }
+func (s *BlockScanner) Record() Parsed {
+	if s.ser != nil {
+		return s.ser.Record()
+	}
+	return s.tol.current()
+}
 
 // Stats returns the accounting so far.
 func (s *BlockScanner) Stats() ScanStats {

@@ -88,6 +88,9 @@ func (cp *Checkpoint) UnmarshalBinary(data []byte) error {
 	if cp.Offset, err = r.intField("offset"); err != nil {
 		return err
 	}
+	if cp.Offset < 0 {
+		return fmt.Errorf("syslog: checkpoint: negative offset %d", cp.Offset)
+	}
 	stats, err := r.fields("stats", 11)
 	if err != nil {
 		return err
@@ -128,6 +131,12 @@ func (cp *Checkpoint) UnmarshalBinary(data []byte) error {
 			return fmt.Errorf("syslog: checkpoint: recent[%d]: %w", i, err)
 		}
 		cp.recent = append(cp.recent, raw)
+	}
+	// rpos is the ring's next overwrite position: an index into a full
+	// ring, 0 otherwise. Out of range, the next record line would index
+	// past the ring.
+	if cp.rpos != 0 && (cp.rpos < 0 || cp.rpos >= len(cp.recent)) {
+		return fmt.Errorf("syslog: checkpoint: rpos %d outside a %d-line dedup ring", cp.rpos, len(cp.recent))
 	}
 	var dec Decoder
 	for _, sec := range []struct {

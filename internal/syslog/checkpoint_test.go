@@ -151,6 +151,7 @@ func TestCheckpointUnmarshalRejectsCorruption(t *testing.T) {
 		"no newline":  data[:len(data)-1],
 		"trailing":    append(append([]byte(nil), data...), "extra\n"...),
 		"bad offset":  bytes.Replace(data, []byte("offset "), []byte("offset x"), 1),
+		"neg offset":  bytes.Replace(data, []byte("offset "), []byte("offset -"), 1),
 		"bad record":  bytes.Replace(data, []byte("EDAC"), []byte("EDCA"), 1),
 		"bad recent":  bytes.Replace(data, []byte("recent 3"), []byte("recent 99"), 1),
 		"short stats": bytes.Replace(data, []byte("stats "), []byte("stats 1 "), 1),
@@ -159,6 +160,68 @@ func TestCheckpointUnmarshalRejectsCorruption(t *testing.T) {
 		var cp Checkpoint
 		if err := cp.UnmarshalBinary(corrupt); err == nil {
 			t.Errorf("%s: corrupted checkpoint accepted", name)
+		}
+	}
+}
+
+// TestCheckpointUnmarshalRejectsRingPosition splices dedup-ring positions
+// into a checkpoint whose ring is full (4 lines, next overwrite at 2) and
+// into one with an empty ring. An out-of-range position must fail to
+// load: restored, it made the next record line index past the ring and
+// panic the scan. Every in-range position loads and scans.
+func TestCheckpointUnmarshalRejectsRingPosition(t *testing.T) {
+	var log strings.Builder
+	ce := sampleCE()
+	for i := 0; i < 6; i++ {
+		ce.Addr++
+		log.WriteString(FormatCE(ce) + "\n")
+	}
+	cfg := ScanConfig{DedupWindow: 4}
+	sc := NewScannerConfig(strings.NewReader(log.String()), cfg)
+	for sc.Scan() {
+	}
+	full, err := sc.Checkpoint().MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	empty, err := Checkpoint{}.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Contains(full, []byte("\nrpos 2\nmaxseen")) || !bytes.Contains(empty, []byte("\nrpos 0\n")) {
+		t.Fatalf("fixture ring positions moved:\n%s\n%s", full, empty)
+	}
+	ce.Addr++
+	next := FormatCE(ce) + "\n"
+	for _, tc := range []struct {
+		ring  string
+		image []byte
+		rpos  string
+		ok    bool
+	}{
+		{"full", full, "0", true}, {"full", full, "3", true},
+		{"full", full, "4", false}, {"full", full, "99", false}, {"full", full, "-1", false},
+		{"empty", empty, "1", false}, {"empty", empty, "-1", false},
+	} {
+		data := bytes.Replace(tc.image, []byte("\nrpos 2\n"), []byte("\nrpos "+tc.rpos+"\n"), 1)
+		data = bytes.Replace(data, []byte("\nrpos 0\n"), []byte("\nrpos "+tc.rpos+"\n"), 1)
+		var cp Checkpoint
+		err := cp.UnmarshalBinary(data)
+		if (err == nil) != tc.ok {
+			t.Errorf("rpos %s in the %s ring: UnmarshalBinary err = %v, want ok %v", tc.rpos, tc.ring, err, tc.ok)
+			continue
+		}
+		if err != nil {
+			continue
+		}
+		rs := NewScannerConfig(strings.NewReader(next), cfg)
+		if err := rs.Restore(cp); err != nil {
+			t.Fatal(err)
+		}
+		for rs.Scan() {
+		}
+		if rs.Stats().CEs != cp.Stats.CEs+1 {
+			t.Errorf("rpos %s in the %s ring: restored scan released %d CEs, want %d", tc.rpos, tc.ring, rs.Stats().CEs, cp.Stats.CEs+1)
 		}
 	}
 }

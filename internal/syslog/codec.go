@@ -7,16 +7,17 @@ package syslog
 // map[string]string, no per-field substrings — with a memoized date-prefix
 // timestamp parser and an interning table for repeated hostnames.
 //
-// The string APIs (FormatCE/ParseLine) remain the reference semantics; the
-// byte forms are required to agree with them line for line (the codec
-// round-trip tests and FuzzParseLine enforce this), falling back to the
-// string path for the one input the byte path does not model (more
-// key=value tokens than its span table holds).
+// The Decoder has one grammar, the general byte grammar (parseGeneral):
+// whitespace-split key=value fields in any order, every value checked.
+// In front of it sits a single-pass decoder for CE lines in AppendCE's
+// exact layout (parseCECanonical), which reads the nine keys in order
+// with plain digit loops and declines on any deviation, so it accepts a
+// subset of the general grammar's lines with identical records. The
+// string form ParseLine is a wrapper over the byte path.
 
 import (
 	"bytes"
 	"fmt"
-	"sync"
 	"time"
 	"unicode"
 	"unicode/utf8"
@@ -174,11 +175,9 @@ var (
 	hetMarkerBytes = []byte(hetMarker)
 )
 
-// maxWireFields bounds the in-place field scan. A valid record line has at
-// most 11 key=value fields; a line with more tokens than this is handed to
-// the legacy string parser so the two paths stay in exact agreement
-// without the byte path needing quadratic duplicate detection on
-// adversarial input.
+// maxWireFields is how many key=value spans a line keeps in place. A
+// valid record line has at most 11 fields; the tokens of a longer line go
+// to a map, so duplicate detection stays linear on adversarial input.
 const maxWireFields = 32
 
 // maxInternedHosts caps the Decoder's hostname interning table so a
@@ -196,58 +195,192 @@ type Decoder struct {
 	dateOK   bool
 	dateSecs int64 // Unix seconds at the memoized date's midnight UTC
 	hosts    map[string]topology.NodeID
-}
 
-// decoderPool backs the package-level ParseLineBytes so one-off callers
-// still get memoization across calls without sharing unsynchronized state.
-var decoderPool = sync.Pool{New: func() any { return new(Decoder) }}
-
-// ParseLineBytes is ParseLine over raw bytes: same classification, same
-// record values, same error categories, without per-line allocation. The
-// input is not retained.
-func ParseLineBytes(line []byte) (Parsed, error) {
-	d := decoderPool.Get().(*Decoder)
-	p, err := d.ParseLineBytes(line)
-	decoderPool.Put(d)
-	return p, err
+	// fallbacks counts lines the canonical CE path declined, so tests can
+	// tell a line that took it from one the general grammar caught.
+	fallbacks int
 }
 
 // ParseLineBytes classifies and parses one syslog line held in a byte
-// slice, writing nothing and allocating nothing on the canonical-grammar
-// path. Fields split on Unicode whitespace as strings.Fields does, and a
-// non-canonical timestamp goes through the same time.Parse call ParseLine
-// makes; only a line with more than maxWireFields key=value tokens is
-// delegated to the string parser. The result always agrees with
-// ParseLine(string(line)). The line is not retained; callers may reuse
-// the buffer.
+// slice, allocating nothing for a valid record line once the date and
+// host caches are warm. Fields split on Unicode whitespace as
+// strings.Fields does, and a non-canonical timestamp goes through
+// time.Parse. The line is not retained; callers may reuse the buffer.
 func (d *Decoder) ParseLineBytes(line []byte) (Parsed, error) {
+	var p Parsed
+	err := d.parse(line, &p)
+	return p, err
+}
+
+// parse is ParseLineBytes writing into *p, which it overwrites entirely:
+// the canonical CE path first, the general grammar for anything it
+// declines.
+func (d *Decoder) parse(line []byte, p *Parsed) error {
+	if d.parseCECanonical(line, &p.CE) {
+		p.Kind, p.DUE, p.HET = KindCE, mce.DUERecord{}, het.Record{}
+		return nil
+	}
+	d.fallbacks++
+	return d.parseGeneral(line, p)
+}
+
+// parseGeneral is the general byte grammar, the one every line the
+// canonical path declines goes through and the reference that path is
+// tested against.
+func (d *Decoder) parseGeneral(line []byte, p *Parsed) error {
 	switch {
 	case bytes.Contains(line, ceMarkerBytes):
 		ce, err := d.parseCEBytes(line)
-		if err == errDelegate {
-			return ParseLine(string(line))
-		}
-		return Parsed{Kind: KindCE, CE: ce}, classify(err)
+		*p = Parsed{Kind: KindCE, CE: ce}
+		return classify(err)
 	case bytes.Contains(line, dueMarkerBytes):
 		due, err := d.parseDUEBytes(line)
-		if err == errDelegate {
-			return ParseLine(string(line))
-		}
-		return Parsed{Kind: KindDUE, DUE: due}, classify(err)
+		*p = Parsed{Kind: KindDUE, DUE: due}
+		return classify(err)
 	case bytes.Contains(line, hetMarkerBytes):
 		h, err := d.parseHETBytes(line)
-		if err == errDelegate {
-			return ParseLine(string(line))
-		}
-		return Parsed{Kind: KindHET, HET: h}, classify(err)
+		*p = Parsed{Kind: KindHET, HET: h}
+		return classify(err)
 	default:
-		return Parsed{Kind: KindOther}, nil
+		*p = Parsed{Kind: KindOther}
+		return nil
 	}
 }
 
-// errDelegate is an internal sentinel: the byte path met input it does not
-// model exactly; re-run the line through the string parser.
-var errDelegate = fmt.Errorf("syslog: delegate to string parser")
+// ceHead is what follows the host on a canonical CE line, up to the
+// first value.
+const ceHead = " " + ceMarker + " socket="
+
+// parseCECanonical decodes a CE line in AppendCE's exact layout in one
+// pass: the 20-byte UTC timestamp, one space, the host, one space, the
+// marker, then the nine keys in AppendCE's order, single-spaced. It
+// applies every check parseCEBytes applies and reports whether the line
+// passed, having written its record to *rec; on any deviation or failed
+// check the general grammar decides the line. The
+// two agree on every line this path accepts: the timestamp and the host
+// hold no whitespace and no 'k', so the marker found after them is the
+// line's first and the header is the two fields the grammar splits off,
+// and values of at most 18 decimal or 15 hex digits never reach the
+// grammar's overflow guard.
+func (d *Decoder) parseCECanonical(line []byte, rec *mce.CERecord) bool {
+	if len(line) < 22 || line[20] != ' ' {
+		return false
+	}
+	sp := bytes.IndexByte(line[21:], ' ')
+	c := cursor{b: line, i: 21 + sp, ok: sp > 0}
+	c.lit(ceHead)
+	if !c.ok {
+		return false // not a CE line, or not laid out as one
+	}
+	ts, ok := d.canonicalTime(line[:20])
+	if !ok {
+		return false
+	}
+	node, ok := topology.ParseCanonicalNodeID(line[21 : 21+sp])
+	if !ok {
+		return false
+	}
+	socket := c.dec()
+	c.lit(" slot=")
+	slot := c.slot()
+	c.lit(" rank=")
+	rank := c.dec()
+	c.lit(" bank=")
+	bank := c.dec()
+	c.lit(" row=0x")
+	row := c.hex()
+	c.lit(" col=0x")
+	col := c.hex()
+	c.lit(" bitpos=0x")
+	bitpos := c.hex()
+	c.lit(" addr=0x")
+	addr := c.hex()
+	c.lit(" syndrome=0x")
+	syndrome := c.hex()
+	// parseCEBytes's range checks.
+	if !c.ok || c.i != len(line) ||
+		socket > topology.SocketsPerNode-1 || int(socket) != slot.Socket() ||
+		rank > topology.RanksPerDIMM-1 || bank > topology.BanksPerRank-1 ||
+		row > topology.RowsPerBank-1 || col > topology.ColsPerRow-1 ||
+		bitpos > 1<<20 || addr > topology.NodeMemBytes-1 || syndrome > 255 {
+		return false
+	}
+	*rec = mce.CERecord{
+		Time: ts, Node: node, Socket: int(socket), Slot: slot,
+		Rank: int(rank), Bank: int(bank), RowRaw: int(row), Col: int(col),
+		BitPos: int(bitpos), Addr: topology.PhysAddr(addr), Syndrome: uint8(syndrome),
+	}
+	return rec.CheckRanges() == nil
+}
+
+// cursor reads a canonical line left to right. ok turns false at the
+// first mismatch and stays false; reads after it return garbage the
+// caller discards.
+type cursor struct {
+	b  []byte
+	i  int
+	ok bool
+}
+
+// lit consumes s.
+func (c *cursor) lit(s string) {
+	if c.ok && len(c.b)-c.i >= len(s) && string(c.b[c.i:c.i+len(s)]) == s { // alloc-free comparison
+		c.i += len(s)
+	} else {
+		c.ok = false
+	}
+}
+
+// dec consumes a run of 1 to 18 decimal digits and returns its value.
+func (c *cursor) dec() int64 {
+	var v int64
+	start := c.i
+	for ; c.i < len(c.b) && c.b[c.i]-'0' <= 9; c.i++ {
+		v = v*10 + int64(c.b[c.i]-'0')
+	}
+	c.ok = c.ok && c.i > start && c.i-start <= 18
+	return v
+}
+
+// hex consumes a run of 1 to 15 hex digits (either case) and returns its
+// value.
+func (c *cursor) hex() int64 {
+	var v int64
+	start := c.i
+	for ; c.i < len(c.b); c.i++ {
+		d := hexVal[c.b[c.i]]
+		if d > 0xf {
+			break
+		}
+		v = v<<4 | int64(d)
+	}
+	c.ok = c.ok && c.i > start && c.i-start <= 15
+	return v
+}
+
+// slot consumes one slot letter, as parseSlotBytes reads it.
+func (c *cursor) slot() topology.Slot {
+	if c.i < len(c.b) {
+		if l := c.b[c.i] | 0x20; l >= 'a' && l <= 'p' {
+			c.i++
+			return topology.Slot(l - 'a')
+		}
+	}
+	c.ok = false
+	return 0
+}
+
+// hexVal maps a hex digit of either case to its value, any other byte to
+// 0xff.
+var hexVal = func() (t [256]byte) {
+	for i := range t {
+		t[i] = 0xff
+	}
+	for i := 0; i < 16; i++ {
+		t[hexDigits[i]], t["0123456789ABCDEF"[i]] = byte(i), byte(i)
+	}
+	return t
+}()
 
 // headerBytes parses the leading "<timestamp> <host> " before the marker
 // and returns the remainder after it.
@@ -273,47 +406,48 @@ func (d *Decoder) headerBytes(line, marker []byte) (time.Time, topology.NodeID, 
 	return t, node, line[idx+len(marker):], nil
 }
 
-// parseTimestampBytes parses a canonical "YYYY-MM-DDTHH:MM:SSZ" timestamp
-// allocation-free, memoizing the date prefix; anything else (offsets,
-// fractional seconds, leap seconds, malformed text) takes the time.Parse
-// path so behaviour matches the string parser exactly.
+// parseTimestampBytes parses a wire timestamp: a canonical one through
+// the memoized date, anything else (offsets, fractional seconds, leap
+// seconds, malformed text) through time.Parse.
 func (d *Decoder) parseTimestampBytes(b []byte) (time.Time, error) {
-	if len(b) == 20 && b[4] == '-' && b[7] == '-' && b[10] == 'T' &&
-		b[13] == ':' && b[16] == ':' && b[19] == 'Z' &&
-		allDigits(b[0:4]) && allDigits(b[5:7]) && allDigits(b[8:10]) &&
-		allDigits(b[11:13]) && allDigits(b[14:16]) && allDigits(b[17:19]) {
-		if !d.dateOK || !bytes.Equal(d.datePfx[:], b[:11]) {
-			year := digits(b[0:4])
-			month := digits(b[5:7])
-			day := digits(b[8:10])
-			midnight := time.Date(year, time.Month(month), day, 0, 0, 0, 0, time.UTC)
-			y2, m2, d2 := midnight.Date()
-			if y2 != year || int(m2) != month || d2 != day {
-				// Not a real calendar date (e.g. Feb 30); let time.Parse
-				// produce its canonical error.
-				return d.parseTimestampSlow(b)
-			}
-			copy(d.datePfx[:], b[:11])
-			d.dateSecs = midnight.Unix()
-			d.dateOK = true
-		}
-		hour := digits(b[11:13])
-		min := digits(b[14:16])
-		sec := digits(b[17:19])
-		if hour > 23 || min > 59 || sec > 59 {
-			return d.parseTimestampSlow(b)
-		}
-		return time.Unix(d.dateSecs+int64(hour)*3600+int64(min)*60+int64(sec), 0).UTC(), nil
+	if t, ok := d.canonicalTime(b); ok {
+		return t, nil
 	}
-	return d.parseTimestampSlow(b)
+	t, err := time.Parse(timeLayout, string(b))
+	return t.UTC(), err
 }
 
-func (d *Decoder) parseTimestampSlow(b []byte) (time.Time, error) {
-	ts, err := time.Parse(timeLayout, string(b))
-	if err != nil {
-		return time.Time{}, err
+// canonicalTime converts a "YYYY-MM-DDTHH:MM:SSZ" timestamp naming a real
+// calendar date and time of day without allocating, computing each
+// date's midnight once; ok is false for any other input.
+func (d *Decoder) canonicalTime(b []byte) (time.Time, bool) {
+	if len(b) != 20 || b[13] != ':' || b[16] != ':' || b[19] != 'Z' ||
+		!allDigits(b[11:13]) || !allDigits(b[14:16]) || !allDigits(b[17:19]) {
+		return time.Time{}, false
 	}
-	return ts.UTC(), nil
+	if !d.dateOK || string(b[:11]) != string(d.datePfx[:]) {
+		if b[4] != '-' || b[7] != '-' || b[10] != 'T' ||
+			!allDigits(b[0:4]) || !allDigits(b[5:7]) || !allDigits(b[8:10]) {
+			return time.Time{}, false
+		}
+		year := digits(b[0:4])
+		month := digits(b[5:7])
+		day := digits(b[8:10])
+		midnight := time.Date(year, time.Month(month), day, 0, 0, 0, 0, time.UTC)
+		if y2, m2, d2 := midnight.Date(); y2 != year || int(m2) != month || d2 != day {
+			return time.Time{}, false // not a real calendar date (e.g. Feb 30)
+		}
+		copy(d.datePfx[:], b[:11])
+		d.dateSecs = midnight.Unix()
+		d.dateOK = true
+	}
+	hour := digits(b[11:13])
+	min := digits(b[14:16])
+	sec := digits(b[17:19])
+	if hour > 23 || min > 59 || sec > 59 {
+		return time.Time{}, false
+	}
+	return time.Unix(d.dateSecs+int64(hour)*3600+int64(min)*60+int64(sec), 0).UTC(), true
 }
 
 func allDigits(b []byte) bool {
@@ -398,17 +532,19 @@ func nextFieldBytes(b []byte) (field, rest []byte) {
 	return b[start:end], b[end:]
 }
 
-// wireFields is the in-place replacement for kvFields: key and value spans
-// into the scanned line, no map, no copies.
+// wireFields holds a line's key and value spans into the scanned line:
+// the first maxWireFields in place, any further ones in more.
 type wireFields struct {
 	keys [maxWireFields][]byte
 	vals [maxWireFields][]byte
 	n    int
+	more map[string][]byte
 }
 
-// scanFields splits rest into key=value spans with the same acceptance,
-// duplicate and truncation-vs-garbling rules as kvFields. It returns
-// errDelegate when the token count exceeds maxWireFields.
+// scanFields splits rest into key=value spans. A token without '=', or
+// with an empty key or value, is malformed: truncation when it is the
+// final token, garbling anywhere else. A repeated key is garbling. The
+// first such token decides the verdict.
 func scanFields(rest []byte, fs *wireFields) error {
 	b := rest
 	for {
@@ -418,28 +554,38 @@ func scanFields(rest []byte, fs *wireFields) error {
 		}
 		eq := bytes.IndexByte(tok, '=')
 		if eq <= 0 || eq == len(tok)-1 {
-			// Missing '=', empty key, or empty value. Classified as
-			// truncation only when this is the final token.
 			cat := ErrGarbled
 			if next, _ := nextFieldBytes(after); next == nil {
 				cat = ErrTruncated
 			}
 			return fmt.Errorf("%w: syslog: malformed field %q", cat, tok)
 		}
-		key := tok[:eq]
-		for i := 0; i < fs.n; i++ {
-			if bytes.Equal(fs.keys[i], key) {
-				return fmt.Errorf("%w: syslog: duplicate field %q", ErrGarbled, key)
+		key, val := tok[:eq], tok[eq+1:]
+		if _, dup := fs.lookup(key); dup {
+			return fmt.Errorf("%w: syslog: duplicate field %q", ErrGarbled, key)
+		}
+		if fs.n < maxWireFields {
+			fs.keys[fs.n], fs.vals[fs.n] = key, val
+			fs.n++
+		} else {
+			if fs.more == nil {
+				fs.more = make(map[string][]byte)
 			}
+			fs.more[string(key)] = val
 		}
-		if fs.n >= maxWireFields {
-			return errDelegate
-		}
-		fs.keys[fs.n] = key
-		fs.vals[fs.n] = tok[eq+1:]
-		fs.n++
 		b = after
 	}
+}
+
+// lookup returns the value span for key, if present.
+func (fs *wireFields) lookup(key []byte) ([]byte, bool) {
+	for i := 0; i < fs.n; i++ {
+		if bytes.Equal(fs.keys[i], key) {
+			return fs.vals[i], true
+		}
+	}
+	v, ok := fs.more[string(key)] // alloc-free lookup; nil map is empty
+	return v, ok
 }
 
 // get returns the value span for key, if present.
@@ -449,13 +595,14 @@ func (fs *wireFields) get(key string) ([]byte, bool) {
 			return fs.vals[i], true
 		}
 	}
-	return nil, false
+	v, ok := fs.more[key]
+	return v, ok
 }
 
-// needIntBytes is needInt over field spans: the value must be exact
-// decimal digits (base 10) or exact hex digits with an optional "0x"
-// prefix (base 16) — no signs, no whitespace, no stray prefixes — and must
-// land inside [lo, hi].
+// needIntBytes extracts an integer field. The value must be exact decimal
+// digits (base 10) or exact hex digits with an optional "0x" prefix
+// (base 16) — no signs, no whitespace, no stray prefixes, so garbled bytes
+// cannot alias to valid fields — and must land inside [lo, hi].
 func needIntBytes(fs *wireFields, key string, base int, lo, hi int64) (int64, error) {
 	v, ok := fs.get(key)
 	if !ok {

@@ -138,6 +138,63 @@ func TestCodecRoundTripRandom(t *testing.T) {
 	}
 }
 
+// TestCanonicalPathTakesAppendCE pins that every line AppendCE renders
+// for a valid record takes the canonical CE path: a silent fallback to
+// the general grammar keeps every record right and only costs time, so
+// the decoder's fallback count is what catches it. Lines off AppendCE's
+// layout must fall back and still decode to the same record.
+func TestCanonicalPathTakesAppendCE(t *testing.T) {
+	rng := rand.New(rand.NewSource(37))
+	recs := []mce.CERecord{
+		{Time: time.Unix(0, 0).UTC(), Slot: 0},
+		{
+			Time: time.Date(2021, 12, 31, 23, 59, 59, 0, time.UTC), Node: topology.Nodes - 1,
+			Socket: 1, Slot: topology.SlotsPerNode - 1, Rank: topology.RanksPerDIMM - 1,
+			Bank: topology.BanksPerRank - 1, RowRaw: topology.RowsPerBank - 1, Col: topology.ColsPerRow - 1,
+			BitPos: 1<<20 - 1<<10 | topology.MaxLineBitPosition, Addr: topology.NodeMemBytes - 1, Syndrome: 255,
+		},
+	}
+	for i := 0; i < 5000; i++ {
+		recs = append(recs, randCE(rng))
+	}
+	var dec Decoder
+	var buf []byte
+	for _, ce := range recs {
+		if err := ce.CheckRanges(); err != nil {
+			t.Fatalf("test record %+v is not valid: %v", ce, err)
+		}
+		buf = AppendCE(buf[:0], ce)
+		if p, err := dec.ParseLineBytes(buf); err != nil || p != (Parsed{Kind: KindCE, CE: ce}) {
+			t.Fatalf("ParseLineBytes(%q) = %+v, %v; want %+v", buf, p.CE, err, ce)
+		}
+	}
+	if dec.fallbacks != 0 {
+		t.Fatalf("%d of %d AppendCE lines fell back to the general grammar", dec.fallbacks, len(recs))
+	}
+
+	ce := sampleCE()
+	line := FormatCE(ce)
+	for _, off := range []string{
+		strings.Replace(line, " slot=", "  slot=", 1),
+		strings.Replace(line, " astra-", "\tastra-", 1),
+		strings.Replace(line, "row=0x", "row=", 1),
+		strings.Replace(line, "syndrome=0x4d", "syndrome=0x004d", 1) + "\r",
+		strings.Replace(line, "rank=1 bank=5", "bank=5 rank=1", 1),
+		strings.Replace(line, "rank=1", "rank=0000000000000000001", 1),
+		" " + line,
+		line + " ",
+		line + " extra=1",
+	} {
+		before := dec.fallbacks
+		if p, err := dec.ParseLineBytes([]byte(off)); err != nil || p.CE != ce {
+			t.Errorf("ParseLineBytes(%q) = %+v, %v; want %+v", off, p.CE, err, ce)
+		}
+		if dec.fallbacks != before+1 {
+			t.Errorf("off-layout line %q took the canonical path", off)
+		}
+	}
+}
+
 // mutate corrupts a valid wire line the ways relays do: cuts, bit rot,
 // stray tokens, duplicated fields.
 func mutate(rng *rand.Rand, line string) string {
@@ -169,8 +226,9 @@ func mutate(rng *rand.Rand, line string) string {
 }
 
 // TestParseLineBytesMatchesParseLine is the differential property: on
-// valid lines and on mutated ones, the byte parser must agree with the
-// string parser on success, record values and error category.
+// valid lines and on mutated ones, the decoder — canonical CE path first
+// — must agree with the general byte grammar alone on success, record
+// values and error category.
 func TestParseLineBytesMatchesParseLine(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	var dec Decoder
@@ -193,19 +251,21 @@ func TestParseLineBytesMatchesParseLine(t *testing.T) {
 
 func assertParsersAgree(t *testing.T, dec *Decoder, line string) {
 	t.Helper()
-	sp, serr := ParseLine(line)
-	bp, berr := dec.ParseLineBytes([]byte(line))
-	if (serr == nil) != (berr == nil) {
-		t.Fatalf("parser disagreement on %q:\n string err: %v\n bytes err:  %v", line, serr, berr)
+	var gen Decoder
+	var gp Parsed
+	gerr := gen.parseGeneral([]byte(line), &gp)
+	p, err := dec.ParseLineBytes([]byte(line))
+	if (gerr == nil) != (err == nil) {
+		t.Fatalf("decoder disagreement on %q:\n general err: %v\n decoder err: %v", line, gerr, err)
 	}
-	if serr != nil {
-		if categorize(serr) != categorize(berr) {
-			t.Fatalf("error category disagreement on %q:\n string: %v\n bytes:  %v", line, serr, berr)
+	if gerr != nil {
+		if categorize(gerr) != categorize(err) {
+			t.Fatalf("error category disagreement on %q:\n general: %v\n decoder: %v", line, gerr, err)
 		}
 		return
 	}
-	if sp != bp {
-		t.Fatalf("record disagreement on %q:\n string: %+v\n bytes:  %+v", line, sp, bp)
+	if gp != p {
+		t.Fatalf("record disagreement on %q:\n general: %+v\n decoder: %+v", line, gp, p)
 	}
 }
 
@@ -276,6 +336,41 @@ func TestScanFieldOrderInsensitive(t *testing.T) {
 	}
 }
 
+// TestWideLines pins the verdicts on lines with more key=value tokens
+// than the decoder keeps in place: unknown keys are ignored wherever they
+// stand, and the first duplicate or malformed token decides the error,
+// past the 32nd token as before it.
+func TestWideLines(t *testing.T) {
+	ce := FormatCE(sampleCE())
+	var dec Decoder
+	for _, tc := range []struct {
+		line string
+		want string
+	}{
+		{ce + extraFields(30, ""), "nil"},
+		{ce + extraFields(30, " zz=1"), "nil"},
+		{extraFields(40, "")[1:] + " " + ce, "garbled"}, // tokens before the header
+		{ce + extraFields(30, " x3=1"), "garbled"},
+		{ce + extraFields(30, " rank=1"), "garbled"},
+		{ce + extraFields(30, " x29=2"), "garbled"}, // both past the 32nd token
+		{ce + extraFields(30, " x="), "truncated"},
+		{ce + extraFields(30, " x=") + " x3=1", "garbled"},
+		{ce + extraFields(30, " x3=1") + " x=", "garbled"},
+		{FormatDUE(sampleDUE()) + extraFields(40, ""), "nil"},
+		{FormatDUE(sampleDUE()) + extraFields(40, " fatal=0"), "garbled"},
+		{FormatHET(sampleHET()) + extraFields(40, " severity="), "truncated"},
+	} {
+		p, err := dec.ParseLineBytes([]byte(tc.line))
+		if got := categorize(err); got != tc.want {
+			t.Errorf("%d-byte line ending %q: %s (%v), want %s", len(tc.line), tc.line[len(tc.line)-12:], got, err, tc.want)
+		}
+		if err == nil && p.Kind == KindCE && p.CE != sampleCE() {
+			t.Errorf("wide CE line decoded to %+v", p.CE)
+		}
+		assertParsersAgree(t, &dec, tc.line)
+	}
+}
+
 // TestStrictDigitFields pins the needInt tightening: strconv's wider
 // integer syntax must be rejected as garbling by both parsers.
 func TestStrictDigitFields(t *testing.T) {
@@ -296,7 +391,8 @@ func TestStrictDigitFields(t *testing.T) {
 		if _, err := ParseLine(line); !isGarbled(err) {
 			t.Errorf("ParseLine with %q: want garbled, got %v", tc.bad, err)
 		}
-		if _, err := ParseLineBytes([]byte(line)); !isGarbled(err) {
+		var dec Decoder
+		if _, err := dec.ParseLineBytes([]byte(line)); !isGarbled(err) {
 			t.Errorf("ParseLineBytes with %q: want garbled, got %v", tc.bad, err)
 		}
 	}
@@ -307,23 +403,37 @@ func TestStrictDigitFields(t *testing.T) {
 // append formatters render into a pre-sized buffer likewise.
 func TestParseLineBytesZeroAlloc(t *testing.T) {
 	ceLine := []byte(FormatCE(sampleCE()))
+	// The same record off the canonical layout, for the general grammar.
+	ceGeneral := []byte(strings.Replace(string(ceLine), "rank=1 bank=5", "bank=5 rank=1", 1))
 	dueLine := []byte(FormatDUE(sampleDUE()))
 	hetLine := []byte(FormatHET(sampleHET()))
 	noise := []byte("2019-05-20T13:04:55Z astra-r03c11n2 kernel: slurmd[1234]: job step completed")
+	lines := [][]byte{ceLine, ceGeneral, dueLine, hetLine, noise}
 	var dec Decoder
-	for _, line := range [][]byte{ceLine, dueLine, hetLine} { // warm date + host caches
+	for _, line := range lines { // warm date + host caches
 		if _, err := dec.ParseLineBytes(line); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if n := testing.AllocsPerRun(200, func() {
-		for _, line := range [][]byte{ceLine, dueLine, hetLine, noise} {
+		for _, line := range lines {
 			if _, err := dec.ParseLineBytes(line); err != nil {
 				panic(err)
 			}
 		}
 	}); n != 0 {
-		t.Errorf("warm ParseLineBytes: %v allocs per 4 lines, want 0", n)
+		t.Errorf("warm ParseLineBytes: %v allocs per %d lines, want 0", n, len(lines))
+	}
+	before := dec.fallbacks
+	if n := testing.AllocsPerRun(200, func() {
+		if _, err := dec.ParseLineBytes(ceLine); err != nil {
+			panic(err)
+		}
+	}); n != 0 {
+		t.Errorf("warm canonical CE line: %v allocs, want 0", n)
+	}
+	if dec.fallbacks != before {
+		t.Errorf("the canonical CE line fell back to the general grammar")
 	}
 
 	ce, due, h := sampleCE(), sampleDUE(), sampleHET()
@@ -337,9 +447,7 @@ func TestParseLineBytesZeroAlloc(t *testing.T) {
 	}
 }
 
-// The codec benchmarks compare the legacy string parser with the byte
-// decoder on the same mixed record lines; the ratio is the per-line
-// speedup quoted in the README.
+// benchLines is a mix of CE, DUE and HET record lines in equal parts.
 func benchLines() [][]byte {
 	rng := rand.New(rand.NewSource(23))
 	var lines [][]byte
@@ -350,20 +458,6 @@ func benchLines() [][]byte {
 			AppendHET(nil, randHET(rng)))
 	}
 	return lines
-}
-
-func BenchmarkParseLine(b *testing.B) {
-	lines := make([]string, 0, 192)
-	for _, l := range benchLines() {
-		lines = append(lines, string(l))
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := ParseLine(lines[i%len(lines)]); err != nil {
-			b.Fatal(err)
-		}
-	}
 }
 
 func BenchmarkParseLineBytes(b *testing.B) {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -15,8 +16,10 @@ import (
 )
 
 // FuzzParseLine asserts the parser's contract on arbitrary bytes: it never
-// panics, every error it returns is classified as exactly one of the
-// two corruption categories, and every CE it accepts clusters without
+// panics, it agrees with the general byte grammar alone (the canonical CE
+// path may only take lines that grammar accepts, with the same record),
+// every error it returns is classified as exactly one of the two
+// corruption categories, and every CE it accepts clusters without
 // panicking. The seed corpus covers the realistic dirty inputs the
 // corrupt package produces: truncations at every interesting boundary,
 // garbled fields, binary noise, and torn/merged lines.
@@ -54,32 +57,46 @@ func FuzzParseLine(f *testing.F) {
 		respace(ce, ceMarker, "\u3000"),
 		strings.Replace(ce, "rank=1", "rank=1\u00a0\u3000", 1),
 		strings.Replace(ce, "rank=1", "rank=1\u200b", 1),
+		// More than 32 key=value tokens: unknown keys are ignored, and a
+		// duplicate or malformed token past the 32nd decides the verdict.
+		ce + extraFields(24, ""),
+		ce + extraFields(30, " x3=1"),
+		ce + extraFields(30, " rank=1"),
+		ce + extraFields(30, " x=") + " y=1",
+		ce + extraFields(30, " x="),
+		due + extraFields(40, " fatal=0"),
+		hetLine + extraFields(40, ""),
+		// 20-byte timestamps the canonical path must not take.
+		"2019-05-20T13:04:55z" + ce[20:],
+		"2019-05-20 13:04:55Z" + ce[20:],
+		"2019-02-30T13:04:55Z" + ce[20:],
+		"2019-05-20T24:00:00Z" + ce[20:],
+		"2019-06-30T23:59:60Z" + ce[20:],
+		"+019-05-20T13:04:55Z" + ce[20:],
+		"2019-05-20T13:04:5aZ" + ce[20:],
 	}
 	for _, s := range seeds {
 		f.Add(s)
 	}
 
 	f.Fuzz(func(t *testing.T, line string) {
-		p, err := ParseLine(line) // must not panic
-		// Differential contract: the byte decoder must agree with the
-		// string parser on every input — success, record values, and
-		// error category. A fresh Decoder exercises the cold caches; the
-		// warm path is covered by the repeated corpus entries.
-		var dec Decoder
-		bp, berr := dec.ParseLineBytes([]byte(line)) // must not panic either
-		if (err == nil) != (berr == nil) {
-			t.Errorf("byte/string parser disagreement:\n string err: %v\n bytes err:  %v\n line: %q", err, berr, line)
+		// Differential contract: the decoder (canonical CE path first)
+		// must agree with the general byte grammar alone on every input —
+		// success, record values, and error category. Fresh Decoders
+		// exercise the cold caches; the warm path is covered by the
+		// repeated corpus entries.
+		var dec, gen Decoder
+		p, err := dec.ParseLineBytes([]byte(line)) // must not panic
+		var gp Parsed
+		gerr := gen.parseGeneral([]byte(line), &gp) // must not panic either
+		if (err == nil) != (gerr == nil) {
+			t.Errorf("decoder/general grammar disagreement:\n decoder err: %v\n general err: %v\n line: %q", err, gerr, line)
 		} else if err != nil {
-			st := errors.Is(err, ErrTruncated)
-			bt := errors.Is(berr, ErrTruncated)
-			if st != bt {
-				t.Errorf("error category disagreement:\n string: %v\n bytes:  %v\n line: %q", err, berr, line)
+			if errors.Is(err, ErrTruncated) != errors.Is(gerr, ErrTruncated) {
+				t.Errorf("error category disagreement:\n decoder: %v\n general: %v\n line: %q", err, gerr, line)
 			}
-		} else if p != bp {
-			t.Errorf("record disagreement:\n string: %+v\n bytes:  %+v\n line: %q", p, bp, line)
-		}
-		if berr != nil && !errors.Is(berr, ErrTruncated) && !errors.Is(berr, ErrGarbled) {
-			t.Errorf("unclassified byte parse error: %v", berr)
+		} else if p != gp {
+			t.Errorf("record disagreement:\n decoder: %+v\n general: %+v\n line: %q", p, gp, line)
 		}
 		if err != nil {
 			if !errors.Is(err, ErrTruncated) && !errors.Is(err, ErrGarbled) {
@@ -154,6 +171,16 @@ func FuzzBlockScan(f *testing.F) {
 			}
 		}
 	})
+}
+
+// extraFields renders n unknown key=value tokens x0=1 .. x<n-1>=1,
+// followed by tail.
+func extraFields(n int, tail string) string {
+	var b strings.Builder
+	for i := 0; i < n; i++ {
+		fmt.Fprintf(&b, " x%d=1", i)
+	}
+	return b.String() + tail
 }
 
 func abs(v int) int {

@@ -8,6 +8,8 @@ import (
 	"hash/maphash"
 	"io"
 	"time"
+
+	"repro/internal/mce"
 )
 
 // ScanStats counts what a scan encountered, by category, so the ingest
@@ -68,6 +70,11 @@ type ScanConfig struct {
 // bufio cursor or a merged block pipeline) is the caller's business — so
 // any frontend that feeds it the same line sequence produces bit-identical
 // records and ScanStats.
+//
+// Records in flight live in slab and never move: the decoder writes each
+// line's record into a free slot, and the reorder heap and the ready
+// queue hold slot indices, so a record is not copied between parse and
+// delivery.
 type tolerator struct {
 	cfg   ScanConfig
 	stats ScanStats
@@ -81,13 +88,20 @@ type tolerator struct {
 	seed   maphash.Seed
 	rpos   int
 
+	// slab holds the records in flight; free lists its unused slots. out
+	// is the slot of the record last popped, kept until the next pop so
+	// it stays readable between Scan calls (-1 before the first).
+	slab []Parsed
+	free []int32
+	out  int32
+
 	// reorder machinery (cfg.ReorderWindow > 0).
 	pending recHeap
-	// ready is the emit queue; rhead indexes the next record so pops
-	// never re-slice the front (which would shrink the backing array and
-	// force a reallocation per record). Once drained, both reset and the
-	// array is reused.
-	ready     []Parsed
+	// ready is the emit queue; rhead indexes the next slot so pops never
+	// re-slice the front (which would shrink the backing array and force
+	// a reallocation per record). Once drained, both reset and the array
+	// is reused.
+	ready     []int32
 	rhead     int
 	maxSeen   time.Time
 	watermark time.Time
@@ -96,7 +110,7 @@ type tolerator struct {
 func newTolerator(cfg ScanConfig) tolerator {
 	// The seed is set even with dedup off: a checkpoint restored under a
 	// different window still brings its ring lines, which restore hashes.
-	t := tolerator{cfg: cfg, seed: maphash.MakeSeed()}
+	t := tolerator{cfg: cfg, seed: maphash.MakeSeed(), out: -1}
 	if cfg.DedupWindow > 0 {
 		t.recent = make([][]byte, 0, cfg.DedupWindow)
 		t.hashes = make([]uint64, 0, cfg.DedupWindow)
@@ -104,12 +118,25 @@ func newTolerator(cfg ScanConfig) tolerator {
 	return t
 }
 
-// feed consumes one line's parse outcome. The returned error is non-nil
-// only in strict mode on a malformed record line; it is the scan-fatal
-// error the frontend must surface through Err.
-func (t *tolerator) feed(line []byte, p Parsed, perr error) error {
+// alloc returns a free slab slot for the next record.
+func (t *tolerator) alloc() int32 {
+	if n := len(t.free); n > 0 {
+		slot := t.free[n-1]
+		t.free = t.free[:n-1]
+		return slot
+	}
+	t.slab = append(t.slab, Parsed{})
+	return int32(len(t.slab) - 1)
+}
+
+// feed consumes one line's parse outcome, already decoded into slab slot
+// slot, which it takes over. The returned error is non-nil only in strict
+// mode on a malformed record line; it is the scan-fatal error the
+// frontend must surface through Err.
+func (t *tolerator) feed(line []byte, slot int32, perr error) error {
 	t.stats.Lines++
 	if perr != nil {
+		t.free = append(t.free, slot)
 		t.stats.Malformed++
 		switch {
 		case errors.Is(perr, ErrTruncated):
@@ -122,44 +149,60 @@ func (t *tolerator) feed(line []byte, p Parsed, perr error) error {
 		}
 		return nil
 	}
-	if p.Kind == KindOther {
+	if t.slab[slot].Kind == KindOther {
+		t.free = append(t.free, slot)
 		t.stats.Other++
 		return nil
 	}
 	if t.isDuplicate(line) {
+		t.free = append(t.free, slot)
 		t.stats.Duplicated++
 		return nil
 	}
-	t.accept(p)
+	t.accept(slot)
 	return nil
 }
 
-// pop emits the next ready record, if any, updating the kind counts.
-func (t *tolerator) pop() (Parsed, bool) {
+// pop makes the next ready record current, if any, updating the kind
+// counts; the previous current record's slot is freed.
+func (t *tolerator) pop() bool {
 	if t.rhead >= len(t.ready) {
-		return Parsed{}, false
+		return false
 	}
-	p := t.ready[t.rhead]
+	slot := t.ready[t.rhead]
 	t.rhead++
 	if t.rhead == len(t.ready) {
 		t.ready = t.ready[:0]
 		t.rhead = 0
 	}
-	t.countKind(p.Kind)
-	return p, true
+	if t.out >= 0 {
+		t.free = append(t.free, t.out)
+	}
+	t.out = slot
+	t.countKind(t.slab[slot].Kind)
+	return true
+}
+
+// current returns the record the last pop made current.
+func (t *tolerator) current() Parsed {
+	if t.out < 0 {
+		return Parsed{}
+	}
+	return t.slab[t.out]
 }
 
 // accept routes a parsed record through the reorder buffer (or straight
 // to ready when reordering is disabled).
-func (t *tolerator) accept(p Parsed) {
+func (t *tolerator) accept(slot int32) {
 	if t.cfg.ReorderWindow <= 0 {
-		t.ready = append(t.ready, p)
+		t.ready = append(t.ready, slot)
 		return
 	}
-	ts := p.Time()
+	ts := timeOf(&t.slab[slot])
 	if !t.watermark.IsZero() && ts.Before(t.watermark) {
 		// Its slot has already been emitted; resequencing would break
 		// output time order.
+		t.free = append(t.free, slot)
 		t.stats.DroppedOutOfOrder++
 		return
 	}
@@ -169,7 +212,7 @@ func (t *tolerator) accept(p Parsed) {
 	if ts.After(t.maxSeen) {
 		t.maxSeen = ts
 	}
-	t.pending.push(p)
+	t.pending.push(keyOf(ts, slot))
 	t.drain(false)
 }
 
@@ -177,13 +220,13 @@ func (t *tolerator) accept(p Parsed) {
 // at EOF) into the ready queue, advancing the watermark.
 func (t *tolerator) drain(all bool) {
 	for len(t.pending) > 0 {
-		oldest := timeOf(&t.pending[0])
+		oldest := timeOf(&t.slab[t.pending[0].slot])
 		if !all && t.maxSeen.Sub(oldest) < t.cfg.ReorderWindow {
 			return
 		}
-		p := t.pending.pop()
-		t.watermark = p.Time()
-		t.ready = append(t.ready, p)
+		slot := t.pending.pop()
+		t.watermark = timeOf(&t.slab[slot])
+		t.ready = append(t.ready, slot)
 	}
 }
 
@@ -223,7 +266,7 @@ func (t *tolerator) countKind(k Kind) {
 }
 
 // checkpoint snapshots the tolerance state (deep copy) at the given input
-// offset.
+// offset. The pending records keep the heap's array order.
 func (t *tolerator) checkpoint(offset int64) Checkpoint {
 	cp := Checkpoint{
 		Offset:    offset,
@@ -238,11 +281,11 @@ func (t *tolerator) checkpoint(offset int64) Checkpoint {
 			cp.recent[i] = append([]byte(nil), b...)
 		}
 	}
-	if len(t.pending) > 0 {
-		cp.pending = append([]Parsed(nil), t.pending...)
+	for _, k := range t.pending {
+		cp.pending = append(cp.pending, t.slab[k.slot])
 	}
-	if t.rhead < len(t.ready) {
-		cp.ready = append([]Parsed(nil), t.ready[t.rhead:]...)
+	for _, slot := range t.ready[t.rhead:] {
+		cp.ready = append(cp.ready, t.slab[slot])
 	}
 	return cp
 }
@@ -261,12 +304,17 @@ func (t *tolerator) restore(cp Checkpoint) {
 			t.hashes[i] = maphash.Bytes(t.seed, b)
 		}
 	}
-	// A copy of a heap preserves the heap invariant; no re-push needed.
-	if len(cp.pending) > 0 {
-		t.pending = append(recHeap(nil), cp.pending...)
+	// The pending records come in heap-array order, and keying them in
+	// that order preserves the heap invariant; no re-push needed.
+	for _, p := range cp.pending {
+		slot := t.alloc()
+		t.slab[slot] = p
+		t.pending = append(t.pending, keyOf(p.Time(), slot))
 	}
-	if len(cp.ready) > 0 {
-		t.ready = append([]Parsed(nil), cp.ready...)
+	for _, p := range cp.ready {
+		slot := t.alloc()
+		t.slab[slot] = p
+		t.ready = append(t.ready, slot)
 	}
 }
 
@@ -277,16 +325,16 @@ func (t *tolerator) restore(cp Checkpoint) {
 // arrival reordering.
 //
 // Scanning is allocation-free per line, with dedup and reordering on as
-// well as off: each line is parsed in place from the bufio buffer through
-// the Decoder's byte codec (no per-line string is ever materialized), the
-// dedup ring reuses its entry buffers, and the reorder heap holds records
-// unboxed. Only warm-up allocates: first sight of a hostname, and growth
-// of the ring, the heap and the ready queue to their steady sizes.
+// well as off: each line is decoded in place from the bufio buffer
+// straight into its tolerator slot (no per-line string is ever
+// materialized), the dedup ring reuses its entry buffers, and the reorder
+// heap and ready queue move slot indices. Only warm-up allocates: first
+// sight of a hostname, and growth of the ring, the slab, the heap and the
+// ready queue to their steady sizes.
 type Scanner struct {
 	sc  *bufio.Scanner
 	dec Decoder
 	tol tolerator
-	cur Parsed
 	err error
 	eof bool
 
@@ -368,8 +416,7 @@ func (s *Scanner) Restore(cp Checkpoint) error {
 // error, or (in strict mode) on the first malformed record line; see Err.
 func (s *Scanner) Scan() bool {
 	for {
-		if p, ok := s.tol.pop(); ok {
-			s.cur = p
+		if s.tol.pop() {
 			return true
 		}
 		if s.err != nil || s.eof {
@@ -385,8 +432,9 @@ func (s *Scanner) Scan() bool {
 			continue
 		}
 		line := s.sc.Bytes()
-		p, err := s.dec.ParseLineBytes(line)
-		if err := s.tol.feed(line, p, err); err != nil {
+		slot := s.tol.alloc()
+		err := s.dec.parse(line, &s.tol.slab[slot])
+		if err := s.tol.feed(line, slot, err); err != nil {
 			s.err = err
 			return false
 		}
@@ -394,7 +442,18 @@ func (s *Scanner) Scan() bool {
 }
 
 // Record returns the record produced by the last successful Scan.
-func (s *Scanner) Record() Parsed { return s.cur }
+func (s *Scanner) Record() Parsed { return s.tol.current() }
+
+// CE returns the record produced by the last successful Scan if it is a
+// CE, and nil otherwise. The record is the scanner's own and stays valid
+// until the next Scan: a consumer that keeps only CEs copies just the CE,
+// where Record copies every kind's fields.
+func (s *Scanner) CE() *mce.CERecord {
+	if t := &s.tol; t.out >= 0 && t.slab[t.out].Kind == KindCE {
+		return &t.slab[t.out].CE
+	}
+	return nil
+}
 
 // Stats returns the accounting so far.
 func (s *Scanner) Stats() ScanStats { return s.tol.stats }
@@ -404,18 +463,35 @@ func (s *Scanner) Stats() ScanStats { return s.tol.stats }
 // in Stats.
 func (s *Scanner) Err() error { return s.err }
 
-// recHeap is a min-heap of parsed records by timestamp. push and pop are
-// container/heap's Push and Pop specialised to Parsed, so no record is
-// boxed into an interface: they make the same Less calls and the same
-// swaps, which leaves the same slice layout (what a Checkpoint stores)
-// and pops records with equal timestamps in the same order.
-type recHeap []Parsed
+// recKey is a reorder-heap entry: a slab slot and its record's
+// timestamp as Unix seconds and nanoseconds, the order time.Time.Before
+// gives the wall-clock times a decoder produces.
+type recKey struct {
+	sec  int64
+	nsec int32
+	slot int32
+}
 
-func (h recHeap) Less(i, j int) bool { return timeOf(&h[i]).Before(timeOf(&h[j])) }
+func keyOf(ts time.Time, slot int32) recKey {
+	return recKey{sec: ts.Unix(), nsec: int32(ts.Nanosecond()), slot: slot}
+}
 
-// push adds p and sifts it up (container/heap's up).
-func (h *recHeap) push(p Parsed) {
-	*h = append(*h, p)
+// recHeap is a min-heap of slab slots by timestamp. push and pop are
+// container/heap's Push and Pop specialised to recKey: they make the same
+// Less calls and the same swaps as container/heap over the records
+// themselves, which leaves the same array order (what a Checkpoint
+// stores) and pops records with equal timestamps in the same order, while
+// each swap moves 16 bytes instead of a record.
+type recHeap []recKey
+
+func (h recHeap) Less(i, j int) bool {
+	a, b := &h[i], &h[j]
+	return a.sec < b.sec || a.sec == b.sec && a.nsec < b.nsec
+}
+
+// push adds k and sifts it up (container/heap's up).
+func (h *recHeap) push(k recKey) {
+	*h = append(*h, k)
 	s := *h
 	j := len(s) - 1
 	for {
@@ -428,9 +504,9 @@ func (h *recHeap) push(p Parsed) {
 	}
 }
 
-// pop removes and returns the minimum: the last element moves to the
-// root and sifts down (container/heap's down).
-func (h *recHeap) pop() Parsed {
+// pop removes the minimum and returns its slot: the last element moves to
+// the root and sifts down (container/heap's down).
+func (h *recHeap) pop() int32 {
 	s := *h
 	n := len(s) - 1
 	s[0], s[n] = s[n], s[0]
@@ -450,7 +526,7 @@ func (h *recHeap) pop() Parsed {
 		s[i], s[j] = s[j], s[i]
 		i = j
 	}
-	p := s[n]
+	slot := s[n].slot
 	*h = s[:n]
-	return p
+	return slot
 }

@@ -10,19 +10,6 @@ import (
 	"time"
 )
 
-// Source is the streaming record source the online subsystem consumes: a
-// Scan/Record iteration with error reporting and corruption accounting.
-// *Scanner satisfies it over any reader; a Scanner over a Follower turns a
-// growing log file into a live record feed.
-type Source interface {
-	Scan() bool
-	Record() Parsed
-	Err() error
-	Stats() ScanStats
-}
-
-var _ Source = (*Scanner)(nil)
-
 // ErrTailStopped is the terminal "error" a Follower reports once its
 // context is cancelled and every complete line has been delivered. It is
 // deliberately not io.EOF: a scanner that sees EOF flushes its reorder

@@ -3,7 +3,6 @@ package syslog
 import (
 	"container/heap"
 	"math/rand"
-	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -71,38 +70,45 @@ func TestTolerantScannerZeroAlloc(t *testing.T) {
 	}
 }
 
-// heapAdapter runs container/heap over the same records, the reference
-// for recHeap's push and pop.
-type heapAdapter struct{ recHeap }
+// parsedHeap runs container/heap over the records themselves, ordered by
+// Parsed.Time: the reference for recHeap's push and pop.
+type parsedHeap []Parsed
 
-func (h *heapAdapter) Len() int      { return len(h.recHeap) }
-func (h *heapAdapter) Swap(i, j int) { h.recHeap[i], h.recHeap[j] = h.recHeap[j], h.recHeap[i] }
-func (h *heapAdapter) Push(x any)    { h.recHeap = append(h.recHeap, x.(Parsed)) }
-func (h *heapAdapter) Pop() any {
-	old := h.recHeap
+func (h parsedHeap) Len() int           { return len(h) }
+func (h parsedHeap) Less(i, j int) bool { return h[i].Time().Before(h[j].Time()) }
+func (h parsedHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
+func (h *parsedHeap) Push(x any)        { *h = append(*h, x.(Parsed)) }
+func (h *parsedHeap) Pop() any {
+	old := *h
 	n := len(old)
 	x := old[n-1]
-	h.recHeap = old[:n-1]
+	*h = old[:n-1]
 	return x
 }
 
 // TestRecHeapMatchesContainerHeap drives random push/pop sequences with
-// many equal timestamps through recHeap and through container/heap: both
-// must pop the same records in the same order and hold the same slice
-// layout after every operation, since a Checkpoint stores that layout and
-// equal-second records must keep their served order.
+// many equal timestamps through recHeap, keyed by slots into a slab, and
+// through container/heap over the records: both must pop the same
+// records in the same order and hold the same array order after every
+// operation, since a Checkpoint stores that order and equal-second
+// records must keep their served order.
 func TestRecHeapMatchesContainerHeap(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	base := sampleCE().Time
 	for trial := 0; trial < 200; trial++ {
 		var got recHeap
-		want := &heapAdapter{}
-		seq := 0
+		var slab []Parsed
+		want := &parsedHeap{}
 		for op := 0; op < 300; op++ {
 			if len(got) == 0 || rng.Intn(3) != 0 {
-				// Eight distinct seconds: most pushes tie with a queued
-				// record. Addr numbers the records so ties stay telling.
+				// Eight distinct seconds, a quarter of them half a second
+				// on: most pushes tie with a queued record. Addr numbers
+				// the records so ties stay telling.
 				at := base.Add(time.Duration(rng.Intn(8)) * time.Second)
+				if rng.Intn(4) == 0 {
+					at = at.Add(500 * time.Millisecond)
+				}
+				seq := len(slab)
 				var p Parsed
 				switch rng.Intn(3) {
 				case 0:
@@ -115,17 +121,22 @@ func TestRecHeapMatchesContainerHeap(t *testing.T) {
 					p = Parsed{Kind: KindHET, HET: sampleHET()}
 					p.HET.Time, p.HET.Addr = at, topology.PhysAddr(seq)
 				}
-				seq++
-				got.push(p)
+				slab = append(slab, p)
+				got.push(keyOf(p.Time(), int32(seq)))
 				heap.Push(want, p)
 			} else {
-				g, w := got.pop(), heap.Pop(want).(Parsed)
+				g, w := slab[got.pop()], heap.Pop(want).(Parsed)
 				if g != w {
 					t.Fatalf("trial %d op %d: pop = %+v, container/heap pops %+v", trial, op, g, w)
 				}
 			}
-			if !slices.Equal(got, want.recHeap) {
-				t.Fatalf("trial %d op %d: heap layout diverges from container/heap", trial, op)
+			if len(got) != len(*want) {
+				t.Fatalf("trial %d op %d: heap length %d, container/heap %d", trial, op, len(got), len(*want))
+			}
+			for i, k := range got {
+				if slab[k.slot] != (*want)[i] {
+					t.Fatalf("trial %d op %d: heap layout diverges from container/heap at %d", trial, op, i)
+				}
 			}
 		}
 	}

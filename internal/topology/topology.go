@@ -105,6 +105,28 @@ func (n NodeID) AppendString(dst []byte) []byte {
 	return append(dst, byte('0'+n.NodeInChassis()))
 }
 
+// ParseCanonicalNodeID reads a host name exactly as AppendString writes
+// it, "astra-rRRcCCnN", without allocating, to the node ParseNodeID
+// returns for it. ok is false for any other spelling, including ones
+// ParseNodeID accepts.
+func ParseCanonicalNodeID(b []byte) (id NodeID, ok bool) {
+	if len(b) != 14 || string(b[:7]) != "astra-r" || b[9] != 'c' || b[12] != 'n' {
+		return 0, false
+	}
+	for _, i := range [...]int{7, 8, 10, 11, 13} {
+		if b[i] < '0' || b[i] > '9' {
+			return 0, false
+		}
+	}
+	rack := int(b[7]-'0')*10 + int(b[8]-'0')
+	chassis := int(b[10]-'0')*10 + int(b[11]-'0')
+	node := int(b[13] - '0')
+	if rack >= Racks || chassis >= ChassisPerRack || node >= NodesPerChassis {
+		return 0, false
+	}
+	return NewNodeID(rack, chassis, node), true
+}
+
 // ParseNodeID parses the canonical host-name form produced by String.
 func ParseNodeID(s string) (NodeID, error) {
 	var r, c, nn int

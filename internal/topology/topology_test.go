@@ -57,13 +57,16 @@ func TestNewNodeIDPanics(t *testing.T) {
 }
 
 func TestNodeNameRoundTrip(t *testing.T) {
-	for _, id := range []NodeID{0, 5, 72, 1000, 2591} {
+	for id := NodeID(0); id < Nodes; id++ {
 		got, err := ParseNodeID(id.String())
 		if err != nil {
 			t.Fatalf("ParseNodeID(%q): %v", id.String(), err)
 		}
 		if got != id {
 			t.Errorf("ParseNodeID(%q) = %d, want %d", id.String(), got, id)
+		}
+		if got, ok := ParseCanonicalNodeID(id.AppendString(nil)); !ok || got != id {
+			t.Errorf("ParseCanonicalNodeID(%q) = %d, %v; want %d", id.String(), got, ok, id)
 		}
 	}
 }
@@ -72,6 +75,15 @@ func TestParseNodeIDErrors(t *testing.T) {
 	for _, bad := range []string{"", "astra", "astra-r99c00n0", "astra-r00c99n0", "astra-r00c00n9", "node-r00c00n0"} {
 		if _, err := ParseNodeID(bad); err == nil {
 			t.Errorf("ParseNodeID(%q) should fail", bad)
+		}
+		if _, ok := ParseCanonicalNodeID([]byte(bad)); ok {
+			t.Errorf("ParseCanonicalNodeID(%q) should fail", bad)
+		}
+	}
+	// Spellings ParseNodeID accepts that AppendString never writes.
+	for _, odd := range []string{"astra-r3c11n2", "astra-r03c11n+2", "astra-r03c11n2x", "astra-r03c11n02"} {
+		if _, ok := ParseCanonicalNodeID([]byte(odd)); ok {
+			t.Errorf("ParseCanonicalNodeID(%q) should fail", odd)
 		}
 	}
 }
