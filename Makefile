@@ -14,12 +14,14 @@ test:
 
 # verify is the robustness gate: static checks (every Go file gofmt-clean,
 # then go vet), the full suite including
-# the differential dirty-telemetry harness (robustness_test.go), the race
-# detector over the concurrent ingest/poller paths, the parallel
+# the differential dirty-telemetry harness (robustness_test.go), the
+# whole-path benchmark module's vet and tests (bench/ is a module of its
+# own, so the root build cannot see it break when exported API changes),
+# the race detector over the concurrent ingest/poller paths, the parallel
 # determinism contract (serial vs parallel batch pipelines must be
 # bit-identical) under the race detector at a pinned scale, and a short
-# fuzz smoke over the hostile-input parsers (syslog lines, the
-# block-parallel scanner's serial-differential, the columnar decoder,
+# fuzz smoke over the hostile-input parsers (syslog lines, whole scans
+# resumed from a persisted checkpoint, the columnar decoder,
 # dataset manifests, and the astrad state ladder, seeded with sealed v5
 # images and the oversized header counts that once killed the loader),
 # over the incremental bank classification (random
@@ -43,11 +45,12 @@ verify:
 	test -z "$$(gofmt -l .)"
 	$(GO) vet ./...
 	$(GO) test ./...
+	cd bench && $(GO) vet ./... && $(GO) test ./...
 	$(GO) test -race -timeout 30m ./...
 	$(GO) test -race -timeout 30m -count 1 ./internal/stream ./internal/serve ./internal/overload ./internal/syslog ./internal/colfmt ./internal/supervise ./internal/predict ./cmd/astrad ./cmd/astraload
 	ASTRA_BENCH_NODES=64 $(GO) test -race -timeout 30m -run 'Parallel|Determinism' ./...
 	$(GO) test -run '^$$' -fuzz '^FuzzParseLine$$' -fuzztime 5s ./internal/syslog
-	$(GO) test -run '^$$' -fuzz '^FuzzBlockScan$$' -fuzztime 5s ./internal/syslog
+	$(GO) test -run '^$$' -fuzz '^FuzzScan$$' -fuzztime 5s ./internal/syslog
 	$(GO) test -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime 5s ./internal/colfmt
 	$(GO) test -run '^$$' -fuzz '^FuzzManifest$$' -fuzztime 5s ./internal/atomicio
 	$(GO) test -run '^$$' -fuzz '^FuzzLoadStateLadder$$' -fuzztime 5s ./cmd/astrad
@@ -57,21 +60,19 @@ verify:
 	@if [ -n "$$ASTRA_CRASH_TESTS" ]; then ASTRA_CRASH_TESTS=1 $(GO) test -run 'TestExportCrashResumeDifferential' ./internal/dataset; fi
 	@if [ -n "$$ASTRA_BENCH_GUARD" ]; then $(MAKE) bench-guard; fi
 
-# bench runs the analysis micro-benchmarks (bench_test.go), the
-# pipeline-stage benchmarks (bench_pipeline_test.go), and writes the
-# BENCH_pipeline.json regression baseline via cmd/astrabench, sweeping
-# every stage at 1, 4 and 8 workers (stages without a parallel path,
-# such as stream-ingest, ignore the setting).
+# bench runs the root analysis micro-benchmarks (bench_test.go) at the
+# pinned system size. The whole-path benchmark is bench/ (see
+# bench/README.md), and each stage's allocation ceiling is an ordinary
+# testing.AllocsPerRun test in the package that owns the stage.
 bench:
 	ASTRA_BENCH_NODES=$(ASTRA_BENCH_NODES) $(GO) test -run '^$$' -bench . -benchmem .
-	ASTRA_BENCH_NODES=$(ASTRA_BENCH_NODES) $(GO) run ./cmd/astrabench -workers 1,4,8 -out BENCH_pipeline.json
 
 # bench-serve runs the overload/chaos harness (cmd/astraload) at a
-# pinned small scale and writes BENCH_serve.json: the serving-path
-# baseline (API p50/p99 on the rendered and ETag/304 paths, per-site
-# ingest/shed rows, recovery time) under sustained ingest + bursts +
-# slow clients + a stalling checkpoint disk. Two federated sites
-# exercise the cross-site rollup under load. The
+# pinned small scale and writes BENCH_serve.json, the serving-path
+# baseline bench-guard holds (API p50/p99 on the rendered and ETag/304
+# paths, per-site ingest/shed rows, recovery time) under sustained
+# ingest + bursts + slow clients + a stalling checkpoint disk. Two
+# federated sites exercise the cross-site rollup under load. The
 # scenario is deliberately drain-throttled so the shed rate is overload
 # arithmetic, not machine speed. The -recovery phase then runs the
 # kill + corrupt-newest-generation + rotate-mid-tail chaos sequence and
@@ -86,17 +87,11 @@ bench-serve:
 		-recovery -recovery-nodes 48 -recovery-keep 3 -recovery-bound 30000 \
 		-out BENCH_serve.json
 
-# bench-guard fails when the budgeted stages (dataset-build, parse,
-# parse-parallel, colfmt-replay, stream-ingest, and predict-features at
-# its zero-alloc floor)
-# regress more than 10% allocs/op or 15% records/s against the
-# checked-in BENCH_pipeline.json, or when the serving path regresses
-# against BENCH_serve.json (p99 latency beyond 10% + slack, a shed rate
-# beyond what the scenario's configured rates imply, a crash-recovery
-# time beyond the baseline + slack, a recovery that fails to converge,
-# or any overload-contract violation). Opt into
-# it during verify with ASTRA_BENCH_GUARD=1 (both re-run their fixtures,
-# so it is not free).
+# bench-guard fails when the serving path regresses against
+# BENCH_serve.json: p99 latency beyond 10% + slack, a shed rate beyond
+# what the scenario's configured rates imply, a crash-recovery time beyond
+# the baseline + slack, a recovery that fails to converge, or any
+# overload-contract violation. Opt into it during verify with
+# ASTRA_BENCH_GUARD=1 (it re-runs its fixture, so it is not free).
 bench-guard:
-	ASTRA_BENCH_NODES=$(ASTRA_BENCH_NODES) $(GO) run ./cmd/astrabench -guard -against BENCH_pipeline.json
 	$(GO) run ./cmd/astraload -guard -against BENCH_serve.json

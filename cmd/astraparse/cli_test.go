@@ -147,12 +147,15 @@ func TestRunUsageErrors(t *testing.T) {
 	if code := run(context.Background(), []string{"-no-such-flag"}, &stdout, &stderr); code != 2 {
 		t.Errorf("bad flag: exit %d, want 2", code)
 	}
+	// The parse has one worker; there is no count to set.
+	if code := run(context.Background(), []string{"-syslog", writeTestSyslog(t, nil), "-out", t.TempDir(), "-workers", "2"}, &stdout, &stderr); code != 2 {
+		t.Errorf("-workers 2: exit %d, want 2", code)
+	}
 }
 
 // TestRunEmitColfmt proves the full ETL loop through the columnar
 // format: parse text -> emit records.col -> re-ingest the binary file
-// and get the same CSVs the text parse produced, at several worker
-// counts.
+// and get the same CSVs the text parse produced.
 func TestRunEmitColfmt(t *testing.T) {
 	log := writeTestSyslog(t, nil)
 	csvOut := t.TempDir()
@@ -164,7 +167,7 @@ func TestRunEmitColfmt(t *testing.T) {
 	colOut := t.TempDir()
 	stdout.Reset()
 	stderr.Reset()
-	if code := run(context.Background(), []string{"-syslog", log, "-out", colOut, "-emit", "colfmt", "-workers", "4"}, &stdout, &stderr); code != 0 {
+	if code := run(context.Background(), []string{"-syslog", log, "-out", colOut, "-emit", "colfmt"}, &stdout, &stderr); code != 0 {
 		t.Fatalf("colfmt run: exit %d, stderr: %s", code, stderr.String())
 	}
 	colPath := filepath.Join(colOut, "records.col")

@@ -57,7 +57,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		maxMalformed  = fs.Float64("max-malformed", -1, "exit non-zero when the malformed fraction of record lines exceeds this (negative disables)")
 		dedupWindow   = fs.Int("dedup-window", 0, "suppress record lines identical to one of the last N (0 disables)")
 		reorderWindow = fs.Duration("reorder-window", 0, "resequence records arriving up to this much late (0 disables)")
-		workers       = fs.Int("workers", 0, "parse worker count (0 = all CPUs, 1 = serial; output is identical at any setting)")
 		emit          = fs.String("emit", "csv", "output format: csv, colfmt (columnar binary replay), or both")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -87,7 +86,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		DedupWindow:      *dedupWindow,
 		ReorderWindow:    *reorderWindow,
 		MaxMalformedFrac: *maxMalformed,
-		Parallelism:      *workers,
 	}
 	// The scan aborts mid-file on SIGINT/SIGTERM: the input reader polls
 	// ctx, so a cancelled parse surfaces as a read error and the salvage

@@ -107,7 +107,6 @@ func main() {
 		DedupWindow:      *dedupWindow,
 		ReorderWindow:    *reorderWin,
 		MaxMalformedFrac: -1,
-		Parallelism:      *workers,
 	})
 	if err != nil {
 		fail(err)

@@ -164,7 +164,8 @@ func writeColfmt(t testing.TB, dir string, ds *dataset.Dataset) string {
 
 // buildStudy must print exactly what the synthetic composition printed,
 // for syslog text (clean and corrupted) and colfmt input, two fleets,
-// serial and parallel workers, the figures and the -experiments rows.
+// serial and parallel clustering and analysis, the figures and the
+// -experiments rows.
 func TestBuildStudyMatchesSyntheticComposition(t *testing.T) {
 	ctx := context.Background()
 	dirty := corrupt.Uniform(9, 0.02)
@@ -178,7 +179,6 @@ func TestBuildStudyMatchesSyntheticComposition(t *testing.T) {
 		for kind, path := range inputs {
 			for _, workers := range []int{1, 2} {
 				pol := tolerantPolicy()
-				pol.Parallelism = workers
 				var got, want bytes.Buffer
 				study, err := buildStudy(ctx, &got, fleet.seed, fleet.nodes, workers, path, pol)
 				if err != nil {

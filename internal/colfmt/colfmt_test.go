@@ -272,3 +272,20 @@ func FuzzDecode(f *testing.F) {
 		}
 	})
 }
+
+// TestDecodeAllocs pins what Decode allocates for a whole file: the
+// record slices and a constant handful besides, however many records the
+// file holds. A per-record or per-block allocation creeping into the
+// decoder trips the ceiling.
+func TestDecodeAllocs(t *testing.T) {
+	data := encode(t, fixtureRecords(20000))
+	n := testing.AllocsPerRun(5, func() {
+		if _, err := Decode(data); err != nil {
+			panic(err)
+		}
+	})
+	// 7 when pinned; the ceiling allows the larger of +10% and +16.
+	if n > 23 {
+		t.Errorf("Decode: %v allocs per file, want at most 23", n)
+	}
+}

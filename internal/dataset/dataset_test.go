@@ -344,3 +344,21 @@ func TestBuildFleetMatchesBuild(t *testing.T) {
 		}
 	}
 }
+
+// TestBuildAllocs pins what one serial Build allocates at a fixed seed
+// and size. A per-record allocation creeping into fault generation, EDAC
+// replay or record encoding trips the ceiling.
+func TestBuildAllocs(t *testing.T) {
+	cfg := DefaultConfig(1)
+	cfg.Nodes = 48
+	cfg.Parallelism = 1
+	n := testing.AllocsPerRun(2, func() {
+		if _, err := Build(testCtx, cfg); err != nil {
+			panic(err)
+		}
+	})
+	// 3,533 when pinned; the ceiling allows the larger of +10% and +16.
+	if n > 3886 {
+		t.Errorf("Build: %v allocs, want at most 3886", n)
+	}
+}

@@ -32,12 +32,6 @@ type IngestPolicy struct {
 	// practice of rejecting a telemetry batch whose corruption rate says
 	// the collector itself was broken.
 	MaxMalformedFrac float64
-	// Parallelism is the syslog parse worker count: 0 uses all CPUs, 1
-	// forces the serial scanner. Output is bit-identical at any setting.
-	Parallelism int
-	// BlockSize is the parallel scanner's read-block size (0 uses
-	// syslog.DefaultBlockSize). Ignored when Parallelism resolves to 1.
-	BlockSize int
 }
 
 // IngestReport is the per-category accounting of one syslog ingest.
@@ -59,16 +53,11 @@ const maxCEChunk = 1 << 14
 // report are returned alongside the error so callers can still inspect
 // what the file held.
 func ReadSyslogPolicy(r io.Reader, pol IngestPolicy) (ces []mce.CERecord, dues []mce.DUERecord, hets []het.Record, rep IngestReport, err error) {
-	sc := syslog.NewBlockScanner(r, syslog.BlockScanConfig{
-		ScanConfig: syslog.ScanConfig{
-			Strict:        pol.Strict,
-			DedupWindow:   pol.DedupWindow,
-			ReorderWindow: pol.ReorderWindow,
-		},
-		Workers:   pol.Parallelism,
-		BlockSize: pol.BlockSize,
+	sc := syslog.NewScannerConfig(r, syslog.ScanConfig{
+		Strict:        pol.Strict,
+		DedupWindow:   pol.DedupWindow,
+		ReorderWindow: pol.ReorderWindow,
 	})
-	defer sc.Close()
 	// CEs, nearly all of a log's records, gather in chunks that are never
 	// regrown and are copied once into a slice of exactly their number:
 	// append's regrowth allocates about five times the result over a

@@ -265,28 +265,26 @@ func TestReadRecordsSniffsColfmt(t *testing.T) {
 }
 
 // TestReadRecordsSniffsSyslog proves text input falls through to the
-// policy reader with identical results, at serial and parallel settings.
+// policy reader with identical results.
 func TestReadRecordsSniffsSyslog(t *testing.T) {
 	ds := smallDataset(t)
 	var buf bytes.Buffer
 	if err := ds.WriteSyslog(&buf, 10); err != nil {
 		t.Fatal(err)
 	}
-	wantCEs, wantDUEs, wantHETs, wantRep, err := ReadSyslogPolicy(bytes.NewReader(buf.Bytes()), IngestPolicy{Parallelism: 1})
+	wantCEs, wantDUEs, wantHETs, wantRep, err := ReadSyslogPolicy(bytes.NewReader(buf.Bytes()), IngestPolicy{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, par := range []int{0, 1, 4} {
-		ces, dues, hets, rep, err := ReadRecords(bytes.NewReader(buf.Bytes()), IngestPolicy{Parallelism: par})
-		if err != nil {
-			t.Fatalf("parallelism %d: %v", par, err)
-		}
-		if !reflect.DeepEqual(ces, wantCEs) || !reflect.DeepEqual(dues, wantDUEs) || !reflect.DeepEqual(hets, wantHETs) {
-			t.Fatalf("parallelism %d: records diverged from serial read", par)
-		}
-		if !reflect.DeepEqual(rep, wantRep) {
-			t.Fatalf("parallelism %d: report %+v != %+v", par, rep, wantRep)
-		}
+	ces, dues, hets, rep, err := ReadRecords(bytes.NewReader(buf.Bytes()), IngestPolicy{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(ces, wantCEs) || !reflect.DeepEqual(dues, wantDUEs) || !reflect.DeepEqual(hets, wantHETs) {
+		t.Fatal("records diverged from the policy read")
+	}
+	if !reflect.DeepEqual(rep, wantRep) {
+		t.Fatalf("report %+v != %+v", rep, wantRep)
 	}
 }
 

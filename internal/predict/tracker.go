@@ -48,8 +48,7 @@ func (bt *BankTrack) Snapshot(at time.Time) Features {
 // Tracker is the batch-side feature engine: it replays a CE record
 // stream in order and accumulates per-bank state, exactly as the
 // stream engine does internally. The evaluation harness and the
-// stream==batch differential both use it; the benchstage feature
-// hot-path stage drives ObserveFeatures on a warmed tracker.
+// stream==batch differential both use it.
 type Tracker struct {
 	cfg   TrackerConfig
 	banks map[core.BankKey]*BankTrack
@@ -91,8 +90,8 @@ func (t *Tracker) Observe(rec *mce.CERecord) *BankTrack {
 
 // ObserveFeatures updates only the temporal feature state — the exact
 // per-record work the stream engine's ingest hot path adds. After a
-// warm-up pass has created the banks, it allocates nothing; the
-// predict-features benchstage stage measures this path.
+// warm-up pass has created the banks, it allocates nothing
+// (TestObserveFeaturesZeroAlloc).
 func (t *Tracker) ObserveFeatures(rec *mce.CERecord) {
 	bt := t.ensure(rec)
 	bt.FS.Observe(rec.Time.UnixNano())

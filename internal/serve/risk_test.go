@@ -115,8 +115,10 @@ func TestAtRiskEndpoint(t *testing.T) {
 	if resp, _ := get("/v1/nodes/" + topology.NodeID(topology.Nodes-1).String() + "/risk"); resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("unknown node risk = %d", resp.StatusCode)
 	}
-	if resp, _ := get("/v1/nodes/not-a-node/risk"); resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("malformed node risk = %d", resp.StatusCode)
+	for _, id := range []string{"not-a-node", "astra-r03c11n2xyz"} {
+		if resp, _ := get("/v1/nodes/" + id + "/risk"); resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("malformed node %q risk = %d", id, resp.StatusCode)
+		}
 	}
 
 	// astrad_predict_* series are exported and the bank gauge is live.

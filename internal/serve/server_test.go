@@ -204,6 +204,8 @@ func TestServerNodes(t *testing.T) {
 	}
 	get(t, ts.URL+"/v1/nodes/"+silent.String(), http.StatusNotFound, nil)
 	get(t, ts.URL+"/v1/nodes/not-a-node", http.StatusBadRequest, nil)
+	// A garbled host name is not an alias of the node it begins like.
+	get(t, ts.URL+"/v1/nodes/astra-r03c11n2xyz", http.StatusBadRequest, nil)
 }
 
 func TestServerMethodNotAllowed(t *testing.T) {

@@ -484,3 +484,22 @@ func TestStreamIngestSteadyStateAllocs(t *testing.T) {
 		t.Fatalf("steady-state ingest allocates %.3f per record, want amortized 0", avg)
 	}
 }
+
+// TestEngineIngestAllocs pins what a fresh engine allocates to ingest a
+// whole record stream in one batch and classify it: astrad's restore
+// path. A per-record allocation in the record log, the bank state or the
+// aggregates trips the ceiling.
+func TestEngineIngestAllocs(t *testing.T) {
+	ds := fixture(t)
+	n := testing.AllocsPerRun(3, func() {
+		e := stream.New(stream.Config{DIMMs: ds.Config.Nodes * topology.SlotsPerNode})
+		e.IngestBatch(ds.CERecords)
+		if sum := e.Summary(); sum.Records != len(ds.CERecords) {
+			panic("records lost")
+		}
+	})
+	// 558 when pinned; the ceiling allows the larger of +10% and +16.
+	if n > 613 {
+		t.Errorf("fresh engine IngestBatch + Summary: %v allocs, want at most 613", n)
+	}
+}

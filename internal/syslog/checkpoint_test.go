@@ -101,6 +101,42 @@ func TestCheckpointMarshalRoundTrip(t *testing.T) {
 	}
 }
 
+// TestCheckpointKeepsSubSecondTimes pins that a persisted checkpoint keeps
+// fractional seconds: records the reorder window holds across the
+// checkpoint come back from MarshalBinary, UnmarshalBinary and Restore
+// exactly as the uninterrupted scan delivers them.
+func TestCheckpointKeepsSubSecondTimes(t *testing.T) {
+	ce := FormatCE(sampleCE())
+	var in string
+	for _, ts := range []string{"2020-01-02T03:04:05.250Z", "2020-01-02T03:04:05.100Z", "2020-01-02T03:04:30.700Z", "2020-01-02T03:10:00Z"} {
+		in += ts + ce[20:] + "\n"
+	}
+	cfg := ScanConfig{ReorderWindow: 5 * time.Minute}
+	want := drainScanner(NewScannerConfig(strings.NewReader(in), cfg))
+
+	sc := NewScannerConfig(strings.NewReader(in), cfg)
+	if !sc.Scan() {
+		t.Fatalf("no first record: %v", sc.Err())
+	}
+	data, err := sc.Checkpoint().MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var cp Checkpoint
+	if err := cp.UnmarshalBinary(data); err != nil {
+		t.Fatal(err)
+	}
+	rest := NewScannerConfig(strings.NewReader(in[cp.Offset:]), cfg)
+	if err := rest.Restore(cp); err != nil {
+		t.Fatal(err)
+	}
+	got := drainScanner(rest)
+	want.Records = want.Records[1:]
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("restored scan diverges:\n got %+v\nwant %+v", got, want)
+	}
+}
+
 // TestCheckpointMarshalDeterministic pins marshal→unmarshal→marshal as the
 // identity on bytes.
 func TestCheckpointMarshalDeterministic(t *testing.T) {

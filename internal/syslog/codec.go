@@ -5,7 +5,7 @@ package syslog
 // buffer with hand-rolled timestamp/decimal/hex emitters, and a Decoder
 // whose ParseLineBytes scans a []byte line in place — no intermediate
 // map[string]string, no per-field substrings — with a memoized date-prefix
-// timestamp parser and an interning table for repeated hostnames.
+// timestamp parser.
 //
 // The Decoder has one grammar, the general byte grammar (parseGeneral):
 // whitespace-split key=value fields in any order, every value checked.
@@ -95,14 +95,16 @@ func AppendHET(dst []byte, r het.Record) []byte {
 	return dst
 }
 
-// AppendTimestamp appends t in the wire timestamp format (RFC 3339, UTC,
-// second resolution) to dst without allocating. Years outside [0, 9999]
-// fall back to time.Time's own formatter for identical output.
+// AppendTimestamp appends t in the wire timestamp format (RFC 3339, UTC)
+// to dst without allocating. A time with a fractional second, or a year
+// outside [0, 9999], goes through time.Time's own RFC3339Nano formatter,
+// which appends the fraction with trailing zeros trimmed, so every time
+// the parser returns renders back to itself.
 func AppendTimestamp(dst []byte, t time.Time) []byte {
 	t = t.UTC()
 	year, month, day := t.Date()
-	if year < 0 || year > 9999 {
-		return t.AppendFormat(dst, timeLayout)
+	if year < 0 || year > 9999 || t.Nanosecond() != 0 {
+		return t.AppendFormat(dst, time.RFC3339Nano)
 	}
 	hour, min, sec := t.Clock()
 	dst = append(dst,
@@ -180,21 +182,14 @@ var (
 // to a map, so duplicate detection stays linear on adversarial input.
 const maxWireFields = 32
 
-// maxInternedHosts caps the Decoder's hostname interning table so a
-// corrupt log full of unique garbled hostnames cannot grow it without
-// bound (valid logs have at most topology.Nodes distinct hosts).
-const maxInternedHosts = 2 * topology.Nodes
-
 // Decoder parses wire lines in place with cross-line memoization: the
-// current date prefix's midnight is computed once per distinct date, and
-// hostnames are interned so repeated hosts cost a map probe instead of a
-// parse. The zero value is ready to use. A Decoder is not safe for
-// concurrent use; give each goroutine its own (they are cheap).
+// current date prefix's midnight is computed once per distinct date. The
+// zero value is ready to use. A Decoder is not safe for concurrent use;
+// give each goroutine its own (they are cheap).
 type Decoder struct {
 	datePfx  [11]byte // "YYYY-MM-DDT" of the memoized date
 	dateOK   bool
 	dateSecs int64 // Unix seconds at the memoized date's midnight UTC
-	hosts    map[string]topology.NodeID
 
 	// fallbacks counts lines the canonical CE path declined, so tests can
 	// tell a line that took it from one the general grammar caught.
@@ -202,8 +197,8 @@ type Decoder struct {
 }
 
 // ParseLineBytes classifies and parses one syslog line held in a byte
-// slice, allocating nothing for a valid record line once the date and
-// host caches are warm. Fields split on Unicode whitespace as
+// slice, allocating nothing for a valid record line once the date cache
+// is warm. Fields split on Unicode whitespace as
 // strings.Fields does, and a non-canonical timestamp goes through
 // time.Parse. The line is not retained; callers may reuse the buffer.
 func (d *Decoder) ParseLineBytes(line []byte) (Parsed, error) {
@@ -399,9 +394,9 @@ func (d *Decoder) headerBytes(line, marker []byte) (time.Time, topology.NodeID, 
 	if err != nil {
 		return time.Time{}, 0, nil, fmt.Errorf("syslog: bad timestamp: %w", err)
 	}
-	node, err := d.parseNodeBytes(host)
-	if err != nil {
-		return time.Time{}, 0, nil, err
+	node, ok := topology.ParseCanonicalNodeID(host)
+	if !ok {
+		return time.Time{}, 0, nil, fmt.Errorf("syslog: bad host %q", host)
 	}
 	return t, node, line[idx+len(marker):], nil
 }
@@ -414,7 +409,15 @@ func (d *Decoder) parseTimestampBytes(b []byte) (time.Time, error) {
 		return t, nil
 	}
 	t, err := time.Parse(timeLayout, string(b))
-	return t.UTC(), err
+	if err != nil {
+		return time.Time{}, err
+	}
+	// An offset can carry a four-digit year out of [0, 9999] in UTC, which
+	// the wire form cannot write back.
+	if y := t.UTC().Year(); y < 0 || y > 9999 {
+		return time.Time{}, fmt.Errorf("%q is outside years 0000-9999 in UTC", b)
+	}
+	return t.UTC(), nil
 }
 
 // canonicalTime converts a "YYYY-MM-DDTHH:MM:SSZ" timestamp naming a real
@@ -466,25 +469,6 @@ func digits(b []byte) int {
 		n = n*10 + int(c-'0')
 	}
 	return n
-}
-
-// parseNodeBytes resolves a hostname through the interning table, parsing
-// and caching on first sight of each distinct spelling.
-func (d *Decoder) parseNodeBytes(host []byte) (topology.NodeID, error) {
-	if id, ok := d.hosts[string(host)]; ok { // alloc-free lookup
-		return id, nil
-	}
-	id, err := topology.ParseNodeID(string(host))
-	if err != nil {
-		return 0, err
-	}
-	if d.hosts == nil {
-		d.hosts = make(map[string]topology.NodeID, 64)
-	}
-	if len(d.hosts) < maxInternedHosts {
-		d.hosts[string(host)] = id
-	}
-	return id, nil
 }
 
 // asciiSpace marks the bytes below utf8.RuneSelf that unicode.IsSpace

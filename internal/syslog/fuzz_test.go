@@ -1,11 +1,9 @@
 package syslog
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
-	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -74,6 +72,19 @@ func FuzzParseLine(f *testing.F) {
 		"2019-06-30T23:59:60Z" + ce[20:],
 		"+019-05-20T13:04:55Z" + ce[20:],
 		"2019-05-20T13:04:5aZ" + ce[20:],
+		// Timestamps only the general grammar reads: fractional seconds,
+		// an offset, and offsets that leave years 0000-9999 in UTC.
+		"2019-05-20T13:04:55.250Z" + ce[20:],
+		"2019-05-20T13:04:55.000000001+02:00" + due[20:],
+		"0000-01-01T00:30:00+01:00" + ce[20:],
+		"9999-12-31T23:30:00-01:00" + hetLine[20:],
+		// Hosts off AppendString's form that a scanf-style reader maps
+		// onto node astra-r03c11n2.
+		withHost(ce, "astra-r03c11n2xyz"),
+		withHost(due, "astra-r03c11n2,evil"),
+		withHost(hetLine, "astra-r03c11n+2"),
+		withHost(ce, "astra-r3c11n2"),
+		withHost(due, "astra-r03c11n02"),
 	}
 	for _, s := range seeds {
 		f.Add(s)
@@ -137,40 +148,91 @@ func FuzzParseLine(f *testing.F) {
 	})
 }
 
-// FuzzBlockScan lifts the differential contract from lines to whole
-// scans: over arbitrary multi-line input — including blank lines, CRLF,
-// missing final newlines and binary noise — the BlockScanner must produce
-// the serial Scanner's exact records, stats, error and offset at every
-// worker count, with a block size small enough that lines routinely
-// straddle block boundaries.
-func FuzzBlockScan(f *testing.F) {
+// FuzzScan pins the scanner's resume contract over arbitrary multi-line
+// input — blank lines, CRLF, missing final newlines, binary noise,
+// fractional-second timestamps — under three configurations: a
+// checkpoint taken after any number of records, persisted through
+// MarshalBinary and UnmarshalBinary as astrad persists it, and restored
+// over the remaining bytes yields the rest of the uninterrupted scan: the
+// same records, stats, error and final offset.
+func FuzzScan(f *testing.F) {
 	ce := FormatCE(sampleCE())
 	due := FormatDUE(sampleDUE())
 	hetLine := FormatHET(sampleHET())
-	f.Add(ce+"\n"+due+"\n"+hetLine+"\n", 2, 32)
-	f.Add(ce+"\r\n"+ce+"\r\n", 4, 16)
-	f.Add(strings.Repeat(ce+"\n", 20)+ce[:30], 8, 64)
-	f.Add(ce[:len(ce)/2]+"\n"+ce[len(ce)/2:]+"\n\n\x00\xff\n", 3, 7)
-	f.Add("", 2, 1)
+	f.Add(ce+"\n"+due+"\n"+hetLine+"\n", 2)
+	f.Add(ce+"\r\n"+ce+"\r\n", 1)
+	f.Add(strings.Repeat(ce+"\n", 20)+ce[:30], 8)
+	f.Add(ce[:len(ce)/2]+"\n"+ce[len(ce)/2:]+"\n\n\x00\xff\n", 3)
+	f.Add("", 0)
+	// Sub-second timestamps, as rsyslog's high-precision format writes
+	// them, buffered across the checkpoint by the reorder window.
+	at := func(line, ts string) string { return ts + line[20:] + "\n" }
+	f.Add(at(ce, "2019-05-20T13:04:55.250Z")+at(ce, "2019-05-20T13:04:55.1Z")+
+		at(due, "2019-05-20T13:04:59.700Z")+at(hetLine, "2019-05-20T13:05:01.000000001+00:00")+
+		at(ce, "2019-05-20T13:06:00Z"), 1)
+	f.Add(corruptLog(f, synthLog(300), 5, 0.05), 40)
 
-	f.Fuzz(func(t *testing.T, in string, workers, bsize int) {
-		workers = 2 + abs(workers)%7 // 2..8: always the pipeline path
-		bsize = 1 + abs(bsize)%512
+	f.Fuzz(func(t *testing.T, in string, stop int) {
 		for _, cfg := range []ScanConfig{
 			{},
 			{Strict: true},
 			{DedupWindow: 3, ReorderWindow: 15 * time.Second},
 		} {
 			want := drainScanner(NewScannerConfig(strings.NewReader(in), cfg))
-			got := drainScanner(NewBlockScanner(bytes.NewReader([]byte(in)), BlockScanConfig{
-				ScanConfig: cfg, Workers: workers, BlockSize: bsize,
-			}))
-			if !reflect.DeepEqual(got, want) {
-				t.Errorf("block scan diverged (workers=%d bsize=%d cfg=%+v)\n got: %+v\nwant: %+v",
-					workers, bsize, cfg, got, want)
+			n := int(uint(stop) % uint(len(want.Records)+1))
+			sc := NewScannerConfig(strings.NewReader(in), cfg)
+			for i := 0; i < n; i++ {
+				sc.Scan()
+			}
+			data, err := sc.Checkpoint().MarshalBinary()
+			if err != nil {
+				t.Fatalf("cfg %+v: marshal after %d records: %v", cfg, n, err)
+			}
+			var cp Checkpoint
+			if err := cp.UnmarshalBinary(data); err != nil {
+				t.Fatalf("cfg %+v: unmarshal after %d records: %v\n%s", cfg, n, err, data)
+			}
+			rest := NewScannerConfig(strings.NewReader(in[cp.Offset:]), cfg)
+			if err := rest.Restore(cp); err != nil {
+				t.Fatal(err)
+			}
+			got := drainScanner(rest)
+			if len(got.Records) != len(want.Records)-n {
+				t.Fatalf("cfg %+v: resumed after %d records: %d records, want %d", cfg, n, len(got.Records), len(want.Records)-n)
+			}
+			for i, p := range got.Records {
+				if !sameRecord(p, want.Records[n+i]) {
+					t.Errorf("cfg %+v: resumed after %d records: record %d is %+v, want %+v", cfg, n, n+i, p, want.Records[n+i])
+				}
+			}
+			if got.Stats != want.Stats || got.Err != want.Err || got.Offset != want.Offset {
+				t.Errorf("cfg %+v: resumed after %d records: stats %+v, err %q, offset %d; want %+v, %q, %d",
+					cfg, n, got.Stats, got.Err, got.Offset, want.Stats, want.Err, want.Offset)
 			}
 		}
 	})
+}
+
+// sameRecord compares two parsed records by kind and that kind's record.
+func sameRecord(a, b Parsed) bool {
+	if a.Kind != b.Kind {
+		return false
+	}
+	switch a.Kind {
+	case KindCE:
+		return a.CE == b.CE
+	case KindDUE:
+		return a.DUE == b.DUE
+	case KindHET:
+		return a.HET == b.HET
+	}
+	return true
+}
+
+// withHost replaces the host of a line rendered by AppendCE, AppendDUE
+// or AppendHET.
+func withHost(line, host string) string {
+	return line[:21] + host + line[21+len("astra-rRRcCCnN"):]
 }
 
 // extraFields renders n unknown key=value tokens x0=1 .. x<n-1>=1,
@@ -181,11 +243,4 @@ func extraFields(n int, tail string) string {
 		fmt.Fprintf(&b, " x%d=1", i)
 	}
 	return b.String() + tail
-}
-
-func abs(v int) int {
-	if v < 0 {
-		return -v
-	}
-	return v
 }

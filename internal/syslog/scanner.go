@@ -63,13 +63,10 @@ type ScanConfig struct {
 	ReorderWindow time.Duration
 }
 
-// tolerator is the corruption-tolerance state machine shared by the
-// serial Scanner and the BlockScanner: the dedup ring, the reorder heap,
-// the ready queue, and the accounting. It consumes parse outcomes one
-// line at a time in input order — where the line's bytes came from (a
-// bufio cursor or a merged block pipeline) is the caller's business — so
-// any frontend that feeds it the same line sequence produces bit-identical
-// records and ScanStats.
+// tolerator is the Scanner's corruption-tolerance state machine: the
+// dedup ring, the reorder heap, the ready queue, and the accounting. It
+// consumes parse outcomes one line at a time in input order, so the same
+// line sequence always produces the same records and ScanStats.
 //
 // Records in flight live in slab and never move: the decoder writes each
 // line's record into a free slot, and the reorder heap and the ready
@@ -328,9 +325,9 @@ func (t *tolerator) restore(cp Checkpoint) {
 // well as off: each line is decoded in place from the bufio buffer
 // straight into its tolerator slot (no per-line string is ever
 // materialized), the dedup ring reuses its entry buffers, and the reorder
-// heap and ready queue move slot indices. Only warm-up allocates: first
-// sight of a hostname, and growth of the ring, the slab, the heap and the
-// ready queue to their steady sizes.
+// heap and ready queue move slot indices. Only warm-up allocates: growth
+// of the ring, the slab, the heap and the ready queue to their steady
+// sizes.
 type Scanner struct {
 	sc  *bufio.Scanner
 	dec Decoder
@@ -343,6 +340,11 @@ type Scanner struct {
 	// The bufio read-ahead beyond it is invisible to this count.
 	consumed int64
 }
+
+// maxLineBytes is the longest supported input line (content bytes). A
+// longer line stops the scan with bufio.ErrTooLong after the lines before
+// it.
+const maxLineBytes = 1 << 20
 
 // NewScanner wraps a reader with the zero-tolerance configuration. Lines
 // up to 1 MiB are supported.

@@ -1,6 +1,7 @@
 package syslog
 
 import (
+	"errors"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -179,6 +180,18 @@ func TestCorruptDUEAndHETRejected(t *testing.T) {
 	} {
 		if _, err := ParseLine(line); err == nil {
 			t.Errorf("HET %s accepted: %q", name, line)
+		}
+	}
+}
+
+// TestGarbledHostMalformed pins the one node-name grammar: a CE, a DUE
+// and a HET line whose host only begins like a node name are malformed,
+// not records for that node.
+func TestGarbledHostMalformed(t *testing.T) {
+	for _, line := range []string{FormatCE(sampleCE()), FormatDUE(sampleDUE()), FormatHET(sampleHET())} {
+		line = withHost(line, "astra-r03c11n2xyz")
+		if p, err := ParseLine(line); !errors.Is(err, ErrGarbled) {
+			t.Errorf("ParseLine(%q) = %+v, %v; want %v", line, p, err, ErrGarbled)
 		}
 	}
 }

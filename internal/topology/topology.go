@@ -105,10 +105,9 @@ func (n NodeID) AppendString(dst []byte) []byte {
 	return append(dst, byte('0'+n.NodeInChassis()))
 }
 
-// ParseCanonicalNodeID reads a host name exactly as AppendString writes
-// it, "astra-rRRcCCnN", without allocating, to the node ParseNodeID
-// returns for it. ok is false for any other spelling, including ones
-// ParseNodeID accepts.
+// ParseCanonicalNodeID reads a host name in the one form AppendString
+// writes, "astra-rRRcCCnN", without allocating; ok is false for any other
+// spelling.
 func ParseCanonicalNodeID(b []byte) (id NodeID, ok bool) {
 	if len(b) != 14 || string(b[:7]) != "astra-r" || b[9] != 'c' || b[12] != 'n' {
 		return 0, false
@@ -127,16 +126,14 @@ func ParseCanonicalNodeID(b []byte) (id NodeID, ok bool) {
 	return NewNodeID(rack, chassis, node), true
 }
 
-// ParseNodeID parses the canonical host-name form produced by String.
+// ParseNodeID parses a host name in the one form String writes, as
+// ParseCanonicalNodeID does. Any other spelling is an error, so a
+// garbled host never aliases a real node.
 func ParseNodeID(s string) (NodeID, error) {
-	var r, c, nn int
-	if _, err := fmt.Sscanf(s, "astra-r%02dc%02dn%d", &r, &c, &nn); err != nil {
-		return 0, fmt.Errorf("topology: bad node name %q: %w", s, err)
+	if id, ok := ParseCanonicalNodeID([]byte(s)); ok {
+		return id, nil
 	}
-	if r < 0 || r >= Racks || c < 0 || c >= ChassisPerRack || nn < 0 || nn >= NodesPerChassis {
-		return 0, fmt.Errorf("topology: node name %q out of range", s)
-	}
-	return NewNodeID(r, c, nn), nil
+	return 0, fmt.Errorf("topology: bad node name %q", s)
 }
 
 // Region is a vertical third of a rack: the paper divides Astra's 18
