@@ -162,8 +162,8 @@ type daemon struct {
 	// to the checkpoint writer; capacity 1 so a stalled disk backs up
 	// into skipped checkpoints, never into the ingest loops.
 	cpCh chan [][]byte
-	// fs is the filesystem for state writes; tests and the load harness
-	// substitute a fault injector.
+	// fs is the filesystem for state writes; tests substitute a fault
+	// injector.
 	fs atomicio.FS
 
 	checkpoints   atomic.Uint64
@@ -344,11 +344,11 @@ func (d *daemon) translate(s *siteDaemon, fo *syslog.Follower, cp syslog.Checkpo
 
 // drain is the consumer side of one site's admission queue: batches go
 // into the engine, Done releases any Freeze waiting for a consistent
-// snapshot. An optional pause between batches exists for the chaos
-// harness (and operators throttling a cold restore); it runs after
-// Done, so checkpoints never wait out the pause. It takes the queue and
-// engine of one incarnation explicitly so a supervised restart never
-// crosses incarnations mid-batch.
+// snapshot. An optional pause between batches (-drain-interval) lets
+// astrad's overload tests hold a backlog, and operators throttle a cold
+// restore; it runs after Done, so checkpoints never wait out the pause.
+// It takes the queue and engine of one incarnation explicitly so a
+// supervised restart never crosses incarnations mid-batch.
 func (d *daemon) drain(q *overload.Queue[mce.CERecord], eng *stream.Engine) {
 	for {
 		batch, ok := q.Take(d.cfg.drainBatch)

@@ -1,9 +1,13 @@
 package main
 
 import (
+	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"io"
+	"log/slog"
+	"net"
 	"net/http"
 	"os"
 	"os/exec"
@@ -13,6 +17,10 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/atomicio"
+	"repro/internal/core"
+	"repro/internal/iofault"
+	"repro/internal/overload"
 	"repro/internal/topology"
 )
 
@@ -65,7 +73,9 @@ type healthBody struct {
 // throttled drainer force sustained shedding, then shutdown arrives
 // mid-overload. The daemon must exit 0, persist the shed count, and a
 // restart must reproduce balanced books: offered == records + shed, no
-// record lost beyond the counted sheds, none duplicated.
+// record lost beyond the counted sheds, none duplicated. Shedding
+// changes coverage, never correctness: the faults served equal a batch
+// clustering of exactly the records the daemon holds.
 func TestDaemonSIGTERMUnderOverload(t *testing.T) {
 	full, ces := testLog(t)
 	dir := t.TempDir()
@@ -122,9 +132,12 @@ func TestDaemonSIGTERMUnderOverload(t *testing.T) {
 	// Restart with a deep queue and no throttle: the rest of the log
 	// flows in, the shed stays charged, and the books still balance.
 	addr, cancel, done, errs = startDaemonArgs(t, logPath, statePath)
+	exited := false
 	defer func() {
-		cancel()
-		<-done
+		if !exited {
+			cancel()
+			<-done
+		}
 	}()
 	want := len(ces) - int(shed)
 	if want < len(recs) {
@@ -151,6 +164,24 @@ func TestDaemonSIGTERMUnderOverload(t *testing.T) {
 	httpGetJSON(t, "http://"+addr+"/v1/fit", &fit)
 	if !fit.Windowed.Degraded {
 		t.Fatal("windowed FIT hides the shed records")
+	}
+
+	// The final checkpoint holds exactly the records the engine ingested.
+	cancel()
+	exited = true
+	if code := <-done; code != 0 {
+		t.Fatalf("restarted shutdown exit = %d; stderr:\n%s", code, errs.String())
+	}
+	snaps, err = unmarshal(mustReadFile(t, statePath))
+	if err != nil || len(snaps) != 1 || len(snaps[0].recs) != sum.Records {
+		t.Fatalf("final state: %d sites, err %v; want the %d served records", len(snaps), err, sum.Records)
+	}
+	held := snaps[0].recs
+	wantFaults := mustCluster(t, held)
+	wantBreak := core.BreakdownByMode(held, wantFaults)
+	if sum.Faults != len(wantFaults) || sum.FaultsByMode != wantBreak.FaultsByMode || sum.ErrorsByMode != wantBreak.ErrorsByMode {
+		t.Fatalf("faults after shedding diverge from batch over the %d held records: %+v vs %+v",
+			len(held), sum, wantBreak)
 	}
 }
 
@@ -238,6 +269,99 @@ func TestDaemonKillUnderBacklogDifferential(t *testing.T) {
 	httpGetJSON(t, "http://"+addr+"/healthz", &h)
 	if h.Status != "ok" {
 		t.Fatalf("healthz after convergence = %q, want ok", h.Status)
+	}
+}
+
+// TestCheckpointBreakerStallingDisk drives astrad's checkpoint writer
+// over a disk whose every write stalls past -checkpoint-timeout. The scan
+// loop hands checkpoints over with offerCheckpoint, which must never
+// wait for the disk: every call returns at once, and the snapshots the
+// busy writer cannot take are skipped. The slow writes open the breaker,
+// the writer returns once its channel closes, and the ladder still loads
+// a generation, because a stalled write still lands whole.
+func TestCheckpointBreakerStallingDisk(t *testing.T) {
+	snaps, _ := stateFixture(t)
+	sec, err := marshalSection(snaps[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	const stall = 30 * time.Millisecond
+	statePath := filepath.Join(t.TempDir(), "astrad.state")
+	d := &daemon{
+		cfg:     daemonConfig{statePath: statePath, stateKeep: 2, cpTimeout: 5 * time.Millisecond},
+		log:     slog.New(slog.NewTextHandler(io.Discard, nil)),
+		breaker: overload.NewBreaker(overload.BreakerConfig{Failures: 2}),
+		cpCh:    make(chan [][]byte, 1),
+		fs:      iofault.New(atomicio.OS, iofault.Config{Seed: 1, StallWrite: 1, Stall: stall}),
+	}
+	s := &siteDaemon{id: "default"}
+	s.section.Store(&sec)
+	d.sites = []*siteDaemon{s}
+	writerDone := make(chan struct{})
+	go func() { defer close(writerDone); d.checkpointWriter() }()
+
+	// A hand-over that waited for the writer would wait out a state
+	// write of four stalled writes, so no call may take as long as one.
+	var slowest time.Duration
+	for i := 0; i < 40; i++ {
+		start := time.Now()
+		d.offerCheckpoint()
+		slowest = max(slowest, time.Since(start))
+		time.Sleep(5 * time.Millisecond)
+	}
+	close(d.cpCh)
+	select {
+	case <-writerDone:
+	case <-time.After(10 * time.Second):
+		t.Fatal("checkpoint writer still running after its channel closed")
+	}
+	st := d.breaker.Stats()
+	t.Logf("slowest offer %v; breaker opens %d; written %d, skipped %d",
+		slowest, st.Opens, d.checkpoints.Load(), d.cpSkipped.Load())
+	if slowest >= stall {
+		t.Fatalf("offerCheckpoint blocked for %v on a stalled disk", slowest)
+	}
+	if st.Opens < 1 {
+		t.Fatalf("writes stalled past the timeout never opened the breaker: %+v", st)
+	}
+	got, gen, _, err := loadStateLadder(atomicio.OS, statePath, 2)
+	if err != nil || gen < 0 || len(got) != 1 || got[0].id != "default" || !bytes.Equal(got[0].section, sec) {
+		t.Fatalf("ladder after stalled writes: gen %d, %d sites, err %v", gen, len(got), err)
+	}
+}
+
+// TestDaemonReadHeaderTimeout: a client that sends part of a request
+// header and stalls must be cut off by -read-header-timeout, without a
+// response byte, instead of holding its connection open.
+func TestDaemonReadHeaderTimeout(t *testing.T) {
+	logPath := filepath.Join(t.TempDir(), "syslog.log")
+	if err := os.WriteFile(logPath, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	addr, cancel, done, errs := startDaemonArgs(t, logPath, "", "-read-header-timeout", "200ms")
+	defer func() {
+		cancel()
+		if code := <-done; code != 0 {
+			t.Errorf("exit = %d; stderr:\n%s", code, errs.String())
+		}
+	}()
+	conn, err := net.DialTimeout("tcp", addr, 5*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := io.WriteString(conn, "GET /v1/faults HTTP/1.1\r\nHost: astrad\r\n"); err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	conn.SetReadDeadline(start.Add(5 * time.Second))
+	n, err := conn.Read(make([]byte, 1))
+	elapsed := time.Since(start)
+	if n != 0 || !errors.Is(err, io.EOF) {
+		t.Fatalf("stalled client after %v: read %d bytes, err %v; want EOF", elapsed, n, err)
+	}
+	if elapsed > 2*time.Second {
+		t.Fatalf("stalled client cut after %v, want about the 200ms header timeout", elapsed)
 	}
 }
 

@@ -296,22 +296,30 @@ func TestRecordLogCaptureWhileIngesting(t *testing.T) {
 // ingested record, allocated and kept, for IngestBatch of the fixture
 // into a fresh engine. The record log is most of it: mce.CERecord
 // slices (104 B a record, regrown by copying) cost 239 B allocated and
-// 181 B kept here; packed 32-byte rows in fixed chunks cost 180 and 122.
+// 181 B kept here; packed 32-byte rows in fixed chunks cost 180 and 150.
 func TestIngestBatchBytesPerRecord(t *testing.T) {
 	const maxAlloc, maxKept = 210, 150
 	recs := fixture(t).CERecords
-	var before, after, kept runtime.MemStats
+	var before, after, held, dropped runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)
 	e := stream.New(stream.Config{DIMMs: 48 * topology.SlotsPerNode})
 	e.IngestBatch(recs)
 	runtime.ReadMemStats(&after)
+	// Kept is the heap that dropping the engine frees, read across two
+	// back-to-back GCs: a reading against the heap before the engine
+	// existed would also count whatever the rest of the process freed or
+	// kept in between.
 	runtime.GC()
-	runtime.ReadMemStats(&kept)
+	runtime.ReadMemStats(&held)
 	runtime.KeepAlive(e)
+	e = nil
+	runtime.GC()
+	runtime.ReadMemStats(&dropped)
 	n := float64(len(recs))
 	alloc := float64(after.TotalAlloc-before.TotalAlloc) / n
-	live := float64(int64(kept.HeapAlloc)-int64(before.HeapAlloc)) / n
+	live := float64(int64(held.HeapAlloc)-int64(dropped.HeapAlloc)) / n
+	t.Logf("IngestBatch of %d records: %.1f B/record allocated, %.1f kept", len(recs), alloc, live)
 	if alloc > maxAlloc || live > maxKept {
 		t.Fatalf("IngestBatch of %d records: %.1f B/record allocated (max %d), %.1f kept (max %d)",
 			len(recs), alloc, maxAlloc, live, maxKept)
