@@ -1,7 +1,7 @@
 GO ?= go
 
-# Pinned system size for benchmarks and the parallel determinism gate, so
-# numbers (and test cost) are comparable across runs.
+# Pinned system size for the root analysis micro-benchmarks (make bench),
+# so their numbers are comparable across runs.
 ASTRA_BENCH_NODES ?= 256
 
 .PHONY: build test verify bench
@@ -23,29 +23,25 @@ test:
 # module's vet and tests (bench/ is a module of its own, so the root
 # build cannot see it break when exported API changes; it is the one
 # performance gate, and comparing two commits with it runs outside
-# verify, see bench/README.md), the race detector over the concurrent
-# ingest/poller paths, the parallel determinism contract (serial vs
-# parallel batch pipelines must be bit-identical) under the race
-# detector at a pinned scale, and a short fuzz smoke over the
-# hostile-input parsers (syslog lines, whole scans resumed from a
-# persisted checkpoint, the columnar decoder, dataset manifests, and the
-# astrad state ladder, seeded with sealed v5 images and the oversized
-# header counts that once killed the loader), over the incremental bank
-# classification (random Add/Merge/AppendFaults interleavings must equal
-# a fresh classification, Errors included), and over the stream engine's
-# packed record log (random field values appended through the log must
-# come back exactly from Records() and a checkpoint handle, and the
-# handle's colfmt encoding must decode back to them).
+# verify, see bench/README.md), the race detector over the whole suite
+# (the concurrent ingest/poller paths and Study.Analyze's task group
+# among them), and a short fuzz smoke over the hostile-input parsers
+# (syslog lines, whole scans resumed from a persisted checkpoint, the
+# columnar decoder, dataset manifests, and the astrad state ladder,
+# seeded with sealed v5 images and the oversized header counts that once
+# killed the loader), over the incremental bank classification (random
+# Add/AppendFaults interleavings must equal a fresh classification,
+# Errors included), and over the stream engine's packed record log
+# (random field values appended through the log must come back exactly
+# from Records() and a checkpoint handle, and the handle's colfmt
+# encoding must decode back to them).
 # ASTRA_CRASH_TESTS=1 additionally sweeps the kill/resume differential
 # test over every I/O operation instead of its default 24-point sample.
 # The online subsystem gets an explicit race-enabled pass: the stream
 # engine's batch-equivalence property tests, the tail/checkpoint resume
 # differentials, and the astrad kill/restart and overload tests are the
 # contracts most exposed to concurrency bugs, so they run under the race
-# detector even when the blanket -race sweep is trimmed locally. The
-# pinned-scale line also runs the stream engine's feature differential
-# (per-bank prediction features over random micro-batches must equal a
-# batch replay).
+# detector even when the blanket -race sweep is trimmed locally.
 verify:
 	$(GO) build ./...
 	test -z "$$(gofmt -l .)"
@@ -54,7 +50,6 @@ verify:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 	$(GO) test -race -timeout 30m ./...
 	$(GO) test -race -timeout 30m -count 1 ./internal/stream ./internal/serve ./internal/overload ./internal/syslog ./internal/colfmt ./internal/supervise ./internal/predict ./cmd/astrad
-	ASTRA_BENCH_NODES=64 $(GO) test -race -timeout 30m -run 'Parallel|Determinism' ./...
 	$(GO) test -run '^$$' -fuzz '^FuzzParseLine$$' -fuzztime 5s ./internal/syslog
 	$(GO) test -run '^$$' -fuzz '^FuzzScan$$' -fuzztime 5s ./internal/syslog
 	$(GO) test -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime 5s ./internal/colfmt

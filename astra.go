@@ -20,6 +20,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"runtime"
 
 	"repro/internal/core"
 	"repro/internal/dataset"
@@ -45,13 +46,6 @@ type Options struct {
 	// Dataset overrides the full pipeline configuration; zero value uses
 	// dataset.DefaultConfig(Seed) at Nodes scale.
 	Dataset dataset.Config
-	// Parallelism bounds the worker pools every pipeline stage (generation,
-	// EDAC replay, clustering, analysis) shards across: 0 (the default)
-	// uses runtime.GOMAXPROCS(0), 1 restores the serial code path. Results
-	// are bit-identical at every setting for a given Seed; see DESIGN.md §8.
-	// Explicit Parallelism values already set on Dataset or Cluster take
-	// precedence for their stage.
-	Parallelism int
 }
 
 // Study is a built pipeline plus its clustered faults.
@@ -64,7 +58,7 @@ type Study struct {
 // Run builds the synthetic system, pushes its error streams through the
 // logging path, and clusters the logged records into faults. Cancelling
 // ctx aborts the pipeline between (and within) stages and returns the
-// context's error; a panic in any worker surfaces as a
+// context's error; a panic in any stage surfaces as a
 // *parallel.PanicError rather than crashing the process.
 func Run(ctx context.Context, opts Options) (*Study, error) {
 	if opts.Nodes == 0 {
@@ -79,20 +73,13 @@ func Run(ctx context.Context, opts Options) (*Study, error) {
 	}
 	cfg.Seed = opts.Seed
 	cfg.Nodes = opts.Nodes
-	if cfg.Parallelism == 0 {
-		cfg.Parallelism = opts.Parallelism
-	}
 	ds, err := dataset.Build(ctx, cfg)
 	if err != nil {
 		return nil, err
 	}
 	cc := opts.Cluster
-	if cc == (core.ClusterConfig{Parallelism: cc.Parallelism}) {
+	if cc == (core.ClusterConfig{}) {
 		cc = core.DefaultClusterConfig()
-		cc.Parallelism = opts.Cluster.Parallelism
-	}
-	if cc.Parallelism == 0 {
-		cc.Parallelism = opts.Parallelism
 	}
 	faults, err := core.Cluster(ctx, ds.CERecords, cc)
 	if err != nil {
@@ -126,29 +113,28 @@ type Results struct {
 }
 
 // Analyze runs the full evaluation over the study. The analyses share a
-// single precomputed record index (one sharded pass over the CE records
-// instead of one scan per analysis) and run concurrently up to
-// Options.Parallelism workers; each analysis writes its own Results field,
-// so the output is identical at every parallelism setting. Cancelling ctx
-// stops launching analyses and returns the context's error; a panic inside
-// any analysis is recovered and returned as a *parallel.PanicError.
+// single record index (one pass over the CE records instead of one scan
+// per analysis) and run as independent tasks on up to GOMAXPROCS workers,
+// with Fig 9's averaging windows one task each so no single task bounds
+// the group. Each task writes its own Results field, so the output does
+// not depend on scheduling. Cancelling ctx stops launching analyses and
+// returns the context's error; a panic inside any analysis is recovered
+// and returned as a *parallel.PanicError.
 func (s *Study) Analyze(ctx context.Context) (res *Results, err error) {
 	defer parallel.Recover(&err)
 	ds := s.Dataset
 	n := s.Options.Nodes
-	par := s.Options.Parallelism
-	ix := core.NewRecordIndex(ds.CERecords, n, par)
-	r := &Results{}
+	ix := core.IndexRecords(ds.CERecords, n)
+	r := &Results{TempWindows: make([]core.TempWindow, len(core.Fig9Windows))}
 	task := func(fn func()) func(context.Context) error {
 		return func(context.Context) error { fn(); return nil }
 	}
-	err = parallel.RunCtx(ctx, par,
+	tasks := []func(context.Context) error{
 		task(func() { r.Breakdown = ix.BreakdownByMode(s.Faults) }),
 		task(func() { r.ErrorsPerFault = core.ErrorsPerFaultDist(s.Faults) }),
 		task(func() { r.PerNode = ix.AnalyzePerNode(s.Faults) }),
 		task(func() { r.Structures = ix.AnalyzeStructures(s.Faults) }),
-		task(func() { r.BitAddress = core.AnalyzeBitAddressWorkers(s.Faults, par) }),
-		task(func() { r.TempWindows = ix.AnalyzeTempWindows(ds.Env, core.Fig9Windows) }),
+		task(func() { r.BitAddress = core.AnalyzeBitAddress(s.Faults) }),
 		task(func() { r.Positional = ix.AnalyzePositional(s.Faults) }),
 		task(func() { r.TempDeciles = ix.AnalyzeTempDeciles(ds.Env) }),
 		task(func() { r.Utilization = ix.AnalyzeUtilization(ds.Env) }),
@@ -161,8 +147,11 @@ func (s *Study) Analyze(ctx context.Context) (res *Results, err error) {
 		task(func() { r.Precursors = core.AnalyzeDUEPrecursors(ds.DUERecords, s.Faults, n*topology.SlotsPerNode) }),
 		task(func() { r.ModeStability = core.AnalyzeModeStability(s.Faults) }),
 		task(func() { r.Interarrivals = core.AnalyzeInterarrivals(ds.CERecords, s.Faults, 500) }),
-	)
-	if err != nil {
+	}
+	for i, w := range core.Fig9Windows {
+		tasks = append(tasks, task(func() { r.TempWindows[i] = ix.AnalyzeTempWindow(ds.Env, w) }))
+	}
+	if err := parallel.RunCtx(ctx, runtime.GOMAXPROCS(0), tasks...); err != nil {
 		return nil, err
 	}
 	return r, nil

@@ -43,7 +43,6 @@ func main() {
 		minuteStride = flag.Int("sensor-minute-stride", 60, "export sensor data every N minutes")
 		scanStride   = flag.Int("scan-stride", 7, "write an inventory scan file every N days (0 disables)")
 		dirty        = flag.Float64("dirty", 0, "also write astra-syslog-dirty.log and ce-telemetry-dirty.csv corrupted at this combined rate (0 disables)")
-		workers      = flag.Int("workers", 0, "pipeline worker count: 0 uses GOMAXPROCS, 1 forces the serial path (output is identical either way)")
 		resume       = flag.Bool("resume", false, "skip artifacts already recorded in the output manifest whose checksums verify")
 	)
 	flag.Parse()
@@ -62,7 +61,6 @@ func main() {
 
 	cfg := dataset.DefaultConfig(*seed)
 	cfg.Nodes = *nodes
-	cfg.Parallelism = *workers
 	ds, err := dataset.Build(ctx, cfg)
 	if err != nil {
 		fail(err)

@@ -92,7 +92,6 @@ func main() {
 		reorderWin  = flag.Duration("reorder-window", 2*time.Minute, "with -from-syslog, resequence records arriving up to this much late (0 disables)")
 		experiments = flag.Bool("experiments", false, "emit the paper-vs-measured comparison table (markdown) instead of figures")
 		svgDir      = flag.String("svg", "", "also write SVG figures into this directory")
-		workers     = flag.Int("workers", 0, "pipeline worker count: 0 uses GOMAXPROCS, 1 forces the serial path (report is byte-identical either way)")
 	)
 	flag.Parse()
 	if *nodes < 1 || *nodes > topology.Nodes {
@@ -103,7 +102,7 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	study, err := buildStudy(ctx, os.Stdout, *seed, *nodes, *workers, *fromSyslog, dataset.IngestPolicy{
+	study, err := buildStudy(ctx, os.Stdout, *seed, *nodes, *fromSyslog, dataset.IngestPolicy{
 		DedupWindow:      *dedupWindow,
 		ReorderWindow:    *reorderWin,
 		MaxMalformedFrac: -1,
@@ -214,14 +213,13 @@ func writeSVGs(ctx context.Context, dir string, study *astra.Study, r *astra.Res
 // records still out of order afterwards are repaired by
 // core.SanitizeRecords, and an ingest-health section is written to w so
 // the reader can judge how dirty the input was.
-func buildStudy(ctx context.Context, w io.Writer, seed uint64, nodes, workers int, fromSyslog string, pol dataset.IngestPolicy) (*astra.Study, error) {
-	opts := astra.Options{Seed: seed, Nodes: nodes, Parallelism: workers}
+func buildStudy(ctx context.Context, w io.Writer, seed uint64, nodes int, fromSyslog string, pol dataset.IngestPolicy) (*astra.Study, error) {
+	opts := astra.Options{Seed: seed, Nodes: nodes}
 	if fromSyslog == "" {
 		return astra.Run(ctx, opts)
 	}
 	cfg := dataset.DefaultConfig(seed)
 	cfg.Nodes = nodes
-	cfg.Parallelism = workers
 	ds, err := dataset.BuildFleet(ctx, cfg)
 	if err != nil {
 		return nil, err

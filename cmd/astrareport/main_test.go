@@ -58,7 +58,7 @@ func tolerantPolicy() dataset.IngestPolicy {
 // same record counts as the in-memory dataset, no sanitizer repairs.
 func TestBuildStudyCleanParity(t *testing.T) {
 	ds, log := writeStudySyslog(t, 7, 64, nil)
-	study, err := buildStudy(context.Background(), io.Discard, 7, 64, 0, log, tolerantPolicy())
+	study, err := buildStudy(context.Background(), io.Discard, 7, 64, log, tolerantPolicy())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +78,7 @@ func TestBuildStudyCleanParity(t *testing.T) {
 func TestBuildStudyCorruptedSyslog(t *testing.T) {
 	cfg := corrupt.Uniform(9, 0.02)
 	ds, log := writeStudySyslog(t, 7, 64, &cfg)
-	study, err := buildStudy(context.Background(), io.Discard, 7, 64, 0, log, tolerantPolicy())
+	study, err := buildStudy(context.Background(), io.Discard, 7, 64, log, tolerantPolicy())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,8 +100,8 @@ func TestBuildStudyCorruptedSyslog(t *testing.T) {
 // syntheticStudy is the composition buildStudy replaced, kept as its
 // reference: run the whole synthetic pipeline (astra.Run), then swap in
 // the file's records, sanitized, and their clustered faults.
-func syntheticStudy(ctx context.Context, w io.Writer, seed uint64, nodes, workers int, path string, pol dataset.IngestPolicy) (*astra.Study, error) {
-	study, err := astra.Run(ctx, astra.Options{Seed: seed, Nodes: nodes, Parallelism: workers})
+func syntheticStudy(ctx context.Context, w io.Writer, seed uint64, nodes int, path string, pol dataset.IngestPolicy) (*astra.Study, error) {
+	study, err := astra.Run(ctx, astra.Options{Seed: seed, Nodes: nodes})
 	if err != nil {
 		return nil, err
 	}
@@ -163,9 +163,8 @@ func writeColfmt(t testing.TB, dir string, ds *dataset.Dataset) string {
 }
 
 // buildStudy must print exactly what the synthetic composition printed,
-// for syslog text (clean and corrupted) and colfmt input, two fleets,
-// serial and parallel clustering and analysis, the figures and the
-// -experiments rows.
+// for syslog text (clean and corrupted) and colfmt input, two fleets, the
+// figures and the -experiments rows.
 func TestBuildStudyMatchesSyntheticComposition(t *testing.T) {
 	ctx := context.Background()
 	dirty := corrupt.Uniform(9, 0.02)
@@ -177,30 +176,28 @@ func TestBuildStudyMatchesSyntheticComposition(t *testing.T) {
 		_, dirtyText := writeStudySyslog(t, fleet.seed, fleet.nodes, &dirty)
 		inputs := map[string]string{"text": text, "dirty text": dirtyText, "colfmt": writeColfmt(t, t.TempDir(), ds)}
 		for kind, path := range inputs {
-			for _, workers := range []int{1, 2} {
-				pol := tolerantPolicy()
-				var got, want bytes.Buffer
-				study, err := buildStudy(ctx, &got, fleet.seed, fleet.nodes, workers, path, pol)
-				if err != nil {
-					t.Fatal(err)
-				}
-				renderStudy(t, &got, study)
-				ref, err := syntheticStudy(ctx, &want, fleet.seed, fleet.nodes, workers, path, pol)
-				if err != nil {
-					t.Fatal(err)
-				}
-				renderStudy(t, &want, ref)
-				if !bytes.Equal(got.Bytes(), want.Bytes()) {
-					g, w := strings.Split(got.String(), "\n"), strings.Split(want.String(), "\n")
-					for i := 0; i < len(g) && i < len(w); i++ {
-						if g[i] != w[i] {
-							t.Errorf("fleet %d/%d %s workers %d: line %d is %q, want %q", fleet.seed, fleet.nodes, kind, workers, i+1, g[i], w[i])
-							break
-						}
+			pol := tolerantPolicy()
+			var got, want bytes.Buffer
+			study, err := buildStudy(ctx, &got, fleet.seed, fleet.nodes, path, pol)
+			if err != nil {
+				t.Fatal(err)
+			}
+			renderStudy(t, &got, study)
+			ref, err := syntheticStudy(ctx, &want, fleet.seed, fleet.nodes, path, pol)
+			if err != nil {
+				t.Fatal(err)
+			}
+			renderStudy(t, &want, ref)
+			if !bytes.Equal(got.Bytes(), want.Bytes()) {
+				g, w := strings.Split(got.String(), "\n"), strings.Split(want.String(), "\n")
+				for i := 0; i < len(g) && i < len(w); i++ {
+					if g[i] != w[i] {
+						t.Errorf("fleet %d/%d %s: line %d is %q, want %q", fleet.seed, fleet.nodes, kind, i+1, g[i], w[i])
+						break
 					}
-					if len(g) != len(w) {
-						t.Errorf("fleet %d/%d %s workers %d: %d lines, want %d", fleet.seed, fleet.nodes, kind, workers, len(g), len(w))
-					}
+				}
+				if len(g) != len(w) {
+					t.Errorf("fleet %d/%d %s: %d lines, want %d", fleet.seed, fleet.nodes, kind, len(g), len(w))
 				}
 			}
 		}
@@ -224,12 +221,12 @@ func BenchmarkBuildStudy(b *testing.B) {
 	pol := tolerantPolicy()
 	for _, bc := range []struct {
 		name  string
-		build func(context.Context, io.Writer, uint64, int, int, string, dataset.IngestPolicy) (*astra.Study, error)
+		build func(context.Context, io.Writer, uint64, int, string, dataset.IngestPolicy) (*astra.Study, error)
 	}{{"synthetic", syntheticStudy}, {"fleet", buildStudy}} {
 		b.Run(bc.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := bc.build(context.Background(), io.Discard, seed, nodes, 0, path, pol); err != nil {
+				if _, err := bc.build(context.Background(), io.Discard, seed, nodes, path, pol); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -273,7 +270,7 @@ func TestBuildStudyRejectsOutOfRangeLineBit(t *testing.T) {
 	}
 	parsed := func(path string) (n, malformed int) {
 		var out bytes.Buffer
-		study, err := buildStudy(ctx, &out, 7, 64, 2, path, tolerantPolicy())
+		study, err := buildStudy(ctx, &out, 7, 64, path, tolerantPolicy())
 		if err != nil {
 			t.Fatalf("%s: %v", path, err)
 		}
@@ -291,7 +288,7 @@ func TestBuildStudyRejectsOutOfRangeLineBit(t *testing.T) {
 	ces := append([]mce.CERecord(nil), ds.CERecords...)
 	ces[42].BitPos = 0x3ff
 	col := writeColfmt(t, t.TempDir(), &dataset.Dataset{CERecords: ces, DUERecords: ds.DUERecords, HETRecords: ds.HETRecords})
-	_, err = buildStudy(ctx, io.Discard, 7, 64, 2, col, tolerantPolicy())
+	_, err = buildStudy(ctx, io.Discard, 7, 64, col, tolerantPolicy())
 	if err == nil || !strings.Contains(err.Error(), "CE record 42") {
 		t.Errorf("colfmt file with line bit 0x3ff: err %v, want one naming CE record 42", err)
 	}

@@ -2,7 +2,6 @@ package core
 
 import (
 	"math"
-	"reflect"
 	"testing"
 	"time"
 
@@ -327,7 +326,11 @@ func TestAnalyzeUncorrectable(t *testing.T) {
 	for _, d := range pop.DUEs {
 		hetRecs = append(hetRecs, het.FromDUE(mustEncodeDUE(enc, d)))
 	}
-	hetRecs = het.Merge(hetRecs, het.GenerateAmbient(41, simtime.HETStart, simtime.StudyEnd, topology.Nodes))
+	ambient, err := het.GenerateAmbient(testCtx, 41, simtime.HETStart, simtime.StudyEnd, topology.Nodes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hetRecs = het.Merge(hetRecs, ambient)
 	u := AnalyzeUncorrectable(hetRecs, topology.DIMMs, simtime.StudyEnd)
 	if u.DUEs == 0 {
 		t.Fatal("no DUEs in the HET window")
@@ -364,31 +367,5 @@ func TestFITConversion(t *testing.T) {
 	got := ExpectedDUEs(0.00948, topology.DIMMs, 22*24*time.Hour)
 	if math.Abs(got-want) > 1e-9 {
 		t.Errorf("ExpectedDUEs = %v, want %v", got, want)
-	}
-}
-
-// TestAnalyzeBitAddressWorkers proves the sharded counting pass and
-// concurrent fits agree with the serial analysis at every worker count:
-// maps and histograms exactly, the power-law fits up to float rounding
-// (their input order comes from map iteration either way).
-func TestAnalyzeBitAddressWorkers(t *testing.T) {
-	_, records := generateSmall(t, 35, 600)
-	faults := mustCluster(records, DefaultClusterConfig())
-	want := AnalyzeBitAddress(faults)
-	for _, workers := range []int{0, 2, 4, 8} {
-		got := AnalyzeBitAddressWorkers(faults, workers)
-		if !reflect.DeepEqual(got.PerBit, want.PerBit) || !reflect.DeepEqual(got.PerAddr, want.PerAddr) {
-			t.Fatalf("workers=%d: count maps diverge", workers)
-		}
-		if !reflect.DeepEqual(got.BitHistogram, want.BitHistogram) || !reflect.DeepEqual(got.AddrHistogram, want.AddrHistogram) {
-			t.Fatalf("workers=%d: histograms diverge", workers)
-		}
-		if (got.BitFitErr == nil) != (want.BitFitErr == nil) || (got.AddrFitErr == nil) != (want.AddrFitErr == nil) {
-			t.Fatalf("workers=%d: fit errors diverge", workers)
-		}
-		if math.Abs(got.BitFit.Alpha-want.BitFit.Alpha) > 1e-9 || math.Abs(got.AddrFit.Alpha-want.AddrFit.Alpha) > 1e-9 {
-			t.Fatalf("workers=%d: alphas diverge: %v vs %v, %v vs %v",
-				workers, got.BitFit.Alpha, want.BitFit.Alpha, got.AddrFit.Alpha, want.AddrFit.Alpha)
-		}
 	}
 }

@@ -11,7 +11,7 @@ import (
 	"repro/internal/topology"
 )
 
-// runBankStateOps drives one BankState through the Add/Merge/AppendFaults
+// runBankStateOps drives one BankState through the Add/AppendFaults
 // interleaving data encodes and checks the incremental classification
 // against a fresh BankState over the same records after every
 // AppendFaults, Errors included. It also checks that faults returned
@@ -19,12 +19,12 @@ import (
 //
 // data[0] picks the bank's word layout: all words on one column (a
 // column fault), or on one row (a row fault under RowClustering), or
-// scattered (word or bank faults). Each later op byte adds a record,
-// merges a short later shard, or classifies with RowClustering on or
-// off. Records draw from 8 words, 3 line bits and 64 minutes, so words
-// recur, bits repeat, single-bit words turn into single-word ones, and
-// words tie on their first or last instant — odd words in another
-// location, so a tie need not be an identical time value.
+// scattered (word or bank faults). Each later op byte adds a record or
+// classifies with RowClustering on or off. Records draw from 8 words, 3
+// line bits and 64 minutes, so words recur, bits repeat, single-bit
+// words turn into single-word ones, and words tie on their first or last
+// instant — odd words in another location, so a tie need not be an
+// identical time value.
 func runBankStateOps(t *testing.T, data []byte) {
 	if len(data) == 0 {
 		return
@@ -76,18 +76,10 @@ func runBankStateOps(t *testing.T, data []byte) {
 	b := NewBankState()
 	for ops := 0; len(data) > 0 && ops < 256; ops++ {
 		switch op := next() % 8; {
-		case op < 5:
+		case op < 6:
 			r := record()
 			recs = append(recs, r)
 			b.Add(len(recs)-1, &recs[len(recs)-1])
-		case op == 5:
-			side := NewBankState()
-			for k := next()%4 + 1; k > 0; k-- {
-				r := record()
-				recs = append(recs, r)
-				side.Add(len(recs)-1, &recs[len(recs)-1])
-			}
-			b.Merge(side)
 		default:
 			cfg := DefaultClusterConfig()
 			cfg.RowClustering = op == 7
@@ -110,7 +102,7 @@ func runBankStateOps(t *testing.T, data []byte) {
 	}
 }
 
-// TestBankStateIncrementalProperty: for random Add/Merge/AppendFaults
+// TestBankStateIncrementalProperty: for random Add/AppendFaults
 // interleavings, the cached classification always equals a fresh one,
 // and earlier results never change.
 func TestBankStateIncrementalProperty(t *testing.T) {
@@ -128,8 +120,8 @@ func FuzzBankStateIncremental(f *testing.F) {
 		{1, 6, 0, 0, 0, 6, 0, 0, 1, 6, 0, 1, 2, 6},
 		// Scattered words appearing between classifications.
 		{1, 0, 0, 0, 0, 6, 0, 1, 0, 1, 6, 0, 2, 0, 2, 6, 0, 3, 1, 3, 7},
-		// One column, grown by merges.
-		{0, 0, 0, 0, 5, 5, 2, 1, 1, 1, 2, 2, 2, 6, 5, 1, 3, 2, 9, 7},
+		// One column, grown between classifications.
+		{0, 0, 0, 0, 0, 0, 2, 1, 1, 6, 1, 4, 2, 2, 0, 6, 0, 0, 7},
 		// Four words on a column and a straggler, all on one row: a row
 		// fault under RowClustering, a column fault and a word without.
 		{2, 0, 0, 0, 0, 0, 2, 0, 0, 0, 4, 0, 0, 0, 6, 0, 0, 0, 1, 2, 8, 7, 6},

@@ -334,33 +334,3 @@ func BenchmarkCluster(b *testing.B) {
 		mustCluster(records, DefaultClusterConfig())
 	}
 }
-
-func TestClusterParallelMatchesSerial(t *testing.T) {
-	_, records := generateSmall(t, 33, 400)
-	serialCfg := DefaultClusterConfig()
-	serialCfg.Parallelism = 1
-	parCfg := DefaultClusterConfig()
-	parCfg.Parallelism = 8
-
-	serial := mustCluster(records, serialCfg)
-	par := mustCluster(records, parCfg)
-	if len(serial) != len(par) {
-		t.Fatalf("fault counts differ: serial %d, parallel %d", len(serial), len(par))
-	}
-	for i := range serial {
-		a, b := serial[i], par[i]
-		if a.Node != b.Node || a.Slot != b.Slot || a.Rank != b.Rank || a.Bank != b.Bank ||
-			a.Mode != b.Mode || a.Addr != b.Addr || a.Col != b.Col || a.Bit != b.Bit ||
-			!a.First.Equal(b.First) || !a.Last.Equal(b.Last) || a.NErrors != b.NErrors {
-			t.Fatalf("fault %d differs:\nserial   %+v\nparallel %+v", i, a, b)
-		}
-		if len(a.Errors) != len(b.Errors) {
-			t.Fatalf("fault %d error counts differ", i)
-		}
-		for j := range a.Errors {
-			if a.Errors[j] != b.Errors[j] {
-				t.Fatalf("fault %d error %d differs: %d vs %d", i, j, a.Errors[j], b.Errors[j])
-			}
-		}
-	}
-}

@@ -15,7 +15,6 @@ package core
 import (
 	"cmp"
 	"context"
-	"math/bits"
 	"slices"
 	"time"
 
@@ -112,11 +111,6 @@ type ClusterConfig struct {
 	RowClustering bool
 	// RowMinWords is the single-row analogue of ColMinWords.
 	RowMinWords int
-	// Parallelism bounds the worker pool Cluster shards the grouping scan
-	// and per-bank classification across: 0 uses runtime.GOMAXPROCS(0),
-	// 1 restores the serial code path. Banks are independent by
-	// construction, so the fault list is bit-identical at every setting.
-	Parallelism int
 }
 
 // DefaultClusterConfig returns the thresholds used by the reproduction.
@@ -160,16 +154,6 @@ func (b *lineBits) set(i int) bool {
 	return true
 }
 
-// union folds another bitset in, keeping the distinct-bit count exact.
-func (b *lineBits) union(o *lineBits) {
-	n := 0
-	for w := range b.words {
-		b.words[w] |= o.words[w]
-		n += bits.OnesCount64(b.words[w])
-	}
-	b.n = n
-}
-
 // wordGroup accumulates the errors observed on one word address.
 type wordGroup struct {
 	addr        topology.PhysAddr
@@ -195,10 +179,10 @@ type wordGroup struct {
 // Re-deriving costs only what changed. Classification reads the set of
 // words, each word's anchor fields (fixed when the word first appears)
 // and whether it holds exactly one distinct bit, so the last result is
-// kept and rerun only when a word appears, a word's distinct-bit count
-// leaves 1, or a Merge happens. Between those, Add keeps each cached
-// fault's NErrors, First and Last current, and AppendFaults rebuilds the
-// Errors of just the faults whose words gained errors.
+// kept and rerun only when a word appears or a word's distinct-bit count
+// leaves 1. Between those, Add keeps each cached fault's NErrors, First
+// and Last current, and AppendFaults rebuilds the Errors of just the
+// faults whose words gained errors.
 type BankState struct {
 	words map[topology.PhysAddr]*wordGroup
 
@@ -330,42 +314,6 @@ func (b *BankState) Add(i int, r *mce.CERecord) {
 	}
 }
 
-// Words returns the number of distinct word addresses seen.
-func (b *BankState) Words() int { return len(b.words) }
-
-// Errors returns the number of CE records folded in.
-func (b *BankState) Errors() int {
-	n := 0
-	for _, g := range b.words {
-		n += len(g.errors)
-	}
-	return n
-}
-
-// Merge folds a later shard's accumulator into b. Every record index in o
-// must follow every index already in b (contiguous shards merged in shard
-// order), so b's first-seen anchor fields win and o's errors append after
-// b's — exactly the serial Add order.
-func (b *BankState) Merge(o *BankState) {
-	b.valid = false
-	for addr, og := range o.words {
-		g, ok := b.words[addr]
-		if !ok {
-			b.words[addr] = og
-			b.added = append(b.added, og)
-			continue
-		}
-		g.bits.union(&og.bits)
-		g.errors = append(g.errors, og.errors...)
-		if og.first.Before(g.first) {
-			g.first = og.first
-		}
-		if og.last.After(g.last) {
-			g.last = og.last
-		}
-	}
-}
-
 // AppendFaults classifies the bank's accumulated word groups and appends
 // the resulting faults, choosing the smallest fault footprint consistent
 // with the group structure — the field-study convention (a bank rarely
@@ -374,7 +322,6 @@ func (b *BankState) Merge(o *BankState) {
 // masquerade as a bank fault). The accumulator is not consumed: the same
 // state can be classified again after further Add calls.
 func (b *BankState) AppendFaults(faults []Fault, key BankKey, cfg ClusterConfig) []Fault {
-	cfg.Parallelism = 0 // not a classification input
 	if !b.valid || key != b.key || cfg != b.cfg {
 		// Deterministic order: by address.
 		b.sorted = insertWordGroups(b.sorted, b.added)
@@ -411,100 +358,16 @@ func (b *BankState) AppendFaults(faults []Fault, key BankKey, cfg ClusterConfig)
 // faults.
 //
 // Cancelling ctx aborts the clustering and returns the context's error; a
-// panic in any worker is recovered and returned as a *parallel.PanicError.
+// panic is recovered and returned as a *parallel.PanicError.
 func Cluster(ctx context.Context, records []mce.CERecord, cfg ClusterConfig) (faults []Fault, err error) {
 	defer parallel.Recover(&err)
-	workers := parallel.Workers(cfg.Parallelism)
-	var grouped bankGroups
-	if workers <= 1 || len(records) < 2*minGroupShard {
-		grouped, err = groupRecords(ctx, records, 0, len(records))
-		if err != nil {
-			return nil, err
-		}
-	} else {
-		// Shard the grouping scan over contiguous record ranges and merge
-		// shard-by-shard: contiguous ranges mean a bank (or word) first
-		// seen in shard k was first seen globally in shard k, so folding
-		// shards in order reproduces the serial first-appearance order
-		// and per-group error order exactly.
-		shards := parallel.NumChunks(workers, len(records))
-		parts := make([]bankGroups, shards)
-		err = parallel.ForEachChunkCtx(ctx, workers, len(records), func(ctx context.Context, shard, lo, hi int) error {
-			part, err := groupRecords(ctx, records, lo, hi)
-			if err != nil {
-				return err
-			}
-			parts[shard] = part
-			return nil
-		})
-		if err != nil {
-			return nil, err
-		}
-		grouped = parts[0]
-		for _, part := range parts[1:] {
-			grouped.merge(part)
-		}
-	}
-
-	banks, order := grouped.banks, grouped.order
-	if workers <= 1 || len(order) < 2 {
-		for i, key := range order {
-			if err := parallel.Poll(ctx, i); err != nil {
-				return nil, err
-			}
-			faults = banks[key].AppendFaults(faults, key, cfg)
-		}
-		return faults, nil
-	}
-	shards := parallel.NumChunks(workers, len(order))
-	parts := make([][]Fault, shards)
-	err = parallel.ForEachChunkCtx(ctx, workers, len(order), func(ctx context.Context, shard, lo, hi int) error {
-		var fs []Fault
-		for i, key := range order[lo:hi] {
-			if err := parallel.Poll(ctx, i); err != nil {
-				return err
-			}
-			fs = banks[key].AppendFaults(fs, key, cfg)
-		}
-		parts[shard] = fs
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	total := 0
-	for _, fs := range parts {
-		total += len(fs)
-	}
-	faults = make([]Fault, 0, total)
-	for _, fs := range parts {
-		faults = append(faults, fs...)
-	}
-	return faults, nil
-}
-
-// minGroupShard keeps the grouping scan serial for small inputs where the
-// per-shard map setup would cost more than the scan itself.
-const minGroupShard = 1 << 14
-
-// bankGroups is the grouping-scan output: per-bank accumulators plus the
-// banks' first-appearance order.
-type bankGroups struct {
-	banks map[BankKey]*BankState
-	order []BankKey
-}
-
-// groupRecords builds per-bank accumulators from records[lo:hi]. Error
-// indices are global (the caller's full slice), so sharded scans can be
-// merged. Cancellation is polled every few thousand records.
-func groupRecords(ctx context.Context, records []mce.CERecord, lo, hi int) (bankGroups, error) {
 	// Pre-size for the common shape: errors concentrate on few banks, so
 	// the bank map stays small relative to the record count.
-	banks := make(map[BankKey]*BankState, (hi-lo)/256+8)
-	var order []BankKey // deterministic output ordering
-	for i := lo; i < hi; i++ {
-		if err := parallel.Poll(ctx, i-lo); err != nil {
-			return bankGroups{}, err
+	banks := make(map[BankKey]*BankState, len(records)/256+8)
+	var order []BankKey // first appearance: the deterministic output order
+	for i := range records {
+		if err := parallel.Poll(ctx, i); err != nil {
+			return nil, err
 		}
 		r := &records[i]
 		key := RecordBankKey(r)
@@ -516,22 +379,13 @@ func groupRecords(ctx context.Context, records []mce.CERecord, lo, hi int) (bank
 		}
 		bank.Add(i, r)
 	}
-	return bankGroups{banks: banks, order: order}, nil
-}
-
-// merge folds a later shard's groups into bg. bg must cover records that
-// all precede o's, so bg's first-seen metadata (anchor record fields,
-// bank order) wins and o's errors append after bg's.
-func (bg *bankGroups) merge(o bankGroups) {
-	for _, key := range o.order {
-		bank, ok := bg.banks[key]
-		if !ok {
-			bg.banks[key] = o.banks[key]
-			bg.order = append(bg.order, key)
-			continue
+	for i, key := range order {
+		if err := parallel.Poll(ctx, i); err != nil {
+			return nil, err
 		}
-		bank.Merge(o.banks[key])
+		faults = banks[key].AppendFaults(faults, key, cfg)
 	}
+	return faults, nil
 }
 
 // dominanceFrac is the fraction of a bank's word groups that must share

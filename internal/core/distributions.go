@@ -5,7 +5,6 @@ import (
 	"strconv"
 
 	"repro/internal/mce"
-	"repro/internal/parallel"
 	"repro/internal/simtime"
 	"repro/internal/stats"
 	"repro/internal/topology"
@@ -326,45 +325,19 @@ type BitAddress struct {
 
 // AnalyzeBitAddress computes the Fig 8 distributions from word-level
 // faults (bit positions are only meaningful for single-bit faults;
-// addresses for single-bit and single-word faults).
+// addresses for single-bit and single-word faults). The fits see the
+// counts sorted, not in map order, so their float sums are the same run
+// to run.
 func AnalyzeBitAddress(faults []Fault) BitAddress {
-	return AnalyzeBitAddressWorkers(faults, 1)
-}
-
-// AnalyzeBitAddressWorkers is AnalyzeBitAddress at an explicit worker
-// count (0 = GOMAXPROCS): the counting pass shards over the faults with
-// per-shard maps merged in shard order, and the bit and address
-// histogram+fit pipelines run concurrently. The counts reaching each fit
-// come from Go map iteration, whose order was never deterministic — the
-// fits are order-insensitive up to float rounding — so parallelism adds
-// no new nondeterminism.
-func AnalyzeBitAddressWorkers(faults []Fault, workers int) BitAddress {
 	out := BitAddress{PerBit: map[int]int{}, PerAddr: map[topology.PhysAddr]int{}}
-	type shardMaps struct {
-		perBit  map[int]int
-		perAddr map[topology.PhysAddr]int
-	}
-	shards := make([]shardMaps, parallel.NumChunks(workers, len(faults)))
-	parallel.ForEachChunk(workers, len(faults), func(shard, lo, hi int) {
-		m := shardMaps{perBit: map[int]int{}, perAddr: map[topology.PhysAddr]int{}}
-		for i := lo; i < hi; i++ {
-			f := &faults[i]
-			if f.Mode == ModeSingleBit && f.Bit >= 0 {
-				m.perBit[f.Bit]++
-			}
-			if (f.Mode == ModeSingleBit || f.Mode == ModeSingleWord) && f.Addr != 0 {
-				page := f.Addr.DIMMLocal() &^ topology.PhysAddr(topology.PageBytes-1)
-				m.perAddr[page]++
-			}
+	for i := range faults {
+		f := &faults[i]
+		if f.Mode == ModeSingleBit && f.Bit >= 0 {
+			out.PerBit[f.Bit]++
 		}
-		shards[shard] = m
-	})
-	for _, m := range shards {
-		for bit, c := range m.perBit {
-			out.PerBit[bit] += c
-		}
-		for page, c := range m.perAddr {
-			out.PerAddr[page] += c
+		if (f.Mode == ModeSingleBit || f.Mode == ModeSingleWord) && f.Addr != 0 {
+			page := f.Addr.DIMMLocal() &^ topology.PhysAddr(topology.PageBytes-1)
+			out.PerAddr[page]++
 		}
 	}
 	bitCounts := make([]int, 0, len(out.PerBit))
@@ -375,15 +348,11 @@ func AnalyzeBitAddressWorkers(faults []Fault, workers int) BitAddress {
 	for _, c := range out.PerAddr {
 		addrCounts = append(addrCounts, c)
 	}
-	parallel.Run(workers,
-		func() {
-			out.BitHistogram = stats.NewCountHistogram(bitCounts)
-			out.BitFit, out.BitFitErr = stats.FitPowerLaw(bitCounts, 1)
-		},
-		func() {
-			out.AddrHistogram = stats.NewCountHistogram(addrCounts)
-			out.AddrFit, out.AddrFitErr = stats.FitPowerLaw(addrCounts, 1)
-		},
-	)
+	sort.Ints(bitCounts)
+	sort.Ints(addrCounts)
+	out.BitHistogram = stats.NewCountHistogram(bitCounts)
+	out.BitFit, out.BitFitErr = stats.FitPowerLaw(bitCounts, 1)
+	out.AddrHistogram = stats.NewCountHistogram(addrCounts)
+	out.AddrFit, out.AddrFitErr = stats.FitPowerLaw(addrCounts, 1)
 	return out
 }

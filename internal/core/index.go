@@ -5,30 +5,29 @@ import (
 	"time"
 
 	"repro/internal/mce"
-	"repro/internal/parallel"
 	"repro/internal/simtime"
 	"repro/internal/stats"
 	"repro/internal/topology"
 )
 
-// RecordIndex precomputes, in one sharded pass, everything the per-record
+// RecordIndex precomputes, in one pass, everything the per-record
 // analyses used to recompute by scanning all records each: per-record month
 // keys and env-window membership, per-node/structure/region/rack error
 // tallies, the month totals, and the per-sensor (node, month) domain
 // counts the environmental analyses share. Study.Analyze builds one index
 // and hands it to the indexed analysis variants below; the free-function
-// analyses are kept for direct use (and as the benchmark baseline).
+// analyses stay for direct use and as the references
+// TestRecordIndexMatchesDirectAnalyses compares the indexed variants
+// against.
 //
-// All aggregates are integer counts merged in shard order, so the index —
-// and every analysis derived from it — is identical at any parallelism.
-// The indexed variants additionally iterate nodes in ascending order where
+// An index is read-only once built, so analyses may share it across
+// goroutines. The indexed variants iterate nodes in ascending order where
 // the free functions ranged over Go maps, making float accumulations
 // (notably stats.FitPowerLaw over per-node fault counts) bit-deterministic
 // run to run.
 type RecordIndex struct {
 	records []mce.CERecord
 	nodes   int
-	par     int
 
 	// Per-record precomputation (indexed by record position).
 	monthOf []int32
@@ -54,30 +53,12 @@ type RecordIndex struct {
 	domain map[topology.Sensor]map[[2]int]int
 }
 
-// indexShard accumulates one contiguous record range's tallies; shards are
-// merged in shard order.
-type indexShard struct {
-	minTime, maxTime time.Time
-	monthCounts      map[int]int
-	perNodeErrors    []int
-	socketErrors     [2]int
-	bankErrors       [topology.BanksPerRank]int
-	columnErrors     [ColumnBins]int
-	rankErrors       [2]int
-	slotErrors       [topology.SlotsPerNode]int
-	regionErrors     [topology.NumRegions]int
-	rackErrors       []int
-	domain           map[topology.Sensor]map[[2]int]int
-}
-
-// NewRecordIndex scans records once (sharded across parallelism workers;
-// <= 1 scans inline) and returns the shared index. totalNodes bounds the
-// node range, as in AnalyzePerNode.
-func NewRecordIndex(records []mce.CERecord, totalNodes, parallelism int) *RecordIndex {
+// IndexRecords scans records once and returns the shared index.
+// totalNodes bounds the node range, as in AnalyzePerNode.
+func IndexRecords(records []mce.CERecord, totalNodes int) *RecordIndex {
 	ix := &RecordIndex{
 		records:       records,
 		nodes:         totalNodes,
-		par:           parallelism,
 		monthOf:       make([]int32, len(records)),
 		inEnv:         make([]bool, len(records)),
 		monthCounts:   map[int]int{},
@@ -86,117 +67,53 @@ func NewRecordIndex(records []mce.CERecord, totalNodes, parallelism int) *Record
 		envMonths:     monthKeys(),
 		domain:        map[topology.Sensor]map[[2]int]int{},
 	}
+	// CPU sensor per socket (the non-DIMM temperature sensors).
+	var cpuSensor [2]topology.Sensor
 	for _, s := range topology.TemperatureSensors() {
 		ix.domain[s] = map[[2]int]int{}
+		if !s.IsDIMM() {
+			cpuSensor[s.Socket()] = s
+		}
 	}
 	if len(records) == 0 {
 		return ix
 	}
 
-	// CPU sensor per socket (the non-DIMM temperature sensors).
-	var cpuSensor [2]topology.Sensor
-	for _, s := range topology.TemperatureSensors() {
-		if !s.IsDIMM() {
-			cpuSensor[s.Socket()] = s
+	ix.minTime, ix.maxTime = records[0].Time, records[0].Time
+	colBin := func(col int) int { return col * ColumnBins / topology.ColsPerRow }
+	for i := range records {
+		r := &records[i]
+		if r.Time.Before(ix.minTime) {
+			ix.minTime = r.Time
 		}
-	}
-
-	shards := parallel.NumChunks(parallelism, len(records))
-	accs := make([]indexShard, shards)
-	parallel.ForEachChunk(parallelism, len(records), func(shard, lo, hi int) {
-		a := &accs[shard]
-		a.minTime, a.maxTime = records[lo].Time, records[lo].Time
-		a.monthCounts = map[int]int{}
-		a.perNodeErrors = make([]int, totalNodes)
-		a.rackErrors = make([]int, topology.Racks)
-		a.domain = map[topology.Sensor]map[[2]int]int{}
-		for _, s := range topology.TemperatureSensors() {
-			a.domain[s] = map[[2]int]int{}
+		if r.Time.After(ix.maxTime) {
+			ix.maxTime = r.Time
 		}
-		colBin := func(col int) int { return col * ColumnBins / topology.ColsPerRow }
-		for i := lo; i < hi; i++ {
-			r := &records[i]
-			if r.Time.Before(a.minTime) {
-				a.minTime = r.Time
-			}
-			if r.Time.After(a.maxTime) {
-				a.maxTime = r.Time
-			}
-			mk := simtime.MonthKey(r.Time)
-			ix.monthOf[i] = int32(mk)
-			a.monthCounts[mk]++
-			if int(r.Node) < totalNodes {
-				a.perNodeErrors[r.Node]++
-			}
-			a.socketErrors[r.Socket]++
-			a.bankErrors[r.Bank]++
-			a.columnErrors[colBin(r.Col)]++
-			a.rankErrors[r.Rank]++
-			a.slotErrors[r.Slot]++
-			a.regionErrors[r.Node.Region()]++
-			a.rackErrors[r.Node.Rack()]++
-			if inEnvWindow(*r) {
-				ix.inEnv[i] = true
-				key := [2]int{int(r.Node), mk}
-				a.domain[topology.SensorForSlot(r.Slot)][key]++
-				a.domain[cpuSensor[r.Socket]][key]++
-			}
+		mk := simtime.MonthKey(r.Time)
+		ix.monthOf[i] = int32(mk)
+		ix.monthCounts[mk]++
+		if int(r.Node) < totalNodes {
+			ix.perNodeErrors[r.Node]++
 		}
-	})
-
-	ix.minTime, ix.maxTime = accs[0].minTime, accs[0].maxTime
-	for s := range accs {
-		a := &accs[s]
-		if a.minTime.Before(ix.minTime) {
-			ix.minTime = a.minTime
-		}
-		if a.maxTime.After(ix.maxTime) {
-			ix.maxTime = a.maxTime
-		}
-		for mk, c := range a.monthCounts {
-			ix.monthCounts[mk] += c
-		}
-		for n, c := range a.perNodeErrors {
-			ix.perNodeErrors[n] += c
-		}
-		for i, c := range a.socketErrors {
-			ix.socketErrors[i] += c
-		}
-		for i, c := range a.bankErrors {
-			ix.bankErrors[i] += c
-		}
-		for i, c := range a.columnErrors {
-			ix.columnErrors[i] += c
-		}
-		for i, c := range a.rankErrors {
-			ix.rankErrors[i] += c
-		}
-		for i, c := range a.slotErrors {
-			ix.slotErrors[i] += c
-		}
-		for i, c := range a.regionErrors {
-			ix.regionErrors[i] += c
-		}
-		for i, c := range a.rackErrors {
-			ix.rackErrors[i] += c
-		}
-		for sensor, dom := range a.domain {
-			dst := ix.domain[sensor]
-			for k, c := range dom {
-				dst[k] += c
-			}
+		ix.socketErrors[r.Socket]++
+		ix.bankErrors[r.Bank]++
+		ix.columnErrors[colBin(r.Col)]++
+		ix.rankErrors[r.Rank]++
+		ix.slotErrors[r.Slot]++
+		ix.regionErrors[r.Node.Region()]++
+		ix.rackErrors[r.Node.Rack()]++
+		if inEnvWindow(*r) {
+			ix.inEnv[i] = true
+			key := [2]int{int(r.Node), mk}
+			ix.domain[topology.SensorForSlot(r.Slot)][key]++
+			ix.domain[cpuSensor[r.Socket]][key]++
 		}
 	}
 	return ix
 }
 
-// EnvMonths returns the calendar months inside the environmental window
-// (hoisted monthKeys computation).
-func (ix *RecordIndex) EnvMonths() []int { return ix.envMonths }
-
-// BreakdownByMode is the indexed BreakdownByMode: month totals come from
-// the index, and the per-fault attribution loop shards across faults with
-// per-shard series merged by integer sums.
+// BreakdownByMode is the indexed BreakdownByMode: month totals and each
+// error's month come from the index.
 func (ix *RecordIndex) BreakdownByMode(faults []Fault) ModeBreakdown {
 	var b ModeBreakdown
 	if len(ix.records) == 0 {
@@ -219,38 +136,13 @@ func (ix *RecordIndex) BreakdownByMode(faults []Fault) ModeBreakdown {
 		b.ByMode[m] = make([]int, n)
 	}
 
-	shards := parallel.NumChunks(ix.par, len(faults))
-	type acc struct {
-		faultsByMode [NumFaultModes]int
-		errorsByMode [NumFaultModes]int
-		byMode       [NumFaultModes][]int
-	}
-	accs := make([]acc, shards)
-	parallel.ForEachChunk(ix.par, len(faults), func(shard, lo, hi int) {
-		a := &accs[shard]
-		for m := range a.byMode {
-			a.byMode[m] = make([]int, n)
-		}
-		for i := lo; i < hi; i++ {
-			f := &faults[i]
-			a.faultsByMode[f.Mode]++
-			a.errorsByMode[f.Mode] += f.NErrors
-			series := a.byMode[f.Mode]
-			for _, idx := range f.Errors {
-				series[int(ix.monthOf[idx])-startKey]++
-			}
-		}
-	})
-	for s := range accs {
-		a := &accs[s]
-		for m := FaultMode(0); m < NumFaultModes; m++ {
-			b.FaultsByMode[m] += a.faultsByMode[m]
-			b.ErrorsByMode[m] += a.errorsByMode[m]
-			if a.byMode[m] != nil {
-				for i, c := range a.byMode[m] {
-					b.ByMode[m][i] += c
-				}
-			}
+	for i := range faults {
+		f := &faults[i]
+		b.FaultsByMode[f.Mode]++
+		b.ErrorsByMode[f.Mode] += f.NErrors
+		series := b.ByMode[f.Mode]
+		for _, idx := range f.Errors {
+			series[int(ix.monthOf[idx])-startKey]++
 		}
 	}
 	return b
@@ -409,145 +301,122 @@ func (ix *RecordIndex) AnalyzePositional(faults []Fault) Positional {
 	return p
 }
 
-// AnalyzeTempWindows is the indexed AnalyzeTempWindows: env-window
-// membership comes from the index, and each window's record scan (the
-// expensive MeanBefore lookups) shards across workers with per-shard bin
-// counts merged by integer sums.
+// AnalyzeTempWindows is the indexed AnalyzeTempWindows: one
+// AnalyzeTempWindow per averaging window, in order.
 func (ix *RecordIndex) AnalyzeTempWindows(src SensorSource, windows []int64) []TempWindow {
-	const binLo, binHi = 20.0, 70.0
-	nBins := int(binHi - binLo)
 	out := make([]TempWindow, 0, len(windows))
 	for _, w := range windows {
-		tw := TempWindow{WindowMinutes: w, BinLo: binLo, Counts: make([]int, nBins)}
-		shards := parallel.NumChunks(ix.par, len(ix.records))
-		counts := make([][]int, shards)
-		parallel.ForEachChunk(ix.par, len(ix.records), func(shard, lo, hi int) {
-			c := make([]int, nBins)
-			for i := lo; i < hi; i++ {
-				if !ix.inEnv[i] {
-					continue
-				}
-				r := &ix.records[i]
-				sensor := topology.SensorForSlot(r.Slot)
-				mean := src.MeanBefore(r.Node, sensor, simtime.MinuteOf(r.Time), w)
-				bin := int(mean - binLo)
-				if bin < 0 || bin >= nBins {
-					continue
-				}
-				c[bin]++
-			}
-			counts[shard] = c
-		})
-		for _, c := range counts {
-			for i, v := range c {
-				tw.Counts[i] += v
-			}
-		}
-		var xs, ys []float64
-		for i, c := range tw.Counts {
-			if c == 0 {
-				continue
-			}
-			xs = append(xs, binLo+float64(i)+0.5)
-			ys = append(ys, float64(c))
-		}
-		tw.Fit, tw.FitErr = stats.FitLinear(xs, ys)
-		out = append(out, tw)
+		out = append(out, ix.AnalyzeTempWindow(src, w))
 	}
 	return out
 }
 
+// AnalyzeTempWindow bins the in-window records by their DIMM sensor's
+// mean over the w minutes before each error (the expensive MeanBefore
+// lookups) and fits the Fig 9 trend; env-window membership comes from
+// the index.
+func (ix *RecordIndex) AnalyzeTempWindow(src SensorSource, w int64) TempWindow {
+	const binLo, binHi = 20.0, 70.0
+	nBins := int(binHi - binLo)
+	tw := TempWindow{WindowMinutes: w, BinLo: binLo, Counts: make([]int, nBins)}
+	for i := range ix.records {
+		if !ix.inEnv[i] {
+			continue
+		}
+		r := &ix.records[i]
+		sensor := topology.SensorForSlot(r.Slot)
+		mean := src.MeanBefore(r.Node, sensor, simtime.MinuteOf(r.Time), w)
+		bin := int(mean - binLo)
+		if bin < 0 || bin >= nBins {
+			continue
+		}
+		tw.Counts[bin]++
+	}
+	var xs, ys []float64
+	for i, c := range tw.Counts {
+		if c == 0 {
+			continue
+		}
+		xs = append(xs, binLo+float64(i)+0.5)
+		ys = append(ys, float64(c))
+	}
+	tw.Fit, tw.FitErr = stats.FitLinear(xs, ys)
+	return tw
+}
+
 // AnalyzeTempDeciles is the indexed AnalyzeTempDeciles: domain counts and
-// months come from the index, and the six sensors run concurrently, each
-// sharding its (node, month) MonthlyMean grid across workers.
+// months come from the index.
 func (ix *RecordIndex) AnalyzeTempDeciles(src SensorSource) []DecilePanel {
 	months := ix.envMonths
 	sensors := topology.TemperatureSensors()
 	out := make([]DecilePanel, len(sensors))
-	tasks := make([]func(), len(sensors))
 	for si, sensor := range sensors {
-		si, sensor := si, sensor
-		tasks[si] = func() {
-			domain := ix.domain[sensor]
-			keys := make([]float64, ix.nodes*len(months))
-			vals := make([]float64, ix.nodes*len(months))
-			parallel.ForEachChunk(ix.par, ix.nodes, func(_, lo, hi int) {
-				for n := lo; n < hi; n++ {
-					for j, mk := range months {
-						keys[n*len(months)+j] = src.MonthlyMean(topology.NodeID(n), sensor, mk)
-						vals[n*len(months)+j] = float64(domain[[2]int{n, mk}])
-					}
-				}
-			})
-			panel := DecilePanel{Sensor: sensor}
-			bins, err := stats.Deciles(keys, vals)
-			if err != nil {
-				out[si] = panel
-				return
+		domain := ix.domain[sensor]
+		keys := make([]float64, ix.nodes*len(months))
+		vals := make([]float64, ix.nodes*len(months))
+		for n := 0; n < ix.nodes; n++ {
+			for j, mk := range months {
+				keys[n*len(months)+j] = src.MonthlyMean(topology.NodeID(n), sensor, mk)
+				vals[n*len(months)+j] = float64(domain[[2]int{n, mk}])
 			}
-			panel.Bins = bins
-			panel.Spread = stats.DecileSpread(bins)
-			panel.Trend, panel.TrendErr = stats.TrendVerdict(bins)
-			out[si] = panel
 		}
+		out[si] = DecilePanel{Sensor: sensor}
+		bins, err := stats.Deciles(keys, vals)
+		if err != nil {
+			continue
+		}
+		out[si].Bins = bins
+		out[si].Spread = stats.DecileSpread(bins)
+		out[si].Trend, out[si].TrendErr = stats.TrendVerdict(bins)
 	}
-	parallel.Run(ix.par, tasks...)
 	return out
 }
 
-// AnalyzeUtilization is the indexed AnalyzeUtilization, parallel across
-// the six sensors with the (node, month) grid sharded as in
-// AnalyzeTempDeciles.
+// AnalyzeUtilization is the indexed AnalyzeUtilization: domain counts and
+// months come from the index, as in AnalyzeTempDeciles.
 func (ix *RecordIndex) AnalyzeUtilization(src SensorSource) []UtilizationPanel {
 	months := ix.envMonths
 	sensors := topology.TemperatureSensors()
 	out := make([]UtilizationPanel, len(sensors))
-	tasks := make([]func(), len(sensors))
 	for si, sensor := range sensors {
-		si, sensor := si, sensor
-		tasks[si] = func() {
-			domain := ix.domain[sensor]
-			grid := ix.nodes * len(months)
-			temps := make([]float64, grid)
-			powers := make([]float64, grid)
-			errsCounts := make([]float64, grid)
-			parallel.ForEachChunk(ix.par, ix.nodes, func(_, lo, hi int) {
-				for n := lo; n < hi; n++ {
-					for j, mk := range months {
-						i := n*len(months) + j
-						temps[i] = src.MonthlyMean(topology.NodeID(n), sensor, mk)
-						powers[i] = src.MonthlyMean(topology.NodeID(n), topology.SensorDCPower, mk)
-						errsCounts[i] = float64(domain[[2]int{n, mk}])
-					}
-				}
-			})
-			med := stats.Median(temps)
-			var hotP, hotE, coldP, coldE []float64
-			for i, tv := range temps {
-				if tv > med {
-					hotP = append(hotP, powers[i])
-					hotE = append(hotE, errsCounts[i])
-				} else {
-					coldP = append(coldP, powers[i])
-					coldE = append(coldE, errsCounts[i])
-				}
+		domain := ix.domain[sensor]
+		grid := ix.nodes * len(months)
+		temps := make([]float64, grid)
+		powers := make([]float64, grid)
+		errsCounts := make([]float64, grid)
+		for n := 0; n < ix.nodes; n++ {
+			for j, mk := range months {
+				i := n*len(months) + j
+				temps[i] = src.MonthlyMean(topology.NodeID(n), sensor, mk)
+				powers[i] = src.MonthlyMean(topology.NodeID(n), topology.SensorDCPower, mk)
+				errsCounts[i] = float64(domain[[2]int{n, mk}])
 			}
-			panel := UtilizationPanel{
-				Sensor:        sensor,
-				HotPowerMean:  stats.Mean(hotP),
-				ColdPowerMean: stats.Mean(coldP),
-			}
-			if bins, err := stats.Deciles(hotP, hotE); err == nil {
-				panel.Hot = bins
-				panel.HotTrend, panel.HotTrendErr = stats.TrendVerdict(bins)
-			}
-			if bins, err := stats.Deciles(coldP, coldE); err == nil {
-				panel.Cold = bins
-				panel.ColdTrend, panel.ColdTrendErr = stats.TrendVerdict(bins)
-			}
-			out[si] = panel
 		}
+		med := stats.Median(temps)
+		var hotP, hotE, coldP, coldE []float64
+		for i, tv := range temps {
+			if tv > med {
+				hotP = append(hotP, powers[i])
+				hotE = append(hotE, errsCounts[i])
+			} else {
+				coldP = append(coldP, powers[i])
+				coldE = append(coldE, errsCounts[i])
+			}
+		}
+		panel := UtilizationPanel{
+			Sensor:        sensor,
+			HotPowerMean:  stats.Mean(hotP),
+			ColdPowerMean: stats.Mean(coldP),
+		}
+		if bins, err := stats.Deciles(hotP, hotE); err == nil {
+			panel.Hot = bins
+			panel.HotTrend, panel.HotTrendErr = stats.TrendVerdict(bins)
+		}
+		if bins, err := stats.Deciles(coldP, coldE); err == nil {
+			panel.Cold = bins
+			panel.ColdTrend, panel.ColdTrendErr = stats.TrendVerdict(bins)
+		}
+		out[si] = panel
 	}
-	parallel.Run(ix.par, tasks...)
 	return out
 }

@@ -9,83 +9,43 @@ import (
 )
 
 // TestRecordIndexMatchesDirectAnalyses asserts every indexed analysis
-// reproduces its free-function counterpart, at both serial and parallel
-// index settings. AnalyzePerNode's power-law fit is compared with a float
-// tolerance: the indexed variant feeds the fit in ascending node order
-// (deterministic) where the free function ranges over a map.
+// reproduces its free-function counterpart. AnalyzePerNode's power-law fit
+// is compared with a float tolerance: the indexed variant feeds the fit in
+// ascending node order (deterministic) where the free function ranges
+// over a map.
 func TestRecordIndexMatchesDirectAnalyses(t *testing.T) {
 	const nodes = 400
 	_, records := generateSmall(t, 41, nodes)
 	faults := mustCluster(records, DefaultClusterConfig())
 	env := envmodel.New(41, envmodel.DefaultParams())
+	ix := IndexRecords(records, nodes)
 
-	for _, par := range []int{1, 8} {
-		ix := NewRecordIndex(records, nodes, par)
-
-		if got, want := ix.BreakdownByMode(faults), BreakdownByMode(records, faults); !reflect.DeepEqual(got, want) {
-			t.Errorf("par=%d: BreakdownByMode diverges", par)
-		}
-		if got, want := ix.AnalyzeStructures(faults), AnalyzeStructures(records, faults); !reflect.DeepEqual(got, want) {
-			t.Errorf("par=%d: AnalyzeStructures diverges", par)
-		}
-		if got, want := ix.AnalyzePositional(faults), AnalyzePositional(records, faults); !reflect.DeepEqual(got, want) {
-			t.Errorf("par=%d: AnalyzePositional diverges", par)
-		}
-		if got, want := ix.AnalyzeTempWindows(env, Fig9Windows), AnalyzeTempWindows(records, env, Fig9Windows); !reflect.DeepEqual(got, want) {
-			t.Errorf("par=%d: AnalyzeTempWindows diverges", par)
-		}
-		if got, want := ix.AnalyzeTempDeciles(env), AnalyzeTempDeciles(records, env, nodes); !reflect.DeepEqual(got, want) {
-			t.Errorf("par=%d: AnalyzeTempDeciles diverges", par)
-		}
-		if got, want := ix.AnalyzeUtilization(env), AnalyzeUtilization(records, env, nodes); !reflect.DeepEqual(got, want) {
-			t.Errorf("par=%d: AnalyzeUtilization diverges", par)
-		}
-
-		got, want := ix.AnalyzePerNode(faults), AnalyzePerNode(records, faults, nodes)
-		if math.Abs(got.PowerLaw.Alpha-want.PowerLaw.Alpha) > 1e-9 {
-			t.Errorf("par=%d: PerNode power-law alpha %v vs %v", par, got.PowerLaw.Alpha, want.PowerLaw.Alpha)
-		}
-		got.PowerLaw = want.PowerLaw
-		got.PowerLawErr = want.PowerLawErr
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("par=%d: AnalyzePerNode diverges", par)
-		}
+	if got, want := ix.BreakdownByMode(faults), BreakdownByMode(records, faults); !reflect.DeepEqual(got, want) {
+		t.Error("BreakdownByMode diverges")
 	}
-}
-
-// TestRecordIndexParallelMatchesSerial asserts the index-built aggregates
-// and every indexed analysis are identical between a serial and a parallel
-// index (the analysis-layer half of the determinism contract).
-func TestRecordIndexParallelMatchesSerial(t *testing.T) {
-	const nodes = 400
-	_, records := generateSmall(t, 43, nodes)
-	faults := mustCluster(records, DefaultClusterConfig())
-	env := envmodel.New(43, envmodel.DefaultParams())
-
-	serial := NewRecordIndex(records, nodes, 1)
-	par := NewRecordIndex(records, nodes, 8)
-
-	type results struct {
-		Breakdown   ModeBreakdown
-		PerNode     PerNode
-		Structures  Structures
-		Positional  Positional
-		TempWindows []TempWindow
-		TempDeciles []DecilePanel
-		Utilization []UtilizationPanel
+	if got, want := ix.AnalyzeStructures(faults), AnalyzeStructures(records, faults); !reflect.DeepEqual(got, want) {
+		t.Error("AnalyzeStructures diverges")
 	}
-	run := func(ix *RecordIndex) results {
-		return results{
-			Breakdown:   ix.BreakdownByMode(faults),
-			PerNode:     ix.AnalyzePerNode(faults),
-			Structures:  ix.AnalyzeStructures(faults),
-			Positional:  ix.AnalyzePositional(faults),
-			TempWindows: ix.AnalyzeTempWindows(env, Fig9Windows),
-			TempDeciles: ix.AnalyzeTempDeciles(env),
-			Utilization: ix.AnalyzeUtilization(env),
-		}
+	if got, want := ix.AnalyzePositional(faults), AnalyzePositional(records, faults); !reflect.DeepEqual(got, want) {
+		t.Error("AnalyzePositional diverges")
 	}
-	if a, b := run(serial), run(par); !reflect.DeepEqual(a, b) {
-		t.Error("indexed analyses differ between Parallelism=1 and Parallelism=8")
+	if got, want := ix.AnalyzeTempWindows(env, Fig9Windows), AnalyzeTempWindows(records, env, Fig9Windows); !reflect.DeepEqual(got, want) {
+		t.Error("AnalyzeTempWindows diverges")
+	}
+	if got, want := ix.AnalyzeTempDeciles(env), AnalyzeTempDeciles(records, env, nodes); !reflect.DeepEqual(got, want) {
+		t.Error("AnalyzeTempDeciles diverges")
+	}
+	if got, want := ix.AnalyzeUtilization(env), AnalyzeUtilization(records, env, nodes); !reflect.DeepEqual(got, want) {
+		t.Error("AnalyzeUtilization diverges")
+	}
+
+	got, want := ix.AnalyzePerNode(faults), AnalyzePerNode(records, faults, nodes)
+	if math.Abs(got.PowerLaw.Alpha-want.PowerLaw.Alpha) > 1e-9 {
+		t.Errorf("PerNode power-law alpha %v vs %v", got.PowerLaw.Alpha, want.PowerLaw.Alpha)
+	}
+	got.PowerLaw = want.PowerLaw
+	got.PowerLawErr = want.PowerLawErr
+	if !reflect.DeepEqual(got, want) {
+		t.Error("AnalyzePerNode diverges")
 	}
 }

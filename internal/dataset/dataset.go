@@ -10,7 +10,6 @@ package dataset
 import (
 	"context"
 	"fmt"
-	"math"
 	"sort"
 	"time"
 
@@ -42,10 +41,6 @@ type Config struct {
 	PollMinutes int64
 	// Inventory enables replacement-history generation.
 	Inventory bool
-	// Parallelism bounds the worker pool the pipeline stages shard across:
-	// 0 (the default) uses runtime.GOMAXPROCS(0), 1 restores the serial
-	// code path. Output is bit-identical at every setting; see DESIGN.md §8.
-	Parallelism int
 }
 
 // DefaultConfig returns the full-scale pipeline configuration.
@@ -86,8 +81,8 @@ type Dataset struct {
 }
 
 // Build runs the pipeline. Cancelling ctx aborts between (and inside)
-// stages with ctx's error; a worker panic in any parallel stage surfaces
-// as a *parallel.PanicError instead of crashing the process.
+// stages with ctx's error; a panic in any stage surfaces as a
+// *parallel.PanicError instead of crashing the process.
 func Build(ctx context.Context, cfg Config) (ds *Dataset, err error) {
 	defer parallel.Recover(&err)
 	if ds, err = newFleet(ctx, cfg); err != nil {
@@ -134,9 +129,6 @@ func newFleet(ctx context.Context, cfg Config) (*Dataset, error) {
 		cfg.Fault = faultmodel.DefaultConfig(cfg.Seed)
 	}
 	cfg.Fault.Nodes = cfg.Nodes
-	if cfg.Fault.Parallelism == 0 {
-		cfg.Fault.Parallelism = cfg.Parallelism
-	}
 	if cfg.Env == (envmodel.Params{}) {
 		cfg.Env = envmodel.DefaultParams()
 	}
@@ -192,141 +184,36 @@ func (ds *Dataset) countEdacLoss(ctx context.Context) error {
 }
 
 // runEdac pushes the generated CE stream through per-node pollers,
-// dropping what the limited log space loses. Pollers are independent per
-// node, so with Parallelism > 1 each node's stream runs on a worker pool;
-// the flushed batches are stitched back in the order the serial scan would
-// have produced them (each batch is tagged with the global index of the
-// event whose Offer triggered the flush — unique per node — and Close
-// drains sort after every Offer, tie-broken by node), so the record stream
-// handed to sortCERecords is bit-identical to the serial path.
+// dropping what the limited log space loses.
 func (ds *Dataset) runEdac(ctx context.Context) error {
 	enc := mce.NewEncoder(ds.Config.Seed)
-	if parallel.Workers(ds.Config.Parallelism) <= 1 {
-		// Logged <= offered, so the full event count is a safe upper bound
-		// that spares every growth reallocation on the hot append below.
-		ds.CERecords = make([]mce.CERecord, 0, len(ds.Pop.CEs))
-		pollers := map[topology.NodeID]*edac.Poller[mce.CERecord]{}
-		out := func(recs []mce.CERecord) {
-			ds.CERecords = append(ds.CERecords, recs...)
-		}
-		for i, ev := range ds.Pop.CEs {
-			if err := parallel.Poll(ctx, i); err != nil {
-				return err
-			}
-			p, ok := pollers[ev.Node]
-			if !ok {
-				p = edac.NewPoller[mce.CERecord](ds.Config.EdacCapacity, ds.Config.PollMinutes, out)
-				pollers[ev.Node] = p
-			}
-			rec, err := enc.EncodeCE(ev, i)
-			if err != nil {
-				return fmt.Errorf("dataset: CE event %d: %w", i, err)
-			}
-			p.Offer(int64(ev.Minute), rec)
-		}
-		// Close in node order so the final drains land deterministically.
-		for n := 0; n < ds.Config.Nodes; n++ {
-			p, ok := pollers[topology.NodeID(n)]
-			if !ok {
-				continue
-			}
-			ds.EdacStats.Add(p.Close())
-		}
-		sortCERecords(ds.CERecords)
-		return nil
-	}
-
-	// Partition the global event stream by node, keeping each event's
-	// global index (EncodeCE takes it, and it doubles as the batch tag).
-	// Counting first sizes every per-node slice exactly — one backing
-	// array for the whole partition instead of per-node growth chains.
-	counts := make([]int32, ds.Config.Nodes)
-	for _, ev := range ds.Pop.CEs {
-		counts[ev.Node]++
-	}
-	backing := make([]int32, len(ds.Pop.CEs))
-	perNode := make([][]int32, ds.Config.Nodes)
-	next := 0
-	for n := range perNode {
-		perNode[n] = backing[next : next : next+int(counts[n])]
-		next += int(counts[n])
+	// Logged <= offered, so the full event count is a safe upper bound
+	// that spares every growth reallocation on the hot append below.
+	ds.CERecords = make([]mce.CERecord, 0, len(ds.Pop.CEs))
+	pollers := make([]*edac.Poller[mce.CERecord], ds.Config.Nodes)
+	out := func(recs []mce.CERecord) {
+		ds.CERecords = append(ds.CERecords, recs...)
 	}
 	for i, ev := range ds.Pop.CEs {
-		perNode[ev.Node] = append(perNode[ev.Node], int32(i))
-	}
-
-	type nodeResult struct {
-		recs  []mce.CERecord // drained records, in emission order
-		keys  []int64        // per batch: global index of the triggering event
-		ends  []int          // per batch: end offset into recs
-		stats edac.Stats
-	}
-	results := make([]nodeResult, ds.Config.Nodes)
-	err := parallel.ForEachChunkCtx(ctx, ds.Config.Parallelism, ds.Config.Nodes, func(ctx context.Context, _, lo, hi int) error {
-		for n := lo; n < hi; n++ {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			events := perNode[n]
-			if len(events) == 0 {
-				continue
-			}
-			res := &results[n]
-			res.recs = make([]mce.CERecord, 0, len(events))
-			var trigger int64
-			out := func(recs []mce.CERecord) {
-				res.recs = append(res.recs, recs...)
-				res.keys = append(res.keys, trigger)
-				res.ends = append(res.ends, len(res.recs))
-			}
-			p := edac.NewPoller[mce.CERecord](ds.Config.EdacCapacity, ds.Config.PollMinutes, out)
-			for _, gi := range events {
-				ev := ds.Pop.CEs[gi]
-				trigger = int64(gi)
-				rec, err := enc.EncodeCE(ev, int(gi))
-				if err != nil {
-					return fmt.Errorf("dataset: CE event %d: %w", gi, err)
-				}
-				p.Offer(int64(ev.Minute), rec)
-			}
-			trigger = math.MaxInt64
-			res.stats = p.Close()
+		if err := parallel.Poll(ctx, i); err != nil {
+			return err
 		}
-		return nil
-	})
-	if err != nil {
-		return err
-	}
-
-	type batch struct {
-		key  int64
-		node int
-		recs []mce.CERecord
-	}
-	var batches []batch
-	total := 0
-	for n := range results {
-		res := &results[n]
-		start := 0
-		for b, end := range res.ends {
-			batches = append(batches, batch{res.keys[b], n, res.recs[start:end]})
-			start = end
+		p := pollers[ev.Node]
+		if p == nil {
+			p = edac.NewPoller[mce.CERecord](ds.Config.EdacCapacity, ds.Config.PollMinutes, out)
+			pollers[ev.Node] = p
 		}
-		total += len(res.recs)
-		ds.EdacStats.Add(res.stats)
-	}
-	// Global indexes are unique and belong to exactly one node, so sorting
-	// by key replays the serial Offer interleaving; the MaxInt64 Close
-	// drains tie-break by node, matching the serial node-order Close loop.
-	sort.Slice(batches, func(a, b int) bool {
-		if batches[a].key != batches[b].key {
-			return batches[a].key < batches[b].key
+		rec, err := enc.EncodeCE(ev, i)
+		if err != nil {
+			return fmt.Errorf("dataset: CE event %d: %w", i, err)
 		}
-		return batches[a].node < batches[b].node
-	})
-	ds.CERecords = make([]mce.CERecord, 0, total)
-	for _, b := range batches {
-		ds.CERecords = append(ds.CERecords, b.recs...)
+		p.Offer(int64(ev.Minute), rec)
+	}
+	// Close in node order so the final drains land deterministically.
+	for _, p := range pollers {
+		if p != nil {
+			ds.EdacStats.Add(p.Close())
+		}
 	}
 	sortCERecords(ds.CERecords)
 	return nil
@@ -335,36 +222,25 @@ func (ds *Dataset) runEdac(ctx context.Context) error {
 func (ds *Dataset) encodeDUEs(ctx context.Context) error {
 	enc := mce.NewEncoder(ds.Config.Seed)
 	ds.DUERecords = make([]mce.DUERecord, len(ds.Pop.DUEs))
-	return parallel.ForEachChunkCtx(ctx, ds.Config.Parallelism, len(ds.Pop.DUEs), func(ctx context.Context, _, lo, hi int) error {
-		for i := lo; i < hi; i++ {
-			if err := parallel.Poll(ctx, i-lo); err != nil {
-				return err
-			}
-			rec, err := enc.EncodeDUE(ds.Pop.DUEs[i])
-			if err != nil {
-				return fmt.Errorf("dataset: DUE event %d: %w", i, err)
-			}
-			ds.DUERecords[i] = rec
+	for i, ev := range ds.Pop.DUEs {
+		if err := parallel.Poll(ctx, i); err != nil {
+			return err
 		}
-		return nil
-	})
+		rec, err := enc.EncodeDUE(ev)
+		if err != nil {
+			return fmt.Errorf("dataset: DUE event %d: %w", i, err)
+		}
+		ds.DUERecords[i] = rec
+	}
+	return nil
 }
 
 func (ds *Dataset) buildHET(ctx context.Context) error {
 	fromDUEs := make([]het.Record, len(ds.DUERecords))
-	err := parallel.ForEachChunkCtx(ctx, ds.Config.Parallelism, len(ds.DUERecords), func(ctx context.Context, _, lo, hi int) error {
-		for i := lo; i < hi; i++ {
-			if err := parallel.Poll(ctx, i-lo); err != nil {
-				return err
-			}
-			fromDUEs[i] = het.FromDUE(ds.DUERecords[i])
-		}
-		return nil
-	})
-	if err != nil {
-		return err
+	for i, rec := range ds.DUERecords {
+		fromDUEs[i] = het.FromDUE(rec)
 	}
-	ambient, err := het.GenerateAmbientWorkers(ctx, ds.Config.Seed, simtime.HETStart, ds.Config.Fault.End, ds.Config.Nodes, ds.Config.Parallelism)
+	ambient, err := het.GenerateAmbient(ctx, ds.Config.Seed, simtime.HETStart, ds.Config.Fault.End, ds.Config.Nodes)
 	if err != nil {
 		return err
 	}

@@ -245,54 +245,10 @@ func TestDatasetVerify(t *testing.T) {
 	}
 }
 
-func TestBuildParallelMatchesSerial(t *testing.T) {
-	serialCfg := smallConfig(62)
-	serialCfg.Parallelism = 1
-	parCfg := smallConfig(62)
-	parCfg.Parallelism = 8
-
-	serial, err := Build(testCtx, serialCfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	par, err := Build(testCtx, parCfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	if serial.EdacStats != par.EdacStats {
-		t.Errorf("EDAC stats differ:\nserial   %+v\nparallel %+v", serial.EdacStats, par.EdacStats)
-	}
-	if len(serial.CERecords) != len(par.CERecords) {
-		t.Fatalf("CE record counts differ: serial %d, parallel %d", len(serial.CERecords), len(par.CERecords))
-	}
-	for i := range serial.CERecords {
-		if serial.CERecords[i] != par.CERecords[i] {
-			t.Fatalf("CE record %d differs:\nserial   %+v\nparallel %+v", i, serial.CERecords[i], par.CERecords[i])
-		}
-	}
-	if len(serial.DUERecords) != len(par.DUERecords) {
-		t.Fatalf("DUE record counts differ: serial %d, parallel %d", len(serial.DUERecords), len(par.DUERecords))
-	}
-	for i := range serial.DUERecords {
-		if serial.DUERecords[i] != par.DUERecords[i] {
-			t.Fatalf("DUE record %d differs", i)
-		}
-	}
-	if len(serial.HETRecords) != len(par.HETRecords) {
-		t.Fatalf("HET record counts differ: serial %d, parallel %d", len(serial.HETRecords), len(par.HETRecords))
-	}
-	for i := range serial.HETRecords {
-		if serial.HETRecords[i] != par.HETRecords[i] {
-			t.Fatalf("HET record %d differs", i)
-		}
-	}
-}
-
 // BuildFleet is Build without the record streams: everything else it
-// returns must equal Build's at every parallelism, for a 1-node fleet,
-// for fleets that lose CEs to the EDAC log, and with a log small enough
-// that most bursts overflow it.
+// returns must equal Build's, for a 1-node fleet, for fleets that lose
+// CEs to the EDAC log, and with a log small enough that most bursts
+// overflow it.
 func TestBuildFleetMatchesBuild(t *testing.T) {
 	cases := []struct {
 		seed     uint64
@@ -306,52 +262,48 @@ func TestBuildFleetMatchesBuild(t *testing.T) {
 		{seed: 3, nodes: 16, capacity: 4, lossy: true},
 	}
 	for _, tc := range cases {
-		for _, par := range []int{1, 2, 4} {
-			cfg := DefaultConfig(tc.seed)
-			cfg.Nodes = tc.nodes
-			cfg.EdacCapacity = tc.capacity
-			cfg.Parallelism = par
-			name := fmt.Sprintf("seed %d nodes %d capacity %d parallelism %d", tc.seed, tc.nodes, tc.capacity, par)
-			full, err := Build(testCtx, cfg)
-			if err != nil {
-				t.Fatalf("%s: Build: %v", name, err)
-			}
-			fleet, err := BuildFleet(testCtx, cfg)
-			if err != nil {
-				t.Fatalf("%s: BuildFleet: %v", name, err)
-			}
-			if fleet.EdacStats != full.EdacStats {
-				t.Errorf("%s: EDAC stats %+v, Build's %+v", name, fleet.EdacStats, full.EdacStats)
-			}
-			if tc.lossy && full.EdacStats.Dropped == 0 {
-				t.Errorf("%s: no EDAC loss to reproduce", name)
-			}
-			if !reflect.DeepEqual(fleet.Config, full.Config) {
-				t.Errorf("%s: Config %+v, Build's %+v", name, fleet.Config, full.Config)
-			}
-			if !reflect.DeepEqual(fleet.Pop, full.Pop) {
-				t.Errorf("%s: population differs from Build's", name)
-			}
-			if !reflect.DeepEqual(fleet.Inventory, full.Inventory) {
-				t.Errorf("%s: inventory differs from Build's", name)
-			}
-			if !reflect.DeepEqual(fleet.Env, full.Env) {
-				t.Errorf("%s: env model differs from Build's", name)
-			}
-			if fleet.CERecords != nil || fleet.DUERecords != nil || fleet.HETRecords != nil {
-				t.Errorf("%s: BuildFleet encoded records", name)
-			}
+		cfg := DefaultConfig(tc.seed)
+		cfg.Nodes = tc.nodes
+		cfg.EdacCapacity = tc.capacity
+		name := fmt.Sprintf("seed %d nodes %d capacity %d", tc.seed, tc.nodes, tc.capacity)
+		full, err := Build(testCtx, cfg)
+		if err != nil {
+			t.Fatalf("%s: Build: %v", name, err)
+		}
+		fleet, err := BuildFleet(testCtx, cfg)
+		if err != nil {
+			t.Fatalf("%s: BuildFleet: %v", name, err)
+		}
+		if fleet.EdacStats != full.EdacStats {
+			t.Errorf("%s: EDAC stats %+v, Build's %+v", name, fleet.EdacStats, full.EdacStats)
+		}
+		if tc.lossy && full.EdacStats.Dropped == 0 {
+			t.Errorf("%s: no EDAC loss to reproduce", name)
+		}
+		if !reflect.DeepEqual(fleet.Config, full.Config) {
+			t.Errorf("%s: Config %+v, Build's %+v", name, fleet.Config, full.Config)
+		}
+		if !reflect.DeepEqual(fleet.Pop, full.Pop) {
+			t.Errorf("%s: population differs from Build's", name)
+		}
+		if !reflect.DeepEqual(fleet.Inventory, full.Inventory) {
+			t.Errorf("%s: inventory differs from Build's", name)
+		}
+		if !reflect.DeepEqual(fleet.Env, full.Env) {
+			t.Errorf("%s: env model differs from Build's", name)
+		}
+		if fleet.CERecords != nil || fleet.DUERecords != nil || fleet.HETRecords != nil {
+			t.Errorf("%s: BuildFleet encoded records", name)
 		}
 	}
 }
 
-// TestBuildAllocs pins what one serial Build allocates at a fixed seed
-// and size. A per-record allocation creeping into fault generation, EDAC
+// TestBuildAllocs pins what one Build allocates at a fixed seed and
+// size. A per-record allocation creeping into fault generation, EDAC
 // replay or record encoding trips the ceiling.
 func TestBuildAllocs(t *testing.T) {
 	cfg := DefaultConfig(1)
 	cfg.Nodes = 48
-	cfg.Parallelism = 1
 	n := testing.AllocsPerRun(2, func() {
 		if _, err := Build(testCtx, cfg); err != nil {
 			panic(err)

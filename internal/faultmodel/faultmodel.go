@@ -186,12 +186,6 @@ type Config struct {
 	// fault incidence parameters are per-node, so statistics per node are
 	// scale-invariant. Must be in (0, topology.Nodes].
 	Nodes int
-	// Parallelism bounds the worker pool Generate shards fault placement
-	// and CE emission across: 0 (the default) uses runtime.GOMAXPROCS(0),
-	// 1 restores the serial code path. The generated population is
-	// bit-identical at every setting — nodes and faults draw from derived
-	// simrand streams, so sharding never perturbs the randomness.
-	Parallelism int
 	// Start and End bound the study window.
 	Start, End time.Time
 

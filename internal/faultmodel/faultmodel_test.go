@@ -3,7 +3,6 @@ package faultmodel
 import (
 	"context"
 	"math"
-	"reflect"
 	"sort"
 	"testing"
 
@@ -361,41 +360,6 @@ func BenchmarkGenerateSmall(b *testing.B) {
 		cfg.Seed = uint64(i)
 		if _, err := Generate(context.Background(), cfg); err != nil {
 			b.Fatal(err)
-		}
-	}
-}
-
-func TestGenerateParallelMatchesSerial(t *testing.T) {
-	serialCfg := smallConfig(7)
-	serialCfg.Parallelism = 1
-	parCfg := smallConfig(7)
-	parCfg.Parallelism = 8
-
-	serial := mustGenerate(t, serialCfg)
-	par := mustGenerate(t, parCfg)
-
-	if len(serial.Faults) != len(par.Faults) {
-		t.Fatalf("fault counts differ: serial %d, parallel %d", len(serial.Faults), len(par.Faults))
-	}
-	for i := range serial.Faults {
-		if serial.Faults[i] != par.Faults[i] {
-			t.Fatalf("fault %d differs:\nserial   %+v\nparallel %+v", i, serial.Faults[i], par.Faults[i])
-		}
-	}
-	if len(serial.CEs) != len(par.CEs) {
-		t.Fatalf("CE counts differ: serial %d, parallel %d", len(serial.CEs), len(par.CEs))
-	}
-	for i := range serial.CEs {
-		if serial.CEs[i] != par.CEs[i] {
-			t.Fatalf("CE %d differs:\nserial   %+v\nparallel %+v", i, serial.CEs[i], par.CEs[i])
-		}
-	}
-	if len(serial.DUEs) != len(par.DUEs) {
-		t.Fatalf("DUE counts differ: serial %d, parallel %d", len(serial.DUEs), len(par.DUEs))
-	}
-	for i := range serial.DUEs {
-		if !reflect.DeepEqual(serial.DUEs[i], par.DUEs[i]) {
-			t.Fatalf("DUE %d differs", i)
 		}
 	}
 }

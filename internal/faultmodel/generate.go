@@ -15,8 +15,8 @@ import (
 // stream and its uncorrectable-error stream, all sorted by time. The result
 // is fully determined by cfg (including cfg.Seed).
 //
-// Cancelling ctx stops generation between shards (and within the long
-// emission loops) with ctx's error; a panic in any worker surfaces as a
+// Cancelling ctx stops generation between nodes and within the long
+// emission loops with ctx's error; a panic surfaces as a
 // *parallel.PanicError instead of crashing the process.
 func Generate(ctx context.Context, cfg Config) (pop *Population, err error) {
 	defer parallel.Recover(&err)
@@ -112,13 +112,8 @@ func (g *generator) weakBit(s *simrand.Stream) int {
 	return g.bitPerm[g.bitRank.Sample(s)-1]
 }
 
-// placeFaults decides which nodes are faulty and creates their faults.
-// Nodes draw from independent derived streams, so placement shards across
-// a worker pool keyed by node; faults are stitched back in node order and
-// renumbered, making the output identical to the serial path. The one
-// cross-node dependency — the first pathological node in node order is
-// the super-node — is resolved by a cheap pre-scan before the sharded
-// pass.
+// placeFaults decides which nodes are faulty and creates their faults,
+// node by node; every node draws from its own derived stream.
 func (g *generator) placeFaults(ctx context.Context, pop *Population) error {
 	cfg := g.cfg
 	// Normalize region weights so the system-wide faulty-node fraction
@@ -129,45 +124,11 @@ func (g *generator) placeFaults(ctx context.Context, pop *Population) error {
 	}
 	regionMean /= float64(len(cfg.RegionWeights))
 
-	if parallel.Workers(cfg.Parallelism) <= 1 {
-		for n := 0; n < cfg.Nodes; n++ {
-			if err := parallel.Poll(ctx, n); err != nil {
-				return err
-			}
-			pop.Faults = append(pop.Faults, g.faultsForNode(n, regionMean, func() bool {
-				// One machine dominates the study the way the paper's
-				// rack-31 node does (Fig 12a): the first pathological
-				// node drawn is the super-node.
-				if g.superAssigned {
-					return false
-				}
-				g.superAssigned = true
-				return true
-			})...)
-		}
-	} else {
-		superNode := g.findSuperNode(regionMean)
-		perNode := make([][]Fault, cfg.Nodes)
-		err := parallel.ForEachChunkCtx(ctx, cfg.Parallelism, cfg.Nodes, func(ctx context.Context, _, lo, hi int) error {
-			for n := lo; n < hi; n++ {
-				if err := parallel.Poll(ctx, n-lo); err != nil {
-					return err
-				}
-				perNode[n] = g.faultsForNode(n, regionMean, func() bool { return n == superNode })
-			}
-			return nil
-		})
-		if err != nil {
+	for n := 0; n < cfg.Nodes; n++ {
+		if err := parallel.Poll(ctx, n); err != nil {
 			return err
 		}
-		total := 0
-		for _, fs := range perNode {
-			total += len(fs)
-		}
-		pop.Faults = make([]Fault, 0, total)
-		for _, fs := range perNode {
-			pop.Faults = append(pop.Faults, fs...)
-		}
+		pop.Faults = append(pop.Faults, g.faultsForNode(n, regionMean)...)
 	}
 	for i := range pop.Faults {
 		pop.Faults[i].ID = i
@@ -175,45 +136,9 @@ func (g *generator) placeFaults(ctx context.Context, pop *Population) error {
 	return nil
 }
 
-// findSuperNode locates the first pathological node in node order (-1 if
-// none) by replaying only the faulty/pathological draws of every node's
-// stream — the prefix of the per-node draw sequence, so the answer matches
-// what the serial pass would have decided.
-func (g *generator) findSuperNode(regionMean float64) int {
-	cfg := g.cfg
-	if cfg.PathologicalNodeFrac <= 0 || cfg.PathSeverityMax <= 1 {
-		return -1
-	}
-	shards := parallel.NumChunks(cfg.Parallelism, cfg.Nodes)
-	firstPath := make([]int, shards)
-	parallel.ForEachChunk(cfg.Parallelism, cfg.Nodes, func(shard, lo, hi int) {
-		firstPath[shard] = -1
-		for n := lo; n < hi; n++ {
-			ns := g.root.DeriveN("node", uint64(n))
-			pFaulty := cfg.FaultyNodeFrac * cfg.RegionWeights[topology.NodeID(n).Region()] / regionMean
-			if !ns.Bool(pFaulty) {
-				continue
-			}
-			if ns.Bool(cfg.PathologicalNodeFrac / pFaulty) {
-				firstPath[shard] = n
-				break
-			}
-		}
-	})
-	for _, n := range firstPath {
-		if n >= 0 {
-			return n
-		}
-	}
-	return -1
-}
-
 // faultsForNode replays one node's placement draws and returns its faults
-// (IDs unset; placeFaults renumbers). isSuper is consulted only when the
-// node is pathological and severity heterogeneity is enabled — exactly
-// where the serial path consults superAssigned — and reports whether the
-// node takes the super-node slot.
-func (g *generator) faultsForNode(n int, regionMean float64, isSuper func() bool) []Fault {
+// (IDs unset; placeFaults numbers them).
+func (g *generator) faultsForNode(n int, regionMean float64) []Fault {
 	cfg := g.cfg
 	node := topology.NodeID(n)
 	ns := g.root.DeriveN("node", uint64(n))
@@ -231,7 +156,11 @@ func (g *generator) faultsForNode(n int, regionMean float64, isSuper func() bool
 	if pathological {
 		severity := 1.0
 		if cfg.PathSeverityMax > 1 {
-			if isSuper() {
+			// One machine dominates the study the way the paper's
+			// rack-31 node does (Fig 12a): the first pathological node
+			// drawn is the super-node.
+			if !g.superAssigned {
+				g.superAssigned = true
 				severity = cfg.PathSeverityMax
 			} else {
 				severity = ns.Pareto(cfg.PathSeverityAlpha, 1, 1+(cfg.PathSeverityMax-1)/2.5)
@@ -300,34 +229,20 @@ func errorTimeFrac(s *simrand.Stream, decay float64) float64 {
 
 // emitCEs generates every fault's correctable errors and sorts the stream.
 func (g *generator) emitCEs(ctx context.Context, pop *Population) error {
-	cfg := g.cfg
 	total := 0
 	for i := range pop.Faults {
 		total += pop.Faults[i].NErrors
 	}
-	// Each fault's error stream comes from its own derived stream, so
-	// emission shards freely across faults. Prefix sums over NErrors give
-	// every fault a disjoint output window in the final slice, which makes
-	// the pre-sort event sequence — and therefore the sorted stream —
-	// identical to the serial path. (sort.Slice is not stable, so byte
-	// identity requires reproducing the exact pre-sort order, not merely
-	// the same multiset.)
-	offsets := make([]int, len(pop.Faults)+1)
-	for i := range pop.Faults {
-		offsets[i+1] = offsets[i] + pop.Faults[i].NErrors
-	}
+	// Each fault's error stream comes from its own derived stream.
 	pop.CEs = make([]CEEvent, total)
-	err := parallel.ForEachChunkCtx(ctx, cfg.Parallelism, len(pop.Faults), func(ctx context.Context, _, lo, hi int) error {
-		for i := lo; i < hi; i++ {
-			if err := parallel.Poll(ctx, i-lo); err != nil {
-				return err
-			}
-			g.emitFaultCEs(&pop.Faults[i], pop.CEs[offsets[i]:offsets[i+1]])
+	off := 0
+	for i := range pop.Faults {
+		if err := parallel.Poll(ctx, i); err != nil {
+			return err
 		}
-		return nil
-	})
-	if err != nil {
-		return err
+		f := &pop.Faults[i]
+		g.emitFaultCEs(f, pop.CEs[off:off+f.NErrors])
+		off += f.NErrors
 	}
 	sort.Slice(pop.CEs, func(a, b int) bool {
 		ea, eb := &pop.CEs[a], &pop.CEs[b]

@@ -181,56 +181,24 @@ var ambientRates = map[EventType]float64{
 // [start, end) across nodes [0, nodes), in time order. Days drawn as
 // "burst days" (a failing PSU shelf being serviced) multiply rates by
 // burstFactor, reproducing the spiky daily counts of Fig 15a. Events
-// before the firmware gate are suppressed.
-func GenerateAmbient(seed uint64, start, end time.Time, nodes int) []Record {
-	recs, err := GenerateAmbientWorkers(context.Background(), seed, start, end, nodes, 1)
-	if err != nil {
-		// Unreachable: a background context never cancels and the inline
-		// path has no other error source.
-		panic(err)
-	}
-	return recs
-}
-
-// GenerateAmbientWorkers is GenerateAmbient sharded by day across a worker
-// pool (every day draws from its own derived stream, so day order is the
-// only cross-day coupling). The output is bit-identical at every worker
-// count; workers <= 1 runs inline. Cancelling ctx aborts with its error.
-func GenerateAmbientWorkers(ctx context.Context, seed uint64, start, end time.Time, nodes, workers int) ([]Record, error) {
+// before the firmware gate are suppressed. Every day draws from its own
+// derived stream. Cancelling ctx aborts with its error.
+func GenerateAmbient(ctx context.Context, seed uint64, start, end time.Time, nodes int) ([]Record, error) {
 	rng := simrand.NewStream(seed).Derive("het-ambient")
-	first := simtime.DayOf(start)
-	days := 0
-	for day := first; day.Time().Before(end); day++ {
-		days++
-	}
-	perDay := make([][]Record, days)
-	err := parallel.ForEachChunkCtx(ctx, workers, days, func(ctx context.Context, _, lo, hi int) error {
-		for d := lo; d < hi; d++ {
-			if err := parallel.Poll(ctx, d-lo); err != nil {
-				return err
-			}
-			perDay[d] = ambientForDay(rng, first+simtime.Day(d), end, nodes)
+	var out []Record
+	for d, day := 0, simtime.DayOf(start); day.Time().Before(end); d, day = d+1, day+1 {
+		if err := parallel.Poll(ctx, d); err != nil {
+			return nil, err
 		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	total := 0
-	for _, recs := range perDay {
-		total += len(recs)
-	}
-	out := make([]Record, 0, total)
-	for _, recs := range perDay {
-		out = append(out, recs...)
+		out = appendAmbientDay(out, rng, day, end, nodes)
 	}
 	sortRecords(out)
 	return out, nil
 }
 
-// ambientForDay draws one day's ambient events from the day's derived
-// stream.
-func ambientForDay(rng *simrand.Stream, day simtime.Day, end time.Time, nodes int) []Record {
+// appendAmbientDay appends one day's ambient events, drawn from the day's
+// derived stream, to out.
+func appendAmbientDay(out []Record, rng *simrand.Stream, day simtime.Day, end time.Time, nodes int) []Record {
 	const (
 		burstProb   = 0.06
 		burstFactor = 8
@@ -240,7 +208,6 @@ func ambientForDay(rng *simrand.Stream, day simtime.Day, end time.Time, nodes in
 	if ds.Bool(burstProb) {
 		factor = burstFactor
 	}
-	var out []Record
 	for t := EventType(0); t < NumEventTypes; t++ {
 		rate, ok := ambientRates[t]
 		if !ok {

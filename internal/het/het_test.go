@@ -1,6 +1,8 @@
 package het
 
 import (
+	"context"
+	"errors"
 	"testing"
 	"time"
 
@@ -66,8 +68,19 @@ func TestFromDUE(t *testing.T) {
 	}
 }
 
+// mustAmbient is GenerateAmbient under a background context, where an
+// error is a test bug.
+func mustAmbient(t *testing.T, seed uint64, start, end time.Time, nodes int) []Record {
+	t.Helper()
+	recs, err := GenerateAmbient(context.Background(), seed, start, end, nodes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return recs
+}
+
 func TestGenerateAmbient(t *testing.T) {
-	recs := GenerateAmbient(1, simtime.HETStart, simtime.StudyEnd, topology.Nodes)
+	recs := mustAmbient(t, 1, simtime.HETStart, simtime.StudyEnd, topology.Nodes)
 	if len(recs) == 0 {
 		t.Fatal("no ambient events generated")
 	}
@@ -106,8 +119,8 @@ func TestGenerateAmbient(t *testing.T) {
 }
 
 func TestGenerateAmbientDeterministic(t *testing.T) {
-	a := GenerateAmbient(5, simtime.HETStart, simtime.EnvEnd, 100)
-	b := GenerateAmbient(5, simtime.HETStart, simtime.EnvEnd, 100)
+	a := mustAmbient(t, 5, simtime.HETStart, simtime.EnvEnd, 100)
+	b := mustAmbient(t, 5, simtime.HETStart, simtime.EnvEnd, 100)
 	if len(a) != len(b) {
 		t.Fatal("same-seed streams differ")
 	}
@@ -119,9 +132,17 @@ func TestGenerateAmbientDeterministic(t *testing.T) {
 }
 
 func TestGenerateAmbientBeforeGateSuppressed(t *testing.T) {
-	recs := GenerateAmbient(2, simtime.EnvStart, simtime.HETStart, topology.Nodes)
+	recs := mustAmbient(t, 2, simtime.EnvStart, simtime.HETStart, topology.Nodes)
 	if len(recs) != 0 {
 		t.Errorf("%d records generated entirely before the firmware gate", len(recs))
+	}
+}
+
+func TestGenerateAmbientCancelled(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if recs, err := GenerateAmbient(ctx, 1, simtime.HETStart, simtime.StudyEnd, topology.Nodes); !errors.Is(err, context.Canceled) || recs != nil {
+		t.Fatalf("recs=%d err=%v, want no records and context.Canceled", len(recs), err)
 	}
 }
 

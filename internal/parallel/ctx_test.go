@@ -8,123 +8,21 @@ import (
 	"testing"
 )
 
-func TestForEachChunkCtxCancelledBeforeStart(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
+func TestRecoverPreservesWorkerStack(t *testing.T) {
 	for _, workers := range []int{1, 4} {
-		called := atomic.Bool{}
-		err := ForEachChunkCtx(ctx, workers, 100, func(context.Context, int, int, int) error {
-			called.Store(true)
-			return nil
-		})
-		if !errors.Is(err, context.Canceled) {
-			t.Errorf("workers=%d: err = %v, want Canceled", workers, err)
-		}
-		if called.Load() {
-			t.Errorf("workers=%d: shard ran under a pre-cancelled context", workers)
-		}
-	}
-}
-
-func TestForEachChunkCtxPollStopsShards(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	var iters atomic.Int64
-	err := ForEachChunkCtx(ctx, 4, 1<<20, func(ctx context.Context, shard, lo, hi int) error {
-		for i := lo; i < hi; i++ {
-			if err := Poll(ctx, i); err != nil {
-				return err
-			}
-			if iters.Add(1) == 100 {
-				cancel()
-			}
-		}
-		return nil
-	})
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want Canceled", err)
-	}
-	// Each shard stops within one Poll stride of the cancel instead of
-	// finishing its whole range.
-	if n := iters.Load(); n >= 1<<20 {
-		t.Errorf("cancellation did not stop the loops: %d iterations", n)
-	}
-}
-
-func TestForEachChunkCtxFirstErrorInShardOrder(t *testing.T) {
-	// Shards 1 and 3 fail; shard 1's error must win at every worker count —
-	// the determinism contract extended to failures.
-	for _, workers := range []int{2, 4, 8} {
-		err := ForEachChunkCtx(context.Background(), workers, 64, func(_ context.Context, shard, lo, hi int) error {
-			if shard == 1 || shard == 3 {
-				return errors.New("shard " + string(rune('0'+shard)) + " failed")
-			}
-			return nil
-		})
-		if err == nil || err.Error() != "shard 1 failed" {
-			t.Errorf("workers=%d: err = %v, want shard 1's error", workers, err)
-		}
-	}
-}
-
-func TestForEachChunkCtxPanicBecomesError(t *testing.T) {
-	for _, workers := range []int{1, 4} {
-		err := ForEachChunkCtx(context.Background(), workers, 16, func(_ context.Context, shard, lo, hi int) error {
-			if lo <= 5 && 5 < hi {
-				panic("index 5 exploded")
-			}
-			return nil
-		})
+		err := RunCtx(context.Background(), workers,
+			func(context.Context) error { return nil },
+			func(context.Context) error { panic("deep failure") },
+		)
 		var pe *PanicError
 		if !errors.As(err, &pe) {
 			t.Fatalf("workers=%d: err = %v, want *PanicError", workers, err)
 		}
-		if pe.Value != "index 5 exploded" {
-			t.Errorf("workers=%d: Value = %v", workers, pe.Value)
-		}
+		// The stack must be the task's (where the panic happened), not
+		// RunCtx's caller's.
 		if !strings.Contains(string(pe.Stack), "ctx_test.go") {
-			t.Errorf("workers=%d: captured stack does not point at the panic site:\n%s", workers, pe.Stack)
+			t.Errorf("workers=%d: stack lost the panic site:\n%s", workers, pe.Stack)
 		}
-	}
-}
-
-func TestForEachChunkRethrowsWorkerPanic(t *testing.T) {
-	defer func() {
-		v := recover()
-		pe, ok := v.(*PanicError)
-		if !ok {
-			t.Fatalf("recovered %v, want *PanicError", v)
-		}
-		if pe.Value != "boom" {
-			t.Errorf("Value = %v", pe.Value)
-		}
-	}()
-	ForEachChunk(4, 16, func(shard, lo, hi int) {
-		if shard == 2 {
-			panic("boom")
-		}
-	})
-	t.Fatal("worker panic was swallowed")
-}
-
-func TestRecoverPreservesWorkerStack(t *testing.T) {
-	run := func() (err error) {
-		defer Recover(&err)
-		ForEachChunk(4, 16, func(shard, lo, hi int) {
-			if shard == 1 {
-				panic("deep failure")
-			}
-		})
-		return nil
-	}
-	err := run()
-	var pe *PanicError
-	if !errors.As(err, &pe) {
-		t.Fatalf("err = %v, want *PanicError", err)
-	}
-	// The stack must be the worker's (where the panic happened), not the
-	// caller's recover site.
-	if !strings.Contains(string(pe.Stack), "ctx_test.go") {
-		t.Errorf("stack lost the panic site:\n%s", pe.Stack)
 	}
 }
 

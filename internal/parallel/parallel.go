@@ -1,31 +1,24 @@
-// Package parallel provides the deterministic fan-out primitives the
-// pipeline stages share. Every helper takes an explicit worker count with
-// one convention module-wide: 0 (or negative) means "auto", i.e.
-// runtime.GOMAXPROCS(0); 1 runs inline on the calling goroutine with no
-// synchronization, restoring the serial code path exactly.
+// Package parallel holds the one bounded task group the batch pipeline
+// fans out through (RunCtx, which Study.Analyze runs its independent
+// analyses on) and the crash-safety helpers every pipeline stage shares.
 //
-// Determinism is the caller's contract: work is split into contiguous
-// index ranges whose outputs land in caller-owned, disjoint slots (or are
-// merged in range order), so the result of any helper is a pure function
-// of its inputs — never of the scheduler. See DESIGN.md §8 for the
-// system-wide argument.
+// Determinism is the caller's contract: tasks write disjoint,
+// caller-owned outputs, so the result is a pure function of the inputs —
+// never of the scheduler. See DESIGN.md §8.
 //
-// Crash safety (DESIGN.md §10) adds two properties on top:
+// Crash safety (DESIGN.md §10):
 //
-//   - Cancellation: the Ctx variants take a context.Context and stop
-//     scheduling new work once it is done, returning ctx.Err(). Long per-
-//     shard loops are expected to poll the context themselves.
-//   - Panic isolation: a panic on a worker goroutine never kills the
-//     process. The Ctx variants return it as a *PanicError carrying the
-//     worker's stack; the infallible variants re-throw it on the calling
-//     goroutine, where an enclosing Recover (at the Generate / Build /
-//     Cluster / Analyze boundary) converts it to an error.
+//   - Cancellation: RunCtx stops starting tasks once its context is done
+//     and returns ctx.Err(); long loops poll the context with Poll.
+//   - Panic isolation: a panic on a task goroutine never kills the
+//     process. RunCtx returns it as a *PanicError carrying the task's
+//     stack, and Recover (at the Generate / Build / Cluster / Analyze
+//     boundary) converts a panic on the calling goroutine the same way.
 package parallel
 
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"runtime/debug"
 	"sync"
 	"sync/atomic"
@@ -44,126 +37,21 @@ func (e *PanicError) Error() string {
 }
 
 // Recover converts an in-flight panic into a *PanicError assigned to
-// *errp. Use it as `defer parallel.Recover(&err)` at a pipeline-stage
-// boundary so a panic anywhere below — this goroutine or a re-thrown
-// worker panic — surfaces as an ordinary error instead of crashing the
-// process. A panic that is already a *PanicError keeps its original
-// worker stack.
+// *errp, carrying the stack of the goroutine that panicked. Use it as
+// `defer parallel.Recover(&err)` at a pipeline-stage boundary so a panic
+// anywhere below surfaces as an ordinary error instead of crashing the
+// process.
 func Recover(errp *error) {
-	v := recover()
-	if v == nil {
-		return
+	if v := recover(); v != nil {
+		*errp = &PanicError{Value: v, Stack: debug.Stack()}
 	}
-	if pe, ok := v.(*PanicError); ok {
-		*errp = pe
-		return
-	}
-	*errp = &PanicError{Value: v, Stack: debug.Stack()}
 }
 
 // capture runs fn on the current goroutine, converting a panic into a
-// *PanicError (preserving the original capture when fn re-threw one).
+// *PanicError.
 func capture(fn func() error) (err error) {
 	defer Recover(&err)
 	return fn()
-}
-
-// Workers normalizes a requested parallelism degree: values <= 0 become
-// runtime.GOMAXPROCS(0), everything else is returned unchanged.
-func Workers(requested int) int {
-	if requested <= 0 {
-		return runtime.GOMAXPROCS(0)
-	}
-	return requested
-}
-
-// chunks splits [0, n) into at most workers contiguous [lo, hi) ranges of
-// near-equal size. It returns nil when n == 0.
-func chunks(n, workers int) [][2]int {
-	if n <= 0 {
-		return nil
-	}
-	if workers > n {
-		workers = n
-	}
-	out := make([][2]int, 0, workers)
-	lo := 0
-	for w := 0; w < workers; w++ {
-		// Distribute the remainder one element at a time so sizes differ
-		// by at most one.
-		size := (n - lo) / (workers - w)
-		out = append(out, [2]int{lo, lo + size})
-		lo += size
-	}
-	return out
-}
-
-// ForEachChunkCtx partitions [0, n) into contiguous ranges and calls
-// fn(ctx, shard, lo, hi) for each, concurrently across up to workers
-// goroutines. shard is the dense chunk index (0-based, in range order) so
-// callers can write per-shard partial results into a slice and merge them
-// in shard order afterwards. workers <= 1 calls fn(ctx, 0, 0, n) inline.
-//
-// The first error in shard order wins (deterministic at every worker
-// count); a worker panic is returned as a *PanicError. When ctx is done
-// before any shard fails, ctx.Err() is returned. Shards all start
-// together, so cancellation mid-shard relies on fn polling ctx.
-func ForEachChunkCtx(ctx context.Context, workers, n int, fn func(ctx context.Context, shard, lo, hi int) error) error {
-	if n <= 0 {
-		return ctx.Err()
-	}
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	workers = Workers(workers)
-	if workers <= 1 {
-		return capture(func() error { return fn(ctx, 0, 0, n) })
-	}
-	ranges := chunks(n, workers)
-	errs := make([]error, len(ranges))
-	var wg sync.WaitGroup
-	wg.Add(len(ranges))
-	for shard, r := range ranges {
-		go func(shard, lo, hi int) {
-			defer wg.Done()
-			errs[shard] = capture(func() error { return fn(ctx, shard, lo, hi) })
-		}(shard, r[0], r[1])
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return ctx.Err()
-}
-
-// ForEachChunk is the infallible ForEachChunkCtx: no cancellation, and a
-// worker panic is re-thrown on the calling goroutine (as a *PanicError
-// carrying the worker's stack) instead of crashing the process from a
-// goroutine no recover can reach. Pipeline entry points recover it via
-// parallel.Recover.
-func ForEachChunk(workers, n int, fn func(shard, lo, hi int)) {
-	err := ForEachChunkCtx(context.Background(), workers, n, func(_ context.Context, shard, lo, hi int) error {
-		fn(shard, lo, hi)
-		return nil
-	})
-	if err != nil {
-		panic(err)
-	}
-}
-
-// NumChunks reports how many shards ForEachChunk will use for n items at
-// the given worker count, so callers can pre-size per-shard result slices.
-func NumChunks(workers, n int) int {
-	if n <= 0 {
-		return 0
-	}
-	workers = Workers(workers)
-	if workers <= 1 {
-		return 1
-	}
-	return len(chunks(n, workers))
 }
 
 // RunCtx executes the given tasks with at most workers running
@@ -179,7 +67,6 @@ func RunCtx(ctx context.Context, workers int, tasks ...func(ctx context.Context)
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	workers = Workers(workers)
 	if workers <= 1 {
 		for _, t := range tasks {
 			if err := ctx.Err(); err != nil {
@@ -219,20 +106,6 @@ func RunCtx(ctx context.Context, workers int, tasks ...func(ctx context.Context)
 		}
 	}
 	return ctx.Err()
-}
-
-// Run is the infallible RunCtx: no cancellation, every task runs, and a
-// task panic is re-thrown on the calling goroutine as a *PanicError (see
-// ForEachChunk).
-func Run(workers int, tasks ...func()) {
-	wrapped := make([]func(ctx context.Context) error, len(tasks))
-	for i, t := range tasks {
-		t := t
-		wrapped[i] = func(context.Context) error { t(); return nil }
-	}
-	if err := RunCtx(context.Background(), workers, wrapped...); err != nil {
-		panic(err)
-	}
 }
 
 // Poll returns ctx.Err() every strideth call site iteration: callers in

@@ -1,97 +1,21 @@
 package parallel
 
 import (
-	"runtime"
+	"context"
 	"sync/atomic"
 	"testing"
 )
 
-func TestWorkers(t *testing.T) {
-	if got := Workers(0); got != runtime.GOMAXPROCS(0) {
-		t.Errorf("Workers(0) = %d, want GOMAXPROCS %d", got, runtime.GOMAXPROCS(0))
-	}
-	if got := Workers(-3); got != runtime.GOMAXPROCS(0) {
-		t.Errorf("Workers(-3) = %d", got)
-	}
-	if got := Workers(7); got != 7 {
-		t.Errorf("Workers(7) = %d", got)
-	}
-}
-
-func TestChunksCoverExactly(t *testing.T) {
-	for _, n := range []int{0, 1, 2, 5, 16, 97, 1000} {
-		for _, w := range []int{1, 2, 3, 8, 64} {
-			ranges := chunks(n, w)
-			covered := 0
-			prev := 0
-			for _, r := range ranges {
-				if r[0] != prev {
-					t.Fatalf("n=%d w=%d: gap at %v", n, w, r)
-				}
-				if r[1] < r[0] {
-					t.Fatalf("n=%d w=%d: inverted range %v", n, w, r)
-				}
-				covered += r[1] - r[0]
-				prev = r[1]
-			}
-			if covered != n {
-				t.Fatalf("n=%d w=%d: covered %d", n, w, covered)
-			}
-			if len(ranges) > 0 && ranges[len(ranges)-1][1] != n {
-				t.Fatalf("n=%d w=%d: last range %v", n, w, ranges[len(ranges)-1])
-			}
-		}
-	}
-}
-
-func TestForEachChunkDeterministicOutput(t *testing.T) {
-	const n = 1000
-	want := make([]int, n)
-	for i := range want {
-		want[i] = i * i
-	}
-	for _, w := range []int{1, 2, 8} {
-		got := make([]int, n)
-		ForEachChunk(w, n, func(_, lo, hi int) {
-			for i := lo; i < hi; i++ {
-				got[i] = i * i
-			}
-		})
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("workers=%d: got[%d]=%d", w, i, got[i])
-			}
-		}
-	}
-}
-
-func TestForEachChunkShardIndexes(t *testing.T) {
-	const n = 100
-	w := 4
-	seen := make([]bool, NumChunks(w, n))
-	var mu atomic.Int32
-	ForEachChunk(w, n, func(shard, lo, hi int) {
-		mu.Add(1)
-		seen[shard] = true // shards are distinct, so these writes are disjoint
-	})
-	for s, ok := range seen {
-		if !ok {
-			t.Errorf("shard %d never ran", s)
-		}
-	}
-	if int(mu.Load()) != len(seen) {
-		t.Errorf("ran %d shards, want %d", mu.Load(), len(seen))
-	}
-}
-
 func TestRunAllTasks(t *testing.T) {
 	for _, w := range []int{1, 4} {
 		var count atomic.Int64
-		tasks := make([]func(), 33)
+		tasks := make([]func(context.Context) error, 33)
 		for i := range tasks {
-			tasks[i] = func() { count.Add(1) }
+			tasks[i] = func(context.Context) error { count.Add(1); return nil }
 		}
-		Run(w, tasks...)
+		if err := RunCtx(context.Background(), w, tasks...); err != nil {
+			t.Fatalf("workers=%d: %v", w, err)
+		}
 		if count.Load() != 33 {
 			t.Errorf("workers=%d: ran %d tasks", w, count.Load())
 		}
@@ -100,14 +24,15 @@ func TestRunAllTasks(t *testing.T) {
 
 func TestRunSerialOrder(t *testing.T) {
 	var order []int
-	Run(1,
-		func() { order = append(order, 0) },
-		func() { order = append(order, 1) },
-		func() { order = append(order, 2) },
-	)
+	step := func(i int) func(context.Context) error {
+		return func(context.Context) error { order = append(order, i); return nil }
+	}
+	if err := RunCtx(context.Background(), 1, step(0), step(1), step(2)); err != nil {
+		t.Fatal(err)
+	}
 	for i, v := range order {
 		if i != v {
-			t.Fatalf("serial Run out of order: %v", order)
+			t.Fatalf("serial RunCtx out of order: %v", order)
 		}
 	}
 }

@@ -173,10 +173,8 @@ type Engine struct {
 
 // New returns an engine with no state.
 func New(cfg Config) *Engine {
-	if cfg.Cluster == (core.ClusterConfig{Parallelism: cfg.Cluster.Parallelism}) {
-		p := cfg.Cluster.Parallelism
+	if cfg.Cluster == (core.ClusterConfig{}) {
 		cfg.Cluster = core.DefaultClusterConfig()
-		cfg.Cluster.Parallelism = p
 	}
 	if cfg.Window <= 0 {
 		cfg.Window = DefaultWindow

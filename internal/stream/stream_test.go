@@ -77,17 +77,26 @@ func dirtyRecords(t *testing.T, rate float64) []mce.CERecord {
 // or seeded random between 1 and 513 — with live queries interleaved
 // between batches yields exactly the faults of the batch clusterer, and
 // the engine's incremental aggregates match the batch analyses (mode
-// fractions, FIT). The clean fixture runs against the batch clusterer
-// at 1 and 4 workers; its 1% and 100% corrupted twins, fed through the
-// hardened scanner, run the same schedules.
+// fractions, FIT). The clean fixture holds only single-bit faults, so a
+// second clean fleet, whose faults span the bit, word, column and bank
+// modes, runs under the row-clustering ablation (which turns its bank
+// fault into a row fault). The fixture's 1% and 100% corrupted twins,
+// fed through the hardened scanner, run the same schedules.
 func TestStreamMatchesBatch(t *testing.T) {
 	records := fixture(t).CERecords
 	if len(records) < 1000 {
 		t.Fatalf("weak fixture: only %d records", len(records))
 	}
-	for _, clusterWorkers := range []int{1, 4} {
-		checkStreamMatchesBatch(t, records, clusterWorkers)
+	checkStreamMatchesBatch(t, records, core.DefaultClusterConfig())
+	cfg := dataset.DefaultConfig(65)
+	cfg.Nodes = 48
+	modes, err := dataset.Build(context.Background(), cfg)
+	if err != nil {
+		t.Fatal(err)
 	}
+	rows := core.DefaultClusterConfig()
+	rows.RowClustering = true
+	checkStreamMatchesBatch(t, modes.CERecords, rows)
 	for _, in := range []struct {
 		name string
 		rate float64
@@ -96,18 +105,16 @@ func TestStreamMatchesBatch(t *testing.T) {
 		{"corrupt100pct", 1.0},
 	} {
 		t.Run(in.name, func(t *testing.T) {
-			checkStreamMatchesBatch(t, dirtyRecords(t, in.rate), 1)
+			checkStreamMatchesBatch(t, dirtyRecords(t, in.rate), core.DefaultClusterConfig())
 		})
 	}
 }
 
 // checkStreamMatchesBatch runs every replay schedule over records as a
-// subtest of t, against core.Cluster at clusterWorkers workers.
-func checkStreamMatchesBatch(t *testing.T, records []mce.CERecord, clusterWorkers int) {
+// subtest of t, against core.Cluster under the same thresholds cc.
+func checkStreamMatchesBatch(t *testing.T, records []mce.CERecord, cc core.ClusterConfig) {
 	t.Helper()
 	dimms := 48 * topology.SlotsPerNode
-	cc := core.DefaultClusterConfig()
-	cc.Parallelism = clusterWorkers
 	want := mustCluster(t, records, cc)
 	wantBreakdown := core.BreakdownByMode(records, want)
 	wantRates := core.AnalyzeFaultRates(want, dimms, core.StudyWindow())
@@ -126,7 +133,7 @@ func checkStreamMatchesBatch(t *testing.T, records []mce.CERecord, clusterWorker
 		t.Run(tc.name, func(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(len(records))))
 			e := stream.New(stream.Config{
-				Cluster: core.ClusterConfig{Parallelism: clusterWorkers},
+				Cluster: cc,
 				DIMMs:   dimms,
 			})
 			for lo, n := 0, 0; lo < len(records); n++ {
