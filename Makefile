@@ -34,7 +34,12 @@ test:
 # Errors included), and over the stream engine's packed record log
 # (random field values appended through the log must come back exactly
 # from Records() and a checkpoint handle, and the handle's colfmt
-# encoding must decode back to them).
+# encoding must decode back to them), and over astrad's warm restore (any
+# bytes must restore into the record log exactly when colfmt.Decode plus
+# CheckRanges accept them, to the engine IngestBatch of Decode's records
+# builds). TestDaemonStateLadderRecovery also runs 20 times on its own:
+# it once flaked whenever a caught-up daemon never checkpointed, so a
+# regression in the idle-point checkpoint shows here first.
 # ASTRA_CRASH_TESTS=1 additionally sweeps the kill/resume differential
 # test over every I/O operation instead of its default 24-point sample.
 # The online subsystem gets an explicit race-enabled pass: the stream
@@ -58,6 +63,8 @@ verify:
 	$(GO) test -run '^$$' -fuzz '^FuzzRiskEndpoint$$' -fuzztime 5s ./internal/serve
 	$(GO) test -run '^$$' -fuzz '^FuzzBankStateIncremental$$' -fuzztime 5s ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzRecordLog$$' -fuzztime 5s ./internal/stream
+	$(GO) test -run '^$$' -fuzz '^FuzzRestore$$' -fuzztime 5s ./internal/stream
+	$(GO) test -count 20 -run '^TestDaemonStateLadderRecovery$$' ./cmd/astrad
 	@if [ -n "$$ASTRA_CRASH_TESTS" ]; then ASTRA_CRASH_TESTS=1 $(GO) test -run 'TestExportCrashResumeDifferential' ./internal/dataset; fi
 
 # bench runs the root analysis micro-benchmarks (bench_test.go) at the

@@ -1,6 +1,6 @@
 // Alarm ledger: the daemon's record of when each bank first scored at
 // or above the alarm threshold under the serving predictor. Feature
-// state rebuilds from the replayed CE records on every restart (it is a
+// state rebuilds from the restored CE records on every restart (it is a
 // pure function of them), but first-alarm times are not derivable from
 // the records — they say when errors happened, not when the predictor
 // first flagged the bank — so they are durable state, carried at the end

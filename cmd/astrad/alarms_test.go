@@ -96,10 +96,10 @@ func TestDaemonAlarmLedgerSurvivesRestart(t *testing.T) {
 	extra := []string{"-risk-threshold", "0.1", "-checkpoint-every", "50ms"}
 	addr, cancel, done, errs := startDaemonArgs(t, logPath, statePath, extra...)
 
-	// Checkpoints fire only between scanned records, so however fast the
-	// scan, let the first quarter settle into the engine and the interval
-	// pass before the second quarter arrives: its first record captures a
-	// checkpoint whose ledger covers the first quarter's banks.
+	// However fast the scan, let the first quarter settle into the
+	// engine and the interval pass before the second quarter arrives: the
+	// checkpoint captured at the tail's wait, or at the second quarter's
+	// first record, has a ledger covering the first quarter's banks.
 	settled, prev := 0, -1
 	for deadline := time.Now().Add(10 * time.Second); settled < 3; {
 		var h struct {

@@ -264,21 +264,32 @@ const admitBatch = 1024
 // each: a batch is flushed whenever the tail is about to wait for the log
 // to grow (so a caught-up daemon holds nothing back), before every
 // checkpoint capture (whose Freeze must see every record the captured
-// offset covers), at admitBatch records, and when the scan ends. The
-// follower is rotation-tolerant: after a rotation the scanner's
-// checkpoint offsets live in stream coordinates, so every
-// capture is translated into current-file coordinates first — an offset
-// that still points into a rotated-away segment skips the capture (and
-// is counted) rather than recording an unusable resume point. It returns
-// the final checkpoint, already translated, and whether the translation
-// held, so the shutdown path can persist the exact resume point once the
-// queue has drained.
+// offset covers), at admitBatch records, and when the scan ends. A
+// checkpoint falls due -checkpoint-every after the last try and is
+// captured at the next record or, once the tail has caught up, at its
+// first wait with the admission queue drained, when every complete line
+// is consumed and the alarm ledger can score every record. A capture is
+// complete once the writer took it with a ledger that scored all its
+// records; one whose scanner offset has not moved since the last
+// complete capture is skipped, so an idle log is not rewritten, and a
+// dropped or partial one is tried again when due. The follower is
+// rotation-tolerant: after a rotation the scanner's checkpoint offsets
+// live in stream coordinates, so every capture is translated into
+// current-file coordinates first — an offset that still points into a
+// rotated-away segment skips the capture (and is counted) rather than
+// recording an unusable resume point. It returns the final checkpoint,
+// already translated, and whether the translation held, so the shutdown
+// path can persist the exact resume point once the queue has drained.
 func (d *daemon) ingest(ctx context.Context, s *siteDaemon, q *overload.Queue[mce.CERecord], f *os.File, cp syslog.Checkpoint) (syslog.Checkpoint, bool, error) {
 	var (
 		follower *syslog.Follower
 		sc       *syslog.Scanner
 		batch    = make([]mce.CERecord, 0, admitBatch)
 		lastTail syslog.TailStats
+		// last is when a capture was last tried, captured the scanner
+		// offset of the last complete one.
+		last     time.Time
+		captured int64
 	)
 	// flush admits the batch and publishes the scan and tail accounting
 	// it covers (tail stats only move at rotations, so they are compared
@@ -293,12 +304,40 @@ func (d *daemon) ingest(ctx context.Context, s *siteDaemon, q *overload.Queue[mc
 		}
 		s.offset.Store(sc.Offset())
 	}
-	follower = syslog.NewFollower(ctx, f, syslog.TailConfig{Poll: d.cfg.poll, Path: s.logPath, OnWait: flush})
+	// checkpoint captures a due checkpoint. It runs only between records
+	// or at the tail's wait, where sc.Checkpoint covers exactly the
+	// records flush admits. At the wait it holds off until the drainer
+	// has emptied the queue (the next wait is a poll ceiling away at
+	// most), since only the records in the engine are scored for alarms.
+	checkpoint := func(idle bool) {
+		if d.cfg.statePath == "" || time.Since(last) < d.cfg.checkpointSec || sc.Offset() == captured {
+			return
+		}
+		flush()
+		if idle && q.Depth() > 0 {
+			return
+		}
+		if fcp, ok := d.translate(s, follower, sc.Checkpoint()); !ok {
+			// The offset stays untranslatable until the scan moves on.
+			captured = sc.Offset()
+		} else if scored, err := d.snapshotSection(s, fcp); err != nil {
+			d.log.Warn("checkpoint snapshot failed", "site", s.id, "err", err)
+		} else if d.offerCheckpoint() && scored {
+			captured = sc.Offset()
+		}
+		// Timed from the attempt's end, so a capture slower than the
+		// interval still leaves the scan a whole interval.
+		last = time.Now()
+	}
+	follower = syslog.NewFollower(ctx, f, syslog.TailConfig{Poll: d.cfg.poll, Path: s.logPath, OnWait: func() {
+		flush()
+		checkpoint(true)
+	}})
 	sc = syslog.NewScannerConfig(follower, d.scanConfig())
 	if err := sc.Restore(cp); err != nil {
 		return cp, false, err
 	}
-	last := time.Now()
+	last, captured = time.Now(), sc.Offset()
 	s.publishTail(lastTail)
 	for sc.Scan() {
 		if ce := sc.CE(); ce != nil {
@@ -306,17 +345,7 @@ func (d *daemon) ingest(ctx context.Context, s *siteDaemon, q *overload.Queue[mc
 				flush()
 			}
 		}
-		if d.cfg.statePath != "" && time.Since(last) >= d.cfg.checkpointSec {
-			flush()
-			if fcp, ok := d.translate(s, follower, sc.Checkpoint()); ok {
-				if err := d.snapshotSection(s, fcp); err != nil {
-					d.log.Warn("checkpoint snapshot failed", "site", s.id, "err", err)
-				} else {
-					d.offerCheckpoint()
-				}
-			}
-			last = time.Now()
-		}
+		checkpoint(false)
 	}
 	flush()
 
@@ -377,8 +406,10 @@ func (d *daemon) drain(q *overload.Queue[mce.CERecord], eng *stream.Engine) {
 // O(1) handle on the engine's log followed by Freeze's own copy of the
 // queued records, and the section is encoded from them, lock-free,
 // after Freeze returns. The section is published for the checkpoint
-// writer, which writes every site's latest section.
-func (d *daemon) snapshotSection(s *siteDaemon, cp syslog.Checkpoint) error {
+// writer, which writes every site's latest section. scored reports
+// whether the queue was empty, so the ledger scored every record the
+// section holds; still-queued records are scored at a later capture.
+func (d *daemon) snapshotSection(s *siteDaemon, cp syslog.Checkpoint) (scored bool, err error) {
 	snap := siteSnapshot{cp: cp}
 	eng := s.engine()
 	s.queue().Freeze(func(queued []mce.CERecord, _ overload.QueueStats) {
@@ -386,13 +417,14 @@ func (d *daemon) snapshotSection(s *siteDaemon, cp syslog.Checkpoint) error {
 		snap.shed = eng.Shed()
 		s.alarms.observe(eng.Features(), d.predictor, d.cfg.riskThreshold, time.Now())
 		snap.alarms = s.alarms.snapshot()
+		scored = len(queued) == 0
 	})
 	data, err := marshalSection(snap)
 	if err != nil {
-		return err
+		return false, err
 	}
 	s.section.Store(&data)
-	return nil
+	return scored, nil
 }
 
 // sections returns every site's latest published section, in site
@@ -409,15 +441,18 @@ func (d *daemon) sections() [][]byte {
 	return secs
 }
 
-// offerCheckpoint hands the current sections to the async writer; if
-// the writer is still busy with the previous snapshot (stalled disk),
-// the checkpoint is skipped — cadence degrades, ingest does not.
-func (d *daemon) offerCheckpoint() {
+// offerCheckpoint hands the current sections to the async writer and
+// reports whether it took them; if the writer is still busy with the
+// previous snapshot (stalled disk), the checkpoint is skipped — cadence
+// degrades, ingest does not.
+func (d *daemon) offerCheckpoint() bool {
 	select {
 	case d.cpCh <- d.sections():
+		return true
 	default:
 		d.cpSkipped.Add(1)
 		d.log.Warn("checkpoint skipped", "reason", "writer busy")
+		return false
 	}
 }
 
@@ -557,10 +592,10 @@ type siteSnapshot struct {
 	id   string
 	cp   syslog.Checkpoint
 	shed uint64
-	recs []mce.CERecord
-	// log, when set, holds a live capture's records (the engine's log,
-	// then the queued records) and is marshaled in place of recs.
-	log     colfmt.CEColumns
+	// log holds the site's records: a restored section's, decoded into
+	// record log rows that stream.Restore adopts, or a live capture's
+	// (the engine's log, then the queued records).
+	log     stream.RecordLog
 	alarms  []alarmEntry
 	section []byte
 }
@@ -573,23 +608,20 @@ type siteSnapshot struct {
 //	alarms <n>\n
 //	alarm <host> <slot> <rank> <bank> <unix nanos>\n   (n lines)
 //
-// Replaying the records into a fresh engine reproduces the fault state
+// Restoring the records into a fresh engine reproduces the fault state
 // exactly (the engine's replay contract), the
 // shed count restores the degraded accounting, the scanner checkpoint
 // resumes the tail at the matching byte, and the ledger keeps when each
 // bank first alarmed (not reconstructible from records). The records
-// are columnar so a restart decodes them instead of parsing text.
+// are columnar so a restart decodes them straight into the engine's
+// record log instead of parsing text.
 func marshalSection(snap siteSnapshot) ([]byte, error) {
 	cpb, err := snap.cp.MarshalBinary()
 	if err != nil {
 		return nil, err
 	}
-	src := snap.log
-	if src == nil {
-		src = colfmt.CESlice(snap.recs)
-	}
 	var blob bytes.Buffer
-	if err := colfmt.WriteCE(&blob, src); err != nil {
+	if err := colfmt.WriteCE(&blob, snap.log); err != nil {
 		return nil, err
 	}
 	b := bytes.NewBuffer(make([]byte, 0, len(cpb)+blob.Len()+len(snap.alarms)*alarmLineBytes+64))
@@ -685,20 +717,12 @@ func (r *stateReader) section() (snap siteSnapshot, err error) {
 	if r.off+n >= len(r.data) || r.data[r.off+n] != '\n' {
 		return snap, r.fail("records: %d-byte blob not newline-terminated", n)
 	}
-	recs, err := colfmt.Decode(blob)
-	if err != nil {
+	// The rows are range-checked as they are decoded, so a record that
+	// fails mce.CERecord.CheckRanges discards the generation here.
+	if snap.log, err = stream.DecodeRecordLog(blob); err != nil {
 		return snap, r.fail("records: %v", err)
 	}
-	if len(recs.DUEs)+len(recs.HETs) > 0 {
-		return snap, r.fail("records: %d DUE and %d HET records in a CE-only section", len(recs.DUEs), len(recs.HETs))
-	}
-	for i := range recs.CEs {
-		if err := recs.CEs[i].CheckRanges(); err != nil {
-			return snap, r.fail("record %d: %v", i, err)
-		}
-	}
 	r.off += n + 1
-	snap.recs = recs.CEs
 	snap.alarms, err = r.alarms()
 	return snap, err
 }

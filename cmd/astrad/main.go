@@ -27,8 +27,11 @@
 // goroutine, not its engine, bounds its ingest rate.
 //
 // The daemon checkpoints its scanner state and record set atomically to
-// -state, the records as a columnar (colfmt) blob that a restart decodes
-// instead of re-parsing; a killed daemon restarted over the same logs
+// -state every -checkpoint-every while the log grows, at the next record
+// or, once caught up, at the tail's next wait; the records are a
+// columnar (colfmt) blob that a restart decodes straight into the
+// engine's record log instead of re-parsing; a killed daemon restarted
+// over the same logs
 // resumes exactly, losing and duplicating nothing — including records
 // still buffered in the reorder window at the moment of death. State
 // files have one format (astrad-state v5); any other file, an older release's
@@ -426,7 +429,7 @@ func (d *daemon) restoreSites() error {
 			}
 		}
 		if !found && len(specs) > 1 {
-			d.log.Warn("state section for unconfigured site dropped", "site", sn.id, "records", len(sn.recs))
+			d.log.Warn("state section for unconfigured site dropped", "site", sn.id, "records", sn.log.Len())
 		}
 	}
 
@@ -446,8 +449,8 @@ func (d *daemon) restoreSites() error {
 			}
 		}
 		site.section.Store(&sec)
-		if len(snap.recs) > 0 {
-			d.log.Info("restored", "site", spec.id, "records", len(snap.recs), "bytes", len(sec), "elapsed", elapsed,
+		if snap.log.Len() > 0 {
+			d.log.Info("restored", "site", spec.id, "records", snap.log.Len(), "bytes", len(sec), "elapsed", elapsed,
 				"shed", snap.shed, "alarms", len(snap.alarms), "offset", snap.cp.Offset, "pendingReorder", snap.cp.Buffered())
 		}
 		d.sites = append(d.sites, site)

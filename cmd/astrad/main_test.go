@@ -3,8 +3,10 @@ package main
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
+	"hash/crc32"
 	"io"
 	"net/http"
 	"os"
@@ -12,6 +14,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"regexp"
+	"runtime"
 	"strconv"
 	"strings"
 	"sync"
@@ -395,15 +398,61 @@ func blobSpan(t *testing.T, data []byte, n int) (header, start, end int) {
 	return header, start, start + size
 }
 
+// logOf is a record log handle holding recs, what a capture's snapshot
+// holds.
+func logOf(recs []mce.CERecord) stream.RecordLog {
+	return stream.New(stream.Config{}).RecordLog(recs)
+}
+
 // spliceBlob replaces the n-th site's records blob with a colfmt encoding
 // of recs, fixing up the length header.
 func spliceBlob(t *testing.T, data []byte, n int, recs colfmt.Records) []byte {
 	t.Helper()
-	header, _, end := blobSpan(t, data, n)
 	var blob bytes.Buffer
 	if err := colfmt.Write(&blob, recs); err != nil {
 		t.Fatal(err)
 	}
+	return splice(t, data, n, blob)
+}
+
+// overrideCE is a CE source whose field f of record i reads v: how a test
+// writes a value colfmt.Write never would (nanoseconds past a second)
+// through the encoder itself.
+type overrideCE struct {
+	colfmt.CESlice
+	f colfmt.CEField
+	i int
+	v int64
+}
+
+func (o overrideCE) Column(f colfmt.CEField, first int, dst []int64) {
+	o.CESlice.Column(f, first, dst)
+	if f == o.f && o.i >= first && o.i < first+len(dst) {
+		dst[o.i-first] = o.v
+	}
+}
+
+// spliceCE is spliceBlob for a CE-only encoding of src.
+func spliceCE(t *testing.T, data []byte, n int, src colfmt.CEColumns) []byte {
+	t.Helper()
+	var blob bytes.Buffer
+	if err := colfmt.WriteCE(&blob, src); err != nil {
+		t.Fatal(err)
+	}
+	return splice(t, data, n, blob)
+}
+
+// emptyBlock is a checksummed colfmt column block of kind that covers no
+// records: column 0, first 0, count 0, no payload.
+func emptyBlock(kind byte) []byte {
+	b := []byte{kind, 0, 0, 0, 0}
+	return binary.LittleEndian.AppendUint32(b, crc32.ChecksumIEEE(b))
+}
+
+// splice replaces the n-th site's records blob with blob.
+func splice(t *testing.T, data []byte, n int, blob bytes.Buffer) []byte {
+	t.Helper()
+	header, _, end := blobSpan(t, data, n)
 	out := append([]byte(nil), data[:header]...)
 	out = fmt.Appendf(out, "records %d\n", blob.Len())
 	out = append(out, blob.Bytes()...)
@@ -418,11 +467,11 @@ func stateFixture(t *testing.T) (snaps []siteSnapshot, data []byte) {
 	t.Helper()
 	_, ces := testLog(t)
 	snaps = []siteSnapshot{
-		{id: "east", cp: midScanCheckpoint(t), shed: 3, recs: ces[:10], alarms: []alarmEntry{
+		{id: "east", cp: midScanCheckpoint(t), shed: 3, log: logOf(ces[:10]), alarms: []alarmEntry{
 			{key: core.RecordBankKey(&ces[0]), at: 1700000000000000001},
 			{key: core.RecordBankKey(&ces[3]), at: 1700000000000000002},
 		}},
-		{id: "west", recs: ces[10:14]}, // empty ledger
+		{id: "west", log: logOf(ces[10:14])}, // empty ledger
 	}
 	return snaps, marshalSnapshots(t, snaps)
 }
@@ -463,7 +512,7 @@ func TestStateRoundTrip(t *testing.T) {
 		t.Fatalf("shed round trip: %d/%d", got[0].shed, got[1].shed)
 	}
 	for i, sn := range snaps {
-		if !reflect.DeepEqual(got[i].recs, sn.recs) {
+		if !reflect.DeepEqual(got[i].log.Records(), sn.log.Records()) {
 			t.Fatalf("%s records diverge after round trip", sn.id)
 		}
 	}
@@ -494,6 +543,14 @@ func TestStateRoundTrip(t *testing.T) {
 	badBank[4].Bank = topology.BanksPerRank
 	badLineBit := append([]mce.CERecord(nil), ces[:10]...)
 	badLineBit[6].BitPos = 0x3ff
+	// A value just past the width of the row field a restore narrows it
+	// into (bank 16 is records-bad-bank): each would pass CheckRanges if
+	// it were truncated.
+	past := func(f func(r *mce.CERecord)) []byte {
+		recs := append([]mce.CERecord(nil), ces[:10]...)
+		f(&recs[5])
+		return spliceBlob(t, data, 0, colfmt.Records{CEs: recs})
+	}
 	rejectSealed(t, map[string][]byte{
 		"empty":                nil,
 		"header":               []byte("nope\n"),
@@ -506,10 +563,55 @@ func TestStateRoundTrip(t *testing.T) {
 		"records-due":          spliceBlob(t, data, 0, due),
 		"records-bad-bank":     spliceBlob(t, data, 0, colfmt.Records{CEs: badBank}),
 		"records-bad-linebit":  spliceBlob(t, data, 0, colfmt.Records{CEs: badLineBit}),
+		"records-node-65539":   past(func(r *mce.CERecord) { r.Node = 1<<16 + 3 }),
+		"records-row-65536":    past(func(r *mce.CERecord) { r.RowRaw = 1 << 16 }),
+		"records-col-65536":    past(func(r *mce.CERecord) { r.Col = 1 << 16 }),
+		"records-bitpos-2^21":  past(func(r *mce.CERecord) { r.BitPos = 1 << 21 }),
+		"records-rank-4":       past(func(r *mce.CERecord) { r.Rank = 4 }),
 	})
 	// The splice itself is sound: the same blob, re-encoded, still loads.
 	if _, err := unmarshal(sealState(spliceBlob(t, data, 0, colfmt.Records{CEs: ces[:10]}))); err != nil {
 		t.Fatalf("re-spliced blob rejected: %v", err)
+	}
+	// An empty DUE or HET block beside the CE blocks, which colfmt.Decode
+	// accepts, loads as the CE records: once, it panicked the decode.
+	for _, kind := range []byte{2, 3} {
+		var blob bytes.Buffer
+		if err := colfmt.WriteCE(&blob, colfmt.CESlice(ces[:10])); err != nil {
+			t.Fatal(err)
+		}
+		b := blob.Bytes()
+		forged := append(append(b[:len(b)-1:len(b)-1], emptyBlock(kind)...), 0)
+		got, err := unmarshal(sealState(splice(t, data, 0, *bytes.NewBuffer(forged))))
+		if err != nil || !reflect.DeepEqual(got[0].log.Records(), ces[:10]) {
+			t.Fatalf("empty kind %d block beside the CE blocks: %v", kind, err)
+		}
+	}
+	// Nanoseconds outside [0, 1e9) — past a second, or a uvarint whose
+	// bit pattern is negative — load normalized into the seconds, as
+	// colfmt.Decode's time.Unix(sec, nsec) has always read them, and
+	// re-encode as the normalized instant.
+	for _, nsec := range []int64{1e9 + 5, -1} {
+		src := overrideCE{colfmt.CESlice(ces[:10]), colfmt.CETimeNsec, 3, nsec}
+		long, err := unmarshal(sealState(spliceCE(t, data, 0, src)))
+		if err != nil {
+			t.Fatalf("nanoseconds %d rejected: %v", nsec, err)
+		}
+		want := append([]mce.CERecord(nil), ces[:10]...)
+		want[3].Time = time.Unix(want[3].Time.Unix(), nsec).UTC()
+		if got := long[0].log.Records(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("nanoseconds %d: record 3 loaded at %v, want %v", nsec, got[3].Time, want[3].Time)
+		}
+		var got, norm bytes.Buffer
+		if err := colfmt.WriteCE(&got, long[0].log); err != nil {
+			t.Fatal(err)
+		}
+		if err := colfmt.Write(&norm, colfmt.Records{CEs: want}); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got.Bytes(), norm.Bytes()) {
+			t.Fatalf("nanoseconds %d: the loaded records re-encode unnormalized", nsec)
+		}
 	}
 }
 
@@ -552,10 +654,11 @@ func TestPersistWritesComposedImage(t *testing.T) {
 
 // BenchmarkStateRestore measures a warm restart's state path over a
 // ~100k-record section: the marshal a checkpoint pays, the unseal and
-// decode a restore pays, and the engine replay the decoded records feed
-// — and a live checkpoint's capture: snapshotSection over an engine
-// holding the records, the Freeze, ledger update and section encode a
-// running astrad pays per checkpoint.
+// decode into record log rows a restore pays, and the engine restore
+// that takes the rows over and folds them — and a live checkpoint's
+// capture: snapshotSection over an engine holding the records, the
+// Freeze, ledger update and section encode a running astrad pays per
+// checkpoint. Each reports ns/record and heap B/record.
 func BenchmarkStateRestore(b *testing.B) {
 	_, ces := testLog(b)
 	// Tile the fixture, shifted in time, up to ~100k records.
@@ -567,51 +670,70 @@ func BenchmarkStateRestore(b *testing.B) {
 			recs = append(recs, r)
 		}
 	}
-	snap := siteSnapshot{id: "default", recs: recs}
-	image := sealState(marshalSnapshots(b, []siteSnapshot{snap}))
+	image := sealState(marshalSnapshots(b, []siteSnapshot{{id: "default", log: logOf(recs)}}))
+	// parse is a freshly decoded snapshot: a restore takes its rows over,
+	// so each restore needs its own.
+	var snap siteSnapshot
+	parse := func() error {
+		snaps, err := unmarshal(image)
+		if err == nil {
+			snap = snaps[0]
+		}
+		return err
+	}
+	if err := parse(); err != nil {
+		b.Fatal(err)
+	}
 	d := &daemon{
 		cfg:       daemonConfig{queueDepth: 1024, window: stream.DefaultWindow, dimms: 48 * topology.SlotsPerNode},
 		predictor: predict.DefaultRuleLadder(),
 	}
-	perRecord := func(b *testing.B) {
-		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(recs)), "ns/record")
-	}
-	b.Run("marshal", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := marshalSection(snap); err != nil {
-				b.Fatal(err)
-			}
-		}
-		perRecord(b)
-	})
-	b.Run("decode", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := unmarshal(image); err != nil {
-				b.Fatal(err)
-			}
-		}
-		perRecord(b)
-	})
-	b.Run("ingest", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			d.buildPipeline(snap)
-		}
-		perRecord(b)
-	})
-	b.Run("capture", func(b *testing.B) {
-		s := &siteDaemon{id: "default"}
-		d.rebuild(s, snap)
+	// perRecord runs op b.N times; prep, when set, runs before each op
+	// with the timer stopped, and its allocations are not counted.
+	perRecord := func(b *testing.B, prep, op func() error) {
+		var before, after, ms runtime.MemStats
+		var prepped uint64
+		runtime.ReadMemStats(&before)
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if err := d.snapshotSection(s, syslog.Checkpoint{}); err != nil {
+			if prep != nil {
+				b.StopTimer()
+				runtime.ReadMemStats(&ms)
+				start := ms.TotalAlloc
+				if err := prep(); err != nil {
+					b.Fatal(err)
+				}
+				runtime.ReadMemStats(&ms)
+				prepped += ms.TotalAlloc - start
+				b.StartTimer()
+			}
+			if err := op(); err != nil {
 				b.Fatal(err)
 			}
 		}
-		perRecord(b)
+		b.StopTimer()
+		runtime.ReadMemStats(&after)
+		n := float64(b.N * len(recs))
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/n, "ns/record")
+		b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc-prepped)/n, "B/record")
+	}
+	b.Run("marshal", func(b *testing.B) {
+		perRecord(b, nil, func() error { _, err := marshalSection(snap); return err })
+	})
+	b.Run("decode", func(b *testing.B) {
+		perRecord(b, nil, func() error { _, err := unmarshal(image); return err })
+	})
+	b.Run("restore", func(b *testing.B) {
+		perRecord(b, parse, func() error { d.buildPipeline(snap); return nil })
+	})
+	b.Run("capture", func(b *testing.B) {
+		s := &siteDaemon{id: "default"}
+		if err := parse(); err != nil {
+			b.Fatal(err)
+		}
+		d.rebuild(s, snap)
+		perRecord(b, nil, func() error { _, err := d.snapshotSection(s, syslog.Checkpoint{}); return err })
 	})
 }
 

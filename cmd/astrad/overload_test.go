@@ -124,7 +124,7 @@ func TestDaemonSIGTERMUnderOverload(t *testing.T) {
 	if err != nil || len(snaps) != 1 {
 		t.Fatalf("state after overloaded shutdown: %d sites, %v", len(snaps), err)
 	}
-	shed, recs := snaps[0].shed, snaps[0].recs
+	shed, recs := snaps[0].shed, snaps[0].log.Records()
 	if shed == 0 {
 		t.Fatal("shed count not persisted")
 	}
@@ -173,10 +173,10 @@ func TestDaemonSIGTERMUnderOverload(t *testing.T) {
 		t.Fatalf("restarted shutdown exit = %d; stderr:\n%s", code, errs.String())
 	}
 	snaps, err = unmarshal(mustReadFile(t, statePath))
-	if err != nil || len(snaps) != 1 || len(snaps[0].recs) != sum.Records {
+	if err != nil || len(snaps) != 1 || snaps[0].log.Len() != sum.Records {
 		t.Fatalf("final state: %d sites, err %v; want the %d served records", len(snaps), err, sum.Records)
 	}
-	held := snaps[0].recs
+	held := snaps[0].log.Records()
 	wantFaults := mustCluster(t, held)
 	wantBreak := core.BreakdownByMode(held, wantFaults)
 	if sum.Faults != len(wantFaults) || sum.FaultsByMode != wantBreak.FaultsByMode || sum.ErrorsByMode != wantBreak.ErrorsByMode {

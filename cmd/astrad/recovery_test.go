@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -18,6 +19,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/iofault"
 	"repro/internal/mce"
+	"repro/internal/predict"
 	"repro/internal/stream"
 	"repro/internal/syslog"
 	"repro/internal/topology"
@@ -29,7 +31,7 @@ import (
 // bit flip — in the body or the trailer — is detected.
 func TestSealOpenState(t *testing.T) {
 	_, ces := testLog(t)
-	data := marshalSnapshots(t, []siteSnapshot{{id: "default", shed: 3, recs: ces[:8]}})
+	data := marshalSnapshots(t, []siteSnapshot{{id: "default", shed: 3, log: logOf(ces[:8])}})
 	sealed := sealState(data)
 	if !bytes.HasPrefix(sealed, data) || len(sealed) != len(data)+sealLen {
 		t.Fatal("sealing rewrote the body")
@@ -66,7 +68,7 @@ func TestSealOpenState(t *testing.T) {
 		}
 	}
 	// The full decode path accepts the sealed image.
-	if snaps, err := unmarshal(sealed); err != nil || len(snaps) != 1 || len(snaps[0].recs) != 8 {
+	if snaps, err := unmarshal(sealed); err != nil || len(snaps) != 1 || snaps[0].log.Len() != 8 {
 		t.Fatalf("unmarshal sealed = %+v, %v", snaps, err)
 	}
 }
@@ -76,7 +78,7 @@ func TestSealOpenState(t *testing.T) {
 // offset where parsing stopped.
 func TestParseSectionErrorsNameSiteAndOffset(t *testing.T) {
 	_, ces := testLog(t)
-	data := marshalSnapshots(t, []siteSnapshot{{id: "default", shed: 7, recs: ces[:4]}})
+	data := marshalSnapshots(t, []siteSnapshot{{id: "default", shed: 7, log: logOf(ces[:4])}})
 	corrupt := bytes.Replace(data, []byte("\nshed 7\n"), []byte("\nsped 7\n"), 1)
 	_, err := unmarshal(sealState(corrupt))
 	if err == nil {
@@ -87,8 +89,8 @@ func TestParseSectionErrorsNameSiteAndOffset(t *testing.T) {
 	}
 
 	multi := marshalSnapshots(t, []siteSnapshot{
-		{id: "east", recs: ces[:2]},
-		{id: "west", recs: ces[2:5]},
+		{id: "east", log: logOf(ces[:2])},
+		{id: "west", log: logOf(ces[2:5])},
 	})
 	// Damage west's records header only.
 	header, start, end := blobSpan(t, multi, 1)
@@ -174,8 +176,8 @@ func TestRestoredSectionIsExact(t *testing.T) {
 	})
 	statePath := filepath.Join(t.TempDir(), "astrad.state")
 	image := marshalSnapshots(t, []siteSnapshot{
-		{id: "east", cp: midScanCheckpoint(t), shed: 5, recs: ces[:len(ces)/2], alarms: ledger.snapshot()},
-		{id: "west", recs: ces[len(ces)/2:]},
+		{id: "east", cp: midScanCheckpoint(t), shed: 5, log: logOf(ces[:len(ces)/2]), alarms: ledger.snapshot()},
+		{id: "west", log: logOf(ces[len(ces)/2:])},
 	})
 	if err := os.WriteFile(statePath, sealState(image), 0o644); err != nil {
 		t.Fatal(err)
@@ -194,7 +196,7 @@ func TestRestoredSectionIsExact(t *testing.T) {
 	}
 	for _, s := range d.sites {
 		eng := s.engine()
-		live, err := marshalSection(siteSnapshot{cp: s.resumeCP, shed: eng.Shed(), recs: eng.Records(), alarms: s.alarms.snapshot()})
+		live, err := marshalSection(siteSnapshot{cp: s.resumeCP, shed: eng.Shed(), log: eng.RecordLog(nil), alarms: s.alarms.snapshot()})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -321,6 +323,175 @@ func TestDaemonStateLadderRecovery(t *testing.T) {
 	}
 	if !strings.Contains(errs.String(), "no state generation recoverable") {
 		t.Fatalf("cold start not reported; stderr:\n%s", errs.String())
+	}
+}
+
+// TestDaemonCheckpointsAtIdle: a daemon that has caught up still
+// checkpoints. A log scanned within one -checkpoint-every interval and
+// then left idle gets exactly one periodic checkpoint, captured at the
+// tail's wait once the interval has passed (so within the interval plus
+// the -poll ceiling), holding every record; and no second one while the
+// log does not change. With a slow drainer, the queue still holds most
+// of the log when the checkpoint falls due; the idle capture waits for
+// it to drain, so the checkpoint's first-alarm ledger scores every
+// record it holds, as the shutdown capture's does.
+func TestDaemonCheckpointsAtIdle(t *testing.T) {
+	full, ces := testLog(t)
+	const every, poll, grace = 400 * time.Millisecond, 100 * time.Millisecond, time.Second
+	for _, tc := range []struct {
+		name  string
+		extra []string
+	}{
+		{"caught-up", nil},
+		// Eight batches, every/2 apart: the drain takes 4 intervals.
+		{"slow-drain", []string{"-drain-batch", fmt.Sprint(len(ces)/8 + 1), "-drain-interval", (every / 2).String()}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			logPath := filepath.Join(dir, "syslog.log")
+			statePath := filepath.Join(dir, "astrad.state")
+			if err := os.WriteFile(logPath, full, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			start := time.Now()
+			addr, cancel, done, errs := startDaemonArgs(t, logPath, statePath, append([]string{
+				"-checkpoint-every", every.String(), "-poll", poll.String(), "-risk-threshold", "0.1"}, tc.extra...)...)
+			running := true
+			defer func() {
+				if running {
+					cancel()
+					<-done
+				}
+			}()
+			checkpoints := func() int { return strings.Count(errs.String(), "msg=checkpoint ") }
+			for deadline := start.Add(30 * time.Second); countMetric(t, addr, "astrad_log_offset_bytes") < float64(len(full)); {
+				if time.Now().After(deadline) {
+					t.Fatalf("the log was never scanned to its end; stderr:\n%s", errs.String())
+				}
+				time.Sleep(time.Millisecond)
+			}
+			if scanned := time.Since(start); scanned >= every {
+				t.Skipf("the log took %v to scan, past the %v interval", scanned, every)
+			}
+			waitForRecords(t, addr, len(ces))
+			drained := time.Now()
+			for checkpoints() == 0 {
+				if time.Since(drained) > every+poll+grace {
+					t.Fatalf("no checkpoint %v after the engine held every record, interval %v, poll %v; stderr:\n%s",
+						time.Since(drained), every, poll, errs.String())
+				}
+				time.Sleep(5 * time.Millisecond)
+			}
+			t.Logf("first checkpoint logged %v after start", time.Since(start))
+			snaps, err := loadState(statePath)
+			if err != nil || len(snaps) != 1 || snaps[0].log.Len() != len(ces) {
+				t.Fatalf("idle checkpoint: err %v, %d sites, want one holding %d records", err, len(snaps), len(ces))
+			}
+			time.Sleep(3 * every)
+			if n := checkpoints(); n != 1 {
+				t.Fatalf("%d checkpoints over an idle log, want 1; stderr:\n%s", n, errs.String())
+			}
+			cancel()
+			running = false
+			if code := <-done; code != 0 {
+				t.Fatalf("exit = %d; stderr:\n%s", code, errs.String())
+			}
+			final, err := loadState(statePath)
+			if err != nil || len(final) != 1 {
+				t.Fatalf("shutdown state: err %v, %d sites", err, len(final))
+			}
+			if len(final[0].alarms) == 0 || !reflect.DeepEqual(snaps[0].alarms, final[0].alarms) {
+				t.Fatalf("idle checkpoint ledger has %d alarms, the shutdown's %d (or their stamps differ)",
+					len(snaps[0].alarms), len(final[0].alarms))
+			}
+		})
+	}
+}
+
+// TestCheckpointRetriedPastBusyWriter: a due checkpoint the writer has
+// no room for is tried again at the next due wait, though the caught-up
+// log has not moved; once the writer takes one, no more are captured
+// while the log stays idle.
+func TestCheckpointRetriedPastBusyWriter(t *testing.T) {
+	full, ces := testLog(t)
+	dir := t.TempDir()
+	logPath := filepath.Join(dir, "syslog.log")
+	if err := os.WriteFile(logPath, full, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	const every, poll = 100 * time.Millisecond, 20 * time.Millisecond
+	d := &daemon{
+		cfg: daemonConfig{
+			logPath: logPath, statePath: filepath.Join(dir, "astrad.state"), stateKeep: 1,
+			dedupWindow: testDedup, reorderWindow: testReorder, poll: poll, checkpointSec: every,
+			queueDepth: 1 << 16, drainBatch: 1024, window: stream.DefaultWindow, dimms: 48 * topology.SlotsPerNode,
+			riskThreshold: 0.1,
+		},
+		log:       slog.New(slog.NewTextHandler(io.Discard, nil)),
+		fs:        atomicio.OS,
+		predictor: predict.DefaultRuleLadder(),
+		cpCh:      make(chan [][]byte, 1),
+	}
+	if err := d.restoreSites(); err != nil {
+		t.Fatal(err)
+	}
+	s := d.sites[0]
+	q, eng := s.queue(), s.engine()
+	d.cpCh <- nil // the writer is busy
+	drained := make(chan struct{})
+	go func() {
+		d.drain(q, eng)
+		close(drained)
+	}()
+	f, err := os.Open(logPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	ctx, cancel := context.WithCancel(context.Background())
+	stopped := make(chan error, 1)
+	go func() {
+		_, _, err := d.ingest(ctx, s, q, f, syslog.Checkpoint{})
+		stopped <- err
+	}()
+	defer func() {
+		cancel()
+		if err := <-stopped; err != nil {
+			t.Error(err)
+		}
+		q.Close()
+		<-drained
+	}()
+
+	deadline := time.Now().Add(30 * time.Second)
+	for eng.Summary().Records < len(ces) {
+		if time.Now().After(deadline) {
+			t.Fatalf("the engine holds %d of %d records", eng.Summary().Records, len(ces))
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	// Caught up: every due wait tries the capture the writer drops.
+	for skipped := d.cpSkipped.Load(); d.cpSkipped.Load() < skipped+2; {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d checkpoints skipped, no retry over the idle log", d.cpSkipped.Load())
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	<-d.cpCh // the writer frees up
+	select {
+	case secs := <-d.cpCh:
+		snap, err := parseSection(secs[0], s.id)
+		if err != nil || snap.log.Len() != len(ces) {
+			t.Fatalf("handed-over section: err %v, %d records, want %d", err, snap.log.Len(), len(ces))
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("no checkpoint handed over once the writer was free")
+	}
+	time.Sleep(3 * every)
+	select {
+	case <-d.cpCh:
+		t.Fatal("checkpoint captured again over an idle log")
+	default:
 	}
 }
 
@@ -596,10 +767,10 @@ func TestDaemonSiteFaultIsolation(t *testing.T) {
 	for _, sn := range snaps {
 		bySite[sn.id] = sn
 	}
-	if len(bySite["east"].recs) == 0 {
+	if bySite["east"].log.Len() == 0 {
 		t.Fatal("east section lost its records")
 	}
-	if w, ok := bySite["west"]; !ok || len(w.recs) != 0 {
+	if w, ok := bySite["west"]; !ok || w.log.Len() != 0 {
 		t.Fatalf("west section = %+v, want present and empty", bySite["west"])
 	}
 
@@ -735,8 +906,8 @@ func FuzzLoadStateLadder(f *testing.F) {
 	flipped[len(flipped)/2] ^= 4
 	f.Add(flipped)
 	rich := marshalSnapshots(f, []siteSnapshot{
-		{id: "east", shed: 2, recs: ces[:20], alarms: []alarmEntry{{key: core.RecordBankKey(&ces[0]), at: 1}}},
-		{id: "west", recs: ces[20:30]},
+		{id: "east", shed: 2, log: logOf(ces[:20]), alarms: []alarmEntry{{key: core.RecordBankKey(&ces[0]), at: 1}}},
+		{id: "west", log: logOf(ces[20:30])},
 	})
 	f.Add(sealState(rich))
 	// Header counts a sealed image can carry; once, each sized an
@@ -791,8 +962,39 @@ func FuzzLoadStateLadder(f *testing.F) {
 			}
 			for sc.Scan() {
 			}
+			// The engine restored from the section's rows is the one
+			// IngestBatch builds from colfmt.Decode of its records blob.
+			got := stream.Restore(stream.Config{}, sn.log)
+			want := stream.New(stream.Config{})
+			want.IngestBatch(decodeSectionRecords(t, sn.section))
+			if !reflect.DeepEqual(got.Snapshot(), want.Snapshot()) || got.Summary() != want.Summary() ||
+				!reflect.DeepEqual(got.Features(), want.Features()) || !reflect.DeepEqual(got.Records(), want.Records()) {
+				t.Fatalf("site %s: restored engine differs from the IngestBatch replay", sn.id)
+			}
 		}
 	})
+}
+
+// decodeSectionRecords is colfmt.Decode's CE records of a section's
+// records blob.
+func decodeSectionRecords(t *testing.T, sec []byte) []mce.CERecord {
+	t.Helper()
+	r := &stateReader{data: sec}
+	n, err := r.count("checkpoint")
+	if err == nil {
+		r.off += n
+		if _, err = r.header("shed"); err == nil {
+			n, err = r.count("records")
+		}
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs, err := colfmt.Decode(sec[r.off : r.off+n])
+	if err != nil {
+		t.Fatalf("a loaded section's records do not decode: %v", err)
+	}
+	return recs.CEs
 }
 
 // ringPositionImage is an unsealed state image whose scanner checkpoint

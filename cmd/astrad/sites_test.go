@@ -230,9 +230,9 @@ func TestStateV3RoundTrip(t *testing.T) {
 	for i, sn := range snaps {
 		g := got[i]
 		if g.id != sn.id || g.shed != sn.shed || g.cp.Offset != sn.cp.Offset ||
-			g.cp.Buffered() != sn.cp.Buffered() || !reflect.DeepEqual(g.recs, sn.recs) {
+			g.cp.Buffered() != sn.cp.Buffered() || !reflect.DeepEqual(g.log.Records(), sn.log.Records()) {
 			t.Fatalf("site %d: loaded %s (shed %d, offset %d, %d records), want %s (shed %d, offset %d, %d records)",
-				i, g.id, g.shed, g.cp.Offset, len(g.recs), sn.id, sn.shed, sn.cp.Offset, len(sn.recs))
+				i, g.id, g.shed, g.cp.Offset, g.log.Len(), sn.id, sn.shed, sn.cp.Offset, sn.log.Len())
 		}
 		ids[i], secs[i] = g.id, g.section
 	}

@@ -43,12 +43,12 @@ func (s *siteDaemon) health() serve.SiteHealth {
 	}
 }
 
-// buildPipeline constructs one engine+queue incarnation primed with a
-// restored snapshot. Every shed record is charged to the engine's
+// buildPipeline constructs one engine+queue incarnation restored from a
+// snapshot's record log. Every shed record is charged to the engine's
 // degraded accounting: offered == ingested + shed, and every analysis
 // that undercounts says so.
 func (d *daemon) buildPipeline(snap siteSnapshot) (*stream.Engine, *overload.Queue[mce.CERecord]) {
-	eng := stream.New(stream.Config{Window: d.cfg.window, DIMMs: d.cfg.dimms})
+	eng := stream.Restore(stream.Config{Window: d.cfg.window, DIMMs: d.cfg.dimms}, snap.log)
 	q := overload.NewQueue[mce.CERecord](overload.Config{
 		Capacity: d.cfg.queueDepth,
 		High:     d.cfg.queueHigh,
@@ -56,7 +56,6 @@ func (d *daemon) buildPipeline(snap siteSnapshot) (*stream.Engine, *overload.Que
 		Policy:   d.cfg.shedPolicy,
 		OnShed:   func(n int) { eng.NoteShed(n) },
 	})
-	eng.IngestBatch(snap.recs)
 	if snap.shed > 0 {
 		eng.NoteShed(int(snap.shed))
 	}
@@ -94,7 +93,7 @@ func (d *daemon) runSite(ctx context.Context, s *siteDaemon) error {
 		s.alarms.replace(snap.alarms)
 		eng, q = d.rebuild(s, snap)
 		cp = snap.cp
-		d.log.Info("site pipeline rebuilt", "site", s.id, "records", len(snap.recs), "offset", cp.Offset)
+		d.log.Info("site pipeline rebuilt", "site", s.id, "records", snap.log.Len(), "offset", cp.Offset)
 	}
 
 	f, err := os.Open(s.logPath)
@@ -152,7 +151,7 @@ func (d *daemon) runSite(ctx context.Context, s *siteDaemon) error {
 	// unless the resume offset is untranslatable (stopped mid-rotation),
 	// in which case the previous section remains the honest resume point.
 	if d.cfg.statePath != "" && ok {
-		if err := d.snapshotSection(s, fcp); err != nil {
+		if _, err := d.snapshotSection(s, fcp); err != nil {
 			d.log.Warn("final section capture failed", "site", s.id, "err", err)
 		}
 	}

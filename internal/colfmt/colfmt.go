@@ -110,6 +110,35 @@ const (
 	colSlotDict = 201
 )
 
+// encoding is how a column stores its values.
+type encoding byte
+
+const (
+	encVarint   encoding = iota // zigzag varints
+	encUvarint                  // uvarints, kept as their bit patterns
+	encDelta                    // zigzag varint deltas, restarting at each block
+	encNodeDict                 // uvarint indexes into the kind's node dictionary
+	encSlotDict                 // uvarint indexes into the slot dictionary
+	encByte                     // one raw byte per record
+)
+
+// encodings lists each kind's column encodings by column id.
+var encodings = [kindHET + 1][]encoding{
+	kindCE: {
+		colTimeSec: encDelta, colTimeNsec: encUvarint, colNode: encNodeDict, colCESlot: encSlotDict,
+		colCESocket: encVarint, colCERank: encVarint, colCEBank: encVarint, colCERowRaw: encVarint,
+		colCECol: encVarint, colCEBitPos: encVarint, colCEAddr: encUvarint, colCESyndrome: encByte,
+	},
+	kindDUE: {
+		colTimeSec: encDelta, colTimeNsec: encUvarint, colNode: encNodeDict,
+		colDUECause: encVarint, colDUEAddr: encUvarint, colDUEFatal: encByte,
+	},
+	kindHET: {
+		colTimeSec: encDelta, colTimeNsec: encUvarint, colNode: encNodeDict,
+		colHETType: encVarint, colHETSeverity: encVarint, colHETAddr: encUvarint,
+	},
+}
+
 // Records bundles the three typed record streams one file holds.
 type Records struct {
 	CEs  []mce.CERecord
@@ -210,6 +239,85 @@ func (s CESlice) Column(f CEField, first int, dst []int64) {
 	default:
 		panic(fmt.Sprintf("colfmt: unknown CE field %d", f))
 	}
+}
+
+// CESink is column-wise write access to a sequence of CE records, the
+// one target the CE decoder writes: the mirror of CEColumns. A holder of
+// records in another layout than []mce.CERecord (the stream engine's
+// packed log) implements it to decode into that layout directly.
+type CESink interface {
+	// SetLen is called once, before any column, with the number of
+	// records.
+	SetLen(n int)
+	// SetColumn stores vs as field f of records [first, first+len(vs)).
+	// Each field's values arrive in record order, every record's once;
+	// the fields themselves may arrive in any order. Addr and the
+	// nanoseconds arrive as their uvarint's bit pattern. An error
+	// rejects the file.
+	SetColumn(f CEField, first int, vs []int64) error
+}
+
+// SetLen implements CESink.
+func (s *CESlice) SetLen(n int) { *s = make(CESlice, n) }
+
+// SetColumn implements CESink the way Decode has always filled records:
+// values are stored unchecked, and a record's nanoseconds fold into the
+// seconds already stored (seconds stored after them reset them to 0).
+func (s *CESlice) SetColumn(f CEField, first int, vs []int64) error {
+	rs := (*s)[first : first+len(vs)]
+	switch f {
+	case CETimeSec:
+		for i, v := range vs {
+			rs[i].Time = time.Unix(v, 0).UTC()
+		}
+	case CETimeNsec:
+		for i, v := range vs {
+			rs[i].Time = time.Unix(rs[i].Time.Unix(), v).UTC()
+		}
+	case CENode:
+		for i, v := range vs {
+			rs[i].Node = topology.NodeID(v)
+		}
+	case CESlot:
+		for i, v := range vs {
+			rs[i].Slot = topology.Slot(v)
+		}
+	case CESocket:
+		for i, v := range vs {
+			rs[i].Socket = int(v)
+		}
+	case CERank:
+		for i, v := range vs {
+			rs[i].Rank = int(v)
+		}
+	case CEBank:
+		for i, v := range vs {
+			rs[i].Bank = int(v)
+		}
+	case CERowRaw:
+		for i, v := range vs {
+			rs[i].RowRaw = int(v)
+		}
+	case CECol:
+		for i, v := range vs {
+			rs[i].Col = int(v)
+		}
+	case CEBitPos:
+		for i, v := range vs {
+			rs[i].BitPos = int(v)
+		}
+	case CEAddr:
+		for i, v := range vs {
+			rs[i].Addr = topology.PhysAddr(v)
+		}
+	case CESyndrome:
+		for i, v := range vs {
+			rs[i].Syndrome = uint8(v)
+		}
+	default:
+		return fmt.Errorf("unknown CE field %d", f)
+	}
+	return nil
 }
 
 // Write encodes recs to w. The output is deterministic for given input.
@@ -488,18 +596,41 @@ func Read(r io.Reader) (Records, error) {
 
 // Decode decodes an in-memory colfmt file.
 func Decode(data []byte) (Records, error) {
-	d := decoder{data: data}
-	recs, err := d.run()
-	if err != nil {
+	var recs Records
+	ces := CESlice(nil)
+	d := decoder{data: data, ce: &ces, recs: &recs}
+	if err := d.run(); err != nil {
 		return Records{}, err
 	}
+	recs.CEs = ces
 	return recs, nil
 }
 
+// DecodeCE decodes a CE-only file (what WriteCE writes) into dst, one
+// block of field values at a time. A file holding DUE or HET records is
+// rejected, and so is the file when dst rejects a value. The checks
+// Decode makes (magic, counts, checksums, dictionary indexes, block
+// order and coverage, trailing bytes) are the same walk's.
+func DecodeCE(data []byte, dst CESink) error {
+	d := decoder{data: data, ce: dst}
+	return d.run()
+}
+
+// decoder walks a colfmt file block by block and decodes every column
+// the same way: CE values go to ce, DUE and HET values into recs (nil
+// for a CE-only decode).
 type decoder struct {
 	data []byte
 	off  int
+	ce   CESink
+	recs *Records
+	// vals holds the values the walker decodes before storing them.
+	vals []int64
 }
+
+// valueRun bounds how many values the walker decodes before storing
+// them: small enough to stay in cache between the two.
+const valueRun = 1024
 
 var errShort = errors.New("truncated")
 
@@ -512,16 +643,16 @@ func (d *decoder) uvarint() (uint64, error) {
 	return v, nil
 }
 
-func (d *decoder) run() (Records, error) {
+func (d *decoder) run() error {
 	if !Sniff(d.data) {
-		return Records{}, errors.New("colfmt: bad magic")
+		return errors.New("colfmt: bad magic")
 	}
 	d.off = MagicLen
 	var counts [3]uint64
 	for i := range counts {
 		v, err := d.uvarint()
 		if err != nil {
-			return Records{}, fmt.Errorf("colfmt: header: %w", err)
+			return fmt.Errorf("colfmt: header: %w", err)
 		}
 		counts[i] = v
 	}
@@ -532,35 +663,42 @@ func (d *decoder) run() (Records, error) {
 	left := uint64(len(d.data) - d.off)
 	for i, cols := range [3]uint64{numCECols, numDUECols, numHETCols} {
 		if counts[i] > left/cols {
-			return Records{}, fmt.Errorf("colfmt: header: %d records of kind %d need more than the %d bytes left", counts[i], i+kindCE, left)
+			return fmt.Errorf("colfmt: header: %d records of kind %d need more than the %d bytes left", counts[i], i+kindCE, left)
 		}
 		left -= counts[i] * cols
 	}
-	recs := Records{
-		CEs:  make([]mce.CERecord, counts[0]),
-		DUEs: make([]mce.DUERecord, counts[1]),
-		HETs: make([]het.Record, counts[2]),
+	if d.recs == nil {
+		// DUE and HET blocks are still checked as Decode checks them:
+		// with no records to cover, such a block can only be empty.
+		if counts[1]+counts[2] > 0 {
+			return fmt.Errorf("colfmt: %d DUE and %d HET records in a CE-only file", counts[1], counts[2])
+		}
+	} else {
+		d.recs.DUEs = make([]mce.DUERecord, counts[1])
+		d.recs.HETs = make([]het.Record, counts[2])
 	}
+	d.ce.SetLen(int(counts[0]))
+	d.vals = make([]int64, min(max(counts[0], counts[1], counts[2]), valueRun))
 	ks := kindState{
-		kindCE:  {nCols: numCECols, n: len(recs.CEs)},
-		kindDUE: {nCols: numDUECols, n: len(recs.DUEs)},
-		kindHET: {nCols: numHETCols, n: len(recs.HETs)},
+		kindCE:  {nCols: numCECols, n: int(counts[0])},
+		kindDUE: {nCols: numDUECols, n: int(counts[1])},
+		kindHET: {nCols: numHETCols, n: int(counts[2])},
 	}
 	for {
 		if d.off >= len(d.data) {
-			return Records{}, errors.New("colfmt: missing end marker")
+			return errors.New("colfmt: missing end marker")
 		}
 		kind := d.data[d.off]
 		if kind == kindEnd {
 			d.off++
 			break
 		}
-		if err := d.block(kind, &recs, &ks); err != nil {
-			return Records{}, err
+		if err := d.block(kind, &ks); err != nil {
+			return err
 		}
 	}
 	if d.off != len(d.data) {
-		return Records{}, fmt.Errorf("colfmt: %d trailing bytes", len(d.data)-d.off)
+		return fmt.Errorf("colfmt: %d trailing bytes", len(d.data)-d.off)
 	}
 	for kind := kindCE; kind <= kindHET; kind++ {
 		st := &ks[kind]
@@ -569,11 +707,11 @@ func (d *decoder) run() (Records, error) {
 		}
 		for col := 0; col < st.nCols; col++ {
 			if st.progress[col] != st.n {
-				return Records{}, fmt.Errorf("colfmt: kind %d column %d covers %d of %d records", kind, col, st.progress[col], st.n)
+				return fmt.Errorf("colfmt: kind %d column %d covers %d of %d records", kind, col, st.progress[col], st.n)
 			}
 		}
 	}
-	return recs, nil
+	return nil
 }
 
 // kindDecode tracks one kind's decode progress: how far each column has
@@ -589,7 +727,7 @@ type kindDecode struct {
 
 type kindState [kindHET + 1]kindDecode
 
-func (d *decoder) block(kind byte, recs *Records, ks *kindState) error {
+func (d *decoder) block(kind byte, ks *kindState) error {
 	blockStart := d.off
 	if kind > kindHET {
 		return fmt.Errorf("colfmt: unknown record kind %d at offset %d", kind, d.off)
@@ -634,17 +772,10 @@ func (d *decoder) block(kind byte, recs *Records, ks *kindState) error {
 		if count > uint64(len(payload)) {
 			return fmt.Errorf("colfmt: kind %d dictionary %d: %d entries in a %d-byte payload", kind, col, count, len(payload))
 		}
-		table := make([]int64, 0, count)
-		off := 0
-		for i := uint64(0); i < count; i++ {
-			v, n := binary.Varint(payload[off:])
-			if n <= 0 {
-				return fmt.Errorf("colfmt: kind %d dictionary %d: truncated entry", kind, col)
-			}
-			off += n
-			table = append(table, v)
-		}
-		if off != len(payload) {
+		table := make([]int64, count)
+		if off, ok := varints(payload, 0, table); !ok {
+			return fmt.Errorf("colfmt: kind %d dictionary %d: truncated entry", kind, col)
+		} else if off != len(payload) {
 			return fmt.Errorf("colfmt: kind %d dictionary %d: trailing payload", kind, col)
 		}
 		if col == colNodeDict {
@@ -664,224 +795,191 @@ func (d *decoder) block(kind byte, recs *Records, ks *kindState) error {
 	if count > uint64(st.n)-first {
 		return fmt.Errorf("colfmt: kind %d column %d: block of %d records at %d exceeds %d records", kind, col, count, first, st.n)
 	}
-	if err := d.decodeColumn(kind, col, int(first), int(count), payload, recs, st); err != nil {
+	if err := d.column(kind, col, int(first), int(count), payload, st); err != nil {
 		return err
 	}
 	st.progress[col] += int(count)
 	return nil
 }
 
-// eachUvarint walks a payload of exactly count uvarints.
-func eachUvarint(payload []byte, count int, fn func(i int, v uint64) error) error {
-	off := 0
-	for i := 0; i < count; i++ {
-		v, n := binary.Uvarint(payload[off:])
+// uvarints decodes len(vs) uvarints from p[off:], each kept as its bit
+// pattern, and returns the offset past them; ok is false where
+// binary.Uvarint fails. One-byte values, most of a column's, skip the
+// general decoder.
+func uvarints(p []byte, off int, vs []int64) (int, bool) {
+	for i := range vs {
+		if off < len(p) && p[off] < 0x80 {
+			vs[i] = int64(p[off])
+			off++
+			continue
+		}
+		v, n := binary.Uvarint(p[off:])
 		if n <= 0 {
-			return errShort
+			return off, false
 		}
+		vs[i] = int64(v)
 		off += n
-		if err := fn(i, v); err != nil {
-			return err
-		}
 	}
-	if off != len(payload) {
-		return fmt.Errorf("%d trailing payload bytes", len(payload)-off)
-	}
-	return nil
+	return off, true
 }
 
-// eachVarint walks a payload of exactly count zigzag varints.
-func eachVarint(payload []byte, count int, fn func(i int, v int64) error) error {
-	off := 0
-	for i := 0; i < count; i++ {
-		v, n := binary.Varint(payload[off:])
-		if n <= 0 {
-			return errShort
-		}
-		off += n
-		if err := fn(i, v); err != nil {
-			return err
-		}
+// varints is uvarints for zigzag varints, decoded as binary.Varint does.
+func varints(p []byte, off int, vs []int64) (int, bool) {
+	off, ok := uvarints(p, off, vs)
+	for i, u := range vs {
+		vs[i] = int64(uint64(u)>>1) ^ -(u & 1)
 	}
-	if off != len(payload) {
-		return fmt.Errorf("%d trailing payload bytes", len(payload)-off)
-	}
-	return nil
-}
-
-// bytesColumn checks a raw single-byte-per-record payload.
-func bytesColumn(payload []byte, count int) error {
-	if len(payload) != count {
-		return fmt.Errorf("%d payload bytes for %d records", len(payload), count)
-	}
-	return nil
-}
-
-// decodeColumn fills records [first, first+count) of one column from a
-// checksum-verified payload.
-func (d *decoder) decodeColumn(kind, col byte, first, count int, payload []byte, recs *Records, st *kindDecode) error {
-	var err error
-	switch kind {
-	case kindCE:
-		err = decodeCE(col, first, count, payload, recs.CEs, st)
-	case kindDUE:
-		err = decodeDUE(col, first, count, payload, recs.DUEs, st)
-	case kindHET:
-		err = decodeHET(col, first, count, payload, recs.HETs, st)
-	}
-	if err != nil {
-		return fmt.Errorf("colfmt: kind %d column %d at record %d: %w", kind, col, first, err)
-	}
-	return nil
+	return off, ok
 }
 
 var errDictIndex = errors.New("dictionary index out of range")
 
-// timeSec decodes a delta-seconds block into out (the nanoseconds column
-// merges in later: encoder order writes seconds first).
-func timeSec(first, count int, payload []byte, set func(i int, sec int64)) error {
-	prev := int64(0)
-	return eachVarint(payload, count, func(i int, delta int64) error {
-		prev += delta
-		set(first+i, prev)
-		return nil
-	})
-}
-
-func decodeCE(col byte, first, count int, payload []byte, out []mce.CERecord, st *kindDecode) error {
-	recs := out[first : first+count]
-	switch col {
-	case colTimeSec:
-		return timeSec(first, count, payload, func(i int, sec int64) {
-			out[i].Time = time.Unix(sec, 0).UTC()
-		})
-	case colTimeNsec:
-		return eachUvarint(payload, count, func(i int, v uint64) error {
-			recs[i].Time = time.Unix(recs[i].Time.Unix(), int64(v)).UTC()
-			return nil
-		})
-	case colNode:
-		return eachUvarint(payload, count, func(i int, v uint64) error {
-			if v >= uint64(len(st.nodeDict)) {
-				return errDictIndex
-			}
-			recs[i].Node = topology.NodeID(st.nodeDict[v])
-			return nil
-		})
-	case colCESlot:
-		return eachUvarint(payload, count, func(i int, v uint64) error {
-			if v >= uint64(len(st.slotDict)) {
-				return errDictIndex
-			}
-			recs[i].Slot = topology.Slot(st.slotDict[v])
-			return nil
-		})
-	case colCESocket:
-		return eachVarint(payload, count, func(i int, v int64) error { recs[i].Socket = int(v); return nil })
-	case colCERank:
-		return eachVarint(payload, count, func(i int, v int64) error { recs[i].Rank = int(v); return nil })
-	case colCEBank:
-		return eachVarint(payload, count, func(i int, v int64) error { recs[i].Bank = int(v); return nil })
-	case colCERowRaw:
-		return eachVarint(payload, count, func(i int, v int64) error { recs[i].RowRaw = int(v); return nil })
-	case colCECol:
-		return eachVarint(payload, count, func(i int, v int64) error { recs[i].Col = int(v); return nil })
-	case colCEBitPos:
-		return eachVarint(payload, count, func(i int, v int64) error { recs[i].BitPos = int(v); return nil })
-	case colCEAddr:
-		return eachUvarint(payload, count, func(i int, v uint64) error {
-			recs[i].Addr = topology.PhysAddr(v)
-			return nil
-		})
-	case colCESyndrome:
-		if err := bytesColumn(payload, count); err != nil {
-			return err
+// resolve maps dictionary indexes to their entries in place.
+func resolve(vs, dict []int64) error {
+	for i, v := range vs {
+		if uint64(v) >= uint64(len(dict)) {
+			return errDictIndex
 		}
-		for i := range recs {
-			recs[i].Syndrome = payload[i]
-		}
-		return nil
+		vs[i] = dict[v]
 	}
-	return fmt.Errorf("unhandled column %d", col)
+	return nil
 }
 
-func decodeDUE(col byte, first, count int, payload []byte, out []mce.DUERecord, st *kindDecode) error {
-	recs := out[first : first+count]
+// column decodes one checksum-verified column block and hands its values
+// to set a run at a time: seconds as absolute values (the deltas restart
+// at every block), dictionary columns resolved, and uvarint columns (the
+// nanoseconds, the addresses) as their bit patterns.
+func (d *decoder) column(kind, col byte, first, count int, payload []byte, st *kindDecode) error {
+	fail := func(err error) error {
+		return fmt.Errorf("colfmt: kind %d column %d at record %d: %w", kind, col, first, err)
+	}
+	enc := encodings[kind][col]
+	if enc == encByte && len(payload) != count {
+		return fail(fmt.Errorf("%d payload bytes for %d records", len(payload), count))
+	}
+	off, prev := 0, int64(0)
+	for done := 0; done < count; {
+		vs := d.vals[:min(len(d.vals), count-done)]
+		ok := true
+		var err error
+		switch enc {
+		case encDelta:
+			if off, ok = varints(payload, off, vs); ok {
+				for i := range vs {
+					prev += vs[i]
+					vs[i] = prev
+				}
+			}
+		case encUvarint:
+			off, ok = uvarints(payload, off, vs)
+		case encNodeDict, encSlotDict:
+			dict := st.nodeDict
+			if enc == encSlotDict {
+				dict = st.slotDict
+			}
+			if off, ok = uvarints(payload, off, vs); ok {
+				err = resolve(vs, dict)
+			}
+		case encByte:
+			for i := range vs {
+				vs[i] = int64(payload[off+i])
+			}
+			off += len(vs)
+		default:
+			off, ok = varints(payload, off, vs)
+		}
+		if !ok {
+			err = errShort
+		}
+		if err != nil {
+			return fail(err)
+		}
+		if err := d.set(kind, col, first+done, vs); err != nil {
+			return fmt.Errorf("colfmt: %w", err)
+		}
+		done += len(vs)
+	}
+	if off != len(payload) {
+		return fail(fmt.Errorf("%d trailing payload bytes", len(payload)-off))
+	}
+	return nil
+}
+
+// set stores vs as column col of records [first, first+len(vs)) of one
+// kind: CE values go to the sink, DUE and HET values into Decode's
+// records. Block checks keep the range within the kind's header count,
+// so a CE-only decode, whose DUE and HET counts are 0, never gets here
+// with DUE or HET values.
+func (d *decoder) set(kind, col byte, first int, vs []int64) error {
+	switch kind {
+	case kindCE:
+		return d.ce.SetColumn(CEField(col), first, vs)
+	case kindDUE:
+		setDUE(col, d.recs.DUEs[first:first+len(vs)], vs)
+	case kindHET:
+		setHET(col, d.recs.HETs[first:first+len(vs)], vs)
+	}
+	return nil
+}
+
+// setDUE stores vs as column col of rs, as CESlice.SetColumn stores CE
+// values.
+func setDUE(col byte, rs []mce.DUERecord, vs []int64) {
 	switch col {
 	case colTimeSec:
-		return timeSec(first, count, payload, func(i int, sec int64) {
-			out[i].Time = time.Unix(sec, 0).UTC()
-		})
+		for i, v := range vs {
+			rs[i].Time = time.Unix(v, 0).UTC()
+		}
 	case colTimeNsec:
-		return eachUvarint(payload, count, func(i int, v uint64) error {
-			recs[i].Time = time.Unix(recs[i].Time.Unix(), int64(v)).UTC()
-			return nil
-		})
+		for i, v := range vs {
+			rs[i].Time = time.Unix(rs[i].Time.Unix(), v).UTC()
+		}
 	case colNode:
-		return eachUvarint(payload, count, func(i int, v uint64) error {
-			if v >= uint64(len(st.nodeDict)) {
-				return errDictIndex
-			}
-			recs[i].Node = topology.NodeID(st.nodeDict[v])
-			return nil
-		})
+		for i, v := range vs {
+			rs[i].Node = topology.NodeID(v)
+		}
 	case colDUECause:
-		return eachVarint(payload, count, func(i int, v int64) error {
-			recs[i].Cause = faultmodel.DUECause(v)
-			return nil
-		})
+		for i, v := range vs {
+			rs[i].Cause = faultmodel.DUECause(v)
+		}
 	case colDUEAddr:
-		return eachUvarint(payload, count, func(i int, v uint64) error {
-			recs[i].Addr = topology.PhysAddr(v)
-			return nil
-		})
+		for i, v := range vs {
+			rs[i].Addr = topology.PhysAddr(v)
+		}
 	case colDUEFatal:
-		if err := bytesColumn(payload, count); err != nil {
-			return err
+		for i, v := range vs {
+			rs[i].Fatal = v != 0
 		}
-		for i := range recs {
-			recs[i].Fatal = payload[i] != 0
-		}
-		return nil
 	}
-	return fmt.Errorf("unhandled column %d", col)
 }
 
-func decodeHET(col byte, first, count int, payload []byte, out []het.Record, st *kindDecode) error {
-	recs := out[first : first+count]
+// setHET stores vs as column col of rs, as CESlice.SetColumn stores CE
+// values.
+func setHET(col byte, rs []het.Record, vs []int64) {
 	switch col {
 	case colTimeSec:
-		return timeSec(first, count, payload, func(i int, sec int64) {
-			out[i].Time = time.Unix(sec, 0).UTC()
-		})
+		for i, v := range vs {
+			rs[i].Time = time.Unix(v, 0).UTC()
+		}
 	case colTimeNsec:
-		return eachUvarint(payload, count, func(i int, v uint64) error {
-			recs[i].Time = time.Unix(recs[i].Time.Unix(), int64(v)).UTC()
-			return nil
-		})
+		for i, v := range vs {
+			rs[i].Time = time.Unix(rs[i].Time.Unix(), v).UTC()
+		}
 	case colNode:
-		return eachUvarint(payload, count, func(i int, v uint64) error {
-			if v >= uint64(len(st.nodeDict)) {
-				return errDictIndex
-			}
-			recs[i].Node = topology.NodeID(st.nodeDict[v])
-			return nil
-		})
+		for i, v := range vs {
+			rs[i].Node = topology.NodeID(v)
+		}
 	case colHETType:
-		return eachVarint(payload, count, func(i int, v int64) error {
-			recs[i].Type = het.EventType(v)
-			return nil
-		})
+		for i, v := range vs {
+			rs[i].Type = het.EventType(v)
+		}
 	case colHETSeverity:
-		return eachVarint(payload, count, func(i int, v int64) error {
-			recs[i].Severity = het.Severity(v)
-			return nil
-		})
+		for i, v := range vs {
+			rs[i].Severity = het.Severity(v)
+		}
 	case colHETAddr:
-		return eachUvarint(payload, count, func(i int, v uint64) error {
-			recs[i].Addr = topology.PhysAddr(v)
-			return nil
-		})
+		for i, v := range vs {
+			rs[i].Addr = topology.PhysAddr(v)
+		}
 	}
-	return fmt.Errorf("unhandled column %d", col)
 }

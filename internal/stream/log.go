@@ -70,20 +70,25 @@ func (w *row) addr() topology.PhysAddr { return topology.PhysAddr(w.loc >> locAd
 func (w *row) socket() int             { return topology.Slot(w.slot).Socket() }
 
 // record unpacks the row.
-func (w *row) record() mce.CERecord {
-	return mce.CERecord{
-		Time:     time.Unix(w.sec, int64(w.nsec)).UTC(),
-		Node:     topology.NodeID(w.node),
-		Socket:   w.socket(),
-		Slot:     topology.Slot(w.slot),
-		Rank:     w.rank(),
-		Bank:     w.bank(),
-		RowRaw:   int(w.rowRaw),
-		Col:      int(w.col),
-		BitPos:   w.bitPos(),
-		Addr:     w.addr(),
-		Syndrome: w.syndrome,
-	}
+func (w *row) record() (r mce.CERecord) {
+	w.unpack(&r)
+	return r
+}
+
+// unpack unpacks the row into *r, field by field: Restore's loop reuses
+// one record instead of copying a returned one.
+func (w *row) unpack(r *mce.CERecord) {
+	r.Time = time.Unix(w.sec, int64(w.nsec)).UTC()
+	r.Node = topology.NodeID(w.node)
+	r.Socket = w.socket()
+	r.Slot = topology.Slot(w.slot)
+	r.Rank = w.rank()
+	r.Bank = w.bank()
+	r.RowRaw = int(w.rowRaw)
+	r.Col = int(w.col)
+	r.BitPos = w.bitPos()
+	r.Addr = w.addr()
+	r.Syndrome = w.syndrome
 }
 
 // chunkRows is the record log's chunk size (32 KiB of rows). Chunks are
@@ -128,16 +133,188 @@ func (l *recordLog) append(r *mce.CERecord) int {
 	return g
 }
 
-// RecordLog is a read-only handle on an engine's record log as it stood
-// when the handle was taken, followed by a tail of records the caller
-// holds (a checkpoint's still-queued records). Taking it is O(1) and
-// copies no record: full chunks never change, and the handle reads the
-// partial chunk only below the length it captured, so it is safe to read
-// without any lock while the engine keeps ingesting. It implements
-// colfmt.CEColumns, so a checkpoint encodes straight from the rows.
+// RecordLog is a read-only handle on a record log followed by a tail of
+// records the caller holds: an engine's log as it stood when the handle
+// was taken, with a checkpoint's still-queued records as the tail, or a
+// log DecodeRecordLog decoded. Taking it is O(1) and copies no record:
+// full chunks never change, and the handle reads the partial chunk only
+// below the length it captured, so it is safe to read without any lock
+// while the engine keeps ingesting. It implements colfmt.CEColumns, so a
+// checkpoint encodes straight from the rows, and Restore builds an
+// engine from a decoded one.
 type RecordLog struct {
 	log  recordLog
 	tail colfmt.CESlice
+	// decoded marks a handle DecodeRecordLog returned: no engine appends
+	// to its rows, and it has no tail and no exotic records.
+	decoded bool
+}
+
+// DecodeRecordLog decodes a CE-only colfmt file (what colfmt.WriteCE
+// writes) straight into the rows of a record log, for Restore to take
+// over: no mce.CERecord is materialized. It accepts exactly the CE-only
+// files colfmt.Decode accepts whose records all pass
+// mce.CERecord.CheckRanges, and the handle's records are Decode's.
+func DecodeRecordLog(data []byte) (RecordLog, error) {
+	var s logSink
+	if err := colfmt.DecodeCE(data, &s); err != nil {
+		return RecordLog{}, err
+	}
+	return RecordLog{log: s.log, decoded: true}, nil
+}
+
+// logSink decodes into a record log's rows as colfmt's CE sink. Every
+// value is held to its mce.CERecord.CheckRanges range before it is
+// narrowed into a row field, so a record that fails the check is
+// rejected, never truncated into one that passes; such records are the
+// only ones a row could not hold exactly. set counts, per field, the
+// records stored so far: the columns of the two fields whose values
+// combine (seconds and nanoseconds; slot and socket) may arrive in
+// either order.
+type logSink struct {
+	log recordLog
+	set [colfmt.CESyndrome + 1]int
+}
+
+// SetLen implements colfmt.CESink.
+func (s *logSink) SetLen(n int) {
+	s.log.chunks = make([]*[chunkRows]row, 0, (n+chunkMask)>>chunkShift)
+	for len(s.log.chunks)<<chunkShift < n {
+		s.log.chunks = append(s.log.chunks, new([chunkRows]row))
+	}
+	s.log.n = n
+}
+
+// SetColumn implements colfmt.CESink, one chunk's rows at a time.
+func (s *logSink) SetColumn(f colfmt.CEField, first int, vs []int64) error {
+	if f > colfmt.CESyndrome || first != s.set[f] {
+		return fmt.Errorf("stream: CE field %d stored out of order at record %d", f, first)
+	}
+	for len(vs) > 0 {
+		lo := first & chunkMask
+		rows := s.log.chunks[first>>chunkShift][lo:min(chunkRows, lo+len(vs))]
+		if i, err := s.setRows(f, first, rows, vs[:len(rows)]); err != nil {
+			return fmt.Errorf("record %d: %w", first+i, err)
+		}
+		first += len(rows)
+		vs = vs[len(rows):]
+	}
+	s.set[f] = first
+	return nil
+}
+
+// setRows stores field f of rows, the records from first on. It returns
+// the index of the value it rejects.
+func (s *logSink) setRows(f colfmt.CEField, first int, rows []row, vs []int64) (int, error) {
+	// other is how many of rows already hold the field f combines with.
+	other := func(g colfmt.CEField) int { return min(len(rows), max(0, s.set[g]-first)) }
+	switch f {
+	case colfmt.CETimeSec:
+		// Seconds stored after a record's nanoseconds reset them, as
+		// colfmt.Decode's time.Unix(sec, 0) does.
+		for i, v := range vs {
+			rows[i].sec, rows[i].nsec = v, 0
+		}
+	case colfmt.CETimeNsec:
+		// Nanoseconds fold into stored seconds exactly as
+		// time.Unix(sec, nsec) normalizes them; before their seconds
+		// they are moot.
+		for i, v := range vs[:other(colfmt.CETimeSec)] {
+			sec := rows[i].sec
+			if v < 0 || v >= 1e9 {
+				q := v / 1e9
+				sec += q
+				v -= q * 1e9
+				if v < 0 {
+					v += 1e9
+					sec--
+				}
+			}
+			rows[i].sec, rows[i].nsec = sec, uint32(v)
+		}
+	case colfmt.CENode:
+		for i, v := range vs {
+			if uint64(v) >= topology.Nodes {
+				return i, fmt.Errorf("mce: node %d out of range", v)
+			}
+			rows[i].node = uint16(v)
+		}
+	case colfmt.CESlot:
+		// A socket stored first waits in the slot field for its slot.
+		sockets := other(colfmt.CESocket)
+		for i, v := range vs {
+			if uint64(v) >= topology.SlotsPerNode {
+				return i, fmt.Errorf("mce: slot %d out of range", v)
+			}
+			if i < sockets && int(rows[i].slot) != topology.Slot(v).Socket() {
+				return i, fmt.Errorf("mce: slot %d on socket %d out of range", v, rows[i].slot)
+			}
+			rows[i].slot = uint8(v)
+		}
+	case colfmt.CESocket:
+		slots := other(colfmt.CESlot)
+		for i, v := range vs {
+			if i < slots {
+				if v != int64(rows[i].socket()) {
+					return i, fmt.Errorf("mce: slot %d on socket %d out of range", rows[i].slot, v)
+				}
+			} else if uint64(v) >= topology.SocketsPerNode {
+				return i, fmt.Errorf("mce: socket %d out of range", v)
+			} else {
+				rows[i].slot = uint8(v)
+			}
+		}
+	case colfmt.CERank:
+		for i, v := range vs {
+			if uint64(v) >= topology.RanksPerDIMM {
+				return i, fmt.Errorf("mce: rank %d out of range", v)
+			}
+			rows[i].loc |= uint64(v) << locRankShift
+		}
+	case colfmt.CEBank:
+		for i, v := range vs {
+			if uint64(v) >= topology.BanksPerRank {
+				return i, fmt.Errorf("mce: bank %d out of range", v)
+			}
+			rows[i].loc |= uint64(v)
+		}
+	case colfmt.CERowRaw:
+		for i, v := range vs {
+			if uint64(v) >= topology.RowsPerBank {
+				return i, fmt.Errorf("mce: row %d out of range", v)
+			}
+			rows[i].rowRaw = uint16(v)
+		}
+	case colfmt.CECol:
+		for i, v := range vs {
+			if uint64(v) >= topology.ColsPerRow {
+				return i, fmt.Errorf("mce: col %d out of range", v)
+			}
+			rows[i].col = uint16(v)
+		}
+	case colfmt.CEBitPos:
+		for i, v := range vs {
+			if uint64(v) > 1<<20 || v&0x3ff > topology.MaxLineBitPosition {
+				return i, fmt.Errorf("mce: bitpos %#x out of range", v)
+			}
+			rows[i].loc |= uint64(v) << locBitPosShift
+		}
+	case colfmt.CEAddr:
+		for i, v := range vs {
+			if uint64(v) >= topology.NodeMemBytes {
+				return i, fmt.Errorf("mce: addr %#x out of range", uint64(v))
+			}
+			rows[i].loc |= uint64(v) << locAddrShift
+		}
+	case colfmt.CESyndrome:
+		for i, v := range vs {
+			if uint64(v) > 0xff {
+				return i, fmt.Errorf("syndrome %d out of range", v)
+			}
+			rows[i].syndrome = uint8(v)
+		}
+	}
+	return 0, nil
 }
 
 // RecordLog returns a handle on every record ingested so far followed by

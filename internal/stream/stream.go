@@ -29,9 +29,10 @@
 //
 // The engine keeps every record it ingests (fault Errors index them) in
 // a record log of packed, pointer-free 32-byte rows in fixed-size
-// chunks: it grows without copying, the GC never scans it, and a
+// chunks: it grows without copying, the GC never scans it, a
 // checkpoint reads it through an O(1) RecordLog handle instead of a
-// copy.
+// copy, and a restart decodes a checkpoint straight into it
+// (DecodeRecordLog, Restore).
 package stream
 
 import (
@@ -336,16 +337,16 @@ func (e *Engine) noteDIMM(node topology.NodeID, slot int64, ns *nodeState) {
 // warmed fault population is allocation-free, amortized).
 func (e *Engine) Ingest(r mce.CERecord) {
 	e.mu.Lock()
-	e.ingestRecord(&r)
+	e.fold(e.log.append(&r), &r)
 	e.seq.Add(1)
 	e.mu.Unlock()
 }
 
-// ingestRecord is the per-record hot path: it appends rec to the log
-// and folds it in under its arrival index. The bank state reads the
-// caller's record, never the log's row.
-func (e *Engine) ingestRecord(rec *mce.CERecord) {
-	g := e.log.append(rec)
+// fold is the per-record hot path: it folds the record with arrival
+// index g into the fault, feature and node state. Ingest runs it on
+// the caller's record after appending it to the log, so the bank state
+// never reads the log's row; Restore runs it on each row, unpacked.
+func (e *Engine) fold(g int, rec *mce.CERecord) {
 	nsIdx := e.ensureNode(rec.Node)
 	entIdx := e.ensureBank(rec, nsIdx, g)
 	ent := &e.entries[entIdx]
@@ -401,10 +402,33 @@ func (e *Engine) IngestBatch(rs []mce.CERecord) {
 	}
 	e.mu.Lock()
 	for i := range rs {
-		e.ingestRecord(&rs[i])
+		e.fold(e.log.append(&rs[i]), &rs[i])
 	}
 	e.seq.Add(uint64(len(rs)))
 	e.mu.Unlock()
+}
+
+// Restore returns an engine holding the records of h, a handle
+// DecodeRecordLog returned (or the empty handle): the engine New(cfg) is
+// after IngestBatch(h.Records()), built without that copy. The engine
+// takes h's rows over, the partial chunk it goes on appending to
+// included, and folds every row through ingest's per-record fold,
+// unpacked into one reused record. h stays readable, but a second engine
+// restored from it would append into the same chunk, so each decoded
+// handle is restored once. Restoring is astrad's warm restart.
+func Restore(cfg Config, h RecordLog) *Engine {
+	if !h.decoded && h.Len() > 0 {
+		panic("stream: Restore of a handle DecodeRecordLog did not return")
+	}
+	e := New(cfg)
+	e.log = h.log
+	var rec mce.CERecord
+	for g := 0; g < e.log.n; g++ {
+		e.log.chunks[g>>chunkShift][g&chunkMask].unpack(&rec)
+		e.fold(g, &rec)
+	}
+	e.seq.Add(uint64(e.log.n))
+	return e
 }
 
 // reclassify re-derives the fault lists of dirty banks and updates the
