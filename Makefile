@@ -46,7 +46,11 @@ test:
 # engine's batch-equivalence property tests, the tail/checkpoint resume
 # differentials, and the astrad kill/restart and overload tests are the
 # contracts most exposed to concurrency bugs, so they run under the race
-# detector even when the blanket -race sweep is trimmed locally.
+# detector even when the blanket -race sweep is trimmed locally. So do
+# astrareport's buildStudy tests, three times over: buildStudy rebuilds
+# the fleet context and reads and clusters the file as two concurrent
+# tasks, and repeated runs vary which of the two finishes (or fails)
+# first.
 verify:
 	$(GO) build ./...
 	test -z "$$(gofmt -l .)"
@@ -55,6 +59,7 @@ verify:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 	$(GO) test -race -timeout 30m ./...
 	$(GO) test -race -timeout 30m -count 1 ./internal/stream ./internal/serve ./internal/overload ./internal/syslog ./internal/colfmt ./internal/supervise ./internal/predict ./cmd/astrad
+	$(GO) test -race -count 3 -run '^TestBuildStudy' ./cmd/astrareport
 	$(GO) test -run '^$$' -fuzz '^FuzzParseLine$$' -fuzztime 5s ./internal/syslog
 	$(GO) test -run '^$$' -fuzz '^FuzzScan$$' -fuzztime 5s ./internal/syslog
 	$(GO) test -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime 5s ./internal/colfmt

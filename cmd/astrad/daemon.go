@@ -9,6 +9,7 @@ import (
 	"io"
 	"log/slog"
 	"os"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -121,6 +122,10 @@ type siteDaemon struct {
 	// quarantined site keeps its last-good section, so its state
 	// survives the other sites' checkpoints.
 	section atomic.Pointer[[]byte]
+	// held is what the published section was marshaled from (see
+	// sectionSum). It is touched only at startup and by the site's
+	// pipeline incarnations, which run one at a time.
+	held sectionSum
 
 	// cpUntranslatable counts checkpoint captures skipped because the
 	// scanner offset predated a log rotation (no file position to
@@ -169,6 +174,40 @@ type daemon struct {
 	checkpoints   atomic.Uint64
 	cpSkipped     atomic.Uint64
 	gensDiscarded atomic.Uint64
+
+	// head holds the sections of the state file at the head of the
+	// generation ladder when this process wrote that file or restored it
+	// from generation 0, and is nil when it did neither (or a write
+	// failed). Shutdown does not write the same sections again, which
+	// would slide the ladder to hold two copies of one state. Set at
+	// startup and by the checkpoint writer, read once the writer exits.
+	head [][]byte
+}
+
+// sectionSum is what a site section was marshaled from, short of the
+// records and ledger entries themselves: the scanner checkpoint (in file
+// coordinates, marshaled), the record and shed counts and the ledger's
+// size. Within one published section's lifetime the record log and the
+// ledger only grow (a rebuild restores both from that section), so a
+// capture summed the same would marshal the same bytes. The zero sum
+// matches no capture.
+type sectionSum struct {
+	cp      string
+	records int
+	shed    uint64
+	alarms  int
+}
+
+func sumOf(snap siteSnapshot) (sectionSum, error) {
+	cpb, err := snap.cp.MarshalBinary()
+	return sectionSum{cp: string(cpb), records: snap.log.Len(), shed: snap.shed, alarms: len(snap.alarms)}, err
+}
+
+// publish makes data, marshaled from a state summed as sum, the site's
+// latest checkpoint section.
+func (s *siteDaemon) publish(data []byte, sum sectionSum) {
+	s.held = sum
+	s.section.Store(&data)
 }
 
 // publishStats exposes a snapshot of the site's scanner accounting to
@@ -406,9 +445,12 @@ func (d *daemon) drain(q *overload.Queue[mce.CERecord], eng *stream.Engine) {
 // O(1) handle on the engine's log followed by Freeze's own copy of the
 // queued records, and the section is encoded from them, lock-free,
 // after Freeze returns. The section is published for the checkpoint
-// writer, which writes every site's latest section. scored reports
-// whether the queue was empty, so the ledger scored every record the
-// section holds; still-queued records are scored at a later capture.
+// writer, which writes every site's latest section; a capture whose
+// checkpoint, shed count and ledger (after scoring) match the published
+// section's is not encoded, and the section stays as it is. scored
+// reports whether the queue was empty, so the ledger scored every
+// record the section holds; still-queued records are scored at a later
+// capture.
 func (d *daemon) snapshotSection(s *siteDaemon, cp syslog.Checkpoint) (scored bool, err error) {
 	snap := siteSnapshot{cp: cp}
 	eng := s.engine()
@@ -419,11 +461,17 @@ func (d *daemon) snapshotSection(s *siteDaemon, cp syslog.Checkpoint) (scored bo
 		snap.alarms = s.alarms.snapshot()
 		scored = len(queued) == 0
 	})
-	data, err := marshalSection(snap)
+	sum, err := sumOf(snap)
 	if err != nil {
 		return false, err
 	}
-	s.section.Store(&data)
+	if sum != s.held {
+		data, err := marshalSection(snap)
+		if err != nil {
+			return false, err
+		}
+		s.publish(data, sum)
+	}
 	return scored, nil
 }
 
@@ -480,20 +528,29 @@ func (d *daemon) checkpointWriter() {
 		elapsed := time.Since(start)
 		switch {
 		case err != nil:
+			d.head = nil
 			d.breaker.Failure()
 			d.log.Warn("checkpoint failed", "err", err)
 		case d.cfg.cpTimeout > 0 && elapsed > d.cfg.cpTimeout:
 			// The write landed but the disk is stalling: trip toward open
 			// so the next writes are skipped instead of piling up.
+			d.head = secs
 			d.breaker.Failure()
 			d.checkpoints.Add(1)
 			d.log.Warn("checkpoint slow", "elapsed", elapsed, "breaker", d.breaker.State().String())
 		default:
+			d.head = secs
 			d.breaker.Success()
 			d.checkpoints.Add(1)
 			d.log.Info("checkpoint", "bytes", size, "offset", d.offsetBytes())
 		}
 	}
+}
+
+// atHead reports whether secs are, site for site, the sections of the
+// state file at the head of the ladder.
+func (d *daemon) atHead(secs [][]byte) bool {
+	return d.head != nil && slices.EqualFunc(secs, d.head, bytes.Equal)
 }
 
 // persist writes one state file of the sites' sections (in site order)

@@ -75,6 +75,7 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
+	"slices"
 	"strings"
 	"syscall"
 	"time"
@@ -351,11 +352,13 @@ func serveDaemon(ctx context.Context, cfg daemonConfig, logger *slog.Logger) (in
 	// section (queue drained, resume offset translated) on the way out,
 	// and quarantined sites kept their last-good sections. Persist the
 	// sections synchronously — bypassing the breaker, because this
-	// is the last chance to save the shed accounting and resume points.
+	// is the last chance to save the shed accounting and resume points —
+	// unless the state file at the ladder's head already holds them.
 	exitErr := httpFail
 	if cfg.statePath != "" {
-		size, err := d.persist(d.sections())
-		if err != nil {
+		if secs := d.sections(); d.atHead(secs) {
+			logger.Info("final checkpoint skipped", "reason", "state unchanged")
+		} else if size, err := d.persist(secs); err != nil {
 			if exitErr == nil {
 				exitErr = fmt.Errorf("final checkpoint: %w", err)
 			} else {
@@ -442,18 +445,27 @@ func (d *daemon) restoreSites() error {
 		site.resumeCP = snap.cp
 		site.primed.Store(true)
 		site.alarms.replace(snap.alarms)
+		sum, err := sumOf(snap)
+		if err != nil {
+			return err
+		}
 		sec := snap.section
 		if sec == nil {
 			if sec, err = marshalSection(snap); err != nil {
 				return err
 			}
 		}
-		site.section.Store(&sec)
+		site.publish(sec, sum)
 		if snap.log.Len() > 0 {
 			d.log.Info("restored", "site", spec.id, "records", snap.log.Len(), "bytes", len(sec), "elapsed", elapsed,
 				"shed", snap.shed, "alarms", len(snap.alarms), "offset", snap.cp.Offset, "pendingReorder", snap.cp.Buffered())
 		}
 		d.sites = append(d.sites, site)
+	}
+	// Generation 0, restored over the same sites in the same order, is
+	// the state file at the ladder's head.
+	if gen == 0 && slices.EqualFunc(snaps, d.sites, func(sn siteSnapshot, s *siteDaemon) bool { return sn.id == s.id }) {
+		d.head = d.sections()
 	}
 	return nil
 }

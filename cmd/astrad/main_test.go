@@ -733,7 +733,10 @@ func BenchmarkStateRestore(b *testing.B) {
 			b.Fatal(err)
 		}
 		d.rebuild(s, snap)
-		perRecord(b, nil, func() error { _, err := d.snapshotSection(s, syslog.Checkpoint{}); return err })
+		// Forget the published section, as a log that moved would, so
+		// every capture encodes.
+		forget := func() error { s.held = sectionSum{}; return nil }
+		perRecord(b, forget, func() error { _, err := d.snapshotSection(s, syslog.Checkpoint{}); return err })
 	})
 }
 

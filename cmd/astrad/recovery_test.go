@@ -216,12 +216,12 @@ func startDaemonKeep(t *testing.T, logPath, statePath string, extra ...string) (
 
 // TestDaemonStateLadderRecovery is the generational-recovery acceptance
 // test: a bit flip in the newest state generation must cost one
-// checkpoint interval, not the daemon. Phase 1 runs long enough to lay
-// down at least two generations; the newest is then bit-flipped, and the
-// restarted daemon must fall back to the older generation, re-ingest the
-// offset delta, and converge to the exact batch answer. A second restart
-// with every generation corrupted must cold-start from the log — never
-// exit — and still converge.
+// checkpoint interval, not the daemon. Phase 1 lays down two distinct
+// periodic generations, with lines appended between them; the newest is
+// then bit-flipped, and the restarted daemon must fall back to the
+// older generation, re-ingest the offset delta, and converge to the
+// exact batch answer. A second restart with every generation corrupted
+// must cold-start from the log — never exit — and still converge.
 func TestDaemonStateLadderRecovery(t *testing.T) {
 	full, ces := testLog(t)
 	wantFaults := mustCluster(t, ces)
@@ -230,26 +230,33 @@ func TestDaemonStateLadderRecovery(t *testing.T) {
 	dir := t.TempDir()
 	logPath := filepath.Join(dir, "syslog.log")
 	statePath := filepath.Join(dir, "astrad.state")
+	quarter := bytes.LastIndexByte(full[:len(full)/4], '\n') + 1
 	cut := bytes.LastIndexByte(full[:len(full)/2], '\n') + 1
-	if err := os.WriteFile(logPath, full[:cut], 0o644); err != nil {
+	if err := os.WriteFile(logPath, full[:quarter], 0o644); err != nil {
 		t.Fatal(err)
 	}
 
-	// Phase 1: ingest the first half, wait for a periodic checkpoint (the
-	// final shutdown write then shifts it to generation 1).
+	// Phase 1: ingest the first quarter and wait for a periodic
+	// checkpoint covering it, then append the second quarter and wait for
+	// one covering that. Shutdown has nothing left to write.
 	addr, cancel, done, errs := startDaemonKeep(t, logPath, statePath)
 	var h struct {
 		Records int `json:"records"`
 	}
-	deadline := time.Now().Add(10 * time.Second)
-	for h.Records == 0 || !strings.Contains(errs.String(), "msg=checkpoint") {
-		if code := httpGetJSON(t, "http://"+addr+"/healthz", &h); code != http.StatusOK {
-			t.Fatalf("healthz = %d", code)
+	for _, end := range []int{quarter, cut} {
+		if end == cut {
+			appendLog(t, logPath, full[quarter:cut])
 		}
-		if time.Now().After(deadline) {
-			t.Fatalf("no checkpoint in phase 1; stderr:\n%s", errs.String())
+		deadline := time.Now().Add(10 * time.Second)
+		for h.Records == 0 || !strings.Contains(errs.String(), "msg=checkpoint") || stateOffset(t, statePath) != int64(end) {
+			if code := httpGetJSON(t, "http://"+addr+"/healthz", &h); code != http.StatusOK {
+				t.Fatalf("healthz = %d", code)
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("no checkpoint at offset %d in phase 1; stderr:\n%s", end, errs.String())
+			}
+			time.Sleep(5 * time.Millisecond)
 		}
-		time.Sleep(time.Millisecond)
 	}
 	cancel()
 	if code := <-done; code != 0 {
@@ -257,6 +264,9 @@ func TestDaemonStateLadderRecovery(t *testing.T) {
 	}
 	if _, err := os.Stat(statePath + ".1"); err != nil {
 		t.Fatalf("no generation 1 after two checkpoints: %v", err)
+	}
+	if bytes.Equal(mustReadFile(t, statePath), mustReadFile(t, statePath+".1")) {
+		t.Fatal("generations 0 and 1 are copies of one state")
 	}
 
 	// Corrupt the newest generation and append the rest of the log.
@@ -323,6 +333,108 @@ func TestDaemonStateLadderRecovery(t *testing.T) {
 	}
 	if !strings.Contains(errs.String(), "no state generation recoverable") {
 		t.Fatalf("cold start not reported; stderr:\n%s", errs.String())
+	}
+}
+
+// stateOffset is the resume offset of the one site in the state file at
+// path, or -1 while there is none.
+func stateOffset(t *testing.T, path string) int64 {
+	t.Helper()
+	snaps, err := loadState(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(snaps) != 1 {
+		return -1
+	}
+	return snaps[0].cp.Offset
+}
+
+// TestDaemonIdleShutdownKeepsLadder: a warm boot that reads no new line
+// shuts down without writing. SIGTERM (which cancels run's context) must
+// find every site's section unchanged since it was restored from
+// generation 0, so the daemon exits 0 and leaves every generation byte
+// for byte as it was: idle restarts must not fill the ladder with copies
+// of one state. One appended CE line is a change, and shutdown writes it
+// as a new generation.
+func TestDaemonIdleShutdownKeepsLadder(t *testing.T) {
+	full, ces := testLog(t)
+	dir := t.TempDir()
+	logPath := filepath.Join(dir, "syslog.log")
+	statePath := filepath.Join(dir, "astrad.state")
+	cut := bytes.LastIndexByte(full[:len(full)/2], '\n') + 1
+	if err := os.WriteFile(logPath, full[:cut], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	gens := []string{statePath, statePath + ".1", statePath + ".2"}
+	ladder := func() [][]byte {
+		out := make([][]byte, len(gens))
+		for i, g := range gens {
+			data, err := os.ReadFile(g)
+			if err != nil && !os.IsNotExist(err) {
+				t.Fatal(err)
+			}
+			out[i] = data
+		}
+		return out
+	}
+	// boot runs astrad until it has scanned the whole log, shuts it down
+	// and returns its stderr.
+	boot := func(phase string) string {
+		t.Helper()
+		fi, err := os.Stat(logPath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		addr, cancel, done, errs := startDaemonArgs(t, logPath, statePath, "-state-keep", "3")
+		for deadline := time.Now().Add(30 * time.Second); countMetric(t, addr, "astrad_log_offset_bytes") < float64(fi.Size()); {
+			if time.Now().After(deadline) {
+				cancel()
+				<-done
+				t.Fatalf("%s: the log was never scanned to its end; stderr:\n%s", phase, errs.String())
+			}
+			time.Sleep(time.Millisecond)
+		}
+		cancel()
+		if code := <-done; code != 0 {
+			t.Fatalf("%s: exit = %d; stderr:\n%s", phase, code, errs.String())
+		}
+		return errs.String()
+	}
+
+	// Two distinct generations: a cold boot over the first half, a warm
+	// one over the whole log.
+	boot("cold boot")
+	appendLog(t, logPath, full[cut:])
+	boot("warm boot over the second half")
+	before := ladder()
+	if before[1] == nil || bytes.Equal(before[0], before[1]) {
+		t.Fatal("setup: want two distinct generations")
+	}
+
+	stderr := boot("idle warm boot")
+	if !restoredRE.MatchString(stderr) || !strings.Contains(stderr, "final checkpoint skipped") {
+		t.Errorf("idle warm boot: no restore or no skipped final checkpoint logged; stderr:\n%s", stderr)
+	}
+	for i, data := range ladder() {
+		if !bytes.Equal(data, before[i]) {
+			t.Errorf("idle warm boot rewrote %s (%d bytes, was %d)", filepath.Base(gens[i]), len(data), len(before[i]))
+		}
+	}
+
+	// One more CE line, past the sentinel: the scanner holds it for the
+	// reorder window, and its checkpoint moves.
+	last := ces[len(ces)-1]
+	last.Time = last.Time.Add(testReorder + 2*time.Minute)
+	appendLog(t, logPath, []byte(syslog.FormatCE(last)+"\n"))
+	boot("warm boot over one new line")
+	after := ladder()
+	if bytes.Equal(after[0], before[0]) || !bytes.Equal(after[1], before[0]) || !bytes.Equal(after[2], before[1]) {
+		t.Errorf("one new line: want a new generation 0 with the ladder slid by one (generation 0 rewritten %v, slid %v/%v)",
+			!bytes.Equal(after[0], before[0]), bytes.Equal(after[1], before[0]), bytes.Equal(after[2], before[1]))
+	}
+	if snaps, err := loadState(statePath); err != nil || len(snaps) != 1 || snaps[0].cp.Offset != int64(len(full))+int64(len(syslog.FormatCE(last)))+1 {
+		t.Errorf("new generation: err %v, %d sites, want one resuming past the new line", err, len(snaps))
 	}
 }
 

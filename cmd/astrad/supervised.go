@@ -89,6 +89,7 @@ func (d *daemon) runSite(ctx context.Context, s *siteDaemon) error {
 			// not an I/O fault — but a cold restart beats no restart.
 			d.log.Warn("site section unreadable; rebuilding from scratch", "site", s.id, "err", err)
 			snap = siteSnapshot{id: s.id}
+			s.held = sectionSum{} // it no longer describes the section
 		}
 		s.alarms.replace(snap.alarms)
 		eng, q = d.rebuild(s, snap)
@@ -116,7 +117,7 @@ func (d *daemon) runSite(ctx context.Context, s *siteDaemon) error {
 		eng, q = d.rebuild(s, siteSnapshot{id: s.id})
 		cp = syslog.Checkpoint{}
 		if sec, err := marshalSection(siteSnapshot{}); err == nil {
-			s.section.Store(&sec)
+			s.publish(sec, sectionSum{})
 		}
 	}
 	if _, err := f.Seek(cp.Offset, io.SeekStart); err != nil {

@@ -27,6 +27,7 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
+	"runtime"
 	"sort"
 	"strings"
 	"syscall"
@@ -36,7 +37,10 @@ import (
 	"repro/internal/atomicio"
 	"repro/internal/core"
 	"repro/internal/dataset"
+	"repro/internal/het"
+	"repro/internal/mce"
 	"repro/internal/paper"
+	"repro/internal/parallel"
 	"repro/internal/report"
 	"repro/internal/topology"
 )
@@ -208,11 +212,15 @@ func writeSVGs(ctx context.Context, dir string, study *astra.Study, r *astra.Res
 // telemetry model, the inventory, the ground-truth population the
 // -experiments table checks DUEs against, and the EDAC loss accounting
 // the last line reports; no synthetic record stream is generated or
-// clustered. External logs are never trusted: text passes through the
-// tolerant ingest policy (columnar files are checksummed instead), any
-// records still out of order afterwards are repaired by
-// core.SanitizeRecords, and an ingest-health section is written to w so
-// the reader can judge how dirty the input was.
+// clustered. That rebuild and the file's read and clustering share no
+// input or output, so they run as the two tasks of one parallel.RunCtx
+// group (inline, in that order, at GOMAXPROCS 1), and buildStudy returns
+// once both have ended, with the first error in that order. External
+// logs are never trusted: text passes through the tolerant ingest
+// policy (columnar files are checksummed instead), records still out of
+// time order afterwards are repaired by core.SanitizeRecords, and an
+// ingest-health section is written to w so the reader can judge how
+// dirty the input was.
 func buildStudy(ctx context.Context, w io.Writer, seed uint64, nodes int, fromSyslog string, pol dataset.IngestPolicy) (*astra.Study, error) {
 	opts := astra.Options{Seed: seed, Nodes: nodes}
 	if fromSyslog == "" {
@@ -220,35 +228,45 @@ func buildStudy(ctx context.Context, w io.Writer, seed uint64, nodes int, fromSy
 	}
 	cfg := dataset.DefaultConfig(seed)
 	cfg.Nodes = nodes
-	ds, err := dataset.BuildFleet(ctx, cfg)
-	if err != nil {
-		return nil, err
+	var (
+		ds     *dataset.Dataset
+		ces    []mce.CERecord
+		dues   []mce.DUERecord
+		hets   []het.Record
+		rep    dataset.IngestReport
+		san    core.SanitizeReport
+		faults []core.Fault
+	)
+	fleet := func(ctx context.Context) (err error) {
+		ds, err = dataset.BuildFleet(ctx, cfg)
+		return err
 	}
-	f, err := os.Open(fromSyslog)
-	if err != nil {
-		return nil, err
+	records := func(ctx context.Context) error {
+		f, err := os.Open(fromSyslog)
+		if err != nil {
+			return err
+		}
+		defer f.Close()
+		if ces, dues, hets, rep, err = dataset.ReadRecords(f, pol); err != nil {
+			return err
+		}
+		// Repair only a log still out of order after the reorder window:
+		// a time-ordered log is analyzed as read, never copied, because
+		// the generator legitimately emits byte-identical duplicate CE
+		// lines, which the sanitizer's dedup would strip.
+		if core.TimeOrdered(ces) {
+			san = core.SanitizeReport{In: len(ces), Out: len(ces)}
+		} else {
+			ces, san = core.SanitizeRecords(ces)
+		}
+		faults, err = core.Cluster(ctx, ces, core.DefaultClusterConfig())
+		return err
 	}
-	defer f.Close()
-	ces, dues, hets, rep, err := dataset.ReadRecords(f, pol)
-	if err != nil {
+	if err := parallel.RunCtx(ctx, runtime.GOMAXPROCS(0), fleet, records); err != nil {
 		return nil, err
-	}
-	// Repair ordering only when the log is still unsorted after the reorder
-	// window — a clean, sorted log must round-trip untouched (the generator
-	// legitimately emits byte-identical duplicate CE lines, which a blanket
-	// dedup would strip).
-	sanitized, san := core.SanitizeRecords(ces)
-	if san.WasUnsorted {
-		ces = sanitized
-	} else {
-		san = core.SanitizeReport{In: san.In, Out: san.In}
 	}
 	fmt.Fprintf(w, "parsed %d lines (%d malformed) from %s\n", rep.Lines, rep.Malformed, fromSyslog)
 	fmt.Fprintln(w, report.IngestHealth(rep, san))
 	ds.CERecords, ds.DUERecords, ds.HETRecords = ces, dues, hets
-	faults, err := core.Cluster(ctx, ces, core.DefaultClusterConfig())
-	if err != nil {
-		return nil, err
-	}
 	return &astra.Study{Options: opts, Dataset: ds, Faults: faults}, nil
 }

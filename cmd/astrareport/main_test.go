@@ -7,6 +7,9 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"regexp"
+	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -55,21 +58,51 @@ func tolerantPolicy() dataset.IngestPolicy {
 }
 
 // A clean, sorted log must round-trip through the hardened path untouched:
-// same record counts as the in-memory dataset, no sanitizer repairs.
+// same record counts as the in-memory dataset, no sanitizer repairs. So
+// must one holding byte-identical duplicate CE lines, which the
+// generator legitimately emits: a time-ordered log is analyzed as read.
 func TestBuildStudyCleanParity(t *testing.T) {
 	ds, log := writeStudySyslog(t, 7, 64, nil)
-	study, err := buildStudy(context.Background(), io.Discard, 7, 64, log, tolerantPolicy())
+	data, err := os.ReadFile(log)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, want := len(study.Dataset.CERecords), len(ds.CERecords); got != want {
-		t.Errorf("CE records: got %d, want %d", got, want)
+	lines := strings.SplitAfter(string(data), "\n")
+	at := len(lines) / 2
+	for !strings.Contains(lines[at], " CE ") {
+		at++
 	}
-	if got, want := len(study.Dataset.DUERecords), len(ds.DUERecords); got != want {
-		t.Errorf("DUE records: got %d, want %d", got, want)
+	const copies = 3
+	dup := slices.Clone(lines[:at])
+	for i := 0; i < copies; i++ {
+		dup = append(dup, lines[at])
 	}
-	if got, want := len(study.Dataset.HETRecords), len(ds.HETRecords); got != want {
-		t.Errorf("HET records: got %d, want %d", got, want)
+	dup = append(dup, lines[at:]...)
+	dupLog := filepath.Join(t.TempDir(), "dup.log")
+	if err := os.WriteFile(dupLog, []byte(strings.Join(dup, "")), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		path  string
+		extra int
+	}{{log, 0}, {dupLog, copies}} {
+		var out bytes.Buffer
+		study, err := buildStudy(context.Background(), &out, 7, 64, tc.path, tolerantPolicy())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := len(study.Dataset.CERecords), len(ds.CERecords)+tc.extra; got != want {
+			t.Errorf("%s: CE records: got %d, want %d", tc.path, got, want)
+		}
+		if got, want := len(study.Dataset.DUERecords), len(ds.DUERecords); got != want {
+			t.Errorf("%s: DUE records: got %d, want %d", tc.path, got, want)
+		}
+		if got, want := len(study.Dataset.HETRecords), len(ds.HETRecords); got != want {
+			t.Errorf("%s: HET records: got %d, want %d", tc.path, got, want)
+		}
+		if strings.Contains(out.String(), "re-sorted") || strings.Contains(out.String(), "duplicates removed") {
+			t.Errorf("%s: time-ordered log reported as repaired:\n%s", tc.path, out.String())
+		}
 	}
 }
 
@@ -163,24 +196,39 @@ func writeColfmt(t testing.TB, dir string, ds *dataset.Dataset) string {
 }
 
 // buildStudy must print exactly what the synthetic composition printed,
-// for syslog text (clean and corrupted) and colfmt input, two fleets, the
-// figures and the -experiments rows.
+// for syslog text (clean and corrupted) and colfmt input (time-ordered
+// and reversed), two fleets, the figures and the -experiments rows.
+// Colfmt has no reorder window, so the reversed file is the input that
+// reaches the sanitizer's repair.
 func TestBuildStudyMatchesSyntheticComposition(t *testing.T) {
 	ctx := context.Background()
 	dirty := corrupt.Uniform(9, 0.02)
+	resorted := regexp.MustCompile(`(?m)^records re-sorted +true +$`)
 	for _, fleet := range []struct {
 		seed  uint64
 		nodes int
 	}{{7, 64}, {3, 120}} {
 		ds, text := writeStudySyslog(t, fleet.seed, fleet.nodes, nil)
 		_, dirtyText := writeStudySyslog(t, fleet.seed, fleet.nodes, &dirty)
-		inputs := map[string]string{"text": text, "dirty text": dirtyText, "colfmt": writeColfmt(t, t.TempDir(), ds)}
+		reversed := *ds
+		reversed.CERecords = slices.Clone(ds.CERecords)
+		slices.Reverse(reversed.CERecords)
+		inputs := map[string]string{
+			"text":            text,
+			"dirty text":      dirtyText,
+			"colfmt":          writeColfmt(t, t.TempDir(), ds),
+			"reversed colfmt": writeColfmt(t, t.TempDir(), &reversed),
+		}
 		for kind, path := range inputs {
 			pol := tolerantPolicy()
 			var got, want bytes.Buffer
 			study, err := buildStudy(ctx, &got, fleet.seed, fleet.nodes, path, pol)
 			if err != nil {
 				t.Fatal(err)
+			}
+			if repaired := resorted.Match(got.Bytes()); repaired != (kind == "reversed colfmt") {
+				t.Errorf("fleet %d/%d %s: ingest health says records re-sorted %v, want %v:\n%s",
+					fleet.seed, fleet.nodes, kind, repaired, !repaired, got.String())
 			}
 			renderStudy(t, &got, study)
 			ref, err := syntheticStudy(ctx, &want, fleet.seed, fleet.nodes, path, pol)
@@ -200,6 +248,57 @@ func TestBuildStudyMatchesSyntheticComposition(t *testing.T) {
 					t.Errorf("fleet %d/%d %s: %d lines, want %d", fleet.seed, fleet.nodes, kind, len(g), len(w))
 				}
 			}
+		}
+	}
+}
+
+// buildStudy's errors are the ones the serial composition returned — a
+// missing file's open error, a damaged colfmt file's read error, a
+// cancelled context's error — and it returns them only after both of
+// its tasks have ended, having written nothing.
+func TestBuildStudyErrors(t *testing.T) {
+	ds, _ := writeStudySyslog(t, 7, 64, nil)
+	dir := t.TempDir()
+	missing := filepath.Join(dir, "missing.col")
+	_, openErr := os.Open(missing)
+	flipped := writeColfmt(t, dir, ds)
+	data, err := os.ReadFile(flipped)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data[len(data)/2] ^= 0x10
+	if err := os.WriteFile(flipped, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, _, _, _, readErr := dataset.ReadRecords(bytes.NewReader(data), tolerantPolicy())
+	if readErr == nil {
+		t.Fatal("flipped colfmt byte went undetected")
+	}
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, tc := range []struct {
+		name string
+		ctx  context.Context
+		path string
+		want error
+	}{
+		{"missing file", context.Background(), missing, openErr},
+		{"flipped colfmt byte", context.Background(), flipped, readErr},
+		{"cancelled", cancelled, writeColfmt(t, t.TempDir(), ds), context.Canceled},
+	} {
+		var out bytes.Buffer
+		study, err := buildStudy(tc.ctx, &out, 7, 64, tc.path, tolerantPolicy())
+		// A task still running would show its closure on some stack.
+		stacks := make([]byte, 1<<20)
+		stacks = stacks[:runtime.Stack(stacks, true)]
+		if err == nil || err.Error() != tc.want.Error() || study != nil {
+			t.Errorf("%s: study %v, err %v, want %v", tc.name, study != nil, err, tc.want)
+		}
+		if bytes.Contains(stacks, []byte("astrareport.buildStudy.func")) {
+			t.Errorf("%s: buildStudy returned while a task was running:\n%s", tc.name, stacks)
+		}
+		if out.Len() > 0 {
+			t.Errorf("%s: wrote %q before failing", tc.name, out.String())
 		}
 	}
 }

@@ -373,22 +373,28 @@ func (ix *RecordIndex) AnalyzeTempDeciles(src SensorSource) []DecilePanel {
 }
 
 // AnalyzeUtilization is the indexed AnalyzeUtilization: domain counts and
-// months come from the index, as in AnalyzeTempDeciles.
+// months come from the index, as in AnalyzeTempDeciles. The node × month
+// DC-power grid is the same for every temperature sensor, so it is
+// computed once.
 func (ix *RecordIndex) AnalyzeUtilization(src SensorSource) []UtilizationPanel {
 	months := ix.envMonths
 	sensors := topology.TemperatureSensors()
 	out := make([]UtilizationPanel, len(sensors))
+	grid := ix.nodes * len(months)
+	powers := make([]float64, grid)
+	for n := 0; n < ix.nodes; n++ {
+		for j, mk := range months {
+			powers[n*len(months)+j] = src.MonthlyMean(topology.NodeID(n), topology.SensorDCPower, mk)
+		}
+	}
 	for si, sensor := range sensors {
 		domain := ix.domain[sensor]
-		grid := ix.nodes * len(months)
 		temps := make([]float64, grid)
-		powers := make([]float64, grid)
 		errsCounts := make([]float64, grid)
 		for n := 0; n < ix.nodes; n++ {
 			for j, mk := range months {
 				i := n*len(months) + j
 				temps[i] = src.MonthlyMean(topology.NodeID(n), sensor, mk)
-				powers[i] = src.MonthlyMean(topology.NodeID(n), topology.SensorDCPower, mk)
 				errsCounts[i] = float64(domain[[2]int{n, mk}])
 			}
 		}

@@ -22,6 +22,17 @@ func (r SanitizeReport) Changed() bool {
 	return r.WasUnsorted || r.DuplicatesRemoved > 0
 }
 
+// TimeOrdered reports whether records are in non-decreasing time order,
+// the order the temporal analyses assume.
+func TimeOrdered(records []mce.CERecord) bool {
+	for i := 1; i < len(records); i++ {
+		if records[i].Time.Before(records[i-1].Time) {
+			return false
+		}
+	}
+	return true
+}
+
 // SanitizeRecords prepares externally-ingested CE records for analysis:
 // it time-orders them and collapses exact duplicates (every field equal),
 // reporting what it changed. The clusterer itself is order-insensitive,
@@ -38,12 +49,7 @@ func SanitizeRecords(records []mce.CERecord) ([]mce.CERecord, SanitizeReport) {
 	if len(records) == 0 {
 		return nil, rep
 	}
-	for i := 1; i < len(records); i++ {
-		if records[i].Time.Before(records[i-1].Time) {
-			rep.WasUnsorted = true
-			break
-		}
-	}
+	rep.WasUnsorted = !TimeOrdered(records)
 	out := make([]mce.CERecord, len(records))
 	copy(out, records)
 	// Total order (time first, then every locating field) makes exact
