@@ -13,8 +13,13 @@ test:
 	$(GO) test ./...
 
 # verify is the robustness gate: static checks (every Go file
-# gofmt-clean, then go vet), the full suite including the differential
-# dirty-telemetry harness (robustness_test.go), each stage's allocation
+# gofmt-clean, then go vet), the dead-code census (every production
+# function outside bench/ must be linked by some program built from
+# ./cmd, ./examples or bench, or be named with its reason in
+# linkcensus_test.go's keep-list; it builds those binaries, so plain
+# go test skips it unless ASTRA_LINK_CENSUS=1), the full suite
+# including the differential dirty-telemetry harness
+# (robustness_test.go), each stage's allocation
 # ceiling (an ordinary testing.AllocsPerRun test in the package that
 # owns the stage) and astrad's overload contracts on the real daemon
 # (balanced books across a restart under shedding, a checkpoint breaker
@@ -55,6 +60,7 @@ verify:
 	$(GO) build ./...
 	test -z "$$(gofmt -l .)"
 	$(GO) vet ./...
+	ASTRA_LINK_CENSUS=1 $(GO) test -count 1 -run '^TestEveryProductionFunctionIsLinked$$' .
 	$(GO) test ./...
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 	$(GO) test -race -timeout 30m ./...

@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/atomicio"
 	"repro/internal/core"
 	"repro/internal/predict"
 	"repro/internal/stream"
@@ -216,9 +217,9 @@ func TestDaemonAlarmLedgerSurvivesRestart(t *testing.T) {
 	}
 
 	// Every phase-1 first-alarm time survives the restart unchanged.
-	final, err := loadState(statePath)
-	if err != nil || len(final) != 1 {
-		t.Fatalf("final state: %d sites, %v", len(final), err)
+	final, _, discarded, err := loadStateLadder(atomicio.OS, statePath, 1)
+	if err != nil || len(discarded) > 0 || len(final) != 1 {
+		t.Fatalf("final state: %d sites, discarded %v, %v", len(final), discarded, err)
 	}
 	finalAlarms := make(map[core.BankKey]int64, len(final[0].alarms))
 	for _, a := range final[0].alarms {

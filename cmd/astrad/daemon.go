@@ -841,23 +841,6 @@ func parseSection(sec []byte, site string) (siteSnapshot, error) {
 	return snap, err
 }
 
-// loadState reads one state file into per-site snapshots; a missing file
-// is a fresh start. It reads a single generation — daemon startup goes
-// through loadStateLadder instead.
-func loadState(path string) ([]siteSnapshot, error) {
-	if path == "" {
-		return nil, nil
-	}
-	data, err := os.ReadFile(path)
-	if errors.Is(err, os.ErrNotExist) {
-		return nil, nil
-	}
-	if err != nil {
-		return nil, err
-	}
-	return unmarshal(data)
-}
-
 // loadStateLadder walks the checkpoint generation ladder newest-first
 // and restores the first generation that verifies and parses. Damaged
 // generations are returned for logging and accounting, never fatal: a

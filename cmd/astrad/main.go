@@ -79,6 +79,7 @@ import (
 	"strings"
 	"syscall"
 	"time"
+	"unicode"
 
 	"repro/internal/atomicio"
 	"repro/internal/overload"
@@ -115,6 +116,11 @@ func (s *siteFlags) Set(v string) error {
 	if strings.ContainsAny(id, " \t\n") {
 		return fmt.Errorf("site id %q must not contain whitespace", id)
 	}
+	// The id is a /metrics label value, written unescaped: a quote, a
+	// backslash or a control character would break every scrape.
+	if strings.ContainsAny(id, `"\`) || strings.ContainsFunc(id, unicode.IsControl) {
+		return fmt.Errorf("site id %q must not contain '\"', '\\' or control characters", id)
+	}
 	for _, prev := range *s {
 		if prev.id == id {
 			return fmt.Errorf("duplicate site id %q", id)
@@ -136,7 +142,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	fs.IntVar(&cfg.dedupWindow, "dedup-window", 64, "suppress record lines identical to one of the last N (0 disables)")
 	fs.DurationVar(&cfg.reorderWindow, "reorder-window", 5*time.Minute, "resequence records arriving up to this much late (0 disables)")
 	fs.DurationVar(&cfg.poll, "poll", syslog.DefaultTailPoll, "longest wait between growth checks on an idle log; writes wake the tail at once")
-	fs.DurationVar(&cfg.checkpointSec, "checkpoint-every", 30*time.Second, "minimum interval between periodic checkpoints")
+	fs.DurationVar(&cfg.checkpointSec, "checkpoint-every", 30*time.Second, "minimum interval between periodic checkpoints (> 0)")
 	fs.IntVar(&cfg.dimms, "dimms", topology.DIMMs, "DIMM population per site for FIT denominators")
 	fs.DurationVar(&cfg.window, "window", stream.DefaultWindow, "rolling event-time window for rates and FIT")
 
@@ -190,6 +196,13 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	cfg.shedPolicy = policy
 	if cfg.stateKeep < 1 {
 		fmt.Fprintln(stderr, "astrad: -state-keep must be at least 1")
+		fs.Usage()
+		return 2
+	}
+	// Each capture re-encodes the whole records section, so an interval
+	// of 0 (capture at every record) makes catch-up quadratic.
+	if cfg.checkpointSec <= 0 {
+		fmt.Fprintln(stderr, "astrad: -checkpoint-every must be positive")
 		fs.Usage()
 		return 2
 	}

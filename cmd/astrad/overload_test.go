@@ -383,6 +383,9 @@ func TestAdmissionFlagValidation(t *testing.T) {
 		{[]string{"-queue-depth", "-8"}, "capacity must be positive"},
 		{[]string{"-queue-depth", "100", "-queue-low", "100"}, "low watermark 100 must be below high watermark 100"},
 		{[]string{"-queue-depth", "100", "-queue-high", "40", "-queue-low", "60"}, "low watermark 60 must be below high watermark 40"},
+		// 0 used to mean "capture at every record", a quadratic catch-up.
+		{[]string{"-checkpoint-every", "0"}, "-checkpoint-every must be positive"},
+		{[]string{"-checkpoint-every", "-1s"}, "-checkpoint-every must be positive"},
 	} {
 		var errs syncBuf
 		args := append([]string{"-log", logPath, "-listen", "127.0.0.1:0"}, tc.args...)

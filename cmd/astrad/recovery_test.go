@@ -340,9 +340,9 @@ func TestDaemonStateLadderRecovery(t *testing.T) {
 // path, or -1 while there is none.
 func stateOffset(t *testing.T, path string) int64 {
 	t.Helper()
-	snaps, err := loadState(path)
-	if err != nil {
-		t.Fatal(err)
+	snaps, _, discarded, err := loadStateLadder(atomicio.OS, path, 1)
+	if err != nil || len(discarded) > 0 {
+		t.Fatalf("state %s: %v, discarded %v", path, err, discarded)
 	}
 	if len(snaps) != 1 {
 		return -1
@@ -433,7 +433,7 @@ func TestDaemonIdleShutdownKeepsLadder(t *testing.T) {
 		t.Errorf("one new line: want a new generation 0 with the ladder slid by one (generation 0 rewritten %v, slid %v/%v)",
 			!bytes.Equal(after[0], before[0]), bytes.Equal(after[1], before[0]), bytes.Equal(after[2], before[1]))
 	}
-	if snaps, err := loadState(statePath); err != nil || len(snaps) != 1 || snaps[0].cp.Offset != int64(len(full))+int64(len(syslog.FormatCE(last)))+1 {
+	if snaps, _, _, err := loadStateLadder(atomicio.OS, statePath, 1); err != nil || len(snaps) != 1 || snaps[0].cp.Offset != int64(len(full))+int64(len(syslog.FormatCE(last)))+1 {
 		t.Errorf("new generation: err %v, %d sites, want one resuming past the new line", err, len(snaps))
 	}
 }
@@ -495,7 +495,7 @@ func TestDaemonCheckpointsAtIdle(t *testing.T) {
 				time.Sleep(5 * time.Millisecond)
 			}
 			t.Logf("first checkpoint logged %v after start", time.Since(start))
-			snaps, err := loadState(statePath)
+			snaps, _, _, err := loadStateLadder(atomicio.OS, statePath, 1)
 			if err != nil || len(snaps) != 1 || snaps[0].log.Len() != len(ces) {
 				t.Fatalf("idle checkpoint: err %v, %d sites, want one holding %d records", err, len(snaps), len(ces))
 			}
@@ -508,7 +508,7 @@ func TestDaemonCheckpointsAtIdle(t *testing.T) {
 			if code := <-done; code != 0 {
 				t.Fatalf("exit = %d; stderr:\n%s", code, errs.String())
 			}
-			final, err := loadState(statePath)
+			final, _, _, err := loadStateLadder(atomicio.OS, statePath, 1)
 			if err != nil || len(final) != 1 {
 				t.Fatalf("shutdown state: err %v, %d sites", err, len(final))
 			}
@@ -706,7 +706,7 @@ func TestDaemonRotationLadderRecovery(t *testing.T) {
 
 	// The final checkpoint's offset must be in successor coordinates: at
 	// most the successor's size.
-	snaps, err := loadState(statePath)
+	snaps, _, _, err := loadStateLadder(atomicio.OS, statePath, 1)
 	if err != nil {
 		t.Fatalf("state after rotation: %v", err)
 	}
@@ -871,7 +871,7 @@ func TestDaemonSiteFaultIsolation(t *testing.T) {
 	if code := <-done; code != 0 {
 		t.Fatalf("shutdown with quarantined site exit = %d; stderr:\n%s", code, errs.String())
 	}
-	snaps, err := loadState(statePath)
+	snaps, _, _, err := loadStateLadder(atomicio.OS, statePath, 1)
 	if err != nil {
 		t.Fatalf("state after quarantined shutdown: %v", err)
 	}
@@ -1079,7 +1079,7 @@ func FuzzLoadStateLadder(f *testing.F) {
 			got := stream.Restore(stream.Config{}, sn.log)
 			want := stream.New(stream.Config{})
 			want.IngestBatch(decodeSectionRecords(t, sn.section))
-			if !reflect.DeepEqual(got.Snapshot(), want.Snapshot()) || got.Summary() != want.Summary() ||
+			if !reflect.DeepEqual(got.LiveView().Faults, want.LiveView().Faults) || got.Summary() != want.Summary() ||
 				!reflect.DeepEqual(got.Features(), want.Features()) || !reflect.DeepEqual(got.Records(), want.Records()) {
 				t.Fatalf("site %s: restored engine differs from the IngestBatch replay", sn.id)
 			}

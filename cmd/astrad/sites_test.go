@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/atomicio"
 	"repro/internal/dataset"
 	"repro/internal/het"
 	"repro/internal/mce"
@@ -207,7 +208,7 @@ func TestDaemonMultiSiteFederationRestart(t *testing.T) {
 
 // TestStateV3RoundTrip pins the site list of the state file, the layer
 // the multi-site v3 format introduced and the one format keeps: a sealed
-// image on disk loads through loadState as its sites in file order, each
+// image on disk loads through loadStateLadder as its sites in file order, each
 // with its own checkpoint, shed count and records; the loaded sections
 // are slices of the file that tile it under their site headers; a
 // missing file is a fresh start; and a damaged site list is rejected.
@@ -218,12 +219,12 @@ func TestStateV3RoundTrip(t *testing.T) {
 	if err := os.WriteFile(path, sealState(data), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	got, err := loadState(path)
-	if err != nil {
-		t.Fatal(err)
+	got, gen, discarded, err := loadStateLadder(atomicio.OS, path, 1)
+	if err != nil || gen != 0 || len(discarded) > 0 {
+		t.Fatalf("loadStateLadder: generation %d, discarded %v, %v", gen, discarded, err)
 	}
 	if len(got) != len(snaps) {
-		t.Fatalf("loadState: %d sites, want %d", len(got), len(snaps))
+		t.Fatalf("loadStateLadder: %d sites, want %d", len(got), len(snaps))
 	}
 	ids := make([]string, len(got))
 	secs := make([][]byte, len(got))
@@ -239,7 +240,7 @@ func TestStateV3RoundTrip(t *testing.T) {
 	if !bytes.Equal(marshalState(ids, secs), data) {
 		t.Fatal("loaded sections do not reassemble the image")
 	}
-	if snaps, err := loadState(filepath.Join(dir, "missing.state")); err != nil || snaps != nil {
+	if snaps, gen, _, err := loadStateLadder(atomicio.OS, filepath.Join(dir, "missing.state"), 1); err != nil || gen != -1 || snaps != nil {
 		t.Fatalf("missing state file not a fresh start: %d sites, %v", len(snaps), err)
 	}
 
@@ -273,5 +274,22 @@ func TestSiteFlagValidation(t *testing.T) {
 	}
 	if !strings.Contains(errs.String(), "mutually exclusive") {
 		t.Error("no -log/-site conflict message")
+	}
+
+	// The id is written unescaped into /metrics label values, so a quote,
+	// a backslash or a control character would break every scrape. A
+	// daemon that accepted one would run until the context ends.
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	logPath := filepath.Join(t.TempDir(), "astra-syslog.log")
+	for _, id := range []string{`a"b`, `a\b`, "a\x00b", "a\rb", "a\x7fb"} {
+		var errs syncBuf
+		args := []string{"-site", id + "=" + logPath, "-listen", "127.0.0.1:0"}
+		if code := run(ctx, args, io.Discard, &errs); code != 2 {
+			t.Errorf("site id %q: exit %d, want 2", id, code)
+		}
+		if !strings.Contains(errs.String(), "control characters") {
+			t.Errorf("site id %q: stderr lacks the id rule:\n%s", id, errs.String())
+		}
 	}
 }

@@ -3,7 +3,6 @@ package core
 import (
 	"math"
 	"testing"
-	"time"
 
 	"repro/internal/envmodel"
 	"repro/internal/faultmodel"
@@ -362,10 +361,5 @@ func TestFITConversion(t *testing.T) {
 	// The paper: 0.00948 DUEs/DIMM/year => FIT ~= 1081.
 	if got := FIT(0.00948); math.Abs(got-1081) > 5 {
 		t.Errorf("FIT(0.00948) = %v, want ~1081", got)
-	}
-	want := 0.00948 * float64(topology.DIMMs) * (22.0 * 24 / simtime.HoursPerYear)
-	got := ExpectedDUEs(0.00948, topology.DIMMs, 22*24*time.Hour)
-	if math.Abs(got-want) > 1e-9 {
-		t.Errorf("ExpectedDUEs = %v, want %v", got, want)
 	}
 }

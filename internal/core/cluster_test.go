@@ -242,11 +242,21 @@ func TestClusterAgainstGroundTruth(t *testing.T) {
 	}
 
 	checked, agree := 0, 0
+	recallChecked, recalled := 0, 0
 	for k, ids := range gtFaults {
 		if len(ids) != 1 {
 			continue // ambiguous bank
 		}
 		id := ids[0]
+		got := recovered[k]
+		// Recall against the ground-truth mode, as a perfect observer
+		// without row information would report it.
+		if len(words[id]) > 0 {
+			recallChecked++
+			if want := TrueModeObservable(pop.Faults[id].Mode, len(words[id]), cfg); len(got) == 1 && got[0].Mode == want {
+				recalled++
+			}
+		}
 		var want FaultMode
 		switch {
 		case len(words[id]) == 1 && len(bits[id]) == 1:
@@ -260,7 +270,6 @@ func TestClusterAgainstGroundTruth(t *testing.T) {
 		default:
 			continue // small mixed footprint; either outcome defensible
 		}
-		got := recovered[k]
 		checked++
 		if len(got) == 1 && got[0].Mode == want {
 			agree++
@@ -271,6 +280,9 @@ func TestClusterAgainstGroundTruth(t *testing.T) {
 	}
 	if frac := float64(agree) / float64(checked); frac < 0.9 {
 		t.Errorf("clustering agreement = %.3f (%d/%d), want >= 0.9", frac, agree, checked)
+	}
+	if frac := float64(recalled) / float64(recallChecked); frac < 0.9 {
+		t.Errorf("mode recall against TrueModeObservable = %.3f (%d/%d), want >= 0.9", frac, recalled, recallChecked)
 	}
 }
 

@@ -110,7 +110,3 @@ func AnalyzeRackTemps(src SensorSource, nodes, stride int) RackTemps {
 	}
 	return out
 }
-
-// EnvWindowMonths exposes the calendar months of the environmental window
-// for callers that need to iterate them (reports, tests).
-func EnvWindowMonths() []int { return monthKeys() }

@@ -66,7 +66,7 @@ func TestRackTempsPartialCoverage(t *testing.T) {
 }
 
 func TestEnvWindowMonths(t *testing.T) {
-	months := EnvWindowMonths()
+	months := monthKeys()
 	if len(months) != 5 { // May..September 2019
 		t.Errorf("env window months = %d, want 5", len(months))
 	}

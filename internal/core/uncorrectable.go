@@ -71,12 +71,5 @@ func FIT(perDeviceYear float64) float64 {
 	return perDeviceYear / simtime.HoursPerYear * 1e9
 }
 
-// ExpectedDUEs returns the expected DUE count for a device population and
-// window at a given per-device-year rate — used by the report to print the
-// paper-vs-measured comparison.
-func ExpectedDUEs(perDeviceYear float64, devices int, window time.Duration) float64 {
-	return perDeviceYear * float64(devices) * window.Hours() / simtime.HoursPerYear
-}
-
 // DefaultDIMMs is the full-system DIMM population.
 const DefaultDIMMs = topology.DIMMs

@@ -176,8 +176,8 @@ func (c *Corruptor) Process(r io.Reader, w io.Writer) (Report, error) {
 }
 
 // ProcessCSV is Process for CSV files: the first line (the header) passes
-// through unmodified so that lenient CSV readers keep their schema check,
-// while every data row is subject to the configured faults.
+// through unmodified, so a reader can still check the schema, while every
+// data row is subject to the configured faults.
 func (c *Corruptor) ProcessCSV(r io.Reader, w io.Writer) (Report, error) {
 	return c.process(r, w, true)
 }

@@ -1,10 +1,11 @@
 // Package dataset wires the substrates into the end-to-end pipeline the
 // paper's data went through — fault model → memory controller → EDAC
 // polling (with log-space loss) → syslog; machine checks → HET — and
-// implements the §2.4 open-data release formats: syslog text, CE/DUE
-// telemetry CSV, per-node sensor CSV, and inventory replacement logs, with
-// matching readers so the ETL path (cmd/astraparse) works on the files the
-// generator (cmd/astragen) writes.
+// writes the §2.4 open-data release formats: syslog text, CE telemetry
+// CSV, per-node sensor CSV and the inventory replacement log. Of these it
+// reads back only the syslog text, plus the colfmt replay file
+// (ReadRecords): the inputs of the ETL path (cmd/astraparse) and of
+// astrareport -from-syslog. The CSVs are export-only.
 package dataset
 
 import (

@@ -6,8 +6,6 @@ import (
 	"reflect"
 	"strings"
 	"testing"
-
-	"repro/internal/topology"
 )
 
 func smallConfig(seed uint64) Config {
@@ -137,70 +135,6 @@ func TestSyslogCorruptionTolerated(t *testing.T) {
 	}
 	if len(ces)+stats.Malformed+stats.DUEs+stats.HETs+stats.Other < len(lines)-1 {
 		t.Error("lines unaccounted for")
-	}
-}
-
-func TestCETelemetryCSVRoundTrip(t *testing.T) {
-	ds := buildSmall(t, 65)
-	var buf bytes.Buffer
-	if err := ds.WriteCETelemetryCSV(&buf); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadCETelemetryCSV(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(ds.CERecords) {
-		t.Fatalf("rows = %d, want %d", len(got), len(ds.CERecords))
-	}
-	for i := range got {
-		if got[i] != ds.CERecords[i] {
-			t.Fatalf("row %d mismatch:\n got %+v\nwant %+v", i, got[i], ds.CERecords[i])
-		}
-	}
-}
-
-func TestCETelemetryCSVRejectsGarbage(t *testing.T) {
-	if _, err := ReadCETelemetryCSV(strings.NewReader("")); err == nil {
-		t.Error("empty CSV accepted")
-	}
-	bad := strings.Join(ceCSVHeader, ",") + "\nnot,a,real,row,a,b,c,d,e,f,g\n"
-	if _, err := ReadCETelemetryCSV(strings.NewReader(bad)); err == nil {
-		t.Error("garbage row accepted")
-	}
-}
-
-func TestSensorCSVRoundTrip(t *testing.T) {
-	ds := buildSmall(t, 66)
-	var buf bytes.Buffer
-	if err := ds.WriteSensorCSV(&buf, 100, 60*24*7); err != nil {
-		t.Fatal(err)
-	}
-	samples, err := ReadSensorCSV(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(samples) == 0 {
-		t.Fatal("no samples")
-	}
-	invalid := 0
-	for _, s := range samples {
-		if !s.Valid {
-			invalid++
-		}
-	}
-	// Invalid fraction must be well under 1% but nonzero on a large draw.
-	frac := float64(invalid) / float64(len(samples))
-	if frac >= 0.01 {
-		t.Errorf("invalid sample fraction = %v", frac)
-	}
-	// All seven sensors appear.
-	sensors := map[topology.Sensor]bool{}
-	for _, s := range samples {
-		sensors[s.Sensor] = true
-	}
-	if len(sensors) != int(topology.NumSensors) {
-		t.Errorf("sensors present = %d, want %d", len(sensors), topology.NumSensors)
 	}
 }
 

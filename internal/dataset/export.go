@@ -10,7 +10,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/envmodel"
 	"repro/internal/het"
 	"repro/internal/mce"
 	"repro/internal/simrand"
@@ -175,83 +174,6 @@ func WriteCERecordsCSV(w io.Writer, records []mce.CERecord) error {
 	return bw.Flush()
 }
 
-// ReadCETelemetryCSV parses the open-data CE CSV back into records; the
-// column field is reconstructed from the physical address.
-func ReadCETelemetryCSV(r io.Reader) ([]mce.CERecord, error) {
-	cr := csv.NewReader(r)
-	cr.FieldsPerRecord = len(ceCSVHeader)
-	rows, err := cr.ReadAll()
-	if err != nil {
-		return nil, fmt.Errorf("dataset: CE CSV: %w", err)
-	}
-	if len(rows) == 0 {
-		return nil, fmt.Errorf("dataset: CE CSV empty")
-	}
-	out := make([]mce.CERecord, 0, len(rows)-1)
-	for i, row := range rows[1:] {
-		rec, err := parseCECSVRow(row)
-		if err != nil {
-			return nil, fmt.Errorf("dataset: CE CSV row %d: %w", i+2, err)
-		}
-		out = append(out, rec)
-	}
-	return out, nil
-}
-
-func parseCECSVRow(row []string) (mce.CERecord, error) {
-	ts, err := time.Parse(time.RFC3339, row[0])
-	if err != nil {
-		return mce.CERecord{}, err
-	}
-	node, err := topology.ParseNodeID(row[1])
-	if err != nil {
-		return mce.CERecord{}, err
-	}
-	slot, err := topology.ParseSlot(row[4])
-	if err != nil {
-		return mce.CERecord{}, err
-	}
-	ints := make([]int64, 0, 5)
-	for _, idx := range []int{2, 5, 6, 7, 8} {
-		v, err := strconv.ParseInt(row[idx], 10, 64)
-		if err != nil {
-			return mce.CERecord{}, err
-		}
-		ints = append(ints, v)
-	}
-	addr, err := parseHexCell(row[9], 64)
-	if err != nil {
-		return mce.CERecord{}, err
-	}
-	syn, err := parseHexCell(row[10], 8)
-	if err != nil {
-		return mce.CERecord{}, err
-	}
-	rec := mce.CERecord{
-		Time: ts.UTC(), Node: node, Socket: int(ints[0]), Slot: slot,
-		RowRaw: int(ints[1]), Rank: int(ints[2]), Bank: int(ints[3]),
-		BitPos: int(ints[4]), Addr: topology.PhysAddr(addr), Syndrome: uint8(syn),
-	}
-	cell, _, err := topology.DecodePhysAddr(node, rec.Addr)
-	if err != nil {
-		return mce.CERecord{}, err
-	}
-	rec.Col = cell.Col
-	return rec, nil
-}
-
-// SensorSample is one row of the environmental release.
-type SensorSample struct {
-	Time   time.Time
-	Node   topology.NodeID
-	Sensor topology.Sensor
-	Value  float64
-	// Valid reports whether the value passes the plausibility filter;
-	// invalid samples are retained in the file (as on the real system)
-	// and excluded during analysis.
-	Valid bool
-}
-
 // WriteSensorCSV writes sensor telemetry over the environmental window,
 // subsampled by nodeStride and minuteStride (both >= 1) to keep export
 // sizes manageable — the full-rate data is ~2.7e9 samples.
@@ -291,64 +213,6 @@ func (ds *Dataset) WriteSensorCSV(w io.Writer, nodeStride, minuteStride int) err
 		}
 	}
 	return bw.Flush()
-}
-
-// ReadSensorCSV parses the environmental release, marking each sample's
-// validity with the plausibility filter (§2.2's exclusion of invalid
-// readings).
-func ReadSensorCSV(r io.Reader) ([]SensorSample, error) {
-	cr := csv.NewReader(r)
-	cr.FieldsPerRecord = 4
-	rows, err := cr.ReadAll()
-	if err != nil {
-		return nil, fmt.Errorf("dataset: sensor CSV: %w", err)
-	}
-	if len(rows) == 0 {
-		return nil, fmt.Errorf("dataset: sensor CSV empty")
-	}
-	out := make([]SensorSample, 0, len(rows)-1)
-	for i, row := range rows[1:] {
-		s, err := parseSensorCSVRow(row)
-		if err != nil {
-			return nil, fmt.Errorf("dataset: sensor CSV row %d: %w", i+2, err)
-		}
-		out = append(out, s)
-	}
-	return out, nil
-}
-
-// parseHexCell parses a "0x"-prefixed hex CSV cell; a cell too short to
-// carry the prefix (truncated row) is an error, not a panic.
-func parseHexCell(cell string, bits int) (uint64, error) {
-	v, ok := strings.CutPrefix(cell, "0x")
-	if !ok || v == "" {
-		return 0, fmt.Errorf("malformed hex cell %q", cell)
-	}
-	return strconv.ParseUint(v, 16, bits)
-}
-
-func parseSensorCSVRow(row []string) (SensorSample, error) {
-	ts, err := time.Parse(time.RFC3339, row[0])
-	if err != nil {
-		return SensorSample{}, err
-	}
-	node, err := topology.ParseNodeID(row[1])
-	if err != nil {
-		return SensorSample{}, err
-	}
-	sensor, err := topology.ParseSensor(row[2])
-	if err != nil {
-		return SensorSample{}, err
-	}
-	v, err := strconv.ParseFloat(row[3], 64)
-	if err != nil {
-		return SensorSample{}, err
-	}
-	lo, hi := envmodel.PlausibleRange(sensor)
-	return SensorSample{
-		Time: ts.UTC(), Node: node, Sensor: sensor, Value: v,
-		Valid: v >= lo && v <= hi,
-	}, nil
 }
 
 // WriteReplacementsCSV writes the inventory replacement log.

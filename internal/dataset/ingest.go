@@ -2,7 +2,6 @@ package dataset
 
 import (
 	"bufio"
-	"encoding/csv"
 	"fmt"
 	"io"
 	"slices"
@@ -127,90 +126,4 @@ func ReadRecords(r io.Reader, pol IngestPolicy) (ces []mce.CERecord, dues []mce.
 	rep.DUEs = len(recs.DUEs)
 	rep.HETs = len(recs.HETs)
 	return recs.CEs, recs.DUEs, recs.HETs, rep, nil
-}
-
-// CSVReport accounts for a lenient CSV read: how many data rows were
-// seen, how many were rejected, and a capped sample of the reasons.
-type CSVReport struct {
-	Rows int
-	Bad  int
-	// Errors holds up to maxCSVErrors representative row errors.
-	Errors []string
-}
-
-// maxCSVErrors caps the per-row error sample retained in a CSVReport so a
-// fully corrupt multi-gigabyte file cannot balloon memory.
-const maxCSVErrors = 10
-
-func (c *CSVReport) addError(row int, err error) {
-	c.Bad++
-	if len(c.Errors) < maxCSVErrors {
-		c.Errors = append(c.Errors, fmt.Sprintf("row %d: %v", row, err))
-	}
-}
-
-// lenientRows iterates a CSV's data rows one at a time, tolerating rows
-// with the wrong field count or broken quoting: parse is attempted per
-// row, failures are counted and skipped. The header row is consumed and
-// validated only for presence.
-func lenientRows(r io.Reader, wantFields int, rep *CSVReport, handle func(row []string) error) error {
-	cr := csv.NewReader(r)
-	cr.FieldsPerRecord = -1
-	if _, err := cr.Read(); err != nil {
-		return fmt.Errorf("dataset: CSV header: %w", err)
-	}
-	for rowNum := 2; ; rowNum++ {
-		row, err := cr.Read()
-		if err == io.EOF {
-			return nil
-		}
-		if err != nil {
-			rep.Rows++
-			rep.addError(rowNum, err)
-			continue
-		}
-		rep.Rows++
-		if len(row) != wantFields {
-			rep.addError(rowNum, fmt.Errorf("%d fields, want %d", len(row), wantFields))
-			continue
-		}
-		if err := handle(row); err != nil {
-			rep.addError(rowNum, err)
-		}
-	}
-}
-
-// ReadCETelemetryCSVLenient parses the open-data CE CSV, skipping and
-// counting unparseable rows instead of aborting. The error is non-nil
-// only when the file itself is unreadable (no header, I/O failure).
-func ReadCETelemetryCSVLenient(r io.Reader) ([]mce.CERecord, CSVReport, error) {
-	var out []mce.CERecord
-	var rep CSVReport
-	err := lenientRows(r, len(ceCSVHeader), &rep, func(row []string) error {
-		rec, err := parseCECSVRow(row)
-		if err != nil {
-			return err
-		}
-		out = append(out, rec)
-		return nil
-	})
-	return out, rep, err
-}
-
-// ReadSensorCSVLenient parses the environmental release, skipping and
-// counting unparseable rows instead of aborting. Implausible-but-parsed
-// values are kept with Valid=false, exactly as in the strict reader; rows
-// that do not parse at all are dropped and counted.
-func ReadSensorCSVLenient(r io.Reader) ([]SensorSample, CSVReport, error) {
-	var out []SensorSample
-	var rep CSVReport
-	err := lenientRows(r, 4, &rep, func(row []string) error {
-		s, err := parseSensorCSVRow(row)
-		if err != nil {
-			return err
-		}
-		out = append(out, s)
-		return nil
-	})
-	return out, rep, err
 }

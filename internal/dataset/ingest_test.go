@@ -161,74 +161,6 @@ func TestReadSyslogPolicyStrict(t *testing.T) {
 	}
 }
 
-func TestReadCETelemetryCSVLenient(t *testing.T) {
-	ds := smallDataset(t)
-	var buf bytes.Buffer
-	if err := ds.WriteCETelemetryCSV(&buf); err != nil {
-		t.Fatal(err)
-	}
-
-	// Clean file: lenient and strict agree.
-	strict, err := ReadCETelemetryCSV(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	lenient, rep, err := ReadCETelemetryCSVLenient(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Bad != 0 || len(lenient) != len(strict) {
-		t.Errorf("lenient read of clean CSV: %d records, report %+v; strict %d", len(lenient), rep, len(strict))
-	}
-
-	// Corrupted file: strict aborts, lenient salvages and accounts.
-	var dirty bytes.Buffer
-	if _, err := corrupt.New(corrupt.Uniform(7, 0.05)).ProcessCSV(&buf, &dirty); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ReadCETelemetryCSV(bytes.NewReader(dirty.Bytes())); err == nil {
-		t.Log("strict reader happened to tolerate this corruption (dedup-invisible faults only)")
-	}
-	got, rep, err := ReadCETelemetryCSVLenient(bytes.NewReader(dirty.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Bad == 0 {
-		t.Error("5% corruption produced zero bad rows")
-	}
-	if len(rep.Errors) == 0 || len(rep.Errors) > 10 {
-		t.Errorf("error sample size %d, want 1..10", len(rep.Errors))
-	}
-	// 5% line corruption costs more than 5% of rows (dropped runs take 8
-	// lines each; a torn row can swallow its neighbor) — but the large
-	// majority must survive.
-	if float64(len(got)) < 0.7*float64(len(strict)) {
-		t.Errorf("salvaged only %d of %d rows", len(got), len(strict))
-	}
-}
-
-func TestReadSensorCSVLenient(t *testing.T) {
-	ds := smallDataset(t)
-	var buf bytes.Buffer
-	if err := ds.WriteSensorCSV(&buf, 40, 20000); err != nil {
-		t.Fatal(err)
-	}
-	var dirty bytes.Buffer
-	if _, err := corrupt.New(corrupt.Uniform(7, 0.1)).ProcessCSV(&buf, &dirty); err != nil {
-		t.Fatal(err)
-	}
-	got, rep, err := ReadSensorCSVLenient(bytes.NewReader(dirty.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Rows == 0 || len(got) == 0 {
-		t.Fatalf("lenient sensor read salvaged nothing: report %+v", rep)
-	}
-	if rep.Bad == 0 {
-		t.Error("10% corruption produced zero bad sensor rows")
-	}
-}
-
 // TestReadRecordsSniffsColfmt proves the sniffing reader routes a
 // columnar replay file to the binary decoder and returns exactly the
 // records the dataset holds — the same streams the syslog text encodes,

@@ -5,61 +5,8 @@ import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/simtime"
 	"repro/internal/topology"
 )
-
-// TestRecordedSensorSourceDrivesAnalyses closes the ETL loop: the Fig 9
-// and Fig 13 analyses run against the re-parsed sensor CSV (a
-// SensorStore) and reach the same qualitative verdict as against the
-// procedural model.
-func TestRecordedSensorSourceDrivesAnalyses(t *testing.T) {
-	cfg := smallConfig(95)
-	cfg.Nodes = 60
-	ds, err := Build(testCtx, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := ds.WriteSensorCSV(&buf, 1, 240); err != nil {
-		t.Fatal(err)
-	}
-	samples, err := ReadSensorCSV(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	store := NewSensorStore(samples)
-
-	// Fig 13 deciles from recorded data vs the model: decile spreads of
-	// the same magnitude, same no-trend verdict shape.
-	fromStore := core.AnalyzeTempDeciles(ds.CERecords, store, cfg.Nodes)
-	fromModel := core.AnalyzeTempDeciles(ds.CERecords, ds.Env, cfg.Nodes)
-	if len(fromStore) != len(fromModel) {
-		t.Fatal("panel counts differ")
-	}
-	for i := range fromStore {
-		a, b := fromStore[i], fromModel[i]
-		if len(a.Bins) == 0 || len(b.Bins) == 0 {
-			t.Fatalf("panel %v missing bins", a.Sensor)
-		}
-		if d := a.Spread - b.Spread; d > 2 || d < -2 {
-			t.Errorf("%v: decile spread recorded %v vs model %v", a.Sensor, a.Spread, b.Spread)
-		}
-	}
-
-	// Fig 9 windows run end to end on the recorded store.
-	windows := core.AnalyzeTempWindows(ds.CERecords, store, []int64{simtime.MinutesPerDay})
-	if len(windows) != 1 {
-		t.Fatal("window analysis failed")
-	}
-	total := 0
-	for _, c := range windows[0].Counts {
-		total += c
-	}
-	if total == 0 {
-		t.Error("no CEs binned using recorded telemetry")
-	}
-}
 
 // TestPipelineEndToEndViaSyslog replays the whole methodology over the
 // text artifacts only: generate → syslog → parse → cluster → analyses,

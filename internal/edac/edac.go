@@ -46,19 +46,10 @@ func (r *Ring[T]) Offer(rec T) bool {
 	return true
 }
 
-// Drain removes and returns all buffered records (the OS poll). The
-// returned slice is owned by the caller.
-func (r *Ring[T]) Drain() []T {
-	out := make([]T, r.n)
-	copy(out, r.buf)
-	r.buf = r.buf[:0]
-	r.n = 0
-	return out
-}
-
 // view returns the buffered records without copying; reset empties the
-// buffer afterwards. Together they are the allocation-free drain the
-// Poller uses: the view is only valid until the next Offer.
+// buffer afterwards. Together they are the ring's allocation-free drain
+// (the OS poll) the Poller uses: the view is only valid until the next
+// Offer.
 func (r *Ring[T]) view() []T { return r.buf[:r.n] }
 
 func (r *Ring[T]) reset() {
@@ -144,16 +135,6 @@ func NewPoller[T any](capacity int, interval int64, out func([]T)) *Poller[T] {
 		panic("edac: poller requires an output function")
 	}
 	return &Poller[T]{ring: NewRing[T](capacity), interval: interval, slack: DefaultReorderSlack, out: out}
-}
-
-// SetReorderSlack overrides how many polling intervals late a record may
-// arrive before it is discarded. Zero restores strict ordering (any late
-// record is dropped and counted).
-func (p *Poller[T]) SetReorderSlack(intervals int64) {
-	if intervals < 0 {
-		intervals = 0
-	}
-	p.slack = intervals
 }
 
 // Offer feeds one record with its time key. Keys are expected to be

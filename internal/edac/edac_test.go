@@ -16,10 +16,11 @@ func TestRingBasics(t *testing.T) {
 	if r.Len() != 3 || r.Offered() != 5 || r.Dropped() != 2 {
 		t.Errorf("ring state: len=%d offered=%d dropped=%d", r.Len(), r.Offered(), r.Dropped())
 	}
-	got := r.Drain()
+	got := r.view()
 	if len(got) != 3 || got[0] != 0 || got[2] != 2 {
-		t.Errorf("Drain = %v", got)
+		t.Errorf("view = %v", got)
 	}
+	r.reset()
 	if r.Len() != 0 {
 		t.Error("ring not empty after drain")
 	}
@@ -36,12 +37,13 @@ func TestRingConservation(t *testing.T) {
 		var drained uint64
 		for _, op := range ops {
 			if op%5 == 0 {
-				drained += uint64(len(r.Drain()))
+				drained += uint64(len(r.view()))
+				r.reset()
 			} else {
 				r.Offer(op)
 			}
 		}
-		drained += uint64(len(r.Drain()))
+		drained += uint64(len(r.view()))
 		return drained+r.Dropped() == r.Offered()
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
@@ -140,7 +142,7 @@ func TestPollerDropsBeyondSlack(t *testing.T) {
 
 func TestPollerZeroSlackStrictOrdering(t *testing.T) {
 	p := NewPoller[int](4, 60, func([]int) {})
-	p.SetReorderSlack(0)
+	p.slack = 0
 	p.Offer(120, 1)
 	p.Offer(70, 2) // one interval late: dropped under zero slack
 	if stats := p.Close(); stats.DroppedOutOfOrder != 1 {

@@ -149,9 +149,6 @@ func New(seed uint64, params Params) *Model {
 	return m
 }
 
-// Params returns the model's calibration.
-func (m *Model) Params() Params { return m.params }
-
 // Utilization returns the node's instantaneous utilization in (0, 1) at
 // the given minute.
 func (m *Model) Utilization(node topology.NodeID, t simtime.Minute) float64 {
@@ -254,8 +251,10 @@ func (m *Model) Sample(node topology.NodeID, s topology.Sensor, t simtime.Minute
 	}
 }
 
-// PlausibleRange returns the validity window the ETL uses to discard
-// garbage readings for a sensor kind.
+// PlausibleRange returns the validity window that tells a sensor kind's
+// garbage readings from real ones by value alone: Sample's invalid
+// values all fall outside it (TestInvalidSampleInjection), so a reader
+// of the exported sensor CSV can discard them.
 func PlausibleRange(s topology.Sensor) (lo, hi float64) {
 	if s == topology.SensorDCPower {
 		return 50, 1000

@@ -53,7 +53,7 @@ func TestWindowMeanMatchesBruteForce(t *testing.T) {
 			// approximation of the discrete sinusoid sum and (b) the
 			// pseudo-draw replacing the actual noise mean; both are
 			// O(sigma/sqrt(n)) + O(1/n) effects.
-			p := m.Params()
+			p := DefaultParams() // testModel's calibration
 			tol := 4*p.TempNoiseSigma/math.Sqrt(float64(n)) + 0.3
 			if s == topology.SensorDCPower {
 				tol = 4*p.PowerNoiseSigma/math.Sqrt(float64(n)) + 3

@@ -60,11 +60,6 @@ type Policy struct {
 	MaxExcluded int
 }
 
-// DefaultPolicy drains after 6 distinct faults, at most 16 nodes.
-func DefaultPolicy() Policy {
-	return Policy{Trigger: ByFaults, FaultThreshold: 6, MaxExcluded: 16}
-}
-
 // Validate checks the policy.
 func (p Policy) Validate() error {
 	switch p.Trigger {

@@ -27,8 +27,11 @@ func buildStream(t *testing.T, seed uint64, nodes int) ([]mce.CERecord, []core.F
 	return records, faults, simtime.MinuteOf(cfg.End)
 }
 
+// drainPolicy drains after 6 distinct faults, at most 16 nodes.
+var drainPolicy = Policy{Trigger: ByFaults, FaultThreshold: 6, MaxExcluded: 16}
+
 func TestPolicyValidate(t *testing.T) {
-	if err := DefaultPolicy().Validate(); err != nil {
+	if err := drainPolicy.Validate(); err != nil {
 		t.Fatal(err)
 	}
 	bad := []Policy{
@@ -49,7 +52,7 @@ func TestPolicyValidate(t *testing.T) {
 
 func TestEvaluateConservation(t *testing.T) {
 	records, faults, end := buildStream(t, 41, 300)
-	out, err := Evaluate(records, faults, DefaultPolicy(), end)
+	out, err := Evaluate(records, faults, drainPolicy, end)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +129,7 @@ func TestEvaluateRejectsBadPolicy(t *testing.T) {
 }
 
 func TestEvaluateEmptyStream(t *testing.T) {
-	out, err := Evaluate(nil, nil, DefaultPolicy(), 0)
+	out, err := Evaluate(nil, nil, drainPolicy, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

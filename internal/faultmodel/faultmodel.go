@@ -73,16 +73,6 @@ func (m Mode) String() string {
 	}
 }
 
-// ParseMode parses a mode name produced by String.
-func ParseMode(s string) (Mode, error) {
-	for m := Mode(0); m < NumModes; m++ {
-		if m.String() == s {
-			return m, nil
-		}
-	}
-	return 0, fmt.Errorf("faultmodel: unknown mode %q", s)
-}
-
 // Fault is one ground-truth DRAM fault.
 type Fault struct {
 	// ID is a dense index into the population's fault list.

@@ -60,16 +60,6 @@ func (t EventType) String() string {
 	return eventNames[t]
 }
 
-// ParseEventType parses a wire name.
-func ParseEventType(s string) (EventType, error) {
-	for t := EventType(0); t < NumEventTypes; t++ {
-		if eventNames[t] == s {
-			return t, nil
-		}
-	}
-	return 0, fmt.Errorf("het: unknown event type %q", s)
-}
-
 // ParseEventTypeBytes parses a wire name from raw bytes without allocating
 // (the string conversions below compile to allocation-free comparisons).
 func ParseEventTypeBytes(b []byte) (EventType, error) {
@@ -107,16 +97,6 @@ func (s Severity) String() string {
 		return fmt.Sprintf("Severity(%d)", int(s))
 	}
 	return severityNames[s]
-}
-
-// ParseSeverity parses a wire name.
-func ParseSeverity(v string) (Severity, error) {
-	for s := Severity(0); s < NumSeverities; s++ {
-		if severityNames[s] == v {
-			return s, nil
-		}
-	}
-	return 0, fmt.Errorf("het: unknown severity %q", v)
 }
 
 // ParseSeverityBytes parses a wire name from raw bytes without allocating.

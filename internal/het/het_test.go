@@ -13,25 +13,25 @@ import (
 
 func TestEventTypeNamesRoundTrip(t *testing.T) {
 	for et := EventType(0); et < NumEventTypes; et++ {
-		back, err := ParseEventType(et.String())
+		back, err := ParseEventTypeBytes([]byte(et.String()))
 		if err != nil || back != et {
 			t.Errorf("event type %v round trip: %v, %v", et, back, err)
 		}
 	}
-	if _, err := ParseEventType("bogus"); err == nil {
-		t.Error("ParseEventType(bogus) should fail")
+	if _, err := ParseEventTypeBytes([]byte("bogus")); err == nil {
+		t.Error("ParseEventTypeBytes(bogus) should fail")
 	}
 }
 
 func TestSeverityNamesRoundTrip(t *testing.T) {
 	for s := Severity(0); s < NumSeverities; s++ {
-		back, err := ParseSeverity(s.String())
+		back, err := ParseSeverityBytes([]byte(s.String()))
 		if err != nil || back != s {
 			t.Errorf("severity %v round trip: %v, %v", s, back, err)
 		}
 	}
-	if _, err := ParseSeverity("FATAL"); err == nil {
-		t.Error("ParseSeverity(FATAL) should fail")
+	if _, err := ParseSeverityBytes([]byte("FATAL")); err == nil {
+		t.Error("ParseSeverityBytes(FATAL) should fail")
 	}
 }
 

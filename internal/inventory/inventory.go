@@ -47,16 +47,6 @@ func (k Kind) String() string {
 	}
 }
 
-// ParseKind parses a kind name produced by String.
-func ParseKind(s string) (Kind, error) {
-	for k := Kind(0); k < NumKinds; k++ {
-		if k.String() == s {
-			return k, nil
-		}
-	}
-	return 0, fmt.Errorf("inventory: unknown component kind %q", s)
-}
-
 // Population returns the installed count of a kind on the full system
 // (Table 1's "of" denominators: 5184 processors, 2592 motherboards,
 // 41472 DIMMs).
@@ -149,15 +139,6 @@ type Process struct {
 	Phases []Phase
 }
 
-// ExpectedTotal sums the expected replacements across phases.
-func (p Process) ExpectedTotal() float64 {
-	total := 0.0
-	for _, ph := range p.Phases {
-		total += ph.Expected
-	}
-	return total
-}
-
 // DefaultProcesses returns the replacement-history calibration matching
 // Table 1 (836 processors, 46 motherboards, 1515 DIMMs over Feb 17 -
 // Sep 17, 2019) with the episode structure of Fig 3.
@@ -199,11 +180,9 @@ type Replacement struct {
 // Location renders the global location key used in scans.
 func (r Replacement) Location() string { return fmt.Sprintf("%s/%s", r.Node, r.Slot) }
 
-// History is a generated replacement timeline with the registry state it
-// produced.
+// History is a generated replacement timeline.
 type History struct {
 	Replacements []Replacement
-	registry     *Registry
 }
 
 // Generate produces a replacement history for nodes [0, nodes) from the
@@ -216,7 +195,7 @@ func Generate(seed uint64, nodes int, procs []Process) (*History, error) {
 	scale := float64(nodes) / float64(topology.Nodes)
 	rng := simrand.NewStream(seed).Derive("inventory")
 	reg := NewRegistry(nodes)
-	h := &History{registry: reg}
+	h := &History{}
 	start := simtime.DayOf(simtime.ReplacementStart)
 	end := simtime.DayOf(simtime.ReplacementEnd)
 	for day := start; day < end; day++ {
@@ -245,9 +224,6 @@ func Generate(seed uint64, nodes int, procs []Process) (*History, error) {
 	}
 	return h, nil
 }
-
-// Registry returns the final component registry.
-func (h *History) Registry() *Registry { return h.registry }
 
 // DailyCounts tallies replacements per day for one kind — the Fig 3
 // series. Keys are day indices; missing days mean zero.

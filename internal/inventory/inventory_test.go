@@ -9,14 +9,8 @@ import (
 )
 
 func TestKindNamesAndPopulations(t *testing.T) {
-	for k := Kind(0); k < NumKinds; k++ {
-		back, err := ParseKind(k.String())
-		if err != nil || back != k {
-			t.Errorf("kind %v round trip: %v, %v", k, back, err)
-		}
-	}
-	if _, err := ParseKind("gpu"); err == nil {
-		t.Error("ParseKind(gpu) should fail")
+	if Processor.String() != "processor" || Motherboard.String() != "motherboard" || DIMM.String() != "dimm" {
+		t.Errorf("kind names = %v, %v, %v", Processor, Motherboard, DIMM)
 	}
 	if Processor.Population() != 5184 {
 		t.Errorf("processors = %d, want 5184", Processor.Population())
@@ -53,7 +47,11 @@ func TestPhaseIntensityNormalizes(t *testing.T) {
 func TestDefaultCalibrationMatchesTable1(t *testing.T) {
 	want := map[Kind]float64{Processor: 836, Motherboard: 46, DIMM: 1515}
 	for _, proc := range DefaultProcesses() {
-		if got := proc.ExpectedTotal(); math.Abs(got-want[proc.Kind]) > 0.01*want[proc.Kind] {
+		got := 0.0
+		for _, ph := range proc.Phases {
+			got += ph.Expected
+		}
+		if math.Abs(got-want[proc.Kind]) > 0.01*want[proc.Kind] {
 			t.Errorf("%v expected total = %v, want %v", proc.Kind, got, want[proc.Kind])
 		}
 	}

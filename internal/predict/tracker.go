@@ -88,19 +88,6 @@ func (t *Tracker) Observe(rec *mce.CERecord) *BankTrack {
 	return bt
 }
 
-// ObserveFeatures updates only the temporal feature state — the exact
-// per-record work the stream engine's ingest hot path adds. After a
-// warm-up pass has created the banks, it allocates nothing
-// (TestObserveFeaturesZeroAlloc).
-func (t *Tracker) ObserveFeatures(rec *mce.CERecord) {
-	bt := t.ensure(rec)
-	bt.FS.Observe(rec.Time.UnixNano())
-	t.n++
-}
-
-// Records returns the number of records observed.
-func (t *Tracker) Records() int { return t.n }
-
 // Last returns the newest event time observed.
 func (t *Tracker) Last() time.Time { return t.last }
 

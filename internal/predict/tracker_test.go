@@ -9,7 +9,8 @@ import (
 
 // TestObserveFeaturesZeroAlloc pins the prediction layer's share of the
 // stream engine's ingest hot path: once a pass has created every bank,
-// ObserveFeatures allocates nothing per record.
+// FeatureState.Observe (the call the engine's per-record fold makes)
+// allocates nothing per record.
 func TestObserveFeaturesZeroAlloc(t *testing.T) {
 	cfg := dataset.DefaultConfig(1)
 	cfg.Nodes = 48
@@ -17,16 +18,18 @@ func TestObserveFeaturesZeroAlloc(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// The warm pass creates every bank; fs[i] is record i's bank state.
 	tr := NewTracker(DefaultTrackerConfig())
+	fs := make([]*FeatureState, len(ds.CERecords))
 	for i := range ds.CERecords {
-		tr.Observe(&ds.CERecords[i])
+		fs[i] = &tr.Observe(&ds.CERecords[i]).FS
 	}
 	n := testing.AllocsPerRun(5, func() {
 		for i := range ds.CERecords {
-			tr.ObserveFeatures(&ds.CERecords[i])
+			fs[i].Observe(ds.CERecords[i].Time.UnixNano())
 		}
 	})
 	if n != 0 {
-		t.Errorf("warm ObserveFeatures: %v allocs per %d records, want 0", n, len(ds.CERecords))
+		t.Errorf("warm FeatureState.Observe: %v allocs per %d records, want 0", n, len(ds.CERecords))
 	}
 }

@@ -102,39 +102,6 @@ func Bars(title string, labels []string, values []float64) string {
 	return sb.String()
 }
 
-// LogBars renders bars on a log10 scale, for series spanning decades
-// (Fig 4a's monthly error counts).
-func LogBars(title string, labels []string, values []float64) string {
-	logged := make([]float64, len(values))
-	for i, v := range values {
-		if v >= 1 {
-			logged[i] = math.Log10(v) + 1
-		}
-	}
-	var sb strings.Builder
-	if title != "" {
-		sb.WriteString(title + " (log scale)\n")
-	}
-	maxVal := 0.0
-	maxLabel := 0
-	for i, v := range logged {
-		if v > maxVal {
-			maxVal = v
-		}
-		if len(labels[i]) > maxLabel {
-			maxLabel = len(labels[i])
-		}
-	}
-	for i, v := range logged {
-		n := 0
-		if maxVal > 0 {
-			n = int(math.Round(v / maxVal * barWidth))
-		}
-		fmt.Fprintf(&sb, "%-*s |%-*s %s\n", maxLabel, labels[i], barWidth, strings.Repeat("█", n), FormatCount(values[i]))
-	}
-	return sb.String()
-}
-
 // FormatCount renders a count with thousands separators for readability.
 func FormatCount(v float64) string {
 	if v != math.Trunc(v) || math.Abs(v) >= 1e15 {

@@ -35,10 +35,6 @@ func TestBars(t *testing.T) {
 	if strings.Contains(out, "█") {
 		t.Error("zero value drew a bar")
 	}
-	logOut := LogBars("log", []string{"a", "b"}, []float64{10, 100000})
-	if !strings.Contains(logOut, "log scale") {
-		t.Error("log label missing")
-	}
 }
 
 func TestFormatCount(t *testing.T) {

@@ -44,7 +44,7 @@ func TestEngineAccountingProperty(t *testing.T) {
 		}
 		if bud > 0 {
 			for node := topology.NodeID(0); node < 32; node++ {
-				if e.RetiredPages(node) > bud {
+				if e.perNode[node] > bud {
 					return false
 				}
 			}

@@ -173,6 +173,3 @@ func (e *Engine) Stats() Stats { return e.stats }
 func (e *Engine) PageRetired(node topology.NodeID, addr topology.PhysAddr) bool {
 	return e.state[pageKey{node: node, page: addr.Page()}] == pageRetired
 }
-
-// RetiredPages returns the number of pages currently retired on a node.
-func (e *Engine) RetiredPages(node topology.NodeID) int { return e.perNode[node] }

@@ -48,8 +48,8 @@ func TestRetirementSuppressesRepeatOffender(t *testing.T) {
 	if st.Suppressed != 7 || st.Retired != 1 || st.Seen != 10 {
 		t.Errorf("stats = %+v", st)
 	}
-	if e.RetiredPages(5) != 1 {
-		t.Errorf("RetiredPages = %d", e.RetiredPages(5))
+	if e.perNode[5] != 1 {
+		t.Errorf("retired pages on node 5 = %d, want 1", e.perNode[5])
 	}
 }
 

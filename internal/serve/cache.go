@@ -55,10 +55,3 @@ func (c *respCache) put(key string, epoch uint64, code int, body []byte) {
 	}
 	c.entries[key] = cacheEntry{epoch: epoch, body: body, code: code}
 }
-
-// len reports the live entry count (tests and metrics).
-func (c *respCache) len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.entries)
-}

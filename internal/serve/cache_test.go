@@ -195,7 +195,9 @@ func TestMultiSiteFederation(t *testing.T) {
 	if rollup.Records != len(ds.CERecords) {
 		t.Fatalf("rollup records = %d, want %d", rollup.Records, len(ds.CERecords))
 	}
-	wantFaults := len(a.Snapshot()) + len(b.Snapshot())
+	aFaults := clusterFixture(t, ds.CERecords[:half])
+	bFaults := clusterFixture(t, ds.CERecords[half:])
+	wantFaults := len(aFaults) + len(bFaults)
 	if rollup.Faults != wantFaults {
 		t.Fatalf("rollup faults = %d, want %d", rollup.Faults, wantFaults)
 	}
@@ -204,8 +206,8 @@ func TestMultiSiteFederation(t *testing.T) {
 		Count int `json:"count"`
 	}
 	get(t, ts.URL+"/v1/sites/beta/faults", http.StatusOK, &faults)
-	if faults.Count != len(b.Snapshot()) {
-		t.Fatalf("site-scoped faults = %d, want %d", faults.Count, len(b.Snapshot()))
+	if faults.Count != len(bFaults) {
+		t.Fatalf("site-scoped faults = %d, want %d", faults.Count, len(bFaults))
 	}
 	get(t, ts.URL+"/v1/sites/nope/faults", http.StatusNotFound, nil)
 
@@ -225,7 +227,7 @@ func TestMultiSiteFederation(t *testing.T) {
 	// rollup and beta scopes, alpha's tag keeps matching.
 	alphaTag := getFull(t, ts.URL+"/v1/sites/alpha/breakdown", "").Header.Get("ETag")
 	rollTag := getFull(t, ts.URL+"/v1/breakdown", "").Header.Get("ETag")
-	b.Ingest(ds.CERecords[0])
+	b.IngestBatch(ds.CERecords[:1])
 	if resp := getFull(t, ts.URL+"/v1/sites/alpha/breakdown", alphaTag); resp.StatusCode != http.StatusNotModified {
 		t.Fatalf("alpha scope invalidated by beta ingest: %d", resp.StatusCode)
 	}

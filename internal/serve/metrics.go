@@ -6,7 +6,6 @@ package serve
 import (
 	"fmt"
 	"io"
-	"math"
 	"sort"
 	"strconv"
 	"sync"
@@ -97,37 +96,8 @@ func (r *Registry) NewCounter(name, labels, help string) *Counter {
 // Inc adds one.
 func (c *Counter) Inc() { c.v.Add(1) }
 
-// Add adds n.
-func (c *Counter) Add(n uint64) { c.v.Add(n) }
-
-// Value returns the current count.
-func (c *Counter) Value() uint64 { return c.v.Load() }
-
 func (c *Counter) sample(w io.Writer, name string) {
 	writeSample(w, name, c.labels, float64(c.v.Load()))
-}
-
-// Gauge is a settable value.
-type Gauge struct {
-	bits   atomic.Uint64
-	labels string
-}
-
-// NewGauge registers a gauge series.
-func (r *Registry) NewGauge(name, labels, help string) *Gauge {
-	g := &Gauge{labels: labels}
-	r.add(name, help, "gauge", g)
-	return g
-}
-
-// Set replaces the gauge's value.
-func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
-
-// Value returns the current value.
-func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
-
-func (g *Gauge) sample(w io.Writer, name string) {
-	writeSample(w, name, g.labels, g.Value())
 }
 
 // funcSeries samples a callback at scrape time.
@@ -215,13 +185,6 @@ func (h *Histogram) Observe(v float64) {
 	h.sum += v
 	h.total++
 	h.mu.Unlock()
-}
-
-// Count returns the number of observations so far.
-func (h *Histogram) Count() uint64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.total
 }
 
 func (h *Histogram) sample(w io.Writer, name string) {

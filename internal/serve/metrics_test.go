@@ -18,15 +18,14 @@ func TestRegistryRendering(t *testing.T) {
 	r := NewRegistry()
 	c := r.NewCounter("demo_requests_total", `path="/a"`, "Requests.")
 	c2 := r.NewCounter("demo_requests_total", `path="/b"`, "Requests.")
-	g := r.NewGauge("demo_temp", "", "Temperature.")
 	r.NewGaugeFunc("demo_live", "", "Live value.", func() float64 { return 4.5 })
 	r.NewCounterFunc("demo_ext_total", "", "External total.", func() float64 { return 9 })
 	h := r.NewHistogram("demo_latency_seconds", "", "Latency.", []float64{0.1, 1})
 
 	c.Inc()
-	c.Add(2)
+	c.Inc()
+	c.Inc()
 	c2.Inc()
-	g.Set(-3.25)
 	h.Observe(0.05)
 	h.Observe(0.5)
 	h.Observe(5)
@@ -36,7 +35,6 @@ func TestRegistryRendering(t *testing.T) {
 		"# HELP demo_requests_total Requests.\n# TYPE demo_requests_total counter\n",
 		"demo_requests_total{path=\"/a\"} 3\n",
 		"demo_requests_total{path=\"/b\"} 1\n",
-		"demo_temp -3.25\n",
 		"demo_live 4.5\n",
 		"demo_ext_total 9\n",
 		"demo_latency_seconds_bucket{le=\"0.1\"} 1\n",
@@ -67,7 +65,7 @@ func TestRegistryTypeConflictPanics(t *testing.T) {
 			t.Fatal("conflicting re-registration did not panic")
 		}
 	}()
-	r.NewGauge("demo_total", "", "Now a gauge.")
+	r.NewGaugeFunc("demo_total", "", "Now a gauge.", func() float64 { return 0 })
 }
 
 func TestHistogramBoundaryGoesToLowerBucket(t *testing.T) {

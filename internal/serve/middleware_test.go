@@ -6,6 +6,7 @@ import (
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -45,8 +46,8 @@ func TestLimitedRejectsAtCapacity(t *testing.T) {
 	if err := json.Unmarshal(rec.Body.Bytes(), &body); err != nil || body.Error == "" {
 		t.Fatalf("503 body = %q, want JSON error", rec.Body.String())
 	}
-	if rejected.Value() != 1 {
-		t.Fatalf("rejected counter = %v, want 1", rejected.Value())
+	if got := render(t, reg); !strings.Contains(got, "\ntest_rejected_total 1\n") {
+		t.Fatalf("rejected counter: want test_rejected_total 1 in\n%s", got)
 	}
 
 	close(release)
@@ -115,8 +116,8 @@ func TestRecoveredPanic(t *testing.T) {
 	if rec.Code != http.StatusInternalServerError {
 		t.Fatalf("panicking handler = %d, want 500", rec.Code)
 	}
-	if panics.Value() != 1 {
-		t.Fatalf("panics counter = %v, want 1", panics.Value())
+	if got := render(t, reg); !strings.Contains(got, "\ntest_panics_total 1\n") {
+		t.Fatalf("panics counter: want test_panics_total 1 in\n%s", got)
 	}
 }
 

@@ -14,6 +14,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/dataset"
+	"repro/internal/mce"
 	"repro/internal/serve"
 	"repro/internal/stream"
 	"repro/internal/syslog"
@@ -37,6 +38,17 @@ func fixture(t testing.TB) *dataset.Dataset {
 		t.Fatal(fixErr)
 	}
 	return fixDS
+}
+
+// clusterFixture is core.Cluster over records, the batch answer the
+// served faults must equal.
+func clusterFixture(t *testing.T, records []mce.CERecord) []core.Fault {
+	t.Helper()
+	faults, err := core.Cluster(context.Background(), records, core.DefaultClusterConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return faults
 }
 
 // newTestServer ingests the fixture into an engine and serves it.
@@ -90,8 +102,8 @@ func TestServerHealthz(t *testing.T) {
 }
 
 func TestServerFaults(t *testing.T) {
-	e, ts := newTestServer(t)
-	want := e.Snapshot()
+	_, ts := newTestServer(t)
+	want := clusterFixture(t, fixture(t).CERecords)
 
 	type faultJSON struct {
 		Node    string `json:"node"`
@@ -165,13 +177,18 @@ func TestServerBreakdownAndFIT(t *testing.T) {
 	if fit.SpanSeconds <= 0 {
 		t.Fatalf("spanSeconds = %v, want > 0", fit.SpanSeconds)
 	}
-	if fit.Windowed != e.WindowedFIT() {
-		t.Fatalf("windowed FIT = %+v, want %+v", fit.Windowed, e.WindowedFIT())
+	if wantFIT := e.LiveView().FIT; fit.Windowed != wantFIT {
+		t.Fatalf("windowed FIT = %+v, want %+v", fit.Windowed, wantFIT)
+	}
+	span := want.Last.Sub(want.First)
+	wantRates := core.AnalyzeFaultRates(clusterFixture(t, fixture(t).CERecords), 32*topology.SlotsPerNode, span)
+	if fit.Overall != wantRates {
+		t.Fatalf("overall FIT = %+v, want %+v", fit.Overall, wantRates)
 	}
 }
 
 func TestServerNodes(t *testing.T) {
-	e, ts := newTestServer(t)
+	_, ts := newTestServer(t)
 	ds := fixture(t)
 
 	seen := map[topology.NodeID]bool{}
@@ -187,9 +204,19 @@ func TestServerNodes(t *testing.T) {
 		} `json:"faults"`
 	}
 	get(t, ts.URL+"/v1/nodes/"+known.String(), http.StatusOK, &st)
-	wantSt, _ := e.NodeStatus(known)
-	if st.Node != known.String() || st.CEs != wantSt.CEs || len(st.Faults) != len(wantSt.Faults) {
-		t.Fatalf("node status = %+v, want %+v", st, wantSt)
+	wantCEs, wantFaults := 0, 0
+	for _, r := range ds.CERecords {
+		if r.Node == known {
+			wantCEs++
+		}
+	}
+	for _, f := range clusterFixture(t, ds.CERecords) {
+		if f.Node == known {
+			wantFaults++
+		}
+	}
+	if st.Node != known.String() || st.CEs != wantCEs || len(st.Faults) != wantFaults {
+		t.Fatalf("node status = %+v, want %d CEs and %d faults", st, wantCEs, wantFaults)
 	}
 
 	var silent topology.NodeID = -1

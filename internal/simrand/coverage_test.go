@@ -106,12 +106,6 @@ func TestWeibullPanicsOnBadParams(t *testing.T) {
 	}
 }
 
-func TestSeedAccessor(t *testing.T) {
-	if NewStream(99).Seed() != 99 {
-		t.Error("Seed() does not round-trip")
-	}
-}
-
 func TestPowerLawIntBounds(t *testing.T) {
 	s := NewStream(53)
 	for i := 0; i < 5000; i++ {

@@ -82,30 +82,3 @@ func (p *PowerLaw) Sample(s *Stream) int {
 	}
 	return k
 }
-
-// Mean returns the exact mean of the head region plus the continuous
-// approximation for the tail — used by calibration code to size fault
-// populations.
-func (p *PowerLaw) Mean() float64 {
-	m := 0.0
-	prev := 0.0
-	for i, c := range p.cdf {
-		m += float64(p.xmin+i) * (c - prev)
-		prev = c
-	}
-	if p.headMax < p.xmax {
-		// E[X · 1(tail)] ≈ ∫ x·x^-alpha dx over the tail, normalized.
-		a1 := p.alpha - 1
-		lo, hi := float64(p.headMax)+0.5, float64(p.xmax)+0.5
-		zTail := (math.Pow(lo, -a1) - math.Pow(hi, -a1)) / a1
-		var num float64
-		if p.alpha == 2 {
-			num = math.Log(hi / lo)
-		} else {
-			a2 := p.alpha - 2
-			num = (math.Pow(lo, -a2) - math.Pow(hi, -a2)) / a2
-		}
-		m += (1 - p.headMass) * num / zTail
-	}
-	return m
-}

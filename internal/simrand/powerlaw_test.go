@@ -63,21 +63,6 @@ func TestPowerLawTailReachable(t *testing.T) {
 	}
 }
 
-func TestPowerLawMean(t *testing.T) {
-	pl := NewPowerLaw(2.5, 1, 100000)
-	rng := NewStream(5)
-	const n = 300000
-	sum := 0.0
-	for i := 0; i < n; i++ {
-		sum += float64(pl.Sample(rng))
-	}
-	got := sum / n
-	want := pl.Mean()
-	if math.Abs(got-want) > 0.05*want {
-		t.Errorf("sample mean %v vs analytic %v", got, want)
-	}
-}
-
 func TestNewPowerLawPanics(t *testing.T) {
 	cases := []struct {
 		alpha      float64

@@ -101,9 +101,6 @@ func (s *Stream) DeriveN(label string, n uint64) *Stream {
 	return NewStream(Hash64(s.seed, HashString(label), n))
 }
 
-// Seed reports the seed the stream was constructed with.
-func (s *Stream) Seed() uint64 { return s.seed }
-
 // Uint64 returns a uniformly distributed 64-bit value.
 func (s *Stream) Uint64() uint64 { return s.rng.Uint64() }
 
@@ -122,23 +119,6 @@ func (s *Stream) Bool(p float64) bool { return s.rng.Float64() < p }
 // Norm returns a normal deviate with the given mean and standard deviation.
 func (s *Stream) Norm(mean, sd float64) float64 {
 	return mean + sd*s.rng.NormFloat64()
-}
-
-// TruncNorm returns a normal deviate truncated (by rejection) to [lo, hi].
-// It panics if lo > hi. If the acceptance region is far in the tail the
-// rejection loop falls back to clamping after 64 attempts; for all uses in
-// this module the region covers the bulk of the distribution.
-func (s *Stream) TruncNorm(mean, sd, lo, hi float64) float64 {
-	if lo > hi {
-		panic("simrand: TruncNorm bounds inverted")
-	}
-	for i := 0; i < 64; i++ {
-		v := s.Norm(mean, sd)
-		if v >= lo && v <= hi {
-			return v
-		}
-	}
-	return math.Min(hi, math.Max(lo, mean))
 }
 
 // LogNormal returns exp(N(mu, sigma)).

@@ -89,25 +89,6 @@ func TestDeriveNDistinct(t *testing.T) {
 	}
 }
 
-func TestTruncNormBounds(t *testing.T) {
-	s := NewStream(11)
-	for i := 0; i < 10000; i++ {
-		v := s.TruncNorm(50, 10, 40, 60)
-		if v < 40 || v > 60 {
-			t.Fatalf("TruncNorm out of bounds: %v", v)
-		}
-	}
-}
-
-func TestTruncNormPanicsOnInvertedBounds(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	NewStream(1).TruncNorm(0, 1, 5, 4)
-}
-
 func TestPoissonMean(t *testing.T) {
 	s := NewStream(5)
 	for _, mean := range []float64{0.5, 3, 25, 100} {

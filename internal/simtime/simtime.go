@@ -49,9 +49,6 @@ func (m Minute) Time() time.Time {
 	return Epoch.Add(time.Duration(m) * time.Minute)
 }
 
-// Day returns the day containing this minute.
-func (m Minute) Day() Day { return Day(m / MinutesPerDay) }
-
 // DayOf converts a time to its day index (flooring).
 func DayOf(t time.Time) Day {
 	return Day(t.Sub(Epoch) / (24 * time.Hour))

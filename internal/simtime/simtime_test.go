@@ -32,9 +32,9 @@ func TestDayRoundTrip(t *testing.T) {
 }
 
 func TestMinuteDayConsistency(t *testing.T) {
-	m := MinuteOf(StudyStart)
-	if m.Day() != DayOf(StudyStart) {
-		t.Errorf("Minute.Day = %d, DayOf = %d", m.Day(), DayOf(StudyStart))
+	m, day := MinuteOf(StudyStart), DayOf(StudyStart)
+	if m < day.Start() || m >= (day+1).Start() {
+		t.Errorf("minute %d is outside its day %d [%d, %d)", m, day, day.Start(), (day + 1).Start())
 	}
 	d := DayOf(EnvStart)
 	if d.Start().Time() != EnvStart {

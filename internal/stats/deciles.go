@@ -90,25 +90,3 @@ func TrendVerdict(bins []DecileBin) (LinearFit, error) {
 	}
 	return FitLinear(x, y)
 }
-
-// SplitByMedian partitions the (key, value) pairs into "low" and "high"
-// halves by the median of keys, returning the value slices. This is the
-// hot/cold split used by the utilization analysis (Fig 14). Pairs equal to
-// the median go to the low half.
-func SplitByMedian(keys, values []float64) (lowVals, highVals []float64) {
-	if len(keys) != len(values) {
-		panic("stats: SplitByMedian length mismatch")
-	}
-	if len(keys) == 0 {
-		return nil, nil
-	}
-	med := Median(keys)
-	for i, k := range keys {
-		if k <= med {
-			lowVals = append(lowVals, values[i])
-		} else {
-			highVals = append(highVals, values[i])
-		}
-	}
-	return lowVals, highVals
-}

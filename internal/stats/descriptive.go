@@ -113,34 +113,6 @@ func Median(xs []float64) float64 {
 	return m
 }
 
-// ECDF is an empirical cumulative distribution function over a sample.
-type ECDF struct {
-	sorted []float64
-}
-
-// NewECDF builds an ECDF; the input is copied and sorted.
-func NewECDF(xs []float64) *ECDF {
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	return &ECDF{sorted: sorted}
-}
-
-// At returns P(X <= x) under the empirical distribution.
-func (e *ECDF) At(x float64) float64 {
-	if len(e.sorted) == 0 {
-		return 0
-	}
-	// Number of samples <= x.
-	n := sort.SearchFloat64s(e.sorted, math.Nextafter(x, math.Inf(1)))
-	return float64(n) / float64(len(e.sorted))
-}
-
-// N returns the sample size.
-func (e *ECDF) N() int { return len(e.sorted) }
-
-// Values returns the sorted sample (not a copy; callers must not mutate).
-func (e *ECDF) Values() []float64 { return e.sorted }
-
 // TopShare sorts the sample descending and returns the fraction of the
 // total sum contributed by the k largest values. This implements the
 // paper's "the 8 nodes with the most CEs account for more than 50% of the

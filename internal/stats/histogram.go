@@ -11,7 +11,6 @@ type Histogram struct {
 	Counts []int
 	Under  int
 	Over   int
-	total  int
 }
 
 // NewHistogram creates a histogram with bins equal-width bins over
@@ -25,7 +24,6 @@ func NewHistogram(lo, hi float64, bins int) *Histogram {
 
 // Add records one observation.
 func (h *Histogram) Add(x float64) {
-	h.total++
 	switch {
 	case x < h.Lo:
 		h.Under++
@@ -40,51 +38,12 @@ func (h *Histogram) Add(x float64) {
 	}
 }
 
-// AddAll records all observations.
-func (h *Histogram) AddAll(xs []float64) {
-	for _, x := range xs {
-		h.Add(x)
-	}
-}
-
-// Total returns the number of observations recorded, including out-of-range.
-func (h *Histogram) Total() int { return h.total }
-
 // BinWidth returns the width of each bin.
 func (h *Histogram) BinWidth() float64 { return (h.Hi - h.Lo) / float64(len(h.Counts)) }
 
 // BinCenter returns the midpoint of bin i.
 func (h *Histogram) BinCenter(i int) float64 {
 	return h.Lo + (float64(i)+0.5)*h.BinWidth()
-}
-
-// Density returns the normalized density of bin i (fraction of in-range
-// observations per unit x), or 0 when empty.
-func (h *Histogram) Density(i int) float64 {
-	in := h.total - h.Under - h.Over
-	if in == 0 {
-		return 0
-	}
-	return float64(h.Counts[i]) / float64(in) / h.BinWidth()
-}
-
-// Fraction returns the fraction of all observations landing in bin i.
-func (h *Histogram) Fraction(i int) float64 {
-	if h.total == 0 {
-		return 0
-	}
-	return float64(h.Counts[i]) / float64(h.total)
-}
-
-// Mode returns the index of the most populated bin (ties to the lowest).
-func (h *Histogram) Mode() int {
-	best := 0
-	for i, c := range h.Counts {
-		if c > h.Counts[best] {
-			best = i
-		}
-	}
-	return best
 }
 
 // CountHistogram tallies how many entities experienced each integer count;

@@ -201,23 +201,3 @@ func powerLawKS(sortedTail []int, alpha float64, xmin int) float64 {
 	}
 	return ks
 }
-
-// LogLogSlope estimates the power-law exponent of a count histogram by OLS
-// on (log k, log freq) pairs; a cruder estimator than the MLE but the one
-// visually implied by "appears to obey a power law" histogram figures.
-// Pairs with zero frequency are skipped. Returns ErrInsufficientData when
-// fewer than 3 usable points exist.
-func LogLogSlope(hist CountHistogram) (LinearFit, error) {
-	var lx, ly []float64
-	for _, k := range hist.SortedCounts() {
-		if k <= 0 || hist[k] <= 0 {
-			continue
-		}
-		lx = append(lx, math.Log(float64(k)))
-		ly = append(ly, math.Log(float64(hist[k])))
-	}
-	if len(lx) < 3 {
-		return LinearFit{}, ErrInsufficientData
-	}
-	return FitLinear(lx, ly)
-}

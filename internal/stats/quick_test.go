@@ -7,7 +7,7 @@ import (
 )
 
 // Property: every Add is accounted for — in-range bins plus under/over
-// always sum to the total.
+// always sum to the number of observations.
 func TestHistogramAccountingProperty(t *testing.T) {
 	f := func(raw []int16) bool {
 		h := NewHistogram(-100, 100, 13)
@@ -18,7 +18,7 @@ func TestHistogramAccountingProperty(t *testing.T) {
 		for _, c := range h.Counts {
 			in += c
 		}
-		return in+h.Under+h.Over == h.Total() && h.Total() == len(raw)
+		return in+h.Under+h.Over == len(raw)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)

@@ -59,9 +59,6 @@ func FitLinear(x, y []float64) (LinearFit, error) {
 	return fit, nil
 }
 
-// Predict evaluates the fitted line at x.
-func (f LinearFit) Predict(x float64) float64 { return f.Intercept + f.Slope*x }
-
 // SlopeT returns the t-statistic of the slope against the null hypothesis
 // slope = 0. Returns +-Inf when the standard error is 0 and the slope is
 // not, and 0 when both are 0.

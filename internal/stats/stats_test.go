@@ -3,7 +3,6 @@ package stats
 import (
 	"math"
 	"testing"
-	"testing/quick"
 
 	"repro/internal/simrand"
 )
@@ -48,31 +47,6 @@ func TestQuantile(t *testing.T) {
 	}
 }
 
-func TestECDFProperties(t *testing.T) {
-	e := NewECDF([]float64{1, 1, 2, 5})
-	cases := []struct{ x, want float64 }{
-		{0, 0}, {1, 0.5}, {1.5, 0.5}, {2, 0.75}, {5, 1}, {100, 1},
-	}
-	for _, c := range cases {
-		if got := e.At(c.x); !almostEqual(got, c.want, 1e-12) {
-			t.Errorf("ECDF.At(%v) = %v, want %v", c.x, got, c.want)
-		}
-	}
-	// Monotone non-decreasing property.
-	if err := quick.Check(func(a, b float64) bool {
-		if math.IsNaN(a) || math.IsNaN(b) {
-			return true
-		}
-		lo, hi := a, b
-		if lo > hi {
-			lo, hi = hi, lo
-		}
-		return e.At(lo) <= e.At(hi)
-	}, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestTopShareAndLorenz(t *testing.T) {
 	xs := []float64{100, 1, 1, 1, 1, 1, 1, 1} // top item carries 100/107
 	if got := TopShare(xs, 1); !almostEqual(got, 100.0/107, 1e-12) {
@@ -97,7 +71,9 @@ func TestTopShareAndLorenz(t *testing.T) {
 
 func TestHistogram(t *testing.T) {
 	h := NewHistogram(0, 10, 5)
-	h.AddAll([]float64{-1, 0, 1.9, 2, 9.999, 10, 50})
+	for _, x := range []float64{-1, 0, 1.9, 2, 9.999, 10, 50} {
+		h.Add(x)
+	}
 	if h.Under != 1 || h.Over != 2 {
 		t.Errorf("Under/Over = %d/%d", h.Under, h.Over)
 	}
@@ -107,22 +83,8 @@ func TestHistogram(t *testing.T) {
 	if h.Counts[1] != 1 || h.Counts[4] != 1 {
 		t.Errorf("counts = %v", h.Counts)
 	}
-	if h.Total() != 7 {
-		t.Errorf("Total = %d", h.Total())
-	}
 	if !almostEqual(h.BinWidth(), 2, 1e-12) || !almostEqual(h.BinCenter(0), 1, 1e-12) {
 		t.Error("bin geometry wrong")
-	}
-	if h.Mode() != 0 {
-		t.Errorf("Mode = %d", h.Mode())
-	}
-	// Density integrates to 1 over in-range mass.
-	sum := 0.0
-	for i := range h.Counts {
-		sum += h.Density(i) * h.BinWidth()
-	}
-	if !almostEqual(sum, 1, 1e-12) {
-		t.Errorf("density integral = %v", sum)
 	}
 }
 
@@ -158,9 +120,6 @@ func TestFitLinearExact(t *testing.T) {
 	}
 	if !almostEqual(fit.R2, 1, 1e-12) {
 		t.Errorf("R2 = %v", fit.R2)
-	}
-	if !almostEqual(fit.Predict(10), 21, 1e-12) {
-		t.Errorf("Predict = %v", fit.Predict(10))
 	}
 }
 
@@ -283,21 +242,6 @@ func TestFitPowerLawInsufficient(t *testing.T) {
 	}
 }
 
-func TestLogLogSlope(t *testing.T) {
-	// freq(k) = 1000 * k^-2 exactly.
-	h := CountHistogram{}
-	for k := 1; k <= 30; k++ {
-		h[k] = int(1000 / float64(k*k))
-	}
-	fit, err := LogLogSlope(h)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fit.Slope > -1.7 || fit.Slope < -2.3 {
-		t.Errorf("log-log slope = %v, want ~-2", fit.Slope)
-	}
-}
-
 func TestChiSquareUniform(t *testing.T) {
 	// Perfectly uniform counts: statistic 0, p-value 1.
 	cs, err := ChiSquareUniform([]int{100, 100, 100, 100})
@@ -349,20 +293,6 @@ func TestChiSquareSFKnownValues(t *testing.T) {
 	}
 }
 
-func TestKolmogorovSmirnov(t *testing.T) {
-	a := []float64{1, 2, 3, 4, 5}
-	if got := KolmogorovSmirnov(a, a); got != 0 {
-		t.Errorf("KS(a,a) = %v", got)
-	}
-	b := []float64{10, 20, 30}
-	if got := KolmogorovSmirnov(a, b); !almostEqual(got, 1, 1e-12) {
-		t.Errorf("KS(disjoint) = %v", got)
-	}
-	if got := KolmogorovSmirnov(nil, a); got != 0 {
-		t.Errorf("KS(empty) = %v", got)
-	}
-}
-
 func TestDeciles(t *testing.T) {
 	keys := make([]float64, 100)
 	vals := make([]float64, 100)
@@ -408,29 +338,6 @@ func TestDeciles(t *testing.T) {
 func TestDecilesInsufficient(t *testing.T) {
 	if _, err := Deciles([]float64{1, 2}, []float64{1, 2}); err == nil {
 		t.Error("should fail with < 10 points")
-	}
-}
-
-func TestSplitByMedian(t *testing.T) {
-	keys := []float64{1, 2, 3, 4, 5, 6}
-	vals := []float64{10, 20, 30, 40, 50, 60}
-	lo, hi := SplitByMedian(keys, vals)
-	if len(lo)+len(hi) != 6 {
-		t.Fatalf("split sizes %d + %d", len(lo), len(hi))
-	}
-	for _, v := range lo {
-		if v > 30 {
-			t.Errorf("low half contains %v", v)
-		}
-	}
-	for _, v := range hi {
-		if v < 40 {
-			t.Errorf("high half contains %v", v)
-		}
-	}
-	lo, hi = SplitByMedian(nil, nil)
-	if lo != nil || hi != nil {
-		t.Error("empty split should be nil")
 	}
 }
 

@@ -28,9 +28,6 @@ func (w *Welford) Add(x float64) {
 	w.m2 += delta * (x - w.mean)
 }
 
-// N returns the number of observations.
-func (w *Welford) N() int64 { return w.n }
-
 // Mean returns the running mean (0 with no observations).
 func (w *Welford) Mean() float64 { return w.mean }
 
@@ -69,9 +66,6 @@ func (s *P2Quantile) Init(p float64) {
 	*s = P2Quantile{p: p}
 	s.dn = [5]float64{0, p / 2, p, (1 + p) / 2, 1}
 }
-
-// N returns the number of observations.
-func (s *P2Quantile) N() int64 { return s.n }
 
 // Add folds one observation into the sketch.
 func (s *P2Quantile) Add(x float64) {

@@ -54,8 +54,8 @@ func TestWelfordMatchesBatch(t *testing.T) {
 			w.Add(x)
 		}
 		mean, variance := batchMeanVar(xs)
-		if w.N() != int64(n) {
-			t.Fatalf("trial %d: N=%d want %d", trial, w.N(), n)
+		if w.n != int64(n) {
+			t.Fatalf("trial %d: N=%d want %d", trial, w.n, n)
 		}
 		if relErr(w.Mean(), mean) > 1e-9 {
 			t.Fatalf("trial %d: mean %g want %g", trial, w.Mean(), mean)
@@ -79,7 +79,7 @@ func relErr(got, want float64) float64 {
 
 func TestWelfordEmptyAndSingle(t *testing.T) {
 	var w Welford
-	if w.Mean() != 0 || w.Variance() != 0 || w.Std() != 0 || w.N() != 0 {
+	if w.Mean() != 0 || w.Variance() != 0 || w.Std() != 0 || w.n != 0 {
 		t.Fatalf("empty Welford not zero: %+v", w)
 	}
 	w.Add(42)
@@ -131,8 +131,8 @@ func TestP2QuantileApproximatesBatch(t *testing.T) {
 				xs[i] = d.gen()
 				s.Add(xs[i])
 			}
-			if s.N() != int64(n) {
-				t.Fatalf("%s p=%v: N=%d", d.name, p, s.N())
+			if s.n != int64(n) {
+				t.Fatalf("%s p=%v: N=%d", d.name, p, s.n)
 			}
 			want := exactQuantile(xs, p)
 			got := s.Value()

@@ -92,14 +92,6 @@ func (w WeibullFit) Survival(t float64) float64 {
 	return math.Exp(-math.Pow(t/w.Scale, w.Shape))
 }
 
-// Hazard returns h(t) = (k/lambda)·(t/lambda)^(k-1).
-func (w WeibullFit) Hazard(t float64) float64 {
-	if t <= 0 {
-		t = math.SmallestNonzeroFloat64
-	}
-	return w.Shape / w.Scale * math.Pow(t/w.Scale, w.Shape-1)
-}
-
 // KMPoint is one step of a Kaplan-Meier survival curve.
 type KMPoint struct {
 	Time     float64 // event time

@@ -47,23 +47,6 @@ func TestFitWeibullDegenerate(t *testing.T) {
 	}
 }
 
-func TestWeibullHazardShape(t *testing.T) {
-	infant := WeibullFit{Shape: 0.6, Scale: 100}
-	if infant.Hazard(1) <= infant.Hazard(50) {
-		t.Error("shape < 1 must have decreasing hazard (infant mortality)")
-	}
-	wearout := WeibullFit{Shape: 3, Scale: 100}
-	if wearout.Hazard(1) >= wearout.Hazard(50) {
-		t.Error("shape > 1 must have increasing hazard (wear-out)")
-	}
-	if s := infant.Survival(0); s != 1 {
-		t.Errorf("S(0) = %v", s)
-	}
-	if s := infant.Survival(1e9); s > 1e-6 {
-		t.Errorf("S(inf) = %v", s)
-	}
-}
-
 func TestKaplanMeierNoCensoring(t *testing.T) {
 	// Without censoring KM equals the empirical survival function.
 	times := []float64{1, 2, 3, 4, 5}

@@ -111,40 +111,6 @@ func gammaQCF(a, x float64) float64 {
 	return math.Exp(-x+a*math.Log(x)-lg) * h
 }
 
-// KolmogorovSmirnov returns the two-sample KS distance between samples a
-// and b (max absolute difference between their empirical CDFs). Returns 0
-// when either sample is empty.
-func KolmogorovSmirnov(a, b []float64) float64 {
-	if len(a) == 0 || len(b) == 0 {
-		return 0
-	}
-	sa := append([]float64(nil), a...)
-	sb := append([]float64(nil), b...)
-	sort.Float64s(sa)
-	sort.Float64s(sb)
-	i, j := 0, 0
-	d := 0.0
-	for i < len(sa) && j < len(sb) {
-		var x float64
-		if sa[i] <= sb[j] {
-			x = sa[i]
-		} else {
-			x = sb[j]
-		}
-		for i < len(sa) && sa[i] <= x {
-			i++
-		}
-		for j < len(sb) && sb[j] <= x {
-			j++
-		}
-		diff := math.Abs(float64(i)/float64(len(sa)) - float64(j)/float64(len(sb)))
-		if diff > d {
-			d = diff
-		}
-	}
-	return d
-}
-
 // BootstrapCI estimates a (1-2p) confidence interval for statistic fn over
 // sample xs using iters bootstrap resamples driven by rng. For example
 // p = 0.025 yields a 95% interval. An empty sample — reachable from

@@ -3,15 +3,15 @@ package stats
 import "time"
 
 // RateWindow counts events in a trailing time window using a ring of
-// fixed-width buckets, the standard streaming estimator: Add is O(1) and
-// allocation-free after construction, and Count/Rate answer "how many in
+// fixed-width buckets, the standard streaming estimator: AddNano is O(1)
+// and allocation-free after Init, and Count/CountRate answer "how many in
 // the last W" at bucket resolution. The stream engine keeps one per node
 // (and one global) to expose live CE rates without rescanning history.
 //
 // Time is event time, not wall time: the window advances with the largest
 // timestamp added, so replaying a historical log produces the same
 // answers the live system would have given. Events earlier than the
-// window's trailing edge are dropped (and counted in Late); events within
+// window's trailing edge are dropped; events within
 // the window but out of order land in their proper bucket.
 //
 // The ring is sized to the next power of two above the bucket count and
@@ -23,8 +23,8 @@ import "time"
 // windows: the old eager-expiry ring spent most of its time clearing
 // buckets that nothing would ever read.
 //
-// The zero value is unusable; use NewRateWindow or Init. RateWindow is
-// not concurrency-safe.
+// The zero value is unusable; call Init first. RateWindow is not
+// concurrency-safe.
 type RateWindow struct {
 	bucket  time.Duration
 	buckets int // logical window length, in buckets
@@ -36,8 +36,7 @@ type RateWindow struct {
 	// headIdx is the absolute bucket index of the newest bucket.
 	headIdx int64
 	started bool
-	late    int
-	// memoStart/memoEnd bound the bucket of the last Add: event streams
+	// memoStart/memoEnd bound the bucket of the last AddNano: event streams
 	// arrive in near-sorted order, so consecutive events usually share a
 	// bucket and the division in idx() is skipped. The interval starts
 	// empty (start == end) so an unprimed memo never hits.
@@ -47,25 +46,17 @@ type RateWindow struct {
 }
 
 // windowSlot is one ring bucket: the absolute bucket index it holds and
-// its event count, adjacent so an Add touches one cache line.
+// its event count, adjacent so an AddNano touches one cache line.
 type windowSlot struct {
 	abs int64
 	n   int
 }
 
-// NewRateWindow returns an estimator over a trailing window of the given
-// length, resolved into buckets slots (minimum 1). The effective window is
-// buckets whole bucket-widths, so window should be a multiple of buckets
-// for exact semantics.
-func NewRateWindow(window time.Duration, buckets int) *RateWindow {
-	w := &RateWindow{}
-	w.Init(window, buckets)
-	return w
-}
-
-// Init (re)initializes a RateWindow in place, for callers that embed the
-// estimator by value (the stream engine keeps one per node and avoids a
-// pointer allocation each).
+// Init (re)initializes a RateWindow in place over a trailing window of
+// the given length, resolved into buckets slots (minimum 1). The
+// effective window is buckets whole bucket-widths, so window should be a
+// multiple of buckets for exact semantics. The stream engine embeds the
+// estimator by value, one per node, and avoids a pointer allocation each.
 func (w *RateWindow) Init(window time.Duration, buckets int) {
 	if buckets < 1 {
 		buckets = 1
@@ -105,14 +96,10 @@ func (w *RateWindow) idx(nano int64) int64 {
 	return abs
 }
 
-// Add records one event at time t, advancing the window if t is the
-// newest time seen. Events that precede the retained window are dropped
-// and counted as late.
-func (w *RateWindow) Add(t time.Time) { w.AddNano(t.UnixNano()) }
-
-// AddNano is Add for callers that already hold the event time as unix
-// nanoseconds (the stream engine feeds two windows per record and
-// converts once).
+// AddNano records one event at unix-nanosecond time nano, advancing the
+// window if it is the newest time seen; events that precede the retained
+// window are dropped. The stream engine feeds two windows per record and
+// converts the time once.
 func (w *RateWindow) AddNano(nano int64) {
 	abs := w.idx(nano)
 	if !w.started {
@@ -123,7 +110,6 @@ func (w *RateWindow) AddNano(nano int64) {
 	case abs > w.headIdx:
 		w.headIdx = abs
 	case abs <= w.headIdx-int64(w.buckets):
-		w.late++
 		return
 	}
 	s := &w.slots[abs&w.mask]
@@ -156,14 +142,8 @@ func (w *RateWindow) Count(now time.Time) int {
 	return total
 }
 
-// Rate returns events per second over the window ending at now.
-func (w *RateWindow) Rate(now time.Time) float64 {
-	_, r := w.CountRate(now)
-	return r
-}
-
-// CountRate returns Count(now) and Rate(now) from one pass over the
-// ring, for callers that report both.
+// CountRate returns Count(now) and the events per second over the
+// window ending at now.
 func (w *RateWindow) CountRate(now time.Time) (int, float64) {
 	c := w.Count(now)
 	secs := w.Window().Seconds()
@@ -172,7 +152,3 @@ func (w *RateWindow) CountRate(now time.Time) (int, float64) {
 	}
 	return c, float64(c) / secs
 }
-
-// Late returns the number of events dropped for preceding the retained
-// window at the time they were added.
-func (w *RateWindow) Late() int { return w.late }

@@ -9,10 +9,13 @@ var windowEpoch = time.Date(2019, 6, 1, 0, 0, 0, 0, time.UTC)
 
 func at(d time.Duration) time.Time { return windowEpoch.Add(d) }
 
+func atNano(d time.Duration) int64 { return at(d).UnixNano() }
+
 func TestRateWindowBasic(t *testing.T) {
-	w := NewRateWindow(time.Minute, 6) // 10s buckets
+	var w RateWindow
+	w.Init(time.Minute, 6) // 10s buckets
 	for i := 0; i < 5; i++ {
-		w.Add(at(time.Duration(i) * 10 * time.Second))
+		w.AddNano(atNano(time.Duration(i) * 10 * time.Second))
 	}
 	if got := w.Count(at(40 * time.Second)); got != 5 {
 		t.Fatalf("Count = %d, want 5", got)
@@ -21,44 +24,38 @@ func TestRateWindowBasic(t *testing.T) {
 	if got := w.Count(at(61 * time.Second)); got != 4 {
 		t.Fatalf("Count after expiry = %d, want 4", got)
 	}
-	if r := w.Rate(at(61 * time.Second)); r != 4.0/60.0 {
-		t.Fatalf("Rate = %v, want %v", r, 4.0/60.0)
-	}
 	if c, r := w.CountRate(at(61 * time.Second)); c != 4 || r != 4.0/60.0 {
 		t.Fatalf("CountRate = %d, %v, want 4, %v", c, r, 4.0/60.0)
 	}
 }
 
 func TestRateWindowOutOfOrderWithinWindow(t *testing.T) {
-	w := NewRateWindow(time.Minute, 6)
-	w.Add(at(50 * time.Second))
-	w.Add(at(10 * time.Second)) // late but within window
+	var w RateWindow
+	w.Init(time.Minute, 6)
+	w.AddNano(atNano(50 * time.Second))
+	w.AddNano(atNano(10 * time.Second)) // late but within window
 	if got := w.Count(at(50 * time.Second)); got != 2 {
 		t.Fatalf("Count = %d, want 2", got)
-	}
-	if w.Late() != 0 {
-		t.Fatalf("Late = %d, want 0", w.Late())
 	}
 }
 
 func TestRateWindowDropsTooLate(t *testing.T) {
-	w := NewRateWindow(time.Minute, 6)
-	w.Add(at(10 * time.Minute))
-	w.Add(at(0)) // far behind the trailing edge
+	var w RateWindow
+	w.Init(time.Minute, 6)
+	w.AddNano(atNano(10 * time.Minute))
+	w.AddNano(atNano(0)) // far behind the trailing edge
 	if got := w.Count(at(10 * time.Minute)); got != 1 {
 		t.Fatalf("Count = %d, want 1", got)
-	}
-	if w.Late() != 1 {
-		t.Fatalf("Late = %d, want 1", w.Late())
 	}
 }
 
 func TestRateWindowLongGapClears(t *testing.T) {
-	w := NewRateWindow(time.Minute, 6)
+	var w RateWindow
+	w.Init(time.Minute, 6)
 	for i := 0; i < 10; i++ {
-		w.Add(at(time.Duration(i) * time.Second))
+		w.AddNano(atNano(time.Duration(i) * time.Second))
 	}
-	w.Add(at(time.Hour))
+	w.AddNano(atNano(time.Hour))
 	if got := w.Count(at(time.Hour)); got != 1 {
 		t.Fatalf("Count after gap = %d, want 1", got)
 	}
@@ -69,7 +66,8 @@ func TestRateWindowLongGapClears(t *testing.T) {
 func TestRateWindowMatchesNaive(t *testing.T) {
 	const buckets = 8
 	window := 80 * time.Second // 10s buckets
-	w := NewRateWindow(window, buckets)
+	var w RateWindow
+	w.Init(window, buckets)
 	var events []time.Time
 	var maxSeen time.Time
 	rng := uint64(12345)
@@ -92,7 +90,7 @@ func TestRateWindowMatchesNaive(t *testing.T) {
 		if tm.After(maxSeen) {
 			maxSeen = tm
 		}
-		w.Add(tm)
+		w.AddNano(tm.UnixNano())
 		events = append(events, tm)
 
 		// Naive recount at bucket granularity: events in buckets
@@ -122,13 +120,14 @@ func TestRateWindowMatchesNaive(t *testing.T) {
 }
 
 func TestRateWindowAddNoAlloc(t *testing.T) {
-	w := NewRateWindow(time.Minute, 60)
+	var w RateWindow
+	w.Init(time.Minute, 60)
 	tm := at(0)
 	n := testing.AllocsPerRun(1000, func() {
 		tm = tm.Add(time.Second)
-		w.Add(tm)
+		w.AddNano(tm.UnixNano())
 	})
 	if n != 0 {
-		t.Fatalf("Add allocates %v per call", n)
+		t.Fatalf("AddNano allocates %v per call", n)
 	}
 }

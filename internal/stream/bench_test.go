@@ -8,7 +8,7 @@ import (
 )
 
 // BenchmarkStreamIngest measures the hot ingest path: records/s and
-// allocs/record for one-at-a-time ingest into a warmed engine (the
+// allocs/record for one-record batches into a warmed engine (the
 // daemon's steady state — every bank, word and node already known).
 //
 //	go test -run '^$' -bench StreamIngest -benchmem ./internal/stream
@@ -25,7 +25,8 @@ func BenchmarkStreamIngest(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		e.Ingest(recs[i%len(recs)])
+		j := i % len(recs)
+		e.IngestBatch(recs[j : j+1])
 	}
 	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "records/s")
 }
@@ -43,9 +44,10 @@ func BenchmarkStreamIngestBatch(b *testing.B) {
 	b.ReportMetric(float64(len(recs))*float64(b.N)/b.Elapsed().Seconds(), "records/s")
 }
 
-// BenchmarkStreamSnapshot measures the full-fault-list query against a
-// warm engine with a clean cache (the serving path's worst read).
-func BenchmarkStreamSnapshot(b *testing.B) {
+// BenchmarkStreamLiveView measures a view rebuild against a warm engine
+// with a clean cache (the serving path's worst read): each NoteShed
+// advances the engine's Seq, so each LiveView builds a fresh view.
+func BenchmarkStreamLiveView(b *testing.B) {
 	ds := fixture(b)
 	e := stream.New(stream.Config{})
 	e.IngestBatch(ds.CERecords)
@@ -53,8 +55,9 @@ func BenchmarkStreamSnapshot(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if fs := e.Snapshot(); len(fs) == 0 {
-			b.Fatal("empty snapshot")
+		e.NoteShed(1)
+		if v := e.LiveView(); len(v.Faults) == 0 {
+			b.Fatal("empty view")
 		}
 	}
 }

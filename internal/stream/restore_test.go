@@ -52,8 +52,8 @@ func checkRanges(data []byte) ([]mce.CERecord, error) {
 // sameEngine fails unless got answers every query exactly as want does.
 func sameEngine(t testing.TB, got, want *stream.Engine) {
 	t.Helper()
-	if g, w := got.Snapshot(), want.Snapshot(); !reflect.DeepEqual(g, w) {
-		t.Fatalf("Snapshot: %d faults, want %d (or their Errors differ)", len(g), len(w))
+	if g, w := got.LiveView().Faults, want.LiveView().Faults; !reflect.DeepEqual(g, w) {
+		t.Fatalf("LiveView().Faults: %d faults, want %d (or their Errors differ)", len(g), len(w))
 	}
 	if g, w := got.Summary(), want.Summary(); g != w {
 		t.Fatalf("Summary %+v, want %+v", g, w)

@@ -1,16 +1,20 @@
 // Package stream is the online half of the paper's methodology: an
-// incremental fault-clustering engine that consumes CE records one at a
-// time (or in micro-batches) and keeps per-bank fault state current, so
-// fault counts, mode mixes, per-node CE rates and FIT estimates are
-// available at any instant instead of after a nightly batch run.
+// incremental fault-clustering engine that consumes CE records in
+// batches (IngestBatch, down to one record) and keeps per-bank fault
+// state current, so fault counts, mode mixes, per-node CE rates and FIT
+// estimates are available at any instant instead of after a nightly
+// batch run. Readers go through one path, LiveView: an immutable View
+// of the summary, faults, windowed FIT and per-node status, rebuilt only
+// when the engine has changed.
 //
 // The engine carries a differential guarantee: replaying any record
-// sequence through Ingest/IngestBatch — at any micro-batch size — then
-// calling Snapshot yields exactly the faults (order, modes, error index
-// lists) that core.Cluster produces over the same records. This is not
-// an accident of testing but of construction: both paths accumulate
-// core.BankState per bank and classify through BankState.AppendFaults,
-// and the property tests in this package pin it.
+// sequence through IngestBatch — at any batch size — then reading
+// LiveView().Faults yields exactly the faults (order, modes, error
+// index lists) that core.Cluster produces over the same records. This
+// is not an accident of testing but of construction: both paths
+// accumulate core.BankState per bank and classify through
+// BankState.AppendFaults, and the property tests in this package pin
+// it.
 //
 // Mode escalation is the natural history of a DRAM fault under this
 // methodology: a bank that has shown one stuck bit (single-bit) may grow
@@ -332,20 +336,11 @@ func (e *Engine) noteDIMM(node topology.NodeID, slot int64, ns *nodeState) {
 	}
 }
 
-// Ingest folds one CE record into the engine. The hot path allocates only
-// when it sees a new bank, word address or node (steady-state ingest of a
-// warmed fault population is allocation-free, amortized).
-func (e *Engine) Ingest(r mce.CERecord) {
-	e.mu.Lock()
-	e.fold(e.log.append(&r), &r)
-	e.seq.Add(1)
-	e.mu.Unlock()
-}
-
 // fold is the per-record hot path: it folds the record with arrival
-// index g into the fault, feature and node state. Ingest runs it on
-// the caller's record after appending it to the log, so the bank state
-// never reads the log's row; Restore runs it on each row, unpacked.
+// index g into the fault, feature and node state. IngestBatch runs it
+// on the caller's record after appending it to the log, so the bank
+// state never reads the log's row; Restore runs it on each row,
+// unpacked.
 func (e *Engine) fold(g int, rec *mce.CERecord) {
 	nsIdx := e.ensureNode(rec.Node)
 	entIdx := e.ensureBank(rec, nsIdx, g)
@@ -393,9 +388,10 @@ func (e *Engine) noteScalars(nsIdx int32, rec *mce.CERecord) {
 	}
 }
 
-// IngestBatch folds a micro-batch of records into the engine under one
-// lock hold. The result is identical to ingesting the records one by one
-// in order, at every batch size.
+// IngestBatch folds a batch of records into the engine under one lock
+// hold. The hot path allocates only when it sees a new bank, word
+// address or node, and the result is the same at every batch size,
+// one-record batches included.
 func (e *Engine) IngestBatch(rs []mce.CERecord) {
 	if len(rs) == 0 {
 		return
@@ -471,17 +467,11 @@ func (e *Engine) reclassify() {
 	e.dirtyIdx = e.dirtyIdx[:0]
 }
 
-// Snapshot returns the full fault list over everything ingested so far —
-// exactly what core.Cluster would return for the same records in the same
-// order (nil when nothing has been ingested). The returned faults share
-// their Errors backing arrays with the engine's cache; callers must not
-// mutate them.
-func (e *Engine) Snapshot() []core.Fault {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.snapshotLocked()
-}
-
+// snapshotLocked returns the full fault list over everything ingested
+// so far — exactly what core.Cluster would return for the same records
+// in the same order (nil when nothing has been ingested). The faults
+// share their Errors backing arrays with the engine's cache. Caller
+// holds e.mu.
 func (e *Engine) snapshotLocked() []core.Fault {
 	e.reclassify()
 	if len(e.entries) == 0 {
@@ -605,7 +595,7 @@ func (e *Engine) summaryLocked() Summary {
 // NoteShed records n CE records lost to load shedding upstream of the
 // engine (the admission queue's reject/evict paths call this through
 // overload.Config.OnShed). The loss flows into Summary — Shed, Offered,
-// Degraded — and marks WindowedFIT degraded, so the books
+// Degraded — and marks the view's FIT degraded, so the books
 // offered == ingested + shed stay visible at every layer.
 func (e *Engine) NoteShed(n int) {
 	if n <= 0 {
@@ -627,15 +617,6 @@ func (e *Engine) Seq() uint64 { return e.seq.Load() }
 // denominator).
 func (e *Engine) DIMMs() int { return e.cfg.DIMMs }
 
-// FaultRates converts the current fault population into FIT/DIMM over the
-// given window, exactly as core.AnalyzeFaultRates does over a batch
-// clustering of the same records.
-func (e *Engine) FaultRates(window time.Duration) core.FaultRates {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return core.AnalyzeFaultRates(e.snapshotLocked(), e.cfg.DIMMs, window)
-}
-
 // WindowedFIT is a rolling FIT estimate: fault arrivals inside the
 // trailing window scaled to failures per 10⁹ device-hours.
 type WindowedFIT struct {
@@ -656,14 +637,8 @@ type WindowedFIT struct {
 	Degraded bool `json:"degraded"`
 }
 
-// WindowedFIT computes the rolling FIT estimate over the configured
-// window ending at the newest event time.
-func (e *Engine) WindowedFIT() WindowedFIT {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.windowedFITLocked()
-}
-
+// windowedFITLocked computes the rolling FIT estimate over the
+// configured window ending at the newest event time. Caller holds e.mu.
 func (e *Engine) windowedFITLocked() WindowedFIT {
 	e.reclassify()
 	w := WindowedFIT{Window: e.cfg.Window, End: e.last}
@@ -707,47 +682,4 @@ type NodeStatus struct {
 	WindowRate  float64 `json:"windowRate"`
 	// Faults is the node's current fault list.
 	Faults []core.Fault `json:"faults"`
-}
-
-// NodeStatus returns the live view of one node; ok is false when the node
-// has produced no CE records.
-func (e *Engine) NodeStatus(id topology.NodeID) (NodeStatus, bool) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	nsIdx, ok := e.lookupNode(id)
-	if !ok {
-		return NodeStatus{}, false
-	}
-	e.reclassify()
-	ns := &e.nodeStates[nsIdx]
-	st := NodeStatus{Node: id, CEs: ns.ces, First: ns.first, Last: ns.last}
-	st.WindowCount, st.WindowRate = ns.rw.CountRate(e.last)
-	if e.bankOverflow == nil {
-		// ns.banks indexes this node's entries in first-appearance order, a
-		// subsequence of the global entry order.
-		for _, ref := range ns.banks {
-			st.Faults = append(st.Faults, e.entries[ref.idx].faults...)
-		}
-	} else {
-		// Overflow banks are absent from ns.banks; the full entry scan
-		// keeps first-appearance order exact (exotic inputs only).
-		for i := range e.entries {
-			if e.entries[i].key.Node == id {
-				st.Faults = append(st.Faults, e.entries[i].faults...)
-			}
-		}
-	}
-	return st, true
-}
-
-// lookupNode returns the nodeStates index for id without creating it.
-func (e *Engine) lookupNode(id topology.NodeID) (int32, bool) {
-	if i := int(id); i >= 0 && i < maxDenseNode {
-		if i < len(e.nodeIdx) && e.nodeIdx[i] >= 0 {
-			return e.nodeIdx[i], true
-		}
-		return 0, false
-	}
-	idx, ok := e.nodeOver[id]
-	return idx, ok
 }

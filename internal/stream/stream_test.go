@@ -121,7 +121,7 @@ func checkStreamMatchesBatch(t *testing.T, records []mce.CERecord, cc core.Clust
 
 	for _, tc := range []struct {
 		name  string
-		batch int // records per IngestBatch; 1 = Ingest; 0 = random 1–513
+		batch int // records per IngestBatch; 0 = random 1–513
 	}{
 		{"one-at-a-time", 1},
 		{"batch3", 3},
@@ -142,23 +142,18 @@ func checkStreamMatchesBatch(t *testing.T, records []mce.CERecord, cc core.Clust
 					size = 1 + rng.Intn(513)
 				}
 				hi := min(lo+size, len(records))
-				if size == 1 {
-					e.Ingest(records[lo])
-				} else {
-					e.IngestBatch(records[lo:hi])
-				}
+				e.IngestBatch(records[lo:hi])
 				lo = hi
 				// Interleaved queries must not perturb later results, and a
 				// view built between batches answers as the engine does.
 				if n%7 == 0 {
-					sum, fit := e.Summary(), e.WindowedFIT()
-					if v := e.LiveView(); v.Summary != sum || v.FIT != fit || v.Summary.Records != lo {
+					if v, sum := e.LiveView(), e.Summary(); v.Summary != sum || v.Summary.Records != lo {
 						t.Fatalf("view after %d records diverges from the engine:\n got %+v\nwant %+v", lo, v.Summary, sum)
 					}
 				}
 			}
-			got := e.Snapshot()
-			if !reflect.DeepEqual(got, want) {
+			v := e.LiveView()
+			if got := v.Faults; !reflect.DeepEqual(got, want) {
 				t.Fatalf("stream faults diverge from batch: got %d faults, want %d", len(got), len(want))
 			}
 			sum := e.Summary()
@@ -174,7 +169,7 @@ func checkStreamMatchesBatch(t *testing.T, records []mce.CERecord, cc core.Clust
 			if sum.Faults != len(want) {
 				t.Fatalf("Summary.Faults = %d, want %d", sum.Faults, len(want))
 			}
-			if got := e.FaultRates(core.StudyWindow()); got != wantRates {
+			if got := v.FaultRates(dimms, core.StudyWindow()); got != wantRates {
 				t.Fatalf("FaultRates = %+v, want %+v", got, wantRates)
 			}
 		})
@@ -222,11 +217,11 @@ func TestStreamReplayReproducesEngine(t *testing.T) {
 	}
 	e := stream.New(stream.Config{DIMMs: 48 * topology.SlotsPerNode})
 	e.IngestBatch(in[:len(in)/3])
-	for _, r := range in[len(in)/3 : len(in)/2] {
-		e.Ingest(r)
+	for i := len(in) / 3; i < len(in)/2; i++ {
+		e.IngestBatch(in[i : i+1])
 	}
 	e.IngestBatch(in[len(in)/2:])
-	want := e.Snapshot()
+	want := e.LiveView().Faults
 
 	recs := e.Records()
 	if len(recs) != len(in) {
@@ -239,7 +234,7 @@ func TestStreamReplayReproducesEngine(t *testing.T) {
 	}
 	replay := stream.New(stream.Config{DIMMs: 48 * topology.SlotsPerNode})
 	replay.IngestBatch(recs)
-	if got := replay.Snapshot(); !reflect.DeepEqual(got, want) {
+	if got := replay.LiveView().Faults; !reflect.DeepEqual(got, want) {
 		t.Fatal("replayed engine diverges from original")
 	}
 	if got, want := replay.Summary(), e.Summary(); got != want {
@@ -375,22 +370,22 @@ func TestStreamDirtyDifferential(t *testing.T) {
 			wantRates := core.AnalyzeFaultRates(want, dimms, core.StudyWindow())
 
 			e := stream.New(stream.Config{DIMMs: dimms})
-			for _, r := range ces {
-				e.Ingest(r)
+			for i := range ces {
+				e.IngestBatch(ces[i : i+1])
 			}
-			if got := e.Snapshot(); !reflect.DeepEqual(got, want) {
+			v := e.LiveView()
+			if got := v.Faults; !reflect.DeepEqual(got, want) {
 				t.Fatalf("dirty stream faults diverge: got %d, want %d", len(got), len(want))
 			}
-			gotRates := e.FaultRates(core.StudyWindow())
+			gotRates := v.FaultRates(dimms, core.StudyWindow())
 			if gotRates != wantRates {
 				t.Fatalf("dirty FaultRates = %+v, want %+v", gotRates, wantRates)
 			}
 			if gotRates.Degraded != wantRates.Degraded {
 				t.Fatalf("Degraded accounting diverges: stream %v, batch %v", gotRates.Degraded, wantRates.Degraded)
 			}
-			wfit := e.WindowedFIT()
-			if wantDeg := len(ces) == 0; wfit.Degraded != wantDeg {
-				t.Fatalf("WindowedFIT.Degraded = %v, want %v", wfit.Degraded, wantDeg)
+			if wantDeg := len(ces) == 0; v.FIT.Degraded != wantDeg {
+				t.Fatalf("View.FIT.Degraded = %v, want %v", v.FIT.Degraded, wantDeg)
 			}
 		})
 	}
@@ -420,7 +415,7 @@ func TestStreamModeEscalation(t *testing.T) {
 	}
 	e := stream.New(stream.Config{})
 	for i, s := range steps {
-		e.Ingest(s.r)
+		e.IngestBatch([]mce.CERecord{s.r})
 		sum := e.Summary()
 		worst := -1
 		for m := range sum.FaultsByMode {
@@ -437,40 +432,52 @@ func TestStreamModeEscalation(t *testing.T) {
 	}
 }
 
-// TestStreamNodeStatus checks the per-node rolling view against direct
-// counts.
+// TestStreamNodeStatus checks the view's per-node status against direct
+// counts over the records: CEs, first and last times, and the node's
+// faults as a per-node filter of core.Cluster's.
 func TestStreamNodeStatus(t *testing.T) {
 	ds := fixture(t)
 	e := stream.New(stream.Config{DIMMs: 48 * topology.SlotsPerNode})
 	e.IngestBatch(ds.CERecords)
+	v := e.LiveView()
 
-	perNode := map[topology.NodeID]int{}
+	type counts struct {
+		ces         int
+		first, last time.Time
+	}
+	perNode := map[topology.NodeID]*counts{}
 	for _, r := range ds.CERecords {
-		perNode[r.Node]++
+		c := perNode[r.Node]
+		if c == nil {
+			c = &counts{first: r.Time, last: r.Time}
+			perNode[r.Node] = c
+		}
+		c.ces++
+		if r.Time.Before(c.first) {
+			c.first = r.Time
+		}
+		if r.Time.After(c.last) {
+			c.last = r.Time
+		}
 	}
-	faults := e.Snapshot()
-	nodeFaults := map[topology.NodeID]int{}
-	for i := range faults {
-		nodeFaults[faults[i].Node]++
+	nodeFaults := map[topology.NodeID][]core.Fault{}
+	for _, f := range mustCluster(t, ds.CERecords, core.DefaultClusterConfig()) {
+		nodeFaults[f.Node] = append(nodeFaults[f.Node], f)
 	}
-	checked := 0
 	for id, want := range perNode {
-		st, ok := e.NodeStatus(id)
+		st, ok := v.NodeStatus(id)
 		if !ok {
-			t.Fatalf("node %v missing from engine", id)
+			t.Fatalf("node %v missing from the view", id)
 		}
-		if st.CEs != want {
-			t.Fatalf("node %v CEs = %d, want %d", id, st.CEs, want)
+		if st.CEs != want.ces || !st.First.Equal(want.first) || !st.Last.Equal(want.last) {
+			t.Fatalf("node %v status = %d CEs over [%v, %v], want %d over [%v, %v]",
+				id, st.CEs, st.First, st.Last, want.ces, want.first, want.last)
 		}
-		if len(st.Faults) != nodeFaults[id] {
-			t.Fatalf("node %v faults = %d, want %d", id, len(st.Faults), nodeFaults[id])
-		}
-		checked++
-		if checked >= 10 {
-			break
+		if !reflect.DeepEqual(st.Faults, nodeFaults[id]) {
+			t.Fatalf("node %v faults = %d, want core.Cluster's %d", id, len(st.Faults), len(nodeFaults[id]))
 		}
 	}
-	if _, ok := e.NodeStatus(topology.NodeID(47 * 1000)); ok {
+	if _, ok := v.NodeStatus(topology.NodeID(47 * 1000)); ok {
 		t.Fatal("NodeStatus reported a node that never erred")
 	}
 }
@@ -492,7 +499,8 @@ func TestStreamIngestSteadyStateAllocs(t *testing.T) {
 
 	i := 0
 	avg := testing.AllocsPerRun(10000, func() {
-		e.Ingest(recs[i%len(recs)])
+		j := i % len(recs)
+		e.IngestBatch(recs[j : j+1])
 		i++
 	})
 	if avg >= 1 {

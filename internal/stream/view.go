@@ -20,8 +20,9 @@ type View struct {
 	Seq uint64
 	// BuiltAt is the wall-clock build time, the base of staleness ages.
 	BuiltAt time.Time
-	// Summary, Faults and FIT are what Engine.Summary, Engine.Snapshot
-	// and Engine.WindowedFIT would have returned at Seq.
+	// Summary is what Engine.Summary would have returned at Seq; Faults
+	// is the full fault list, in core.Cluster's order, and FIT the
+	// rolling FIT estimate over the engine's window, both at Seq.
 	Summary Summary
 	Faults  []core.Fault
 	FIT     WindowedFIT
@@ -75,7 +76,8 @@ func (v *View) NodeStatus(id topology.NodeID) (NodeStatus, bool) {
 }
 
 // FaultRates converts the view's fault population into FIT/DIMM over
-// the given window, as Engine.FaultRates would at the view's Seq.
+// the given window, as core.AnalyzeFaultRates does over a batch
+// clustering of the same records.
 func (v *View) FaultRates(dimms int, window time.Duration) core.FaultRates {
 	return core.AnalyzeFaultRates(v.Faults, dimms, window)
 }

@@ -13,7 +13,7 @@ import (
 // A regression fails on the timeout rather than hanging the suite.
 func TestLiveViewNeverWaitsForIngest(t *testing.T) {
 	e := New(Config{DIMMs: 8})
-	e.Ingest(mce.CERecord{Time: time.Date(2019, 6, 1, 0, 0, 0, 0, time.UTC), Node: 3, Slot: 1, Bank: 2})
+	e.IngestBatch([]mce.CERecord{{Time: time.Date(2019, 6, 1, 0, 0, 0, 0, time.UTC), Node: 3, Slot: 1, Bank: 2}})
 	prev := e.LiveView()
 
 	e.mu.Lock() // what IngestBatch holds for a whole batch

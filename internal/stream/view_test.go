@@ -24,12 +24,16 @@ func viewFixture(t *testing.T) *dataset.Dataset {
 	return ds
 }
 
-// TestViewMatchesDirectQueries pins the snapshot contract: a View must
-// answer every query exactly as the engine's direct (mutex-taking)
-// methods do at the same point.
+// TestViewMatchesDirectQueries pins the snapshot contract: a fresh View
+// answers as the engine's Summary does and as the batch analyses over
+// the same records do: its faults are core.Cluster's, each node's
+// faults a per-node filter of them, its windowed FIT counts those first
+// seen and still active inside the trailing window, and its fault rates
+// are core.AnalyzeFaultRates of them.
 func TestViewMatchesDirectQueries(t *testing.T) {
 	ds := viewFixture(t)
-	e := stream.New(stream.Config{DIMMs: 32 * topology.SlotsPerNode})
+	dimms := 32 * topology.SlotsPerNode
+	e := stream.New(stream.Config{DIMMs: dimms})
 	e.IngestBatch(ds.CERecords)
 
 	v := e.LiveView()
@@ -40,33 +44,39 @@ func TestViewMatchesDirectQueries(t *testing.T) {
 	if v.Summary != wantSum {
 		t.Fatalf("view summary = %+v, want %+v", v.Summary, wantSum)
 	}
-	wantFaults := e.Snapshot()
-	if len(v.Faults) != len(wantFaults) {
-		t.Fatalf("view faults = %d, want %d", len(v.Faults), len(wantFaults))
+	want, err := core.Cluster(context.Background(), ds.CERecords, core.DefaultClusterConfig())
+	if err != nil {
+		t.Fatal(err)
 	}
-	for i := range wantFaults {
-		if v.Faults[i].Node != wantFaults[i].Node || v.Faults[i].Mode != wantFaults[i].Mode ||
-			v.Faults[i].NErrors != wantFaults[i].NErrors {
-			t.Fatalf("view fault %d diverges from Snapshot", i)
+	if !reflect.DeepEqual(v.Faults, want) {
+		t.Fatalf("view faults diverge from core.Cluster (%d vs %d faults)", len(v.Faults), len(want))
+	}
+	cut := v.FIT.End.Add(-v.FIT.Window)
+	newFaults, active := 0, 0
+	nodeFaults := map[topology.NodeID][]core.Fault{}
+	for _, f := range want {
+		if f.First.After(cut) {
+			newFaults++
 		}
+		if f.Last.After(cut) {
+			active++
+		}
+		nodeFaults[f.Node] = append(nodeFaults[f.Node], f)
 	}
-	if v.FIT != e.WindowedFIT() {
-		t.Fatalf("view FIT = %+v, want %+v", v.FIT, e.WindowedFIT())
+	if v.FIT.End != wantSum.Last || v.FIT.NewFaults != newFaults || v.FIT.ActiveFaults != active || v.FIT.Degraded {
+		t.Fatalf("view FIT = %+v, want end %v, %d new and %d active faults", v.FIT, wantSum.Last, newFaults, active)
 	}
-	for _, f := range wantFaults {
-		got, ok := v.NodeStatus(f.Node)
-		want, wok := e.NodeStatus(f.Node)
-		if ok != wok || got.CEs != want.CEs || len(got.Faults) != len(want.Faults) ||
-			got.WindowCount != want.WindowCount {
-			t.Fatalf("view node %v = %+v/%v, want %+v/%v", f.Node, got, ok, want, wok)
+	for node, faults := range nodeFaults {
+		got, ok := v.NodeStatus(node)
+		if !ok || !reflect.DeepEqual(got.Faults, faults) {
+			t.Fatalf("view node %v = %d faults (found %v), want %d", node, len(got.Faults), ok, len(faults))
 		}
 	}
 	if _, ok := v.NodeStatus(topology.NewNodeID(0, 0, 0) - 1); ok {
 		t.Fatal("view invented a node")
 	}
-	rates := v.FaultRates(32*topology.SlotsPerNode, 24*time.Hour)
-	wantRates := e.FaultRates(24 * time.Hour)
-	if rates != wantRates {
+	rates := v.FaultRates(dimms, 24*time.Hour)
+	if wantRates := core.AnalyzeFaultRates(want, dimms, 24*time.Hour); rates != wantRates {
 		t.Fatalf("view fault rates = %+v, want %+v", rates, wantRates)
 	}
 }
@@ -144,7 +154,7 @@ func TestViewConcurrentWithIngest(t *testing.T) {
 						v.Summary.Faults, len(v.Faults))
 					return
 				}
-				_, _ = e.NodeStatus(node)
+				_, _ = v.NodeStatus(node)
 			}
 		}(ds.CERecords[r*len(ds.CERecords)/4].Node)
 	}

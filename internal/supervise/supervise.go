@@ -17,7 +17,6 @@ package supervise
 
 import (
 	"context"
-	"fmt"
 	"sync"
 	"time"
 
@@ -206,30 +205,6 @@ func (s *Supervisor) Go(ctx context.Context, name string, fn func(context.Contex
 // goroutine exited. Cancel the units' context first.
 func (s *Supervisor) Wait() { s.wg.Wait() }
 
-// Health reports every unit's position, in Go order.
-func (s *Supervisor) Health() []Health {
-	s.mu.Lock()
-	units := append([]*Unit(nil), s.units...)
-	s.mu.Unlock()
-	out := make([]Health, len(units))
-	for i, u := range units {
-		out[i] = u.Health()
-	}
-	return out
-}
-
-// Unit looks a unit up by name (nil when unknown).
-func (s *Supervisor) Unit(name string) *Unit {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for _, u := range s.units {
-		if u.name == name {
-			return u
-		}
-	}
-	return nil
-}
-
 // Restarts sums restart counts across units.
 func (s *Supervisor) Restarts() uint64 {
 	s.mu.Lock()
@@ -285,13 +260,6 @@ func (u *Unit) Health() Health {
 		}
 	}
 	return h
-}
-
-// LastError returns the unit's most recent failure (nil when none).
-func (u *Unit) LastError() error {
-	u.mu.Lock()
-	defer u.mu.Unlock()
-	return u.lastErr
 }
 
 // transition applies a state change under the unit lock and reports it.
@@ -413,16 +381,4 @@ func (u *Unit) loop(ctx context.Context, fn func(context.Context) error) {
 func runCaptured(ctx context.Context, fn func(context.Context) error) (err error) {
 	defer parallel.Recover(&err)
 	return fn(ctx)
-}
-
-// Quarantine forces a unit into the quarantined state from outside its
-// own lifecycle (an operator endpoint, or a host that has decided the
-// unit's dependency is gone for good). A running unit's current run is
-// not interrupted — the caller owns the unit's context — but no further
-// restart will fire.
-func (u *Unit) Quarantine(reason error) {
-	if reason == nil {
-		reason = fmt.Errorf("supervise: %s quarantined by operator", u.name)
-	}
-	u.transition(StateQuarantined, reason, 0)
 }

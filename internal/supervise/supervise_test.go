@@ -3,7 +3,6 @@ package supervise
 import (
 	"context"
 	"errors"
-	"fmt"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -32,8 +31,8 @@ func TestCleanStopNoRestart(t *testing.T) {
 	if st := u.State(); st != StateStopped {
 		t.Fatalf("state = %v, want stopped", st)
 	}
-	if err := u.LastError(); err != nil {
-		t.Fatalf("lastErr = %v, want nil", err)
+	if h := u.Health(); h.LastError != "" {
+		t.Fatalf("lastErr = %q, want none", h.LastError)
 	}
 }
 
@@ -62,11 +61,8 @@ func TestRestartOnErrorThenQuarantine(t *testing.T) {
 	if st := u.State(); st != StateQuarantined {
 		t.Fatalf("state = %v, want quarantined", st)
 	}
-	if !errors.Is(u.LastError(), boom) {
-		t.Fatalf("lastErr = %v, want %v", u.LastError(), boom)
-	}
 	h := u.Health()
-	if h.Restarts != 3 || h.State != "quarantined" || h.LastError == "" {
+	if h.Restarts != 3 || h.State != "quarantined" || h.LastError != boom.Error() {
 		t.Fatalf("health = %+v", h)
 	}
 	mu.Lock()
@@ -97,8 +93,9 @@ func TestPanicCapturedAsPanicError(t *testing.T) {
 		t.Fatalf("state = %v, want quarantined", st)
 	}
 	var pe *parallel.PanicError
-	if !errors.As(u.LastError(), &pe) {
-		t.Fatalf("lastErr = %T %v, want *parallel.PanicError", u.LastError(), u.LastError())
+	// s.Wait returned, so the unit's goroutine no longer writes lastErr.
+	if !errors.As(u.lastErr, &pe) {
+		t.Fatalf("lastErr = %T %v, want *parallel.PanicError", u.lastErr, u.lastErr)
 	}
 	if pe.Value != "kaboom" || len(pe.Stack) == 0 {
 		t.Fatalf("panic error = %+v, want value kaboom with stack", pe)
@@ -232,50 +229,26 @@ func TestHealthAndLookups(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	block := make(chan struct{})
-	s.Go(ctx, "a", func(ctx context.Context) error {
+	a := s.Go(ctx, "a", func(ctx context.Context) error {
 		select {
 		case <-block:
 		case <-ctx.Done():
 		}
 		return nil
 	})
-	s.Go(ctx, "b", func(ctx context.Context) error {
+	b := s.Go(ctx, "b", func(ctx context.Context) error {
 		select {
 		case <-block:
 		case <-ctx.Done():
 		}
 		return nil
 	})
-	hs := s.Health()
-	if len(hs) != 2 || hs[0].Unit != "a" || hs[1].Unit != "b" {
-		t.Fatalf("health = %+v", hs)
-	}
-	if s.Unit("a") == nil || s.Unit("nope") != nil {
-		t.Fatal("Unit lookup broken")
+	for _, u := range []*Unit{a, b} {
+		if h := u.Health(); h.Unit != u.Name() || h.State != "running" {
+			t.Fatalf("health of %s = %+v", u.Name(), h)
+		}
 	}
 	close(block)
-	s.Wait()
-}
-
-func TestOperatorQuarantine(t *testing.T) {
-	s := New(fastCfg())
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	started := make(chan struct{})
-	u := s.Go(ctx, "manual", func(ctx context.Context) error {
-		close(started)
-		<-ctx.Done()
-		return ctx.Err()
-	})
-	<-started
-	u.Quarantine(fmt.Errorf("operator: bad disk"))
-	if st := u.State(); st != StateQuarantined {
-		t.Fatalf("state = %v, want quarantined", st)
-	}
-	if s.Quarantined() != 1 {
-		t.Fatalf("Quarantined() = %d, want 1", s.Quarantined())
-	}
-	cancel()
 	s.Wait()
 }
 

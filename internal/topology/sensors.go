@@ -34,11 +34,6 @@ func TemperatureSensors() []Sensor {
 	return []Sensor{SensorCPU1, SensorCPU2, SensorDIMMACEG, SensorDIMMBDFH, SensorDIMMIKMO, SensorDIMMJLNP}
 }
 
-// DIMMSensors lists the four DIMM-group temperature sensors.
-func DIMMSensors() []Sensor {
-	return []Sensor{SensorDIMMACEG, SensorDIMMBDFH, SensorDIMMIKMO, SensorDIMMJLNP}
-}
-
 // IsTemperature reports whether the sensor measures a temperature.
 func (s Sensor) IsTemperature() bool { return s >= SensorCPU1 && s <= SensorDIMMJLNP }
 
@@ -80,16 +75,6 @@ func (s Sensor) String() string {
 	}
 }
 
-// ParseSensor parses the stable name produced by String.
-func ParseSensor(name string) (Sensor, error) {
-	for s := Sensor(0); s < NumSensors; s++ {
-		if s.String() == name {
-			return s, nil
-		}
-	}
-	return 0, fmt.Errorf("topology: unknown sensor %q", name)
-}
-
 // slotSensor maps each DIMM slot to its covering temperature sensor.
 var slotSensor = [SlotsPerNode]Sensor{
 	'A' - 'A': SensorDIMMACEG,
@@ -117,21 +102,6 @@ func SensorForSlot(s Slot) Sensor {
 		panic(fmt.Sprintf("topology: invalid slot %d", int(s)))
 	}
 	return slotSensor[s]
-}
-
-// SlotsForSensor returns the slots covered by a DIMM-group sensor, or nil
-// for non-DIMM sensors.
-func SlotsForSensor(sensor Sensor) []Slot {
-	if !sensor.IsDIMM() {
-		return nil
-	}
-	var out []Slot
-	for i := Slot(0); i < SlotsPerNode; i++ {
-		if slotSensor[i] == sensor {
-			out = append(out, i)
-		}
-	}
-	return out
 }
 
 // AirflowDepth returns the normalized position of a temperature sensor

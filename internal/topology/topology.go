@@ -230,12 +230,3 @@ func AllSlots() []Slot {
 	}
 	return out
 }
-
-// DIMMIndex returns the system-global DIMM index of (node, slot), in
-// [0, DIMMs). It panics on invalid coordinates.
-func DIMMIndex(node NodeID, slot Slot) int {
-	if !node.Valid() || !slot.Valid() {
-		panic(fmt.Sprintf("topology: invalid DIMM coordinate %v/%v", node, slot))
-	}
-	return int(node)*SlotsPerNode + int(slot)
-}

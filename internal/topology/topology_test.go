@@ -130,22 +130,6 @@ func TestSlotProperties(t *testing.T) {
 	}
 }
 
-func TestDIMMIndexUnique(t *testing.T) {
-	seen := map[int]bool{}
-	for _, node := range []NodeID{0, 1, 2591} {
-		for _, slot := range AllSlots() {
-			idx := DIMMIndex(node, slot)
-			if idx < 0 || idx >= DIMMs {
-				t.Fatalf("DIMMIndex out of range: %d", idx)
-			}
-			if seen[idx] {
-				t.Fatalf("DIMMIndex collision at %d", idx)
-			}
-			seen[idx] = true
-		}
-	}
-}
-
 func TestPhysAddrRoundTrip(t *testing.T) {
 	f := func(slot8 uint8, rank bool, bank8 uint8, row16 uint16, col16 uint16, off8 uint8) bool {
 		a := CellAddr{
@@ -254,27 +238,6 @@ func TestSensorSlotMapping(t *testing.T) {
 		if groups[sensor] != letters {
 			t.Errorf("sensor %v covers %q, want %q", sensor, groups[sensor], letters)
 		}
-	}
-	// Each DIMM sensor covers exactly 4 slots.
-	for _, sensor := range DIMMSensors() {
-		if got := len(SlotsForSensor(sensor)); got != 4 {
-			t.Errorf("sensor %v covers %d slots, want 4", sensor, got)
-		}
-	}
-	if SlotsForSensor(SensorCPU1) != nil {
-		t.Error("SlotsForSensor(CPU1) should be nil")
-	}
-}
-
-func TestSensorNamesRoundTrip(t *testing.T) {
-	for s := Sensor(0); s < NumSensors; s++ {
-		back, err := ParseSensor(s.String())
-		if err != nil || back != s {
-			t.Errorf("sensor %v round trip failed: %v, %v", s, back, err)
-		}
-	}
-	if _, err := ParseSensor("nope"); err == nil {
-		t.Error("ParseSensor(nope) should fail")
 	}
 }
 
