@@ -47,6 +47,27 @@ func TestFitWeibullDegenerate(t *testing.T) {
 	}
 }
 
+// TestWeibullHazardShape reads the hazard through the cumulative hazard
+// H(t) = -ln S(t): the mean hazard H(t)/t falls over time for shape < 1
+// (infant mortality) and rises for shape > 1 (wear-out).
+func TestWeibullHazardShape(t *testing.T) {
+	meanHazard := func(w WeibullFit, t float64) float64 { return -math.Log(w.Survival(t)) / t }
+	infant := WeibullFit{Shape: 0.6, Scale: 100}
+	if meanHazard(infant, 1) <= meanHazard(infant, 50) {
+		t.Error("shape < 1 must have decreasing hazard (infant mortality)")
+	}
+	wearout := WeibullFit{Shape: 3, Scale: 100}
+	if meanHazard(wearout, 1) >= meanHazard(wearout, 50) {
+		t.Error("shape > 1 must have increasing hazard (wear-out)")
+	}
+	if s := infant.Survival(0); s != 1 {
+		t.Errorf("S(0) = %v", s)
+	}
+	if s := infant.Survival(1e9); s > 1e-6 {
+		t.Errorf("S(inf) = %v", s)
+	}
+}
+
 func TestKaplanMeierNoCensoring(t *testing.T) {
 	// Without censoring KM equals the empirical survival function.
 	times := []float64{1, 2, 3, 4, 5}

@@ -3,9 +3,10 @@
 // batches (IngestBatch, down to one record) and keeps per-bank fault
 // state current, so fault counts, mode mixes, per-node CE rates and FIT
 // estimates are available at any instant instead of after a nightly
-// batch run. Readers go through one path, LiveView: an immutable View
-// of the summary, faults, windowed FIT and per-node status, rebuilt only
-// when the engine has changed.
+// batch run. The fault list, windowed FIT and per-node status are read
+// through one path, LiveView: an immutable View, rebuilt only when the
+// engine has changed. Summary and Features read the current totals and
+// bank features under the engine's lock, for metrics and checkpoints.
 //
 // The engine carries a differential guarantee: replaying any record
 // sequence through IngestBatch — at any batch size — then reading

@@ -433,8 +433,9 @@ func TestStreamModeEscalation(t *testing.T) {
 }
 
 // TestStreamNodeStatus checks the view's per-node status against direct
-// counts over the records: CEs, first and last times, and the node's
-// faults as a per-node filter of core.Cluster's.
+// counts over the time-ordered records: CEs, first and last times, the
+// CEs in the default window's buckets ending at the newest record, and
+// the node's faults as a per-node filter of core.Cluster's.
 func TestStreamNodeStatus(t *testing.T) {
 	ds := fixture(t)
 	e := stream.New(stream.Config{DIMMs: 48 * topology.SlotsPerNode})
@@ -442,9 +443,11 @@ func TestStreamNodeStatus(t *testing.T) {
 	v := e.LiveView()
 
 	type counts struct {
-		ces         int
+		ces, window int
 		first, last time.Time
 	}
+	bucket := int64(stream.DefaultWindow / stream.DefaultRateBuckets)
+	head := v.Summary.Last.UnixNano() / bucket
 	perNode := map[topology.NodeID]*counts{}
 	for _, r := range ds.CERecords {
 		c := perNode[r.Node]
@@ -453,6 +456,9 @@ func TestStreamNodeStatus(t *testing.T) {
 			perNode[r.Node] = c
 		}
 		c.ces++
+		if b := r.Time.UnixNano() / bucket; b > head-stream.DefaultRateBuckets && b <= head {
+			c.window++
+		}
 		if r.Time.Before(c.first) {
 			c.first = r.Time
 		}
@@ -469,9 +475,9 @@ func TestStreamNodeStatus(t *testing.T) {
 		if !ok {
 			t.Fatalf("node %v missing from the view", id)
 		}
-		if st.CEs != want.ces || !st.First.Equal(want.first) || !st.Last.Equal(want.last) {
-			t.Fatalf("node %v status = %d CEs over [%v, %v], want %d over [%v, %v]",
-				id, st.CEs, st.First, st.Last, want.ces, want.first, want.last)
+		if st.CEs != want.ces || !st.First.Equal(want.first) || !st.Last.Equal(want.last) || st.WindowCount != want.window {
+			t.Fatalf("node %v status = %d CEs over [%v, %v], %d in the window; want %d over [%v, %v], %d",
+				id, st.CEs, st.First, st.Last, st.WindowCount, want.ces, want.first, want.last, want.window)
 		}
 		if !reflect.DeepEqual(st.Faults, nodeFaults[id]) {
 			t.Fatalf("node %v faults = %d, want core.Cluster's %d", id, len(st.Faults), len(nodeFaults[id]))

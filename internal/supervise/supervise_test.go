@@ -61,6 +61,9 @@ func TestRestartOnErrorThenQuarantine(t *testing.T) {
 	if st := u.State(); st != StateQuarantined {
 		t.Fatalf("state = %v, want quarantined", st)
 	}
+	if n := s.Quarantined(); n != 1 {
+		t.Fatalf("Quarantined() = %d, want 1", n)
+	}
 	h := u.Health()
 	if h.Restarts != 3 || h.State != "quarantined" || h.LastError != boom.Error() {
 		t.Fatalf("health = %+v", h)
