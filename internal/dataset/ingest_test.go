@@ -161,6 +161,46 @@ func TestReadSyslogPolicyStrict(t *testing.T) {
 	}
 }
 
+// TestReadCETelemetryCSVLenient checks that the dirty CE CSV, corrupted
+// the way Export corrupts it, stays salvageable by a reader that skips
+// the rows it cannot use: the header passes through, the corruption
+// damages some rows, and at least 70% of the clean rows come through
+// byte for byte. 5% line corruption costs more than 5% of the rows (a
+// dropped run takes 8 lines; a torn row can swallow its neighbour).
+func TestReadCETelemetryCSVLenient(t *testing.T) {
+	ds := smallDataset(t)
+	var buf bytes.Buffer
+	if err := ds.WriteCETelemetryCSV(&buf); err != nil {
+		t.Fatal(err)
+	}
+	clean := strings.Split(strings.TrimSuffix(buf.String(), "\n"), "\n")
+	var dirty bytes.Buffer
+	if _, err := corrupt.New(corrupt.Uniform(ds.Config.Seed, 0.05)).ProcessCSV(bytes.NewReader(buf.Bytes()), &dirty); err != nil {
+		t.Fatal(err)
+	}
+	got := strings.Split(dirty.String(), "\n")
+	if got[0] != clean[0] {
+		t.Fatalf("dirty header = %q, want %q", got[0], clean[0])
+	}
+	left := map[string]int{}
+	for _, line := range got[1:] {
+		left[line]++
+	}
+	kept, rows := 0, len(clean)-1
+	for _, line := range clean[1:] {
+		if left[line] > 0 {
+			left[line]--
+			kept++
+		}
+	}
+	if kept == rows {
+		t.Error("5% corruption left every row intact")
+	}
+	if float64(kept) < 0.7*float64(rows) {
+		t.Errorf("salvageable rows = %d of %d", kept, rows)
+	}
+}
+
 // TestReadRecordsSniffsColfmt proves the sniffing reader routes a
 // columnar replay file to the binary decoder and returns exactly the
 // records the dataset holds — the same streams the syslog text encodes,

@@ -1,6 +1,7 @@
 package topology
 
 import (
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -237,6 +238,29 @@ func TestSensorSlotMapping(t *testing.T) {
 	for sensor, letters := range want {
 		if groups[sensor] != letters {
 			t.Errorf("sensor %v covers %q, want %q", sensor, groups[sensor], letters)
+		}
+	}
+}
+
+// TestSensorNamesRoundTrip checks that the names String gives the
+// sensors, the sensor column of the exported CSV, map back to one sensor
+// each: the names are distinct, need no CSV quoting, and none is the
+// fallback form an out-of-range sensor gets.
+func TestSensorNamesRoundTrip(t *testing.T) {
+	byName := map[string]Sensor{}
+	for s := Sensor(0); s < NumSensors; s++ {
+		name := s.String()
+		if prev, dup := byName[name]; dup {
+			t.Errorf("sensors %d and %d share the name %q", int(prev), int(s), name)
+		}
+		if name == "" || strings.ContainsAny(name, ",\"\r\n") {
+			t.Errorf("sensor %d name %q is not a plain CSV field", int(s), name)
+		}
+		byName[name] = s
+	}
+	for _, s := range []Sensor{-1, NumSensors} {
+		if back, ok := byName[s.String()]; ok {
+			t.Errorf("out-of-range sensor %d is named like sensor %d (%q)", int(s), int(back), s.String())
 		}
 	}
 }
