@@ -34,7 +34,9 @@ test:
 # (syslog lines, whole scans resumed from a persisted checkpoint, the
 # columnar decoder, dataset manifests, and the astrad state ladder,
 # seeded with sealed v5 images and the oversized header counts that once
-# killed the loader), over the incremental bank classification (random
+# killed the loader), over the read path's node and risk endpoints (any
+# node id or query must answer below 500), over the incremental bank
+# classification (random
 # Add/AppendFaults interleavings must equal a fresh classification,
 # Errors included), and over the stream engine's packed record log
 # (random field values appended through the log must come back exactly
@@ -72,6 +74,7 @@ verify:
 	$(GO) test -run '^$$' -fuzz '^FuzzManifest$$' -fuzztime 5s ./internal/atomicio
 	$(GO) test -run '^$$' -fuzz '^FuzzLoadStateLadder$$' -fuzztime 5s ./cmd/astrad
 	$(GO) test -run '^$$' -fuzz '^FuzzRiskEndpoint$$' -fuzztime 5s ./internal/serve
+	$(GO) test -run '^$$' -fuzz '^FuzzNodePath$$' -fuzztime 5s ./internal/serve
 	$(GO) test -run '^$$' -fuzz '^FuzzBankStateIncremental$$' -fuzztime 5s ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzRecordLog$$' -fuzztime 5s ./internal/stream
 	$(GO) test -run '^$$' -fuzz '^FuzzRestore$$' -fuzztime 5s ./internal/stream

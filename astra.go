@@ -157,34 +157,46 @@ func (s *Study) Analyze(ctx context.Context) (res *Results, err error) {
 	return r, nil
 }
 
-// WriteReport renders every table and figure to w.
+// Section is one table or figure of the report, under the name
+// astrareport's -figures selects it by.
+type Section struct {
+	Name   string
+	Render func(*Study, *Results) string
+}
+
+// Sections lists the report's tables and figures in report order.
+var Sections = []Section{
+	{"table1", func(s *Study, r *Results) string { return report.Table1(s.Dataset.Inventory, s.Options.Nodes) }},
+	{"fig2", func(s *Study, r *Results) string {
+		return report.Figure2(s.Dataset.Env, s.Options.Nodes, s.Options.Seed)
+	}},
+	{"fig3", func(s *Study, r *Results) string { return report.Figure3(s.Dataset.Inventory) }},
+	{"fig4a", func(s *Study, r *Results) string { return report.Figure4a(r.Breakdown) }},
+	{"fig4b", func(s *Study, r *Results) string { return report.Figure4b(r.ErrorsPerFault) }},
+	{"fig5", func(s *Study, r *Results) string { return report.Figure5(r.PerNode, s.Options.Nodes) }},
+	{"fig6", func(s *Study, r *Results) string { return report.Figure6(r.Structures) }},
+	{"fig7", func(s *Study, r *Results) string { return report.Figure7(r.Structures) }},
+	{"fig8", func(s *Study, r *Results) string { return report.Figure8(r.BitAddress) }},
+	{"fig9", func(s *Study, r *Results) string { return report.Figure9(r.TempWindows) }},
+	{"fig10", func(s *Study, r *Results) string { return report.Figure10(r.Positional) }},
+	{"fig11", func(s *Study, r *Results) string { return report.Figure11(r.Positional) }},
+	{"fig12", func(s *Study, r *Results) string { return report.Figure12(r.Positional) }},
+	{"fig13", func(s *Study, r *Results) string { return report.Figure13(r.TempDeciles) }},
+	{"fig14", func(s *Study, r *Results) string { return report.Figure14(r.Utilization) }},
+	{"fig15", func(s *Study, r *Results) string { return report.Figure15(r.Uncorrectable) }},
+	{"thermal", func(s *Study, r *Results) string { return report.Thermal(r.RegionTemps, r.RackTemps) }},
+	{"survival", func(s *Study, r *Results) string { return report.Survival(s.Dataset.Inventory, s.Options.Nodes) }},
+	{"rates", func(s *Study, r *Results) string { return report.FaultRates(r.FaultRates) }},
+	{"precursors", func(s *Study, r *Results) string { return report.Precursors(r.Precursors) }},
+	{"stability", func(s *Study, r *Results) string { return report.ModeStability(r.ModeStability) }},
+	{"interarrivals", func(s *Study, r *Results) string { return report.Interarrivals(r.Interarrivals) }},
+}
+
+// WriteReport renders every section to w, in order, then the EDAC
+// logging line.
 func (s *Study) WriteReport(w io.Writer, r *Results) error {
-	sections := []string{
-		report.Table1(s.Dataset.Inventory, s.Options.Nodes),
-		report.Figure2(s.Dataset.Env, s.Options.Nodes, s.Options.Seed),
-		report.Figure3(s.Dataset.Inventory),
-		report.Figure4a(r.Breakdown),
-		report.Figure4b(r.ErrorsPerFault),
-		report.Figure5(r.PerNode, s.Options.Nodes),
-		report.Figure6(r.Structures),
-		report.Figure7(r.Structures),
-		report.Figure8(r.BitAddress),
-		report.Figure9(r.TempWindows),
-		report.Figure10(r.Positional),
-		report.Figure11(r.Positional),
-		report.Figure12(r.Positional),
-		report.Figure13(r.TempDeciles),
-		report.Figure14(r.Utilization),
-		report.Figure15(r.Uncorrectable),
-		report.Thermal(r.RegionTemps, r.RackTemps),
-		report.Survival(s.Dataset.Inventory, s.Options.Nodes),
-		report.FaultRates(r.FaultRates),
-		report.Precursors(r.Precursors),
-		report.ModeStability(r.ModeStability),
-		report.Interarrivals(r.Interarrivals),
-	}
-	for _, sec := range sections {
-		if _, err := io.WriteString(w, sec+"\n"); err != nil {
+	for _, sec := range Sections {
+		if _, err := io.WriteString(w, sec.Render(s, r)+"\n"); err != nil {
 			return err
 		}
 	}

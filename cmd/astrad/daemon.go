@@ -81,8 +81,6 @@ type daemonConfig struct {
 	writeTimeout      time.Duration
 	idleTimeout       time.Duration
 	maxHeaderBytes    int
-	maxConcurrent     int
-	requestTimeout    time.Duration
 }
 
 // siteDaemon is one site's ingest pipeline: scanner -> admission queue ->
@@ -144,11 +142,9 @@ func (s *siteDaemon) queue() *overload.Queue[mce.CERecord] { return s.q.Load() }
 // siteDaemon is the serve.Source for its site, delegating to the current
 // engine incarnation so a supervised restart swaps cleanly under the
 // HTTP layer.
-func (s *siteDaemon) LiveView() *stream.View  { return s.engine().LiveView() }
-func (s *siteDaemon) Seq() uint64             { return s.engine().Seq() }
-func (s *siteDaemon) Summary() stream.Summary { return s.engine().Summary() }
-func (s *siteDaemon) Shed() uint64            { return s.engine().Shed() }
-func (s *siteDaemon) DIMMs() int              { return s.engine().DIMMs() }
+func (s *siteDaemon) LiveView() *stream.View { return s.engine().LiveView() }
+func (s *siteDaemon) Seq() uint64            { return s.engine().Seq() }
+func (s *siteDaemon) DIMMs() int             { return s.engine().DIMMs() }
 
 // daemon owns the per-site pipelines and the state shared with the HTTP
 // layer.

@@ -116,8 +116,9 @@ func (s *siteFlags) Set(v string) error {
 	if strings.ContainsAny(id, " \t\n") {
 		return fmt.Errorf("site id %q must not contain whitespace", id)
 	}
-	// The id is a /metrics label value, written unescaped: a quote, a
-	// backslash or a control character would break every scrape.
+	// The id names the site in /v1/sites URLs, log lines and /metrics
+	// labels; a quote, a backslash or a control character would need
+	// escaping in each.
 	if strings.ContainsAny(id, `"\`) || strings.ContainsFunc(id, unicode.IsControl) {
 		return fmt.Errorf("site id %q must not contain '\"', '\\' or control characters", id)
 	}
@@ -168,11 +169,9 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 
 	fs.DurationVar(&cfg.readHeaderTimeout, "read-header-timeout", 5*time.Second, "time limit for reading request headers (slow-loris defense)")
 	fs.DurationVar(&cfg.readTimeout, "read-timeout", 30*time.Second, "time limit for reading an entire request")
-	fs.DurationVar(&cfg.writeTimeout, "write-timeout", 30*time.Second, "time limit for writing a response (slow-reader defense)")
+	fs.DurationVar(&cfg.writeTimeout, "write-timeout", 10*time.Second, "time limit for writing a response, from the end of its request's header (slow-reader defense)")
 	fs.DurationVar(&cfg.idleTimeout, "idle-timeout", 2*time.Minute, "keep-alive idle connection timeout")
 	fs.IntVar(&cfg.maxHeaderBytes, "max-header-bytes", 1<<20, "maximum request header size")
-	fs.IntVar(&cfg.maxConcurrent, "max-concurrent", serve.DefaultMaxConcurrent, "per-endpoint in-flight request cap (503 beyond; <0 disables)")
-	fs.DurationVar(&cfg.requestTimeout, "request-timeout", serve.DefaultRequestTimeout, "per-request deadline (<0 disables)")
 
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -283,14 +282,12 @@ func serveDaemon(ctx context.Context, cfg daemonConfig, logger *slog.Logger) (in
 		srvSites[i] = serve.Site{ID: s.id, Source: s, Health: s.health}
 	}
 	srv := serve.New(serve.Config{
-		Sites:          srvSites,
-		Logger:         logger,
-		ScanStats:      d.snapshotStats,
-		Overload:       d.overloadStatus,
-		MaxConcurrent:  cfg.maxConcurrent,
-		RequestTimeout: cfg.requestTimeout,
-		Predictor:      d.predictor,
-		RiskThreshold:  cfg.riskThreshold,
+		Sites:         srvSites,
+		Logger:        logger,
+		ScanStats:     d.snapshotStats,
+		Overload:      d.overloadStatus,
+		Predictor:     d.predictor,
+		RiskThreshold: cfg.riskThreshold,
 	})
 	reg := srv.Registry()
 	reg.NewCounterFunc("astrad_checkpoints_total", "", "State checkpoints written.",

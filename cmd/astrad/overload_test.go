@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"errors"
@@ -362,6 +363,60 @@ func TestDaemonReadHeaderTimeout(t *testing.T) {
 	}
 	if elapsed > 2*time.Second {
 		t.Fatalf("stalled client cut after %v, want about the 200ms header timeout", elapsed)
+	}
+}
+
+// TestDaemonWriteTimeout: -write-timeout, counted from the end of a
+// request's header, is the one bound on how long a response may take to
+// write to a slow reader. At 1ns every response misses it, so the
+// connection closes without a response byte; at the default, 10s, the
+// same request gets its 200.
+func TestDaemonWriteTimeout(t *testing.T) {
+	var usage syncBuf
+	if code := run(context.Background(), []string{"-h"}, io.Discard, &usage); code != 2 {
+		t.Fatalf("-h exit = %d, want 2", code)
+	}
+	_, entry, _ := strings.Cut(usage.String(), "-write-timeout")
+	entry, _, _ = strings.Cut(entry, "\n  -")
+	if !strings.Contains(entry, "(default 10s)") {
+		t.Errorf("-write-timeout usage %q does not default to 10s", entry)
+	}
+
+	logPath := filepath.Join(t.TempDir(), "syslog.log")
+	if err := os.WriteFile(logPath, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		args []string
+		want int // status; 0 = connection closed with no response
+	}{
+		{[]string{"-write-timeout", "1ns"}, 0},
+		{nil, http.StatusOK},
+	} {
+		addr, cancel, done, errs := startDaemonArgs(t, logPath, "", tc.args...)
+		conn, err := net.DialTimeout("tcp", addr, 5*time.Second)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := io.WriteString(conn, "GET /healthz HTTP/1.1\r\nHost: astrad\r\n\r\n"); err != nil {
+			t.Fatal(err)
+		}
+		conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+		got := 0
+		if resp, err := http.ReadResponse(bufio.NewReader(conn), nil); err == nil {
+			got = resp.StatusCode
+			resp.Body.Close()
+		} else if errors.Is(err, os.ErrDeadlineExceeded) {
+			t.Errorf("args %v: no response and no close within 5s", tc.args)
+		}
+		if got != tc.want {
+			t.Errorf("args %v: status %d, want %d (0 = closed with no response)", tc.args, got, tc.want)
+		}
+		conn.Close()
+		cancel()
+		if code := <-done; code != 0 {
+			t.Errorf("args %v: exit = %d; stderr:\n%s", tc.args, code, errs.String())
+		}
 	}
 }
 

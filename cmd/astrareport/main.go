@@ -45,45 +45,6 @@ import (
 	"repro/internal/topology"
 )
 
-// sections maps figure names to renderers over a study and its results.
-var sections = []struct {
-	name   string
-	render func(*astra.Study, *astra.Results) string
-}{
-	{"table1", func(s *astra.Study, r *astra.Results) string {
-		return report.Table1(s.Dataset.Inventory, s.Options.Nodes)
-	}},
-	{"fig2", func(s *astra.Study, r *astra.Results) string {
-		return report.Figure2(s.Dataset.Env, s.Options.Nodes, s.Options.Seed)
-	}},
-	{"fig3", func(s *astra.Study, r *astra.Results) string {
-		return report.Figure3(s.Dataset.Inventory)
-	}},
-	{"fig4a", func(s *astra.Study, r *astra.Results) string { return report.Figure4a(r.Breakdown) }},
-	{"fig4b", func(s *astra.Study, r *astra.Results) string { return report.Figure4b(r.ErrorsPerFault) }},
-	{"fig5", func(s *astra.Study, r *astra.Results) string { return report.Figure5(r.PerNode, s.Options.Nodes) }},
-	{"fig6", func(s *astra.Study, r *astra.Results) string { return report.Figure6(r.Structures) }},
-	{"fig7", func(s *astra.Study, r *astra.Results) string { return report.Figure7(r.Structures) }},
-	{"fig8", func(s *astra.Study, r *astra.Results) string { return report.Figure8(r.BitAddress) }},
-	{"fig9", func(s *astra.Study, r *astra.Results) string { return report.Figure9(r.TempWindows) }},
-	{"fig10", func(s *astra.Study, r *astra.Results) string { return report.Figure10(r.Positional) }},
-	{"fig11", func(s *astra.Study, r *astra.Results) string { return report.Figure11(r.Positional) }},
-	{"fig12", func(s *astra.Study, r *astra.Results) string { return report.Figure12(r.Positional) }},
-	{"fig13", func(s *astra.Study, r *astra.Results) string { return report.Figure13(r.TempDeciles) }},
-	{"fig14", func(s *astra.Study, r *astra.Results) string { return report.Figure14(r.Utilization) }},
-	{"fig15", func(s *astra.Study, r *astra.Results) string { return report.Figure15(r.Uncorrectable) }},
-	{"thermal", func(s *astra.Study, r *astra.Results) string {
-		return report.Thermal(r.RegionTemps, r.RackTemps)
-	}},
-	{"survival", func(s *astra.Study, r *astra.Results) string {
-		return report.Survival(s.Dataset.Inventory, s.Options.Nodes)
-	}},
-	{"rates", func(s *astra.Study, r *astra.Results) string { return report.FaultRates(r.FaultRates) }},
-	{"precursors", func(s *astra.Study, r *astra.Results) string { return report.Precursors(r.Precursors) }},
-	{"stability", func(s *astra.Study, r *astra.Results) string { return report.ModeStability(r.ModeStability) }},
-	{"interarrivals", func(s *astra.Study, r *astra.Results) string { return report.Interarrivals(r.Interarrivals) }},
-}
-
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("astrareport: ")
@@ -135,11 +96,11 @@ func main() {
 		}
 	}
 	printed := 0
-	for _, sec := range sections {
-		if len(want) > 0 && !want[sec.name] {
+	for _, sec := range astra.Sections {
+		if len(want) > 0 && !want[sec.Name] {
 			continue
 		}
-		fmt.Println(sec.render(study, results))
+		fmt.Println(sec.Render(study, results))
 		printed++
 	}
 	if printed == 0 {

@@ -173,8 +173,8 @@ func renderStudy(t *testing.T, w *bytes.Buffer, study *astra.Study) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, sec := range sections {
-		w.WriteString(sec.render(study, results))
+	for _, sec := range astra.Sections {
+		w.WriteString(sec.Render(study, results))
 		w.WriteByte('\n')
 	}
 	w.WriteString(footer(study))

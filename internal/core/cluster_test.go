@@ -192,97 +192,31 @@ func TestClusterAgainstGroundTruth(t *testing.T) {
 	cfg := DefaultClusterConfig()
 	clustered := mustCluster(records, cfg)
 
-	// Every error must be attributed to exactly one fault.
+	// The faults' error counts must cover every record (ValidateClustering
+	// checks the index lists, not NErrors).
 	total := 0
-	seen := map[int]bool{}
 	for _, f := range clustered {
 		total += f.NErrors
-		for _, idx := range f.Errors {
-			if seen[idx] {
-				t.Fatalf("error %d attributed twice", idx)
-			}
-			seen[idx] = true
-		}
 	}
 	if total != len(records) {
-		t.Fatalf("attributed %d of %d errors", total, len(records))
+		t.Fatalf("faults count %d of %d errors", total, len(records))
 	}
 
-	// Per-bank comparison against ground truth, restricted to banks with
-	// exactly one ground-truth fault (unambiguous cases).
-	type bank struct {
-		node         topology.NodeID
-		slot         topology.Slot
-		rank, bankNo int
+	m, err := ValidateClustering(pop, records, clustered, cfg)
+	if err != nil {
+		t.Fatal(err)
 	}
-	gtFaults := map[bank][]int{} // bank -> fault IDs
-	for _, f := range pop.Faults {
-		k := bank{f.Anchor.Node, f.Anchor.Slot, f.Anchor.Rank, f.Anchor.Bank}
-		gtFaults[k] = append(gtFaults[k], f.ID)
+	if err := m.Ok(len(records)); err != nil {
+		t.Fatalf("validation failed: %v (metrics %+v)", err, m)
 	}
-	// Distinct reported words / bits / cols per ground-truth fault.
-	words := map[int]map[topology.PhysAddr]bool{}
-	bits := map[int]map[int]bool{}
-	cols := map[int]map[int]bool{}
-	for i, ev := range pop.CEs {
-		id := int(ev.FaultID)
-		if words[id] == nil {
-			words[id] = map[topology.PhysAddr]bool{}
-			bits[id] = map[int]bool{}
-			cols[id] = map[int]bool{}
-		}
-		words[id][records[i].Addr] = true
-		bits[id][records[i].LineBit()] = true
-		cols[id][records[i].Col] = true
+	if m.BanksChecked < 100 {
+		t.Fatalf("only %d unambiguous banks; generation too small", m.BanksChecked)
 	}
-	recovered := map[bank][]Fault{}
-	for _, f := range clustered {
-		k := bank{f.Node, f.Slot, f.Rank, f.Bank}
-		recovered[k] = append(recovered[k], f)
+	if m.ModeAgreement < 0.9 {
+		t.Errorf("clustering agreement = %.3f over %d banks, want >= 0.9", m.ModeAgreement, m.BanksChecked)
 	}
-
-	checked, agree := 0, 0
-	recallChecked, recalled := 0, 0
-	for k, ids := range gtFaults {
-		if len(ids) != 1 {
-			continue // ambiguous bank
-		}
-		id := ids[0]
-		got := recovered[k]
-		// Recall against the ground-truth mode, as a perfect observer
-		// without row information would report it.
-		if len(words[id]) > 0 {
-			recallChecked++
-			if want := TrueModeObservable(pop.Faults[id].Mode, len(words[id]), cfg); len(got) == 1 && got[0].Mode == want {
-				recalled++
-			}
-		}
-		var want FaultMode
-		switch {
-		case len(words[id]) == 1 && len(bits[id]) == 1:
-			want = ModeSingleBit
-		case len(words[id]) == 1:
-			want = ModeSingleWord
-		case len(cols[id]) == 1 && len(words[id]) >= cfg.ColMinWords:
-			want = ModeSingleColumn
-		case len(words[id]) >= cfg.BankMinWords:
-			want = ModeSingleBank
-		default:
-			continue // small mixed footprint; either outcome defensible
-		}
-		checked++
-		if len(got) == 1 && got[0].Mode == want {
-			agree++
-		}
-	}
-	if checked < 100 {
-		t.Fatalf("only %d unambiguous banks; generation too small", checked)
-	}
-	if frac := float64(agree) / float64(checked); frac < 0.9 {
-		t.Errorf("clustering agreement = %.3f (%d/%d), want >= 0.9", frac, agree, checked)
-	}
-	if frac := float64(recalled) / float64(recallChecked); frac < 0.9 {
-		t.Errorf("mode recall against TrueModeObservable = %.3f (%d/%d), want >= 0.9", frac, recalled, recallChecked)
+	if m.ModeRecall < 0.9 {
+		t.Errorf("mode recall against TrueModeObservable = %.3f, want >= 0.9", m.ModeRecall)
 	}
 }
 

@@ -26,6 +26,11 @@ type ValidationMetrics struct {
 	// recovered both the fault count (one) and the expected observable
 	// mode.
 	ModeAgreement float64
+	// ModeRecall is the fraction of banks with one ground-truth fault and
+	// any reported CE that cluster into one fault of the mode
+	// TrueModeObservable gives the ground-truth fault: recall against
+	// what a perfect observer without row information would report.
+	ModeRecall float64
 	// FaultCountRatio is recovered/expected fault counts over all banks;
 	// splitting and merging pull it off 1.
 	FaultCountRatio float64
@@ -83,12 +88,19 @@ func ValidateClustering(pop *faultmodel.Population, records []mce.CERecord, faul
 		recovered[k] = append(recovered[k], f.Mode)
 	}
 
-	agree := 0
+	agree, recallBanks, recalled := 0, 0, 0
 	for k, ids := range gt {
 		if len(ids) != 1 {
 			continue
 		}
 		id := ids[0]
+		got := recovered[k]
+		if len(words[id]) > 0 {
+			recallBanks++
+			if obs := TrueModeObservable(pop.Faults[id].Mode, len(words[id]), cfg); len(got) == 1 && got[0] == obs {
+				recalled++
+			}
+		}
 		var want FaultMode
 		switch {
 		case len(words[id]) == 1 && len(bits[id]) == 1:
@@ -103,13 +115,15 @@ func ValidateClustering(pop *faultmodel.Population, records []mce.CERecord, faul
 			continue // two scattered words: legitimately split
 		}
 		m.BanksChecked++
-		got := recovered[k]
 		if len(got) == 1 && got[0] == want {
 			agree++
 		}
 	}
 	if m.BanksChecked > 0 {
 		m.ModeAgreement = float64(agree) / float64(m.BanksChecked)
+	}
+	if recallBanks > 0 {
+		m.ModeRecall = float64(recalled) / float64(recallBanks)
 	}
 	if len(pop.Faults) > 0 {
 		m.FaultCountRatio = float64(len(faults)) / float64(len(pop.Faults))

@@ -177,3 +177,81 @@ func TestSiteStateMetrics(t *testing.T) {
 		}
 	}
 }
+
+// TestSiteLabelsEscaped serves sites whose ids hold a quote, a backslash
+// and a newline: every site="..." label value in /metrics must be
+// escaped as the text format requires, so that it unescapes back to its
+// id, in every per-site family.
+func TestSiteLabelsEscaped(t *testing.T) {
+	ds := fixture(t)
+	ids := []string{`a"b`, `c\d`, "e\nf"}
+	var sites []serve.Site
+	for _, id := range ids {
+		e := stream.New(stream.Config{DIMMs: 32 * topology.SlotsPerNode})
+		e.IngestBatch(ds.CERecords[:10])
+		sites = append(sites, serve.Site{ID: id, Source: e, Health: func() serve.SiteHealth {
+			return serve.SiteHealth{State: serve.SiteRunning}
+		}})
+	}
+	ts := httptest.NewServer(serve.New(serve.Config{Sites: sites}).Handler())
+	defer ts.Close()
+	resp, err := http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+
+	families := []string{"astrad_site_records_total", "astrad_site_shed_total", "astrad_site_faults",
+		"astrad_site_state", "astrad_site_restarts_total"}
+	seen := map[string]int{}
+	for _, line := range strings.Split(string(body), "\n") {
+		if !strings.Contains(line, "site=") {
+			continue
+		}
+		name, rest, ok := strings.Cut(line, `{site="`)
+		if !ok {
+			t.Fatalf("site label not at the start of a label set: %q", line)
+		}
+		id, tail, ok := unescapeLabel(rest)
+		if !ok || !strings.HasPrefix(tail, "} ") {
+			t.Fatalf("malformed site label value in %q", line)
+		}
+		seen[name+"/"+id]++
+	}
+	for _, f := range families {
+		for _, id := range ids {
+			if seen[f+"/"+id] != 1 {
+				t.Errorf("%s: site %q has %d series, want 1", f, id, seen[f+"/"+id])
+			}
+		}
+	}
+	if len(seen) != len(families)*len(ids) {
+		t.Errorf("site series %v, want %d families x %d sites", seen, len(families), len(ids))
+	}
+}
+
+// unescapeLabel reads a label value up to its closing quote, undoing
+// the text format's escapes; it returns what follows the quote.
+func unescapeLabel(s string) (value, rest string, ok bool) {
+	var b strings.Builder
+	for i := 0; i < len(s); i++ {
+		switch c := s[i]; {
+		case c == '"':
+			return b.String(), s[i+1:], true
+		case c == '\\' && i+1 < len(s):
+			i++
+			switch s[i] {
+			case '\\', '"':
+				b.WriteByte(s[i])
+			case 'n':
+				b.WriteByte('\n')
+			default:
+				return "", "", false
+			}
+		default:
+			b.WriteByte(c)
+		}
+	}
+	return "", "", false
+}

@@ -8,6 +8,7 @@ import (
 	"io"
 	"sort"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 )
@@ -67,6 +68,16 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 	return nil
 }
 
+// label renders one label pair of a series' label set. The value is
+// escaped as the text exposition format requires — a backslash, a
+// double quote and a newline become \\, \" and \n — so a site id or
+// any other value cannot break a scrape.
+func label(name, value string) string {
+	return name + `="` + labelEscaper.Replace(value) + `"`
+}
+
+var labelEscaper = strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`)
+
 func formatFloat(v float64) string {
 	return strconv.FormatFloat(v, 'g', -1, 64)
 }
@@ -86,7 +97,7 @@ type Counter struct {
 }
 
 // NewCounter registers a counter series; labels is either empty or a
-// rendered label set like `path="/v1/faults"`.
+// rendered label set like `path="/v1/faults"` (see label).
 func (r *Registry) NewCounter(name, labels, help string) *Counter {
 	c := &Counter{labels: labels}
 	r.add(name, help, "counter", c)
@@ -172,9 +183,9 @@ func (r *Registry) NewHistogram(name, labels, help string, bounds []float64) *Hi
 
 func (h *Histogram) leLabel(le string) string {
 	if h.labels == "" {
-		return `le="` + le + `"`
+		return label("le", le)
 	}
-	return h.labels + `,le="` + le + `"`
+	return h.labels + "," + label("le", le)
 }
 
 // Observe records one observation.

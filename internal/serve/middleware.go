@@ -1,30 +1,26 @@
 package serve
 
 import (
-	"context"
 	"net/http"
 	"runtime/debug"
 	"strconv"
 	"time"
 )
 
-// Overload-protection defaults. They are deliberately conservative: a
+// Overload-protection constants. They are deliberately conservative: a
 // telemetry daemon's API must stay answerable during fleet-wide
 // incidents, which is exactly when request herds arrive.
 const (
-	// DefaultMaxConcurrent is the per-endpoint in-flight request cap.
-	DefaultMaxConcurrent = 64
-	// DefaultRequestTimeout bounds one request end to end, including
-	// writing the response to a slow client.
-	DefaultRequestTimeout = 10 * time.Second
-	// DefaultMaxStaleness is the served-view age beyond which /healthz
-	// reports the daemon degraded.
-	DefaultMaxStaleness = 30 * time.Second
+	// maxConcurrent is the per-endpoint in-flight request cap.
+	maxConcurrent = 64
+	// maxStaleness is the served-view age beyond which /healthz reports
+	// the daemon degraded.
+	maxStaleness = 30 * time.Second
 	// DefaultRetryAfter is the Retry-After hint on 503 responses.
 	DefaultRetryAfter = 1 * time.Second
 )
 
-// limited wraps h with a per-endpoint concurrency cap: when cap
+// limited wraps h with a per-endpoint concurrency cap: when capacity
 // requests are already in flight the request is rejected immediately
 // with 503 + Retry-After instead of queueing — shedding read load at
 // admission, the HTTP-side mirror of the ingest queue's policy. A
@@ -33,9 +29,6 @@ const (
 // dashboard fleet re-rendering /v1/faults) cannot starve the others:
 // every endpoint has its own semaphore.
 func limited(capacity int, rejected *Counter, h http.HandlerFunc) http.HandlerFunc {
-	if capacity <= 0 {
-		return h
-	}
 	sem := make(chan struct{}, capacity)
 	retryAfter := strconv.Itoa(int(DefaultRetryAfter / time.Second))
 	return func(w http.ResponseWriter, r *http.Request) {
@@ -50,25 +43,6 @@ func limited(capacity int, rejected *Counter, h http.HandlerFunc) http.HandlerFu
 		}
 		defer func() { <-sem }()
 		h(w, r)
-	}
-}
-
-// deadlined wraps h with a per-request deadline: the request context is
-// cancelled and — where the ResponseWriter supports it — the
-// connection's write deadline is set, so a slow-reading client cannot
-// pin a handler (or its response buffer) forever. Handlers observe the
-// context; the write deadline backstops the client side.
-func deadlined(d time.Duration, h http.HandlerFunc) http.HandlerFunc {
-	if d <= 0 {
-		return h
-	}
-	return func(w http.ResponseWriter, r *http.Request) {
-		ctx, cancel := context.WithTimeout(r.Context(), d)
-		defer cancel()
-		// Best effort: httptest recorders and some middlewares do not
-		// support write deadlines; the context still bounds the handler.
-		_ = http.NewResponseController(w).SetWriteDeadline(time.Now().Add(d))
-		h(w, r.WithContext(ctx))
 	}
 }
 

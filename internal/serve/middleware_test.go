@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"context"
 	"encoding/json"
 	"log/slog"
 	"net/http"
@@ -9,7 +8,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 )
 
 // TestLimitedRejectsAtCapacity: with one slot held by a blocking
@@ -60,48 +58,6 @@ func TestLimitedRejectsAtCapacity(t *testing.T) {
 	}
 }
 
-// TestLimitedDisabled: non-positive capacity turns the cap off entirely.
-func TestLimitedDisabled(t *testing.T) {
-	reg := NewRegistry()
-	h := limited(-1, reg.NewCounter("x_total", "", ""), func(w http.ResponseWriter, r *http.Request) {
-		w.WriteHeader(http.StatusTeapot)
-	})
-	rec := httptest.NewRecorder()
-	h(rec, httptest.NewRequest("GET", "/x", nil))
-	if rec.Code != http.StatusTeapot {
-		t.Fatalf("uncapped handler = %d, want passthrough", rec.Code)
-	}
-}
-
-// TestDeadlinedContext: the wrapped handler sees a context that expires,
-// so long work can notice the request is no longer worth finishing.
-func TestDeadlinedContext(t *testing.T) {
-	h := deadlined(20*time.Millisecond, func(w http.ResponseWriter, r *http.Request) {
-		if _, ok := r.Context().Deadline(); !ok {
-			t.Error("handler context has no deadline")
-		}
-		select {
-		case <-r.Context().Done():
-		case <-time.After(5 * time.Second):
-			t.Error("request context never expired")
-		}
-		w.WriteHeader(http.StatusGatewayTimeout)
-	})
-	rec := httptest.NewRecorder()
-	h(rec, httptest.NewRequest("GET", "/x", nil))
-	if rec.Code != http.StatusGatewayTimeout {
-		t.Fatalf("handler did not run to completion: %d", rec.Code)
-	}
-
-	// Disabled: no deadline installed.
-	h = deadlined(0, func(w http.ResponseWriter, r *http.Request) {
-		if _, ok := r.Context().Deadline(); ok {
-			t.Error("disabled deadline still set one")
-		}
-	})
-	h(httptest.NewRecorder(), httptest.NewRequest("GET", "/x", nil))
-}
-
 // TestRecoveredPanic: a panicking handler becomes a counted, logged 500
 // on that request; the server survives.
 func TestRecoveredPanic(t *testing.T) {
@@ -124,16 +80,3 @@ func TestRecoveredPanic(t *testing.T) {
 type noopWriter struct{}
 
 func (noopWriter) Write(p []byte) (int, error) { return len(p), nil }
-
-// TestDeadlinedHonorsParentContext: an already-cancelled request is not
-// resurrected by the middleware's own timeout.
-func TestDeadlinedHonorsParentContext(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	h := deadlined(time.Hour, func(w http.ResponseWriter, r *http.Request) {
-		if r.Context().Err() == nil {
-			t.Error("cancelled parent context lost by deadline middleware")
-		}
-	})
-	h(httptest.NewRecorder(), httptest.NewRequest("GET", "/x", nil).WithContext(ctx))
-}

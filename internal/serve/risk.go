@@ -70,9 +70,9 @@ type atRiskResponse struct {
 
 // renderAtRisk ranks the view's banks under the configured predictor
 // and returns the top ?limit= (default DefaultAtRiskLimit). Scoring
-// happens at render time over the immutable view — swapping predictors
-// never requires an engine rebuild — and the epoch-keyed response cache
-// makes repeat rankings free within an epoch.
+// happens at render time over the immutable view, so swapping
+// predictors never requires an engine rebuild; each request that does
+// not revalidate with If-None-Match ranks the view again.
 func (s *Server) renderAtRisk(v *stream.View, _ int, r *http.Request) (int, any) {
 	limit := DefaultAtRiskLimit
 	if q := r.URL.Query().Get("limit"); q != "" {
@@ -143,7 +143,7 @@ func (s *Server) renderNodeRisk(v *stream.View, _ int, r *http.Request) (int, an
 // the series never go stale and never block ingest.
 func (s *Server) registerRiskMetrics() {
 	scan := func() (banks int, atRisk int, maxScore float64) {
-		vb := s.fleetView().Banks()
+		vb := s.fleet.LiveView().Banks()
 		for i := range vb {
 			sc := s.predictor.Score(&vb[i].F)
 			if sc >= s.riskThreshold {

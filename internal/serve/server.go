@@ -8,7 +8,6 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/core"
@@ -19,7 +18,8 @@ import (
 	"repro/internal/topology"
 )
 
-// Source is the engine surface the server reads. A *stream.Engine
+// Source is the engine surface the server reads: every answer about the
+// engine, /metrics included, comes from its view. A *stream.Engine
 // satisfies it; a daemon wraps one to swap engines under the server
 // (astrad's supervised restarts), and tests substitute doubles.
 type Source interface {
@@ -28,10 +28,6 @@ type Source interface {
 	LiveView() *stream.View
 	// Seq is the state-change counter views are compared against.
 	Seq() uint64
-	// Summary is the live top-level aggregate.
-	Summary() stream.Summary
-	// Shed is the total records lost to load shedding.
-	Shed() uint64
 	// DIMMs is the monitored device population (FIT denominator).
 	DIMMs() int
 }
@@ -88,17 +84,6 @@ type Config struct {
 	// depth, watermarks, shed counts, checkpoint-breaker position) for
 	// /healthz and /metrics.
 	Overload func() overload.Status
-	// MaxConcurrent caps in-flight requests per endpoint; beyond it
-	// requests are refused with 503 + Retry-After. 0 means
-	// DefaultMaxConcurrent; negative disables the cap.
-	MaxConcurrent int
-	// RequestTimeout bounds each request end to end (handler context
-	// plus connection write deadline). 0 means DefaultRequestTimeout;
-	// negative disables it.
-	RequestTimeout time.Duration
-	// MaxStaleness is the served-view age beyond which /healthz reports
-	// degraded. 0 means DefaultMaxStaleness.
-	MaxStaleness time.Duration
 	// Predictor scores bank feature vectors for /v1/atrisk,
 	// /v1/nodes/{id}/risk and the astrad_predict_* metrics; nil means
 	// predict.DefaultRuleLadder(). Scoring happens at render time over
@@ -112,9 +97,8 @@ type Config struct {
 
 // Server exposes a stream.Engine over HTTP: JSON analyses under /v1,
 // liveness under /healthz, and Prometheus-text metrics under /metrics.
-// Every endpoint is instrumented with a per-endpoint request counter and
-// latency histogram, capped to MaxConcurrent in-flight requests, and
-// bounded by RequestTimeout.
+// Every endpoint is instrumented with a per-endpoint latency histogram
+// and capped to 64 in-flight requests.
 //
 // Reads are snapshot-based: handlers serve an immutable stream.View, so
 // a herd of API clients never contends with ingest on the engine mutex.
@@ -123,26 +107,17 @@ type Config struct {
 // age) and X-Astra-Staleness-Records (how many records it trails by) —
 // stale data is served honestly, never silently.
 type Server struct {
-	sites     []*siteState
+	sites []*siteState
+	// fleet is what the unscoped endpoints, /healthz and the unlabelled
+	// metrics read: the one site's source, or the rollup of several.
+	fleet     Source
 	log       *slog.Logger
 	reg       *Registry
 	scanStats func() syslog.ScanStats
 	ovl       func() overload.Status
 	mux       *http.ServeMux
 
-	// merged caches the cross-site rollup view per fleet epoch (one
-	// merge per epoch, however many readers).
-	merged  atomic.Pointer[stream.View]
-	mergeMu sync.Mutex
-
-	cache       *respCache
-	cacheHits   *Counter
-	cacheMisses *Counter
-	cacheNotMod *Counter
-
-	maxConcurrent  int
-	requestTimeout time.Duration
-	maxStaleness   time.Duration
+	notModified *Counter
 
 	predictor     predict.Predictor
 	riskThreshold float64
@@ -176,11 +151,6 @@ func New(cfg Config) *Server {
 		scanStats: cfg.ScanStats,
 		ovl:       cfg.Overload,
 		mux:       http.NewServeMux(),
-		cache:     newRespCache(0),
-
-		maxConcurrent:  cfg.MaxConcurrent,
-		requestTimeout: cfg.RequestTimeout,
-		maxStaleness:   cfg.MaxStaleness,
 
 		predictor:     cfg.Predictor,
 		riskThreshold: cfg.RiskThreshold,
@@ -199,35 +169,28 @@ func New(cfg Config) *Server {
 	default:
 		s.sites = []*siteState{{id: "default", src: cfg.Source}}
 	}
-	if s.maxConcurrent == 0 {
-		s.maxConcurrent = DefaultMaxConcurrent
+	s.fleet = s.sites[0].src
+	if len(s.sites) > 1 {
+		s.fleet = &rollup{sites: s.sites}
 	}
-	if s.requestTimeout == 0 {
-		s.requestTimeout = DefaultRequestTimeout
-	}
-	if s.maxStaleness <= 0 {
-		s.maxStaleness = DefaultMaxStaleness
-	}
-	s.cacheHits = s.reg.NewCounter("astrad_cache_hits_total", "", "Cacheable GETs served from the epoch-keyed response cache.")
-	s.cacheMisses = s.reg.NewCounter("astrad_cache_misses_total", "", "Cacheable GETs that re-rendered (new epoch, new URL, or evicted entry).")
-	s.cacheNotMod = s.reg.NewCounter("astrad_cache_not_modified_total", "", "Cacheable GETs answered 304 via If-None-Match.")
+	s.notModified = s.reg.NewCounter("astrad_cache_not_modified_total", "", "GETs answered 304 via If-None-Match.")
 	s.registerMetrics()
 	s.registerRiskMetrics()
-	s.route("GET /healthz", "/healthz", s.handleHealthz)
-	s.route("GET /v1/faults", "/v1/faults", s.cached(false, renderFaults))
-	s.route("GET /v1/breakdown", "/v1/breakdown", s.cached(false, renderBreakdown))
-	s.route("GET /v1/fit", "/v1/fit", s.cached(false, renderFIT))
-	s.route("GET /v1/nodes/{id}", "/v1/nodes/{id}", s.cached(false, renderNode))
-	s.route("GET /v1/nodes/{id}/risk", "/v1/nodes/{id}/risk", s.cached(false, s.renderNodeRisk))
-	s.route("GET /v1/atrisk", "/v1/atrisk", s.cached(false, s.renderAtRisk))
-	s.route("GET /v1/sites", "/v1/sites", s.cached(false, s.renderSites))
-	s.route("GET /v1/sites/{site}/faults", "/v1/sites/{site}/faults", s.cached(true, renderFaults))
-	s.route("GET /v1/sites/{site}/breakdown", "/v1/sites/{site}/breakdown", s.cached(true, renderBreakdown))
-	s.route("GET /v1/sites/{site}/fit", "/v1/sites/{site}/fit", s.cached(true, renderFIT))
-	s.route("GET /v1/sites/{site}/nodes/{id}", "/v1/sites/{site}/nodes/{id}", s.cached(true, renderNode))
-	s.route("GET /v1/sites/{site}/nodes/{id}/risk", "/v1/sites/{site}/nodes/{id}/risk", s.cached(true, s.renderNodeRisk))
-	s.route("GET /v1/sites/{site}/atrisk", "/v1/sites/{site}/atrisk", s.cached(true, s.renderAtRisk))
-	s.route("GET /metrics", "/metrics", s.handleMetrics)
+	s.route("/healthz", s.handleHealthz)
+	s.route("/v1/faults", s.read(false, renderFaults))
+	s.route("/v1/breakdown", s.read(false, renderBreakdown))
+	s.route("/v1/fit", s.read(false, renderFIT))
+	s.route("/v1/nodes/{id}", s.read(false, renderNode))
+	s.route("/v1/nodes/{id}/risk", s.read(false, s.renderNodeRisk))
+	s.route("/v1/atrisk", s.read(false, s.renderAtRisk))
+	s.route("/v1/sites", s.read(false, s.renderSites))
+	s.route("/v1/sites/{site}/faults", s.read(true, renderFaults))
+	s.route("/v1/sites/{site}/breakdown", s.read(true, renderBreakdown))
+	s.route("/v1/sites/{site}/fit", s.read(true, renderFIT))
+	s.route("/v1/sites/{site}/nodes/{id}", s.read(true, renderNode))
+	s.route("/v1/sites/{site}/nodes/{id}/risk", s.read(true, s.renderNodeRisk))
+	s.route("/v1/sites/{site}/atrisk", s.read(true, s.renderAtRisk))
+	s.route("/metrics", s.handleMetrics)
 	return s
 }
 
@@ -238,82 +201,82 @@ func (s *Server) Handler() http.Handler { return s.mux }
 // attach its own series (checkpoint age, ingest rate, ...).
 func (s *Server) Registry() *Registry { return s.reg }
 
-// route installs a protected, instrumented handler. Inside out: the
-// handler itself, the per-endpoint concurrency cap (innermost so a
-// rejection is cheap), the request deadline, instrumentation, and the
-// panic backstop outermost.
-func (s *Server) route(pattern, path string, h http.HandlerFunc) {
-	labels := `path="` + path + `"`
-	reqs := s.reg.NewCounter("astrad_http_requests_total", labels, "HTTP requests served, by endpoint.")
+// route installs a protected, instrumented GET handler at path. Inside
+// out: the handler itself, the per-endpoint concurrency cap (innermost
+// so a rejection is cheap), instrumentation, and the panic backstop
+// outermost.
+func (s *Server) route(path string, h http.HandlerFunc) {
+	labels := label("path", path)
 	lat := s.reg.NewHistogram("astrad_http_request_seconds", labels, "HTTP request latency in seconds, by endpoint.", nil)
 	rejected := s.reg.NewCounter("astrad_http_rejected_total", labels, "Requests refused with 503 at the per-endpoint concurrency cap.")
 	panics := s.reg.NewCounter("astrad_http_panics_total", labels, "Handler panics recovered into 500s.")
-	wrapped := limited(s.maxConcurrent, rejected, h)
-	wrapped = deadlined(s.requestTimeout, wrapped)
+	capped := limited(maxConcurrent, rejected, h)
 	instrumented := func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
-		wrapped(w, r)
+		capped(w, r)
 		d := time.Since(start)
-		reqs.Inc()
 		lat.Observe(d.Seconds())
 		s.log.Debug("request", "path", r.URL.Path, "dur", d)
 	}
-	s.mux.HandleFunc(pattern, recovered(s, panics, instrumented))
+	s.mux.HandleFunc("GET "+path, recovered(s, panics, instrumented))
 }
 
-// fleetSeq sums the per-site state counters: the rollup epoch.
-func (s *Server) fleetSeq() uint64 {
+// rollup is a multi-site server's fleet: its view is the sites' views
+// merged, rebuilt at most once per fleet epoch however many readers ask.
+// Each site view is that site's own consistent cut; the rollup composes
+// whatever cuts are current, and its Seq is their sum, so it can only
+// advance.
+type rollup struct {
+	sites  []*siteState
+	mu     sync.Mutex
+	merged *stream.View
+}
+
+func (f *rollup) LiveView() *stream.View {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	views := make([]*stream.View, len(f.sites))
 	var seq uint64
-	for _, st := range s.sites {
+	for i, st := range f.sites {
+		views[i] = st.src.LiveView()
+		seq += views[i].Seq
+	}
+	if f.merged == nil || f.merged.Seq != seq {
+		f.merged = stream.MergeViews(f.DIMMs(), views...)
+	}
+	return f.merged
+}
+
+// Seq sums the per-site state counters: the rollup epoch.
+func (f *rollup) Seq() uint64 {
+	var seq uint64
+	for _, st := range f.sites {
 		seq += st.src.Seq()
 	}
 	return seq
 }
 
-// fleetDIMMs sums the per-site device populations.
-func (s *Server) fleetDIMMs() int {
+// DIMMs sums the per-site device populations.
+func (f *rollup) DIMMs() int {
 	d := 0
-	for _, st := range s.sites {
+	for _, st := range f.sites {
 		d += st.src.DIMMs()
 	}
 	return d
 }
 
-// fleetView returns the cross-site rollup view, rebuilt at most once per
-// fleet epoch (single-site daemons pass the site view through
-// untouched). Per-site views are the sites' own consistent cuts; the
-// rollup composes whatever cuts are current, and its Seq is their sum,
-// so it can only advance.
-func (s *Server) fleetView() *stream.View {
-	if len(s.sites) == 1 {
-		return s.sites[0].src.LiveView()
-	}
-	s.mergeMu.Lock()
-	defer s.mergeMu.Unlock()
-	views := make([]*stream.View, len(s.sites))
-	var seq uint64
-	for i, st := range s.sites {
-		views[i] = st.src.LiveView()
-		seq += views[i].Seq
-	}
-	if m := s.merged.Load(); m != nil && m.Seq == seq {
-		return m
-	}
-	m := stream.MergeViews(s.fleetDIMMs(), views...)
-	s.merged.Store(m)
-	return m
-}
-
-// liveView fetches the fleet view to serve and stamps staleness headers
-// when it trails the engines (ingest busy: the stale view is served
-// rather than blocking the reader behind an engine mutex).
-func (s *Server) liveView(w http.ResponseWriter) *stream.View {
-	v := s.fleetView()
-	if lag := s.fleetSeq() - v.Seq; lag > 0 {
+// liveView fetches src's view to answer from, with lag the state changes
+// it trails src by. A trailing view (ingest held the engine, so the
+// reader got the previous view rather than waiting behind the engine
+// mutex) is served with its age in X-Astra-Staleness and lag in
+// X-Astra-Staleness-Records.
+func liveView(w http.ResponseWriter, src Source) (v *stream.View, lag uint64) {
+	v = src.LiveView()
+	if lag = src.Seq() - v.Seq; lag > 0 {
 		w.Header().Set("X-Astra-Staleness", time.Since(v.BuiltAt).String())
 		w.Header().Set("X-Astra-Staleness-Records", strconv.FormatUint(lag, 10))
 	}
-	return v
+	return v, lag
 }
 
 // siteByID resolves a /v1/sites/{site}/ path segment.
@@ -326,21 +289,17 @@ func (s *Server) siteByID(id string) *siteState {
 	return nil
 }
 
-// renderFunc produces one cacheable JSON response from an immutable
-// view: pure in the view, so the rendered bytes are valid for exactly
-// as long as the view's epoch.
+// renderFunc produces one JSON response from an immutable view: pure in
+// the view, so the answer changes only when the view's epoch does.
 type renderFunc func(v *stream.View, dimms int, r *http.Request) (int, any)
 
-// cached wraps a renderFunc with the snapshot-keyed response layer:
-// the ETag is the view epoch, If-None-Match answers 304 without
-// rendering, and rendered 200 bodies are reused for every request at
-// the same (URL, epoch). siteScoped routes resolve {site} from the
-// path and serve that site's view; otherwise the fleet rollup view is
-// served with staleness headers.
-func (s *Server) cached(siteScoped bool, render renderFunc) http.HandlerFunc {
+// read answers a GET by rendering a view: siteScoped routes resolve
+// {site} from the path and serve that site's view, the others the
+// fleet's. The ETag is the view epoch, and If-None-Match answers 304
+// without rendering; any other request renders the view afresh.
+func (s *Server) read(siteScoped bool, render renderFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		var v *stream.View
-		var dimms int
+		src := s.fleet
 		if siteScoped {
 			site := s.siteByID(r.PathValue("site"))
 			if site == nil {
@@ -364,48 +323,19 @@ func (s *Server) cached(siteScoped bool, render renderFunc) http.HandlerFunc {
 				})
 				return
 			}
-			v = site.src.LiveView()
-			if lag := site.src.Seq() - v.Seq; lag > 0 {
-				w.Header().Set("X-Astra-Staleness", time.Since(v.BuiltAt).String())
-				w.Header().Set("X-Astra-Staleness-Records", strconv.FormatUint(lag, 10))
-			}
-			dimms = site.src.DIMMs()
-		} else {
-			v = s.liveView(w)
-			dimms = s.fleetDIMMs()
+			src = site.src
 		}
+		v, _ := liveView(w, src)
 		etag := `"astra-` + strconv.FormatUint(v.Seq, 16) + `"`
-		h := w.Header()
-		h.Set("ETag", etag)
-		h.Set("Cache-Control", "no-cache")
+		w.Header().Set("ETag", etag)
+		w.Header().Set("Cache-Control", "no-cache")
 		if inm := r.Header.Get("If-None-Match"); inm != "" && etagMatch(inm, etag) {
-			s.cacheNotMod.Inc()
+			s.notModified.Inc()
 			w.WriteHeader(http.StatusNotModified)
 			return
 		}
-		key := r.URL.Path
-		if r.URL.RawQuery != "" {
-			key += "?" + r.URL.RawQuery
-		}
-		if ent, ok := s.cache.get(key, v.Seq); ok {
-			s.cacheHits.Inc()
-			h.Set("Content-Type", "application/json")
-			w.WriteHeader(ent.code)
-			_, _ = w.Write(ent.body)
-			return
-		}
-		s.cacheMisses.Inc()
-		code, payload := render(v, dimms, r)
-		body, err := json.MarshalIndent(payload, "", "  ")
-		if err != nil {
-			writeJSON(w, http.StatusInternalServerError, errorBody{err.Error()})
-			return
-		}
-		body = append(body, '\n')
-		s.cache.put(key, v.Seq, code, body)
-		h.Set("Content-Type", "application/json")
-		w.WriteHeader(code)
-		_, _ = w.Write(body)
+		code, payload := render(v, src.DIMMs(), r)
+		writeJSON(w, code, payload)
 	}
 }
 
@@ -427,27 +357,22 @@ func etagMatch(header, etag string) bool {
 	return false
 }
 
-// registerMetrics wires the engine's rolling aggregates — and, when
+// registerMetrics wires the served view's aggregates — and, when
 // available, the scanner's corruption accounting — into the registry.
-// Values are read at scrape time, so /metrics always reflects the live
-// engine without a copy pipeline.
+// Values are read at scrape time from the view a reader would be served,
+// so /metrics agrees with the endpoints and a scrape never waits on an
+// engine mutex behind an ingest batch.
 func (s *Server) registerMetrics() {
-	// Legacy series keep their unlabelled names and, on a multi-site
-	// daemon, report the all-sites aggregate; per-site series carry a
-	// site label alongside.
-	sum := func() stream.Summary {
-		if len(s.sites) == 1 {
-			return s.sites[0].src.Summary()
-		}
-		return s.fleetView().Summary
-	}
+	// The unlabelled series report the fleet (on a multi-site daemon,
+	// the all-sites rollup); per-site series carry a site label
+	// alongside.
+	sum := func() stream.Summary { return s.fleet.LiveView().Summary }
 	s.reg.NewCounterFunc("astrad_stream_records_total", "", "CE records ingested into the clustering engine.",
 		func() float64 { return float64(sum().Records) })
 	s.reg.NewCounterFunc("astrad_fault_escalations_total", "", "Observed per-bank fault-mode escalations.",
 		func() float64 { return float64(sum().Escalations) })
 	for m := core.FaultMode(0); m < core.NumFaultModes; m++ {
-		m := m
-		s.reg.NewGaugeFunc("astrad_open_faults", `mode="`+m.String()+`"`, "Live fault count by observable mode.",
+		s.reg.NewGaugeFunc("astrad_open_faults", label("mode", m.String()), "Live fault count by observable mode.",
 			func() float64 { return float64(sum().FaultsByMode[m]) })
 	}
 	s.reg.NewGaugeFunc("astrad_faulty_nodes", "", "Nodes with at least one live fault.",
@@ -457,37 +382,30 @@ func (s *Server) registerMetrics() {
 	s.reg.NewGaugeFunc("astrad_window_ce_rate", "", "CE records per second over the rolling event-time window.",
 		func() float64 { return sum().WindowRate })
 	s.reg.NewCounterFunc("astrad_stream_shed_total", "", "CE records shed at admission and charged to the engine's degraded accounting.",
-		func() float64 {
-			var n uint64
-			for _, st := range s.sites {
-				n += st.src.Shed()
-			}
-			return float64(n)
-		})
+		func() float64 { return float64(sum().Shed) })
 	s.reg.NewGaugeFunc("astrad_view_lag_records", "", "State changes the currently served view trails the engine by.",
 		func() float64 {
-			v := s.fleetView()
-			return float64(s.fleetSeq() - v.Seq)
+			v := s.fleet.LiveView()
+			return float64(s.fleet.Seq() - v.Seq)
 		})
 	if len(s.sites) > 1 {
 		for _, st := range s.sites {
-			st := st
-			label := `site="` + st.id + `"`
-			s.reg.NewCounterFunc("astrad_site_records_total", label, "CE records ingested, by site.",
-				func() float64 { return float64(st.src.Summary().Records) })
-			s.reg.NewCounterFunc("astrad_site_shed_total", label, "Records shed, by site.",
-				func() float64 { return float64(st.src.Shed()) })
-			s.reg.NewGaugeFunc("astrad_site_faults", label, "Live fault count, by site.",
-				func() float64 { return float64(st.src.Summary().Faults) })
+			site := label("site", st.id)
+			siteSum := func() stream.Summary { return st.src.LiveView().Summary }
+			s.reg.NewCounterFunc("astrad_site_records_total", site, "CE records ingested, by site.",
+				func() float64 { return float64(siteSum().Records) })
+			s.reg.NewCounterFunc("astrad_site_shed_total", site, "Records shed, by site.",
+				func() float64 { return float64(siteSum().Shed) })
+			s.reg.NewGaugeFunc("astrad_site_faults", site, "Live fault count, by site.",
+				func() float64 { return float64(siteSum().Faults) })
 		}
 	}
 	for _, st := range s.sites {
 		if st.health == nil {
 			continue
 		}
-		st := st
-		label := `site="` + st.id + `"`
-		s.reg.NewGaugeFunc("astrad_site_state", label, "Supervision state of the site's ingest pipeline: 0 running, 1 backoff, 2 quarantined, 3 stopped.",
+		site := label("site", st.id)
+		s.reg.NewGaugeFunc("astrad_site_state", site, "Supervision state of the site's ingest pipeline: 0 running, 1 backoff, 2 quarantined, 3 stopped.",
 			func() float64 {
 				switch st.currentHealth().State {
 				case "backoff":
@@ -499,7 +417,7 @@ func (s *Server) registerMetrics() {
 				}
 				return 0
 			})
-		s.reg.NewCounterFunc("astrad_site_restarts_total", label, "Supervised restarts of the site's ingest pipeline.",
+		s.reg.NewCounterFunc("astrad_site_restarts_total", site, "Supervised restarts of the site's ingest pipeline.",
 			func() float64 { return float64(st.currentHealth().Restarts) })
 	}
 
@@ -577,12 +495,18 @@ func (s *Server) registerMetrics() {
 	}
 }
 
+// writeJSON answers with v as indented JSON and a closing newline. It
+// marshals before writing anything, so a value that does not marshal
+// becomes a 500 carrying the error.
 func writeJSON(w http.ResponseWriter, code int, v any) {
+	body, err := json.MarshalIndent(v, "", "  ")
+	if err != nil {
+		code = http.StatusInternalServerError
+		body, _ = json.MarshalIndent(errorBody{err.Error()}, "", "  ")
+	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
+	_, _ = w.Write(append(body, '\n'))
 }
 
 type errorBody struct {
@@ -628,9 +552,8 @@ type siteHealthEntry struct {
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	v := s.liveView(w)
+	v, lag := liveView(w, s.fleet)
 	staleness := time.Since(v.BuiltAt)
-	lag := s.fleetSeq() - v.Seq
 	if lag == 0 {
 		staleness = 0 // current view: not stale, whatever its age
 	}
@@ -642,7 +565,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		StalenessSeconds: staleness.Seconds(),
 		LagRecords:       lag,
 	}
-	if staleness > s.maxStaleness || v.Summary.Degraded {
+	if staleness > maxStaleness || v.Summary.Degraded {
 		resp.Status = "degraded"
 	}
 	for _, st := range s.sites {

@@ -270,7 +270,7 @@ func TestServerMetrics(t *testing.T) {
 		"# TYPE astrad_open_faults gauge",
 		"# TYPE astrad_http_request_seconds histogram",
 		`astrad_open_faults{mode="single-bit"}`,
-		`astrad_http_requests_total{path="/healthz"}`,
+		`astrad_http_request_seconds_count{path="/healthz"} 1` + "\n",
 		`astrad_http_request_seconds_bucket{path="/v1/faults",le="+Inf"}`,
 		"astrad_ingest_lines_total 12345",
 		"astrad_ingest_malformed_total 7",
@@ -278,6 +278,9 @@ func TestServerMetrics(t *testing.T) {
 		if !strings.Contains(text, want) {
 			t.Errorf("metrics output missing %q", want)
 		}
+	}
+	if strings.Contains(text, "astrad_http_requests_total") {
+		t.Error("metrics still carry astrad_http_requests_total, a copy of the histogram's _count")
 	}
 	// The scrape-time counters must reflect the engine.
 	var recLine string
@@ -288,6 +291,58 @@ func TestServerMetrics(t *testing.T) {
 	}
 	if want := "astrad_stream_records_total " + itoa(sum.Records); recLine != want {
 		t.Errorf("records series = %q, want %q", recLine, want)
+	}
+}
+
+// trailingSource is an engine whose served view is an older cut of it,
+// as while an ingest batch holds the engine mutex: Seq, DIMMs and the
+// engine's own Summary and Shed run ahead of the view LiveView returns.
+type trailingSource struct {
+	*stream.Engine
+	view *stream.View
+}
+
+func (s trailingSource) LiveView() *stream.View { return s.view }
+
+// TestMetricsReadServedView pins that a single-site /metrics reports the
+// view the endpoints serve, not the engine ahead of it: the records,
+// fault, window and shed series equal the trailing view's, and the lag
+// gauge says how far it trails.
+func TestMetricsReadServedView(t *testing.T) {
+	ds := fixture(t)
+	half := len(ds.CERecords) / 2
+	e := stream.New(stream.Config{DIMMs: 32 * topology.SlotsPerNode})
+	e.IngestBatch(ds.CERecords[:half])
+	view := e.LiveView()
+	e.IngestBatch(ds.CERecords[half:])
+	e.NoteShed(3)
+	ahead := e.Summary()
+	if ahead.Records == view.Summary.Records || ahead.Faults == view.Summary.Faults || ahead.Shed == view.Summary.Shed {
+		t.Fatalf("fixture: the engine (%+v) does not run ahead of its view (%+v)", ahead, view.Summary)
+	}
+	s := serve.New(serve.Config{Source: trailingSource{Engine: e, view: view}})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	resp := getFull(t, ts.URL+"/metrics", "")
+	body, _ := io.ReadAll(resp.Body)
+	text := string(body)
+	sum := view.Summary
+	want := []string{
+		"astrad_stream_records_total " + itoa(sum.Records),
+		"astrad_fault_escalations_total " + itoa(sum.Escalations),
+		"astrad_faulty_nodes " + itoa(sum.FaultyNodes),
+		"astrad_window_ce_count " + itoa(sum.WindowCount),
+		"astrad_stream_shed_total " + itoa(sum.Shed),
+		"astrad_view_lag_records " + strconv.FormatUint(e.Seq()-view.Seq, 10),
+	}
+	for m := core.FaultMode(0); m < core.NumFaultModes; m++ {
+		want = append(want, `astrad_open_faults{mode="`+m.String()+`"} `+itoa(sum.FaultsByMode[m]))
+	}
+	for _, line := range want {
+		if !strings.Contains(text, "\n"+line+"\n") {
+			t.Errorf("metrics lack %q (the served view's value)", line)
+		}
 	}
 }
 
@@ -303,11 +358,9 @@ type laggingSource struct {
 	lag  uint64
 }
 
-func (s laggingSource) LiveView() *stream.View  { return s.view }
-func (s laggingSource) Seq() uint64             { return s.view.Seq + s.lag }
-func (s laggingSource) Summary() stream.Summary { return s.view.Summary }
-func (s laggingSource) Shed() uint64            { return 0 }
-func (s laggingSource) DIMMs() int              { return 32 * topology.SlotsPerNode }
+func (s laggingSource) LiveView() *stream.View { return s.view }
+func (s laggingSource) Seq() uint64            { return s.view.Seq + s.lag }
+func (s laggingSource) DIMMs() int             { return 32 * topology.SlotsPerNode }
 
 // TestStalenessHeaders pins how a stale view is served: as-is, with its
 // age in X-Astra-Staleness and the records it trails by in

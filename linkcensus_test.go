@@ -37,7 +37,7 @@ var linkKeep = map[string]string{
 	"repro/internal/core.AnalyzePerNode":         keepOracle + " (RecordIndex's analyses and the robustness harness)",
 	"repro/internal/core.AnalyzeStructures":      keepOracle + " (TestRecordIndexMatchesDirectAnalyses)",
 	"repro/internal/core.AnalyzeUtilization":     keepOracle + " (TestRecordIndexMatchesDirectAnalyses)",
-	"repro/internal/core.TrueModeObservable":     keepOracle + " (core.Cluster's mode recall against ground truth)",
+	"repro/internal/core.TrueModeObservable":     keepOracle + " (the observable mode ValidateClustering's ModeRecall compares with)",
 	"repro/internal/core.ValidateClustering":     keepOracle + " (core.Cluster against the ground-truth population)",
 	"repro/internal/core.ValidationMetrics.Ok":   keepOracle + " (ValidateClustering's verdict)",
 	"repro/internal/mce.VerifyCEClassification":  keepOracle + " (the generated population's CEs against SEC-DED)",
